@@ -8,20 +8,16 @@ desk scale.
 
 from .ea import (
     AlgorithmKind,
-    AlgoState,
     ControllerParams,
     RunRecord,
     StopCause,
     StoppingCondition,
     default_static_lambda,
-    generation_comma,
-    generation_plus,
-    mutate,
     round_lambda,
     run,
     update_lambda,
 )
-from .fitness import FitnessFunction, SearchPoint
+from .fitness import FitnessFunction
 from .oracle import (
     best_of_lambda_distribution,
     check_transition_bounds,

@@ -26,26 +26,20 @@ from enum import Enum
 
 import numpy as np
 
-from .fitness import FitnessFunction, SearchPoint
+from .fitness import FitnessFunction
 
 __all__ = [
     "ControllerParams",
     "AlgorithmKind",
     "StoppingCondition",
-    "AlgoState",
     "StopCause",
     "RunRecord",
     "round_lambda",
     "update_lambda",
     "default_static_lambda",
     "default_lambda_abort_threshold",
-    "mutate",
-    "generation_comma",
-    "generation_plus",
     "run",
 ]
-
-_EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
 
 def round_lambda(lambda_real: float) -> int:
@@ -167,131 +161,95 @@ class StopCause(str, Enum):
     LAMBDA_ABORT = "lambda_abort"
 
 
-@dataclass(frozen=True)
-class AlgoState:
-    """Current parent, real-valued lambda and counters."""
-
-    x: SearchPoint
-    lambda_real: float
-    generation: int
-    evaluations: int
-    fitness_raw: int
-    best_raw: int
+_BLOCK = 4096  # pre-sampled flip counts / single-flip positions per refill
 
 
-def initial_state(
-    fn: FitnessFunction, rng: np.random.Generator, lambda0: float = 1.0
-) -> AlgoState:
-    """Uniform random parent with lambda = lambda0 and zeroed counters."""
-    x = SearchPoint.random(fn.n, rng)
-    f = fn.raw(x)
-    return AlgoState(x, float(lambda0), 0, 0, f, f)
-
-
-def _distinct_positions(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    """k distinct indices in [0, n), uniform over k-subsets."""
-    if k <= 0:
-        return _EMPTY_POSITIONS
-    if k == 1:
-        return np.array([rng.integers(0, n)], dtype=np.int64)
+def _distinct_positions(rng: np.random.Generator, n: int, k: int) -> list:
+    """k >= 2 distinct indices in [0, n), uniform over k-subsets."""
     if k * k <= n:
         # rejection on duplicates; collision probability < k^2/(2n)
         while True:
-            idx = rng.integers(0, n, size=k)
-            if len(set(idx.tolist())) == k:
+            idx = rng.integers(0, n, size=k).tolist()
+            if len(set(idx)) == k:
                 return idx
-    return rng.permutation(n)[:k]
+    return rng.permutation(n)[:k].tolist()
 
 
-def mutate(x: SearchPoint, rng: np.random.Generator) -> SearchPoint:
-    """Standard bit mutation: each bit flips independently with probability 1/n."""
-    n = len(x)
-    k = int(rng.binomial(n, 1.0 / n))
-    return x.with_flips(_distinct_positions(rng, n, k))
+def _offspring_sampler(
+    fn: FitnessFunction, table: list | None, bits: list, rng: np.random.Generator
+):
+    """The one offspring sampler: best of lam_int standard-bit mutants.
 
-
-def _best_offspring(
-    x: SearchPoint, lam_int: int, fn: FitnessFunction, rng: np.random.Generator
-) -> tuple[int, np.ndarray]:
-    """Create lam_int mutants of x; return (raw fitness, flip set) of a
-    uniformly random fitness-maximal one (reservoir tie-breaking)."""
+    ``bits`` is the parent as a list of ints, which the caller updates in
+    place between calls.  Returns ``sample(lam_int, ones, cur_f)``, where
+    ``ones`` and ``cur_f`` are the parent's one-count and raw fitness; it
+    gives ``(f, child_ones, flips)`` for a uniformly random fitness-maximal
+    child (reservoir tie-breaking), with ``flips`` None (no bit flipped),
+    one position, or a list of positions.  Each child's flip count comes
+    from Binomial(n, 1/n); flip counts and single-flip positions are drawn
+    in blocks.  With a level ``table`` a child scores ``table[child_ones]``;
+    without one (ridge) the parent is flipped in place, scored by
+    ``fn.raw_from_bits`` and flipped back.
+    """
     n = fn.n
     inv_n = 1.0 / n
-    bits = x.bits
-    ones = x.ones
-    level = fn.level_based
-    best_f = None
-    best_pos = _EMPTY_POSITIONS
-    ties = 0
-    for _ in range(lam_int):
-        k = int(rng.binomial(n, inv_n))
-        pos = _distinct_positions(rng, n, k)
-        child_ones = ones + k - 2 * int(bits[pos].sum()) if k else ones
-        if level:
-            f = fn.raw_from_ones(child_ones)
-        else:
-            child = np.array(bits, copy=True)
-            if k:
-                child[pos] ^= 1
-            f = fn.raw_from_bits(child, child_ones)
-        if best_f is None or f > best_f:
-            best_f, best_pos, ties = f, pos, 1
-        elif f == best_f:
-            ties += 1
-            if rng.random() < 1.0 / ties:
-                best_pos = pos
-    return best_f, best_pos
+    genotype = table is None
+    raw_from_bits = fn.raw_from_bits
+    rand = rng.random
+    kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
+    kidx = 0
+    pblock = rng.integers(0, n, size=_BLOCK).tolist()
+    pidx = 0
 
+    def sample(lam_int, ones, cur_f):
+        nonlocal kblock, kidx, pblock, pidx
+        if kidx + lam_int > _BLOCK:
+            kblock = rng.binomial(n, inv_n, size=max(_BLOCK, lam_int)).tolist()
+            kidx = 0
+        bf = -1
+        best_ones = ones
+        best_flips = None
+        ties = 0
+        for _ in range(lam_int):
+            k = kblock[kidx]
+            kidx += 1
+            if k == 0:
+                co = ones
+                f = cur_f
+                flips = None
+            elif k == 1:
+                if pidx == _BLOCK:
+                    pblock = rng.integers(0, n, size=_BLOCK).tolist()
+                    pidx = 0
+                flips = pblock[pidx]
+                pidx += 1
+                co = ones + 1 - 2 * bits[flips]
+                if genotype:
+                    bits[flips] ^= 1
+                    f = raw_from_bits(bits, co)
+                    bits[flips] ^= 1
+                else:
+                    f = table[co]
+            else:
+                flips = _distinct_positions(rng, n, k)
+                co = ones + k - 2 * sum([bits[p] for p in flips])
+                if genotype:
+                    for p in flips:
+                        bits[p] ^= 1
+                    f = raw_from_bits(bits, co)
+                    for p in flips:
+                        bits[p] ^= 1
+                else:
+                    f = table[co]
+            if f > bf:
+                bf, best_ones, best_flips, ties = f, co, flips, 1
+            elif f == bf:
+                ties += 1
+                if rand() < 1.0 / ties:
+                    best_ones, best_flips = co, flips
+        return bf, best_ones, best_flips
 
-def _generation(
-    state: AlgoState,
-    fn: FitnessFunction,
-    params: ControllerParams,
-    rng: np.random.Generator,
-    elitist: bool,
-    adapt: bool,
-) -> AlgoState:
-    lam_int = round_lambda(state.lambda_real)
-    best_f, best_pos = _best_offspring(state.x, lam_int, fn, rng)
-    success = best_f > state.fitness_raw
-    if elitist and best_f < state.fitness_raw:
-        new_x, new_f = state.x, state.fitness_raw
-    else:
-        new_x, new_f = state.x.with_flips(best_pos), best_f
-    lam = update_lambda(state.lambda_real, success, params) if adapt else state.lambda_real
-    return AlgoState(
-        x=new_x,
-        lambda_real=lam,
-        generation=state.generation + 1,
-        evaluations=state.evaluations + lam_int,
-        fitness_raw=new_f,
-        best_raw=max(state.best_raw, best_f),
-    )
-
-
-def generation_comma(
-    state: AlgoState,
-    fn: FitnessFunction,
-    params: ControllerParams,
-    rng: np.random.Generator,
-    adapt: bool = True,
-) -> AlgoState:
-    """One comma generation: the selected offspring always replaces the
-    parent, even when worse; lambda shrinks only on strict improvement."""
-    return _generation(state, fn, params, rng, elitist=False, adapt=adapt)
-
-
-def generation_plus(
-    state: AlgoState,
-    fn: FitnessFunction,
-    params: ControllerParams,
-    rng: np.random.Generator,
-    adapt: bool = True,
-) -> AlgoState:
-    """One elitist generation: the parent survives unless an offspring ties
-    or beats it (ties replace the parent); lambda shrinks only on strict
-    improvement, so fitness never decreases."""
-    return _generation(state, fn, params, rng, elitist=True, adapt=adapt)
+    return sample
 
 
 @dataclass
@@ -340,7 +298,7 @@ _TRACE_LEVELS = ("summary", "levels", "full")
 
 
 class _Trace:
-    """Mutable run-trace state shared by the two engine loops."""
+    """Mutable run-trace state, updated by the run loop."""
 
     def __init__(self, trace_level: str, size: int, cur_f: int, lam: float):
         self.want_levels = trace_level in ("levels", "full")
@@ -359,27 +317,26 @@ class _Trace:
             self.r_evals = [0]
             self.r_best = [cur_f]
 
+    # the run loop calls these only when the trace level wants them
+
     def before_generation(self, cur_f: int, lam_int: int) -> None:
-        if self.want_levels:
-            self.gens_at[cur_f] += 1
-            self.lambda_sum_at[cur_f] += lam_int
-            self.evals_at[cur_f] += lam_int
+        self.gens_at[cur_f] += 1
+        self.lambda_sum_at[cur_f] += lam_int
+        self.evals_at[cur_f] += lam_int
 
     def new_best(self, prev_best: int, best_f: int, evals: int) -> None:
-        if self.want_levels:
-            fh = self.first_hit
-            for v in range(prev_best + 1, best_f + 1):
-                if fh[v] < 0:
-                    fh[v] = evals
+        fh = self.first_hit
+        for v in range(prev_best + 1, best_f + 1):
+            if fh[v] < 0:
+                fh[v] = evals
         # lower targets were filled when first reached
 
     def after_generation(self, cur_f: int, lam: float, evals: int, best_f: int) -> None:
-        if self.want_rows:
-            self.r_fit.append(cur_f)
-            self.r_lam.append(lam)
-            self.r_lint.append(round_lambda(lam))
-            self.r_evals.append(evals)
-            self.r_best.append(best_f)
+        self.r_fit.append(cur_f)
+        self.r_lam.append(lam)
+        self.r_lint.append(round_lambda(lam))
+        self.r_evals.append(evals)
+        self.r_best.append(best_f)
 
     def attach(self, rec: "RunRecord") -> None:
         if self.want_levels:
@@ -398,81 +355,47 @@ class _Trace:
             }
 
 
-def _stop_cause_initial(stop: StoppingCondition, cur_f: int, opt_raw: int):
-    if stop.stop_on_optimum and cur_f >= opt_raw:
-        return StopCause.OPTIMUM
-    if stop.max_evaluations is not None and stop.max_evaluations <= 0:
-        return StopCause.EVALUATION_CAP
-    if stop.max_generations is not None and stop.max_generations <= 0:
-        return StopCause.GENERATION_CAP
-    return None
-
-
-def _run_level_engine(fn, params, stop, rng, trace, elitist, adapt, lam, abort_at):
-    """Hot loop for ones-count-valued functions: bit positions matter only
-    through the one-bit count, so the parent is a plain list of ints and
-    flip counts / single-flip positions come from pre-sampled blocks."""
-    n = fn.n
-    inv_n = 1.0 / n
-    table = fn.level_table().tolist()
+def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
+    """The run loop: generations from the parent ``bits`` (one-count
+    ``ones``, raw fitness ``cur_f``, updated in place) with real-valued
+    lambda ``lam`` until a stop cause holds, one ``sample`` call per
+    generation.  Returns (cause, generations, evaluations, final raw
+    fitness, best raw fitness, final lambda)."""
     opt_raw = fn.optimum_raw
+    abort_at = stop.lambda_abort_threshold
+    if abort_at is None:
+        abort_at = default_lambda_abort_threshold(fn.n, params)
+    elitist = kind.selection == "plus"
+    adapt = kind.adaptive
     F = params.F
     growth = params.growth_factor
     max_evals = stop.max_evaluations
     max_gens = stop.max_generations
     stop_opt = stop.stop_on_optimum
-
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8).tolist()
-    ones = sum(bits)
-    cur_f = table[ones]
+    levels, rows = trace.want_levels, trace.want_rows
     best_f = cur_f
     gens = 0
     evals = 0
-    cause = _stop_cause_initial(stop, cur_f, opt_raw)
 
-    kblock = rng.binomial(n, inv_n, size=4096).tolist()
-    kidx = 0
-    pblock = rng.integers(0, n, size=4096).tolist()
-    pidx = 0
-    rand = rng.random
+    while True:
+        # the stop causes in precedence order; a lambda abort needs a generation
+        if stop_opt and cur_f >= opt_raw:
+            cause = StopCause.OPTIMUM
+            break
+        if lam > abort_at and gens:
+            cause = StopCause.LAMBDA_ABORT
+            break
+        if max_evals is not None and evals >= max_evals:
+            cause = StopCause.EVALUATION_CAP
+            break
+        if max_gens is not None and gens >= max_gens:
+            cause = StopCause.GENERATION_CAP
+            break
 
-    while cause is None:
-        lam_int = int(lam + 0.5)  # floor(lam + 0.5): round half up
-        trace.before_generation(cur_f, lam_int)
-
-        if kidx + lam_int > 4096:
-            kblock = rng.binomial(n, inv_n, size=max(4096, lam_int)).tolist()
-            kidx = 0
-        bf = -1
-        best_ones = ones
-        best_flips = None  # None: no flips; int: single position; list: several
-        ties = 0
-        for _ in range(lam_int):
-            k = kblock[kidx]
-            kidx += 1
-            if k == 0:
-                co = ones
-                f = cur_f
-                flips = None
-            elif k == 1:
-                if pidx == 4096:
-                    pblock = rng.integers(0, n, size=4096).tolist()
-                    pidx = 0
-                flips = pblock[pidx]
-                pidx += 1
-                co = ones + 1 - 2 * bits[flips]
-                f = table[co]
-            else:
-                pos = _distinct_positions(rng, n, k).tolist()
-                co = ones + k - 2 * sum(bits[p] for p in pos)
-                f = table[co]
-                flips = pos
-            if f > bf:
-                bf, best_ones, best_flips, ties = f, co, flips, 1
-            elif f == bf:
-                ties += 1
-                if rand() < 1.0 / ties:
-                    best_ones, best_flips = co, flips
+        lam_int = int(lam + 0.5)  # round_lambda: floor(lam + 0.5)
+        if levels:
+            trace.before_generation(cur_f, lam_int)
+        bf, best_ones, best_flips = sample(lam_int, ones, cur_f)
         if not elitist or bf >= cur_f:
             if best_flips is not None:
                 if type(best_flips) is int:
@@ -495,83 +418,11 @@ def _run_level_engine(fn, params, stop, rng, trace, elitist, adapt, lam, abort_a
         gens += 1
         evals += lam_int
         if bf > best_f:
-            trace.new_best(best_f, bf, evals)
+            if levels:
+                trace.new_best(best_f, bf, evals)
             best_f = bf
-        trace.after_generation(cur_f, lam, evals, best_f)
-
-        if stop_opt and cur_f >= opt_raw:
-            cause = StopCause.OPTIMUM
-        elif lam > abort_at:
-            cause = StopCause.LAMBDA_ABORT
-        elif max_evals is not None and evals >= max_evals:
-            cause = StopCause.EVALUATION_CAP
-        elif max_gens is not None and gens >= max_gens:
-            cause = StopCause.GENERATION_CAP
-    return cause, gens, evals, cur_f, best_f, lam
-
-
-def _run_genotype_engine(fn, params, stop, rng, trace, elitist, adapt, lam, abort_at):
-    """General loop evaluating full bit strings (needed for ridge)."""
-    n = fn.n
-    inv_n = 1.0 / n
-    opt_raw = fn.optimum_raw
-
-    bits = rng.integers(0, 2, size=n, dtype=np.uint8)
-    ones = int(bits.sum())
-    cur_f = fn.raw_from_bits(bits, ones)
-    best_f = cur_f
-    gens = 0
-    evals = 0
-    cause = _stop_cause_initial(stop, cur_f, opt_raw)
-
-    while cause is None:
-        lam_int = round_lambda(lam)
-        trace.before_generation(cur_f, lam_int)
-        bf = None
-        best_pos = _EMPTY_POSITIONS
-        best_ones = ones
-        ties = 0
-        for _ in range(lam_int):
-            k = int(rng.binomial(n, inv_n))
-            pos = _distinct_positions(rng, n, k)
-            co = ones + k - 2 * int(bits[pos].sum()) if k else ones
-            if k:
-                child = np.array(bits, copy=True)
-                child[pos] ^= 1
-                f = fn.raw_from_bits(child, co)
-            else:
-                f = cur_f
-            if bf is None or f > bf:
-                bf, best_pos, best_ones, ties = f, pos, co, 1
-            elif f == bf:
-                ties += 1
-                if rng.random() < 1.0 / ties:
-                    best_pos, best_ones = pos, co
-        if not elitist or bf >= cur_f:
-            if best_pos.size:
-                bits[best_pos] ^= 1
-                ones = best_ones
-            success = bf > cur_f
-            cur_f = bf
-        else:
-            success = False
-        if adapt:
-            lam = update_lambda(lam, success, params)
-        gens += 1
-        evals += lam_int
-        if bf > best_f:
-            trace.new_best(best_f, bf, evals)
-            best_f = bf
-        trace.after_generation(cur_f, lam, evals, best_f)
-
-        if stop.stop_on_optimum and cur_f >= opt_raw:
-            cause = StopCause.OPTIMUM
-        elif lam > abort_at:
-            cause = StopCause.LAMBDA_ABORT
-        elif stop.max_evaluations is not None and evals >= stop.max_evaluations:
-            cause = StopCause.EVALUATION_CAP
-        elif stop.max_generations is not None and gens >= stop.max_generations:
-            cause = StopCause.GENERATION_CAP
+        if rows:
+            trace.after_generation(cur_f, lam, evals, best_f)
     return cause, gens, evals, cur_f, best_f, lam
 
 
@@ -583,21 +434,14 @@ def run(
     seed,
     trace_level: str = "summary",
     lambda0: float = 1.0,
-    engine: str = "auto",
 ) -> RunRecord:
     """Run the configured algorithm from a fresh uniform random parent.
 
     ``seed`` may be an int, a numpy SeedSequence, or a Generator.  Output
-    is bit-identical for identical (configuration, seed).  ``engine``
-    picks the internal loop: "level" exploits that most benchmarks depend
-    only on the one-bit count, "genotype" evaluates full strings (ridge
-    needs it); "auto" chooses per function.  Both sample identical
-    offspring distributions.
+    is bit-identical for identical (configuration, seed).
     """
     if trace_level not in _TRACE_LEVELS:
         raise ValueError(f"trace_level must be one of {_TRACE_LEVELS}")
-    if engine not in ("auto", "level", "genotype"):
-        raise ValueError("engine must be auto|level|genotype")
     if isinstance(seed, np.random.Generator):
         rng = seed
         seed_key = ("generator",)
@@ -611,32 +455,21 @@ def run(
         lambda0 = float(kind.static_lambda)
     if lambda0 < 1.0:
         raise ValueError("initial lambda must be >= 1")
-    if engine == "level" and not fn.level_based:
-        raise ValueError(f"{fn.spec_string} needs the genotype engine")
 
-    abort_at = stop.lambda_abort_threshold
-    if abort_at is None:
-        abort_at = default_lambda_abort_threshold(fn.n, params)
-    use_level = fn.level_based if engine == "auto" else (engine == "level")
-    size = (int(fn.level_table().max()) if fn.level_based else 2 * fn.n)
-    size = max(size, fn.optimum_raw) + 1
-
-    # peek the initial parent through the engine-specific code path below;
-    # the trace needs the initial fitness first, so draw it here and hand the
-    # generator on (both engines draw the parent the same way).
-    state = rng.bit_generator.state
-    bits0 = rng.integers(0, 2, size=fn.n, dtype=np.uint8)
-    init_raw = fn.raw_from_bits(bits0, int(bits0.sum()))
-    rng.bit_generator.state = state
-
+    bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
+    ones = sum(bits)
+    if fn.level_based:
+        table = fn.level_table().tolist()
+        init_raw = table[ones]
+        size = max(max(table), fn.optimum_raw) + 1
+    else:
+        table = None
+        init_raw = fn.raw_from_bits(bits, ones)
+        size = 2 * fn.n + 1
     trace = _Trace(trace_level, size, init_raw, float(lambda0))
-    loop = _run_level_engine if use_level else _run_genotype_engine
-    cause, gens, evals, cur_f, best_f, lam = loop(
-        fn, params, stop, rng, trace,
-        elitist=kind.selection == "plus",
-        adapt=kind.adaptive,
-        lam=float(lambda0),
-        abort_at=abort_at,
+    cause, gens, evals, cur_f, best_f, lam = _evolve(
+        _offspring_sampler(fn, table, bits, rng), bits, ones, init_raw, float(lambda0),
+        fn, kind, params, stop, trace,
     )
 
     rec = RunRecord(

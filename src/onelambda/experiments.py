@@ -15,6 +15,7 @@ normalised by n, matching the 500n generation cap.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -183,6 +184,8 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
 
     ``workers`` > 1 distributes runs over a process pool; results are
     identical to the sequential order because every run owns its seed.
+    ``progress(done, total)``, if given, is called as each run's record
+    arrives, in run order, with or without the pool.
     """
     if workers is None:
         workers = os.cpu_count() or 1
@@ -190,13 +193,16 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
     for cell_index, n, F, s in config.cell_specs():
         for run_index in range(config.runs):
             tasks.append((config, cell_index, n, F, s, run_index))
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (8 * workers))))
-    else:
-        records = []
-        for t in tasks:
-            records.append(_run_one(t))
+    parallel = workers > 1 and len(tasks) > 1
+    records = []
+    with (ProcessPoolExecutor(max_workers=workers) if parallel
+          else contextlib.nullcontext()) as pool:
+        if parallel:
+            results = pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
+        else:
+            results = map(_run_one, tasks)
+        for rec in results:
+            records.append(rec)
             if progress is not None:
                 progress(len(records), len(tasks))
     cells = []

@@ -30,142 +30,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "SearchPoint",
-    "FitnessFunction",
-    "one_max",
-    "zero_max",
-    "two_max",
-    "jump",
-    "cliff",
-    "ridge",
-    "FUNCTION_KINDS",
-]
+__all__ = ["FitnessFunction", "FUNCTION_KINDS"]
 
 FUNCTION_KINDS = ("onemax", "zeromax", "twomax", "jump", "cliff", "ridge")
-
-
-class SearchPoint:
-    """Fixed-length bit string with a cached count of one-bits.
-
-    The bit array is marked read-only; derive new points via
-    :meth:`with_flips`.  The cache invariant ``ones == bits.sum()`` is
-    maintained by construction.
-    """
-
-    __slots__ = ("bits", "ones")
-
-    def __init__(self, bits) -> None:
-        arr = np.array(bits, dtype=np.uint8, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("bits must be a non-empty 1-d sequence")
-        if np.any(arr > 1):
-            raise ValueError("bits must contain only 0 and 1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "bits", arr)
-        object.__setattr__(self, "ones", int(arr.sum()))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("SearchPoint is immutable")
-
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "SearchPoint":
-        """Uniform random point in {0,1}^n."""
-        return cls(rng.integers(0, 2, size=n, dtype=np.uint8))
-
-    @classmethod
-    def from_string(cls, s: str) -> "SearchPoint":
-        """Build from a string like ``\"10110\"``."""
-        return cls([int(c) for c in s])
-
-    @property
-    def zeros(self) -> int:
-        return len(self) - self.ones
-
-    def with_flips(self, positions) -> "SearchPoint":
-        """Return a copy with the given (distinct) positions flipped."""
-        child = np.array(self.bits, dtype=np.uint8, copy=True)
-        pos = np.asarray(positions, dtype=np.int64)
-        if pos.size:
-            child[pos] ^= 1
-        return SearchPoint(child)
-
-    def __len__(self) -> int:
-        return self.bits.size
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SearchPoint) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self) -> int:
-        return hash(self.bits.tobytes())
-
-    def __repr__(self) -> str:
-        s = "".join(str(b) for b in self.bits[:40])
-        if len(self) > 40:
-            s += "..."
-        return f"SearchPoint({s}, n={len(self)}, ones={self.ones})"
-
-
-def one_max(x: SearchPoint) -> int:
-    """Number of one-bits."""
-    return x.ones
-
-
-def zero_max(x: SearchPoint) -> int:
-    """Number of zero-bits."""
-    return len(x) - x.ones
-
-
-def two_max(x: SearchPoint) -> int:
-    """max(one-bits, zero-bits)."""
-    return max(x.ones, len(x) - x.ones)
-
-
-def jump(x: SearchPoint, k: int) -> int:
-    """Jump function with gap parameter ``k`` (requires 1 <= k < n).
-
-    ``n - |x|_1`` inside the gap ``n - k < |x|_1 < n``, else ``k + |x|_1``.
-    """
-    n = len(x)
-    if not 1 <= k < n:
-        raise ValueError(f"jump requires 1 <= k < n, got k={k}, n={n}")
-    if n - k < x.ones < n:
-        return n - x.ones
-    return k + x.ones
-
-
-def cliff(x: SearchPoint, d: int) -> float:
-    """Cliff function with drop location ``d`` (requires 1 <= d < n).
-
-    ``|x|_1`` for ``|x|_1 <= d``, else ``|x|_1 - d + 1/2``.  Half-integer
-    values are exact in binary floating point.
-    """
-    n = len(x)
-    if not 1 <= d < n:
-        raise ValueError(f"cliff requires 1 <= d < n, got d={d}, n={n}")
-    if x.ones <= d:
-        return float(x.ones)
-    return x.ones - d + 0.5
-
-
-def ridge(x: SearchPoint) -> int:
-    """Ridge function: ``n + |x|_1`` on ``1^i 0^(n-i)`` shapes, else ``|x|_0``.
-
-    The all-zeros string is the ``i = 0`` ridge point and scores ``n``.
-    """
-    n = len(x)
-    i = x.ones
-    on_ridge = bool(x.bits[:i].all()) if i > 0 else True
-    if on_ridge and (i == n or not x.bits[i:].any()):
-        return n + i
-    return n - i
 
 
 @dataclass(frozen=True)
 class FitnessFunction:
     """One of the six benchmarks, with size metadata and an exact raw scale.
 
-    ``raw`` values are plain integers for five functions and doubled
+    Raw values are plain integers for five functions and doubled
     integers (2*f) for cliff, so strict-improvement comparisons never hit
     floating-point ties.  Use :meth:`display` to convert a raw value back
     to the conventional scale.
@@ -252,26 +126,14 @@ class FitnessFunction:
         """Raw fitness per one-bit count, as an int64 array of size n+1."""
         return np.array([self.raw_from_ones(v) for v in range(self.n + 1)], dtype=np.int64)
 
-    def raw_from_bits(self, bits: np.ndarray, ones: int | None = None) -> int:
-        if ones is None:
-            ones = int(bits.sum())
+    def raw_from_bits(self, bits, ones: int) -> int:
+        """Raw fitness of a bit sequence (list or 1-d array) with ``ones`` one-bits."""
         if self.level_based:
             return self.raw_from_ones(ones)
         n = self.n
-        on_ridge = bool(bits[:ones].all()) if ones > 0 else True
-        if on_ridge and (ones == n or not bits[ones:].any()):
+        if all(bits[:ones]) and not any(bits[ones:]):  # the ridge shape 1^ones 0^(n-ones)
             return n + ones
         return n - ones
-
-    def raw(self, x: SearchPoint) -> int:
-        """Raw (comparison-scale) fitness of a search point."""
-        if len(x) != self.n:
-            raise ValueError(f"point has length {len(x)}, function has n={self.n}")
-        return self.raw_from_bits(x.bits, x.ones)
-
-    def evaluate(self, x: SearchPoint) -> float | int:
-        """Conventional-scale fitness of a search point."""
-        return self.display(self.raw(x))
 
     def display(self, raw: int | float) -> float | int:
         """Convert a raw value to the conventional scale."""

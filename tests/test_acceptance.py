@@ -17,7 +17,7 @@ from test_oracle import brute_force_drift
 from onelambda.ea import (
     ControllerParams,
     StopCause,
-    mutate,
+    _offspring_sampler,
     round_lambda,
     update_lambda,
 )
@@ -29,7 +29,7 @@ from onelambda.experiments import (
     run_batch,
     success_rate_sweep,
 )
-from onelambda.fitness import SearchPoint
+from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     best_of_lambda_distribution,
     check_transition_bounds,
@@ -252,16 +252,20 @@ def test_c10_elitist_evaluation_bound():
 
 
 def test_c11_mutation_distribution():
+    # single mutants from the sampler run() uses: at lambda 1 its one
+    # child is the mutant, returned as its flipped positions
     n = 100
     rng = np.random.default_rng(MASTER + 6)
-    parent = SearchPoint.random(n, rng)
+    parent = rng.integers(0, 2, size=n).tolist()
+    fn = FitnessFunction("onemax", n)
+    sample = _offspring_sampler(fn, fn.level_table().tolist(), parent, rng)
+    ones = sum(parent)
     trials = 1_000_000
     total = 0
     zero = 0
-    pb = parent.bits
     for _ in range(trials):
-        child = mutate(parent, rng)
-        h = int((child.bits != pb).sum())
+        _, _, flips = sample(1, ones, ones)
+        h = 0 if flips is None else 1 if type(flips) is int else len(set(flips))
         total += h
         zero += h == 0
     mean = total / trials

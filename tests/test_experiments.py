@@ -67,6 +67,17 @@ class TestSeeding:
                 assert ra.evaluations == rb.evaluations
 
 
+class TestProgress:
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_progress_reports_every_run(self, n_workers):
+        calls = []
+        config = BatchConfig(algorithm="comma", fn_spec="onemax", n_values=(20, 30),
+                             fs_values=((1.5, 1.0),), runs=5, master_seed=3)
+        batch = run_batch(config, workers=n_workers, progress=lambda *a: calls.append(a))
+        assert calls == [(done, 10) for done in range(1, 11)]
+        assert sum(len(c.records) for c in batch.cells) == 10
+
+
 class TestNormalizedRuntime:
     def test_excludes_censored_with_count(self):
         batch = small_batch(runs=3, gen_cap_multiplier=0.1)  # 3-generation cap

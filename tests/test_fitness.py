@@ -1,106 +1,114 @@
-"""Benchmark function definitions, invariants and the selector interface."""
+"""Benchmark function definitions, invariants and the selector interface.
+
+Every value is scored the way ``run()`` scores it (see ``raw`` below).
+"""
 
 import itertools
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from onelambda.fitness import (
-    FitnessFunction,
-    SearchPoint,
-    cliff,
-    jump,
-    one_max,
-    ridge,
-    two_max,
-    zero_max,
-)
+from onelambda.fitness import FitnessFunction
 
 bitlists = st.lists(st.integers(0, 1), min_size=1, max_size=40)
 
 
+def bits_of(s: str) -> list:
+    return [int(c) for c in s]
+
+
 def all_points(n):
     for bits in itertools.product((0, 1), repeat=n):
-        yield SearchPoint(bits)
+        yield list(bits)
 
 
-class TestSearchPoint:
-    def test_ones_cache(self):
-        x = SearchPoint.from_string("10110")
-        assert x.ones == 3 and x.zeros == 2 and len(x) == 5
+def raw(fn, bits) -> int:
+    """Raw fitness of a bit list, scored as run() scores it: by the level
+    table for level functions, by ``raw_from_bits`` for ridge."""
+    ones = sum(bits)
+    if fn.level_based:
+        return int(fn.level_table()[ones])
+    return fn.raw_from_bits(bits, ones)
 
-    @given(bitlists)
-    def test_ones_matches_sum(self, bits):
-        assert SearchPoint(bits).ones == sum(bits)
 
-    @given(bitlists, st.data())
-    def test_with_flips_keeps_cache_consistent(self, bits, data):
-        x = SearchPoint(bits)
-        k = data.draw(st.integers(0, len(bits)))
-        pos = data.draw(st.permutations(range(len(bits)))) [:k]
-        y = x.with_flips(list(pos))
-        assert y.ones == int(y.bits.sum())
-        assert x.ones == int(x.bits.sum())  # parent untouched
+def value(kind, bits, param=None):
+    fn = FitnessFunction(kind, len(bits), param)
+    return fn.display(raw(fn, bits))
 
-    def test_bits_read_only(self):
-        x = SearchPoint([1, 0, 1])
-        with pytest.raises(ValueError):
-            x.bits[0] = 0
 
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
-            SearchPoint([0, 2, 1])
+# run()'s scoring of each benchmark, under the benchmark's name
+one_max, zero_max, two_max, jump, cliff, ridge = (
+    partial(value, kind) for kind in ("onemax", "zeromax", "twomax", "jump", "cliff", "ridge")
+)
+
+
+def reference_value(kind, bits, param=None):
+    """Independent reference, written from the definitions in the
+    ``onelambda.fitness`` docstring."""
+    n, ones = len(bits), sum(bits)
+    if kind == "onemax":
+        return ones
+    if kind == "zeromax":
+        return n - ones
+    if kind == "twomax":
+        return max(ones, n - ones)
+    if kind == "jump":
+        return n - ones if n - param < ones < n else param + ones
+    if kind == "cliff":
+        return ones if ones <= param else ones - param + 0.5
+    shape = "".join(map(str, bits)) == "1" * ones + "0" * (n - ones)
+    return n + ones if shape else n - ones
 
 
 class TestDefinitions:
     def test_one_max_examples(self):
-        assert one_max(SearchPoint([0] * 7)) == 0
-        assert one_max(SearchPoint([1] * 5)) == 5
-        assert one_max(SearchPoint.from_string("10110")) == 3
+        assert one_max([0] * 7) == 0
+        assert one_max([1] * 5) == 5
+        assert one_max(bits_of("10110")) == 3
 
     def test_zero_max_examples(self):
-        assert zero_max(SearchPoint([0] * 4)) == 4
-        assert zero_max(SearchPoint([1] * 4)) == 0
-        assert zero_max(SearchPoint.from_string("1010")) == 2
+        assert zero_max([0] * 4) == 4
+        assert zero_max([1] * 4) == 0
+        assert zero_max(bits_of("1010")) == 2
 
     def test_two_max_examples(self):
-        assert two_max(SearchPoint.from_string("1100")) == 2
-        assert two_max(SearchPoint.from_string("1110")) == 3
-        assert two_max(SearchPoint([0] * 6)) == 6
+        assert two_max(bits_of("1100")) == 2
+        assert two_max(bits_of("1110")) == 3
+        assert two_max([0] * 6) == 6
 
     def test_jump_examples(self):
-        assert jump(SearchPoint([1] * 8 + [0] * 2), 3) == 2   # inside the gap
-        assert jump(SearchPoint([1] * 10), 3) == 13           # optimum
-        assert jump(SearchPoint([1] * 5 + [0] * 5), 3) == 8   # slope
+        assert jump([1] * 8 + [0] * 2, 3) == 2   # inside the gap
+        assert jump([1] * 10, 3) == 13           # optimum
+        assert jump([1] * 5 + [0] * 5, 3) == 8   # slope
 
     def test_cliff_examples(self):
-        assert cliff(SearchPoint([1] * 3 + [0] * 7), 3) == 3
-        assert cliff(SearchPoint([1] * 4 + [0] * 6), 3) == 1.5
-        assert cliff(SearchPoint([1] * 10), 3) == 7.5
+        assert cliff([1] * 3 + [0] * 7, 3) == 3
+        assert cliff([1] * 4 + [0] * 6, 3) == 1.5
+        assert cliff([1] * 10, 3) == 7.5
 
     def test_ridge_examples(self):
-        assert ridge(SearchPoint.from_string("11000")) == 7
-        assert ridge(SearchPoint.from_string("10100")) == 3
-        assert ridge(SearchPoint.from_string("00000")) == 5  # 1^0 0^5 is on the ridge
+        assert ridge(bits_of("11000")) == 7
+        assert ridge(bits_of("10100")) == 3
+        assert ridge(bits_of("00000")) == 5  # 1^0 0^5 is on the ridge
 
     @given(bitlists)
     def test_one_plus_zero_is_n(self, bits):
-        x = SearchPoint(bits)
-        assert one_max(x) + zero_max(x) == len(x)
+        assert one_max(bits) + zero_max(bits) == len(bits)
 
     @given(bitlists)
     def test_two_max_is_max(self, bits):
-        x = SearchPoint(bits)
-        assert two_max(x) == max(one_max(x), zero_max(x))
+        assert two_max(bits) == max(one_max(bits), zero_max(bits))
 
     @pytest.mark.parametrize("n", range(2, 13))
     def test_ridge_exhaustive_against_shape_test(self, n):
         # brute-force shape test: value n+ones iff the string is 1^i 0^(n-i)
         for x in all_points(n):
-            s = "".join(map(str, x.bits))
-            expected = n + x.ones if s == "1" * x.ones + "0" * (n - x.ones) else n - x.ones
+            ones = sum(x)
+            s = "".join(map(str, x))
+            expected = n + ones if s == "1" * ones + "0" * (n - ones) else n - ones
             assert ridge(x) == expected
 
     @pytest.mark.parametrize("n", range(3, 13))
@@ -108,15 +116,15 @@ class TestDefinitions:
         k = max(1, n // 3)
         d = max(1, n // 3)
         for x in all_points(n):
-            if x.ones <= n - k:
+            if sum(x) <= n - k:
                 assert jump(x, k) == k + one_max(x)
-            if x.ones <= d:
+            if sum(x) <= d:
                 assert cliff(x, d) == one_max(x)
 
     def test_ridge_prefix_values(self):
         for n in range(2, 13):
             for i in range(n + 1):
-                x = SearchPoint([1] * i + [0] * (n - i))
+                x = [1] * i + [0] * (n - i)
                 assert ridge(x) == n + i
 
 
@@ -132,22 +140,21 @@ class TestFitnessFunctionInterface:
             FitnessFunction.parse(spec, 10)
 
     def test_evaluate_matches_module_functions(self):
+        # run()'s scoring against this module's reference definitions
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(2, 16))
-            x = SearchPoint.random(n, rng)
+            x = rng.integers(0, 2, size=n).tolist()
             k = int(rng.integers(1, n))
-            assert FitnessFunction("onemax", n).evaluate(x) == one_max(x)
-            assert FitnessFunction("zeromax", n).evaluate(x) == zero_max(x)
-            assert FitnessFunction("twomax", n).evaluate(x) == two_max(x)
-            assert FitnessFunction("jump", n, k).evaluate(x) == jump(x, k)
-            assert FitnessFunction("cliff", n, k).evaluate(x) == cliff(x, k)
-            assert FitnessFunction("ridge", n).evaluate(x) == ridge(x)
+            for kind in ("onemax", "zeromax", "twomax", "ridge"):
+                assert value(kind, x) == reference_value(kind, x)
+            for kind in ("jump", "cliff"):
+                assert value(kind, x, k) == reference_value(kind, x, k)
 
     def test_cliff_raw_scale_keeps_order_exact(self):
         fn = FitnessFunction("cliff", 10, 3)
-        raws = [fn.raw(SearchPoint([1] * v + [0] * (10 - v))) for v in range(11)]
-        vals = [cliff(SearchPoint([1] * v + [0] * (10 - v)), 3) for v in range(11)]
+        raws = [raw(fn, [1] * v + [0] * (10 - v)) for v in range(11)]
+        vals = [reference_value("cliff", [1] * v + [0] * (10 - v), 3) for v in range(11)]
         assert all(isinstance(r, int) for r in raws)
         for a in range(11):
             for b in range(11):
@@ -163,11 +170,11 @@ class TestFitnessFunctionInterface:
 
     def test_is_optimum_by_value_not_pattern(self):
         fn = FitnessFunction("twomax", 8)
-        assert fn.is_optimum(fn.raw(SearchPoint([1] * 8)))
-        assert fn.is_optimum(fn.raw(SearchPoint([0] * 8)))
-        assert not fn.is_optimum(fn.raw(SearchPoint([1, 0] * 4)))
+        assert fn.is_optimum(raw(fn, [1] * 8))
+        assert fn.is_optimum(raw(fn, [0] * 8))
+        assert not fn.is_optimum(raw(fn, [1, 0] * 4))
 
     def test_zeromax_optimum_at_all_zeros(self):
         fn = FitnessFunction("zeromax", 6)
-        assert fn.is_optimum(fn.raw(SearchPoint([0] * 6)))
-        assert not fn.is_optimum(fn.raw(SearchPoint([1] * 6)))
+        assert fn.is_optimum(raw(fn, [0] * 6))
+        assert not fn.is_optimum(raw(fn, [1] * 6))

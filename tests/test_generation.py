@@ -1,137 +1,236 @@
-"""Mutation operator and the comma/plus generation steps."""
+"""The offspring sampler and single generations of the run loop.
+
+Everything here drives the sampler and the loop that ``run()`` executes:
+``_offspring_sampler`` for offspring, ``_evolve`` capped at one generation
+for the comma/plus step from a chosen parent.
+"""
 
 import itertools
 import math
+from collections import Counter, defaultdict, namedtuple
 
 import numpy as np
 import pytest
 
 from onelambda.ea import (
-    AlgoState,
+    AlgorithmKind,
     ControllerParams,
-    generation_comma,
-    generation_plus,
-    initial_state,
-    mutate,
+    StoppingCondition,
+    _evolve,
+    _offspring_sampler,
+    _Trace,
 )
-from onelambda.fitness import FitnessFunction, SearchPoint
+from onelambda.fitness import FitnessFunction
 from onelambda.oracle import best_of_lambda_distribution, level_quantities
 
+P = ControllerParams(F=1.5, s=1.0)
+COMMA = AlgorithmKind.self_adjusting_comma()
+PLUS = AlgorithmKind.self_adjusting_plus()
 
-def reference_per_bit_mutate(x: SearchPoint, rng: np.random.Generator) -> SearchPoint:
-    flips = np.nonzero(rng.random(len(x)) < 1.0 / len(x))[0]
-    return x.with_flips(flips)
+
+def reference_per_bit_mutate(bits, rng: np.random.Generator) -> list:
+    """Independent reference: every bit flips with probability 1/n."""
+    flips = rng.random(len(bits)) < 1.0 / len(bits)
+    return [b ^ int(f) for b, f in zip(bits, flips)]
+
+
+def raw(fn, bits) -> int:
+    return fn.raw_from_bits(bits, sum(bits))
+
+
+def sampler(fn, bits, rng):
+    """The sampler as run() builds it, over the parent list ``bits``."""
+    table = fn.level_table().tolist() if fn.level_based else None
+    return _offspring_sampler(fn, table, bits, rng)
+
+
+def child_of(bits, flips) -> list:
+    child = list(bits)
+    for p in () if flips is None else [flips] if type(flips) is int else flips:
+        child[p] ^= 1
+    return child
+
+
+def mutant(sample, bits) -> list:
+    """One standard-bit mutant: the sampler's only child at lambda 1."""
+    _, _, flips = sample(1, sum(bits), 0)
+    return child_of(bits, flips)
+
+
+Step = namedtuple("Step", "fitness lam evaluations generations best bits")
+
+
+class Generation:
+    """Single generations of the run loop from chosen parents, all drawing
+    from one sampler."""
+
+    def __init__(self, fn, kind, seed, params=P):
+        self.fn, self.kind, self.params = fn, kind, params
+        self.parent = [0] * fn.n
+        self.sample = sampler(fn, self.parent, np.random.default_rng(seed))
+        self.stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
+
+    def step(self, bits, lam) -> Step:
+        self.parent[:] = bits
+        f = raw(self.fn, bits)
+        trace = _Trace("summary", 0, f, float(lam))
+        _, gens, evals, cur_f, best_f, lam = _evolve(
+            self.sample, self.parent, sum(bits), f, float(lam),
+            self.fn, self.kind, self.params, self.stop, trace,
+        )
+        return Step(cur_f, lam, evals, gens, best_f, list(self.parent))
+
+
+def with_ones(n, ones):
+    return [1] * ones + [0] * (n - ones)
 
 
 class TestMutate:
     def test_n1_forced_flip(self):
-        rng = np.random.default_rng(0)
-        x = SearchPoint([0])
+        sample = sampler(FitnessFunction("onemax", 1), [0], np.random.default_rng(0))
         for _ in range(50):
-            assert mutate(x, rng).ones == 1
+            assert mutant(sample, [0]) == [1]
 
     def test_parent_unmodified(self):
-        rng = np.random.default_rng(1)
-        x = SearchPoint([0, 1] * 8)
-        before = x.bits.copy()
-        for _ in range(100):
-            mutate(x, rng)
-        assert np.array_equal(x.bits, before)
+        # ridge scores a child by flipping the parent in place and back
+        parent = [0, 1] * 8
+        sample = sampler(FitnessFunction("ridge", 16), parent, np.random.default_rng(1))
+        f = raw(FitnessFunction("ridge", 16), parent)
+        for t in range(100):
+            sample(1 + t % 4, 8, f)
+            assert parent == [0, 1] * 8
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_per_bit_reference_distribution(self, n):
         # both implementations must match the exact per-pattern probabilities
-        parent = SearchPoint([0, 1] * (n // 2) + [0] * (n % 2))
+        parent = [0, 1] * (n // 2) + [0] * (n % 2)
         patterns = list(itertools.product((0, 1), repeat=n))
         exact = {}
         for pat in patterns:
-            h = sum(a != b for a, b in zip(pat, parent.bits))
+            h = sum(a != b for a, b in zip(pat, parent))
             exact[pat] = (1.0 / n) ** h * (1.0 - 1.0 / n) ** (n - h)
         trials = 120_000
         tol = 5.0 * math.sqrt(0.25 / trials) + 0.002
-        for impl in (mutate, reference_per_bit_mutate):
+        fn = FitnessFunction("onemax", n)
+        shipped = sampler(fn, list(parent), np.random.default_rng(99))
+        impls = {
+            "sampler": lambda rng: mutant(shipped, parent),
+            "reference": lambda rng: reference_per_bit_mutate(parent, rng),
+        }
+        for name, impl in impls.items():
             rng = np.random.default_rng(99)
             counts = {pat: 0 for pat in patterns}
             for _ in range(trials):
-                counts[tuple(impl(parent, rng).bits.tolist())] += 1
+                counts[tuple(impl(rng))] += 1
             for pat in patterns:
-                assert abs(counts[pat] / trials - exact[pat]) < tol, (impl.__name__, pat)
+                assert abs(counts[pat] / trials - exact[pat]) < tol, (name, pat)
 
     def test_mean_flip_count_near_one(self):
-        rng = np.random.default_rng(12)
-        x = SearchPoint([0] * 50)
-        total = sum(mutate(x, rng).ones for _ in range(20_000))
+        parent = [0] * 50
+        sample = sampler(FitnessFunction("onemax", 50), parent, np.random.default_rng(12))
+        total = sum(sum(mutant(sample, parent)) for _ in range(20_000))
         assert abs(total / 20_000 - 1.0) < 0.05
 
 
-def state_with_ones(fn, ones, lam):
-    x = SearchPoint([1] * ones + [0] * (fn.n - ones))
-    f = fn.raw(x)
-    return AlgoState(x, float(lam), 0, 0, f, f)
+def exact_selection_law(fn, parent, lam) -> dict:
+    """Exact law of the selected child's genotype: lam independent
+    standard-bit mutants (every flip mask enumerated, per-bit probability
+    1/n), the selected one uniform among the fitness-maximal children."""
+    n = len(parent)
+    masks = list(itertools.product((0, 1), repeat=n))
+    prob = [(1.0 / n) ** sum(m) * (1.0 - 1.0 / n) ** (n - sum(m)) for m in masks]
+    children = [tuple(b ^ m for b, m in zip(parent, mask)) for mask in masks]
+    fit = [raw(fn, list(c)) for c in children]
+    law = defaultdict(float)
+    for idx in itertools.product(range(len(masks)), repeat=lam):
+        p = math.prod(prob[i] for i in idx)
+        best = max(fit[i] for i in idx)
+        winners = [i for i in idx if fit[i] == best]
+        for i in winners:
+            law[children[i]] += p / len(winners)
+    return law
+
+
+class TestSelectionLaw:
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "spec, parent",
+        [
+            ("twomax", [1, 0, 1, 0, 0]),
+            ("jump:2", [1, 1, 1, 0, 0]),
+            ("cliff:2", [1, 1, 0, 0, 0]),
+            ("ridge", [1, 1, 0, 0, 0]),
+            ("ridge", [0, 1, 0, 0]),
+        ],
+    )
+    def test_selected_genotype_matches_exact_law(self, spec, parent, lam):
+        n = len(parent)
+        fn = FitnessFunction.parse(spec, n)
+        law = exact_selection_law(fn, parent, lam)
+        assert abs(sum(law.values()) - 1.0) < 1e-12
+        bits = list(parent)
+        ones, f = sum(parent), raw(fn, parent)
+        sample = sampler(fn, bits, np.random.default_rng((n, lam, sum(map(ord, spec)))))
+        trials = 50_000
+        counts = Counter()
+        for _ in range(trials):
+            bf, child_ones, flips = sample(lam, ones, f)
+            child = child_of(parent, flips)
+            assert bits == parent
+            assert child_ones == sum(child) and bf == raw(fn, child)
+            counts[tuple(child)] += 1
+        assert set(counts) <= set(law)
+        for geno, p in law.items():
+            se = math.sqrt(p * (1.0 - p) / trials)
+            assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (geno, counts[geno], p)
 
 
 class TestGenerationComma:
     def test_n1_forced_success(self):
-        fn = FitnessFunction("onemax", 1)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(0)
-        st = state_with_ones(fn, 0, 1.0)
-        nxt = generation_comma(st, fn, params, rng)
-        assert nxt.fitness_raw == 1 and nxt.evaluations == 1 and nxt.generation == 1
+        gen = Generation(FitnessFunction("onemax", 1), COMMA, 0)
+        nxt = gen.step([0], 1.0)
+        assert nxt.fitness == 1 and nxt.evaluations == 1 and nxt.generations == 1
 
     def test_counters_and_offspring_count(self):
         fn = FitnessFunction("onemax", 30)
-        params = ControllerParams(F=1.5, s=2.0)
-        rng = np.random.default_rng(5)
-        st = state_with_ones(fn, 15, 3.49)  # rounds to 3
-        nxt = generation_comma(st, fn, params, rng)
+        gen = Generation(fn, COMMA, 5, ControllerParams(F=1.5, s=2.0))
+        nxt = gen.step(with_ones(30, 15), 3.49)  # rounds to 3
         assert nxt.evaluations == 3
-        assert nxt.generation == 1
-        assert nxt.best_raw >= st.best_raw
+        assert nxt.generations == 1
+        assert nxt.best >= 15
 
     def test_lambda_coupling_success_iff_strict_improvement(self):
-        fn = FitnessFunction("onemax", 25)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(7)
+        gen = Generation(FitnessFunction("onemax", 25), COMMA, 7)
         shrunk = grew = accepted_worse = 0
-        st = state_with_ones(fn, 18, 4.0)
         for _ in range(3000):
-            nxt = generation_comma(st, fn, params, rng)
-            if nxt.fitness_raw > st.fitness_raw:
-                assert nxt.lambda_real == max(1.0, st.lambda_real / params.F)
+            nxt = gen.step(with_ones(25, 18), 4.0)
+            if nxt.fitness > 18:
+                assert nxt.lam == max(1.0, 4.0 / P.F)
                 shrunk += 1
             else:
-                assert nxt.lambda_real == st.lambda_real * params.growth_factor
+                assert nxt.lam == 4.0 * P.growth_factor
                 grew += 1
-            if nxt.fitness_raw < st.fitness_raw:
+            if nxt.fitness < 18:
                 accepted_worse += 1
         assert shrunk and grew and accepted_worse  # ties/falls both grow lambda
 
     def test_next_fitness_distribution_matches_oracle(self):
         # empirical P(new fitness > 15) at (n=20, i=15, lambda=3) vs exact
         n, i, lam = 20, 15, 3
-        fn = FitnessFunction("onemax", n)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(123)
-        st = state_with_ones(fn, i, float(lam))
+        gen = Generation(FitnessFunction("onemax", n), COMMA, 123)
         trials = 100_000
-        improved = sum(
-            generation_comma(st, fn, params, rng).fitness_raw > i for _ in range(trials)
-        )
+        improved = sum(gen.step(with_ones(n, i), lam).fitness > i for _ in range(trials))
         q = level_quantities(n, i, lam)
         se = math.sqrt(q.p_plus * (1 - q.p_plus) / trials)
         assert abs(improved / trials - q.p_plus) <= 3 * se
 
     def test_full_next_fitness_pmf_matches_oracle(self):
         n, i, lam = 12, 8, 2
-        fn = FitnessFunction("onemax", n)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(321)
-        st = state_with_ones(fn, i, float(lam))
+        gen = Generation(FitnessFunction("onemax", n), COMMA, 321)
         trials = 60_000
         counts = np.zeros(n + 1)
         for _ in range(trials):
-            counts[generation_comma(st, fn, params, rng).fitness_raw] += 1
+            counts[gen.step(with_ones(n, i), lam).fitness] += 1
         pmf = best_of_lambda_distribution(n, i, lam).pmf
         for j in range(n + 1):
             se = math.sqrt(max(pmf[j] * (1 - pmf[j]), 1e-12) / trials)
@@ -141,46 +240,40 @@ class TestGenerationComma:
 class TestGenerationPlus:
     def test_never_decreases_fitness(self):
         fn = FitnessFunction("onemax", 50)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(9)
-        st = initial_state(fn, rng)
+        gen = Generation(fn, PLUS, 9)
+        bits = np.random.default_rng(9).integers(0, 2, size=50).tolist()
+        fit, lam = raw(fn, bits), 1.0
         for _ in range(5000):
-            nxt = generation_plus(st, fn, params, rng)
-            assert nxt.fitness_raw >= st.fitness_raw
-            st = nxt
-            if st.fitness_raw == 50:  # past the optimum every step fails and lambda diverges
+            nxt = gen.step(bits, lam)
+            assert nxt.fitness >= fit
+            bits, fit, lam = nxt.bits, nxt.fitness, nxt.lam
+            if fit == 50:  # past the optimum every step fails and lambda diverges
                 break
-        assert st.fitness_raw == 50
+        assert fit == 50
 
     def test_all_worse_keeps_parent_but_grows_lambda(self):
-        fn = FitnessFunction("onemax", 30)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(17)
-        st = state_with_ones(fn, 30, 1.0)  # at the optimum: offspring tie or are worse
-        for _ in range(500):
-            nxt = generation_plus(st, fn, params, rng)
-            assert nxt.fitness_raw == 30
-            assert nxt.lambda_real == st.lambda_real * params.growth_factor
+        gen = Generation(FitnessFunction("onemax", 30), PLUS, 17)
+        for _ in range(500):  # at the optimum: offspring tie or are worse
+            nxt = gen.step([1] * 30, 1.0)
+            assert nxt.fitness == 30
+            assert nxt.lam == 1.0 * P.growth_factor
 
     def test_tie_replaces_genotype(self):
         # at a tie the offspring becomes the new parent (genotype may change)
-        fn = FitnessFunction("onemax", 6)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(23)
-        st = state_with_ones(fn, 3, 1.0)
+        gen = Generation(FitnessFunction("onemax", 6), PLUS, 23)
+        parent = with_ones(6, 3)
         changed = False
         for _ in range(2000):
-            nxt = generation_plus(st, fn, params, rng)
-            if nxt.fitness_raw == st.fitness_raw and not np.array_equal(nxt.x.bits, st.x.bits):
+            nxt = gen.step(parent, 1.0)
+            if nxt.fitness == 3 and nxt.bits != parent:
                 changed = True
                 break
         assert changed
 
     def test_static_adapt_flag_keeps_lambda(self):
-        fn = FitnessFunction("onemax", 15)
-        params = ControllerParams(F=1.5, s=1.0)
-        rng = np.random.default_rng(31)
-        st = state_with_ones(fn, 7, 5.0)
+        gen = Generation(FitnessFunction("onemax", 15), AlgorithmKind.static_comma(5), 31)
+        bits, lam = with_ones(15, 7), 5.0
         for _ in range(50):
-            st = generation_comma(st, fn, params, rng, adapt=False)
-            assert st.lambda_real == 5.0
+            nxt = gen.step(bits, lam)
+            assert nxt.lam == 5.0
+            bits, lam = nxt.bits, nxt.lam

@@ -1,0 +1,33 @@
+"""Import surface: every exported or re-exported name resolves, so deleting
+a public name cannot leave a dangling export behind."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import onelambda
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(onelambda.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_all_resolves(name):
+    module = importlib.import_module(f"onelambda.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing
+
+
+def test_package_imports_resolve():
+    # each name the package __init__ imports from a submodule is bound on
+    # the package and exported by that submodule
+    tree = ast.parse(Path(onelambda.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        module = importlib.import_module(f"onelambda.{node.module}")
+        for alias in node.names:
+            assert hasattr(onelambda, alias.asname or alias.name), alias.name
+            assert alias.name in module.__all__, (node.module, alias.name)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from onelambda.ea import (
     AlgorithmKind,
@@ -224,8 +226,7 @@ class TestSeedForms:
 
 
 class TestEngines:
-    @pytest.mark.parametrize("engine", ["level", "genotype"])
-    def test_single_generation_improvement_rate_matches_oracle(self, engine):
+    def test_single_generation_improvement_rate_matches_oracle(self):
         # one-generation runs from random parents; condition on the modal
         # initial fitness and compare against the exact oracle
         import math
@@ -237,7 +238,7 @@ class TestEngines:
         stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
         counts = {}
         for seed in range(30_000):
-            rec = run(kind, onemax(n), P, stop, seed, engine=engine)
+            rec = run(kind, onemax(n), P, stop, seed)
             key = int(rec.initial_fitness)
             won = rec.final_fitness > rec.initial_fitness
             tot, good = counts.get(key, (0, 0))
@@ -248,16 +249,70 @@ class TestEngines:
         assert abs(good / tot - p) <= 4 * se
 
     def test_engines_refuse_mismatched_function(self):
+        # the sampler scores level functions by the level table; ridge,
+        # whose value depends on the bit layout, has none
         with pytest.raises(ValueError):
-            run(AlgorithmKind.self_adjusting_comma(), FitnessFunction("ridge", 8), P,
-                StoppingCondition(max_generations=10), 1, engine="level")
+            FitnessFunction("ridge", 8).level_table()
 
     def test_genotype_engine_deterministic(self):
-        a = run(AlgorithmKind.self_adjusting_comma(), onemax(40), P,
-                StoppingCondition(max_generations=20000), 4, engine="genotype",
-                trace_level="full")
-        b = run(AlgorithmKind.self_adjusting_comma(), onemax(40), P,
-                StoppingCondition(max_generations=20000), 4, engine="genotype",
-                trace_level="full")
+        # ridge children are scored on the genotype, flipped in place
+        a = run(AlgorithmKind.self_adjusting_comma(), FitnessFunction("ridge", 40), P,
+                StoppingCondition(max_generations=20000), 4, trace_level="full")
+        b = run(AlgorithmKind.self_adjusting_comma(), FitnessFunction("ridge", 40), P,
+                StoppingCondition(max_generations=20000), 4, trace_level="full")
+        assert a.stop_cause == StopCause.OPTIMUM
         for key in a.rows:
             assert np.array_equal(a.rows[key], b.rows[key])
+
+
+_CAUSES = (StopCause.OPTIMUM, StopCause.LAMBDA_ABORT, StopCause.EVALUATION_CAP,
+           StopCause.GENERATION_CAP)
+
+
+def causes_holding(rec, fn, stop, t):
+    """The stop causes that hold at full-trace row t, in precedence order."""
+    rows = rec.rows
+    holds = {
+        StopCause.OPTIMUM: stop.stop_on_optimum and rows["fitness_raw"][t] >= fn.optimum_raw,
+        StopCause.LAMBDA_ABORT: t >= 1 and rows["lambda_real"][t] > stop.lambda_abort_threshold,
+        StopCause.EVALUATION_CAP: (stop.max_evaluations is not None
+                                   and rows["evaluations"][t] >= stop.max_evaluations),
+        StopCause.GENERATION_CAP: stop.max_generations is not None and t >= stop.max_generations,
+    }
+    return [c for c in _CAUSES if holds[c]]
+
+
+class TestStopCausePrecedence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(3, 10),
+        spec=st.sampled_from(["onemax", "zeromax", "twomax", "jump", "cliff", "ridge"]),
+        selection=st.sampled_from(["comma", "plus", "static"]),
+        s=st.sampled_from([0.5, 1.0, 3.0]),
+        lambda0=st.floats(1.0, 40.0),
+        abort=st.floats(1.0, 500.0),  # finite: bounds every generation's offspring count
+        max_gens=st.none() | st.integers(0, 30),
+        max_evals=st.none() | st.integers(0, 300),
+        stop_on_optimum=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_first_holding_cause_in_precedence_order(
+        self, n, spec, selection, s, lambda0, abort, max_gens, max_evals, stop_on_optimum, seed
+    ):
+        assume(stop_on_optimum or max_gens is not None or max_evals is not None)
+        fn = FitnessFunction.parse(spec + {"jump": ":2", "cliff": ":1"}.get(spec, ""), n)
+        kind = {"comma": AlgorithmKind.self_adjusting_comma(),
+                "plus": AlgorithmKind.self_adjusting_plus(),
+                "static": AlgorithmKind.static_comma(round_lambda(lambda0))}[selection]
+        stop = StoppingCondition(max_generations=max_gens, max_evaluations=max_evals,
+                                 stop_on_optimum=stop_on_optimum, lambda_abort_threshold=abort)
+        rec = run(kind, fn, ControllerParams(F=1.5, s=s), stop, seed, trace_level="full",
+                  lambda0=lambda0)
+        last = rec.generations
+        assert rec.rows["generation"][-1] == last
+        for t in range(last):
+            assert causes_holding(rec, fn, stop, t) == [], t
+        held = causes_holding(rec, fn, stop, last)
+        assert held and held[0] == rec.stop_cause
+        if last == 0:
+            assert rec.stop_cause != StopCause.LAMBDA_ABORT

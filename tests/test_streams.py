@@ -82,6 +82,14 @@ CASES = [
     ("onemax-gen-cap-plus", PLUS, "onemax", 200, 1.5, 1.0,
      StoppingCondition(max_generations=150), 23, 2.0, StopCause.GENERATION_CAP,
      "5a8bea6b0093d1b172925550fbe2e08713ac8d3eb008ef9999c9c7ba974b790b"),
+    # ridge draws from the same sampler as the level functions; these two
+    # were pinned when ridge moved onto it (its stream changed then)
+    ("ridge-comma", COMMA, "ridge", 30, 1.5, 1.0,
+     StoppingCondition(max_generations=20_000), 29, 1.0, StopCause.OPTIMUM,
+     "614f6cfe68c0c4abcc069bdd750165777f8770c753d67f0cbd13907346d77099"),
+    ("ridge-plus", PLUS, "ridge", 30, 1.5, 1.0,
+     StoppingCondition(max_generations=20_000), 31, 1.0, StopCause.OPTIMUM,
+     "1a0683f1ba363f0d99167066cad8b1133c8300b3c09af7e21e96cd63423370ea"),
 ]
 
 
