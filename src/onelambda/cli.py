@@ -17,13 +17,7 @@ import sys
 from pathlib import Path
 
 from . import experiments as xp
-from .ea import (
-    AlgorithmKind,
-    ControllerParams,
-    StoppingCondition,
-    default_static_lambda,
-    run,
-)
+from .ea import ControllerParams, run
 from .fitness import FitnessFunction
 from .oracle import (
     check_transition_bounds,
@@ -89,29 +83,24 @@ def _parse_list(text, conv=float) -> tuple:
         raise ConfigError(f"cannot parse list value {text!r}") from exc
 
 
-def _stopping(cfg: dict, n: int) -> StoppingCondition:
-    gen_cap = None
-    mult = cfg.get("gen_cap_multiplier")
-    if mult and mult > 0:
-        gen_cap = int(round(mult * n))
-    eval_cap = cfg.get("eval_cap") or None
-    return StoppingCondition(
-        max_generations=gen_cap,
-        max_evaluations=int(eval_cap) if eval_cap else None,
+def _batch_config(cfg: dict, n_values, s_values, runs: int) -> xp.BatchConfig:
+    """A subcommand's grid as a BatchConfig.  Keys the subcommand lacks
+    keep the self-adjusting comma algorithm on onemax and BatchConfig's
+    defaults (sweep and fixed-target have no algo, fn or eval cap)."""
+    return xp.BatchConfig(
+        algorithm=cfg.get("algo", "comma"),
+        fn_spec=cfg.get("fn", "onemax"),
+        n_values=n_values,
+        fs_values=tuple((float(cfg["F"]), s) for s in s_values),
+        runs=runs,
+        master_seed=int(cfg["seed"]),
+        gen_cap_multiplier=cfg["gen_cap_multiplier"],
+        eval_cap=int(cfg["eval_cap"]) if cfg.get("eval_cap") else None,
         stop_on_optimum=bool(cfg.get("stop_on_optimum", True)),
+        trace_level=cfg.get("trace", "summary"),
+        lambda0=float(cfg.get("lambda0", 1.0)),
+        static_lambda=int(cfg["static_lambda"]) if cfg.get("static_lambda") else None,
     )
-
-
-def _kind(cfg: dict, n: int) -> AlgorithmKind:
-    algo = cfg["algo"]
-    if algo == "comma":
-        return AlgorithmKind.self_adjusting_comma()
-    if algo == "plus":
-        return AlgorithmKind.self_adjusting_plus()
-    if algo == "static":
-        lam = cfg.get("static_lambda") or default_static_lambda(n)
-        return AlgorithmKind.static_comma(int(lam))
-    raise ConfigError(f"unknown algorithm {algo!r} (use comma|plus|static)")
 
 
 def _trace_rows(rec, fn, run_id):
@@ -167,18 +156,19 @@ def cmd_run(args) -> int:
     n = int(cfg["n"])
     if cfg["algo"] in ("comma", "plus") and cfg["s"] is None:
         raise ConfigError("missing required key: s (needed by the self-adjusting controller)")
-    params = ControllerParams(F=float(cfg["F"]), s=float(cfg["s"] if cfg["s"] is not None else 1.0))
+    s = float(cfg["s"] if cfg["s"] is not None else 1.0)
+    config = _batch_config(cfg, (n,), (s,), runs=1)
+    params = ControllerParams(F=float(cfg["F"]), s=s)
     fn = FitnessFunction.parse(cfg["fn"], n)
-    kind = _kind(cfg, n)
-    trace = cfg["trace"]
+    kind = config.kind_for(n)
     rec = run(
         kind,
         fn,
         params,
-        _stopping(cfg, n),
-        int(cfg["seed"]),
-        trace_level="full" if trace == "full" else ("levels" if trace == "levels" else "summary"),
-        lambda0=float(cfg["lambda0"]),
+        config.stopping(n),
+        config.master_seed,
+        trace_level=config.trace_level,
+        lambda0=config.lambda0,
     )
     out = Path(cfg["out"]) if cfg["out"] else _out_dir() / "run_trace.csv"
     xp.write_csv(
@@ -233,19 +223,14 @@ def cmd_batch(args) -> int:
     workers = int(cfg["workers"]) if cfg["workers"] else (os.cpu_count() or 1)
     ts = not args.no_timestamp
     if cfg["preset"]:
-        return _run_preset(cfg["preset"], bool(cfg["full_scale"]), int(cfg["seed"]), out_dir, workers, ts)
-    config = xp.BatchConfig(
-        algorithm=cfg["algo"],
-        fn_spec=cfg["fn"],
-        n_values=_parse_list(cfg["n"], int),
-        fs_values=tuple((float(cfg["F"]), s) for s in _parse_list(cfg["s"])),
-        runs=int(cfg["runs"]),
-        master_seed=int(cfg["seed"]),
-        gen_cap_multiplier=cfg["gen_cap_multiplier"],
-        eval_cap=int(cfg["eval_cap"]) if cfg["eval_cap"] else None,
-        trace_level=cfg["trace"],
-        static_lambda=int(cfg["static_lambda"]) if cfg["static_lambda"] else None,
-    )
+        rows, meta = xp.run_figure(
+            cfg["preset"], int(cfg["seed"]), bool(cfg["full_scale"]), workers, _progress
+        )
+        out = out_dir / xp.FIGURES[cfg["preset"]].csv
+        xp.write_csv(out, list(rows[0].keys()), rows, meta=meta, timestamp=ts)
+        print(json.dumps({"preset": cfg["preset"], "output": str(out)}))
+        return 0
+    config = _batch_config(cfg, _parse_list(cfg["n"], int), _parse_list(cfg["s"]), int(cfg["runs"]))
     batch = xp.run_batch(config, workers=workers, progress=_progress)
     rows = []
     for cell in batch.cells:
@@ -287,15 +272,9 @@ SWEEP_DEFAULTS = {
 
 def cmd_sweep(args) -> int:
     cfg = _merge(args, SWEEP_DEFAULTS)
-    rows = xp.success_rate_sweep(
-        _parse_list(cfg["n"], int),
-        _parse_list(cfg["s"]),
-        float(cfg["F"]),
-        int(cfg["runs"]),
-        int(cfg["seed"]),
-        gen_cap_multiplier=float(cfg["gen_cap_multiplier"]),
-        workers=int(cfg["workers"]) if cfg["workers"] else None,
-    )
+    config = _batch_config(cfg, _parse_list(cfg["n"], int), _parse_list(cfg["s"]), int(cfg["runs"]))
+    batch = xp.run_batch(config, workers=int(cfg["workers"]) if cfg["workers"] else None)
+    rows = xp.sweep_table(batch)
     out = Path(cfg["out"]) if cfg["out"] else _out_dir() / "fig3_sweep.csv"
     xp.write_csv(out, list(rows[0].keys()), rows, meta=cfg, timestamp=not args.no_timestamp)
     print(json.dumps({"cells": len(rows), "output": str(out)}))
@@ -317,16 +296,8 @@ FT_DEFAULTS = {
 
 def cmd_fixed_target(args) -> int:
     cfg = _merge(args, FT_DEFAULTS)
-    n = int(cfg["n"])
-    config = xp.BatchConfig(
-        algorithm="comma",
-        fn_spec="onemax",
-        n_values=(n,),
-        fs_values=tuple((float(cfg["F"]), s) for s in _parse_list(cfg["s"])),
-        runs=int(cfg["runs"]),
-        master_seed=int(cfg["seed"]),
-        gen_cap_multiplier=float(cfg["gen_cap_multiplier"]),
-        trace_level="levels",
+    config = _batch_config(
+        {**cfg, "trace": "levels"}, (int(cfg["n"]),), _parse_list(cfg["s"]), int(cfg["runs"])
     )
     batch = xp.run_batch(config, workers=int(cfg["workers"]) if cfg["workers"] else None)
     targets = None if cfg["targets"] == "all" else [int(t) for t in _parse_list(cfg["targets"], int)]
@@ -458,90 +429,6 @@ def cmd_bound(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# figure presets
-# ---------------------------------------------------------------------------
-
-
-def _run_preset(name, full_scale, seed, out_dir, workers, ts) -> int:
-    if name == "fig2":
-        ns = (100, 200, 500, 1000)
-        runs = 1000 if full_scale else 200
-        rows = []
-        meta = {"preset": name, "ns": ns, "runs": runs, "seed": seed, "F": 1.5, "s": 1.0}
-        for algo in ("comma", "plus", "static"):
-            config = xp.BatchConfig(
-                algorithm=algo, fn_spec="onemax", n_values=ns, fs_values=((1.5, 1.0),),
-                runs=runs, master_seed=seed, gen_cap_multiplier=500.0,
-            )
-            batch = xp.run_batch(config, workers=workers)
-            rows.extend(xp.normalized_runtime_stats(c) for c in batch.cells)
-            print(f"fig2: {algo} done", file=sys.stderr)
-        out = out_dir / "fig2_boxstats.csv"
-        xp.write_csv(out, list(rows[0].keys()), rows, meta=meta, timestamp=ts)
-    elif name == "fig3":
-        ns = (100, 200, 500, 1000) if full_scale else (100,)
-        ss = (0.5, 1, 1.5, 2, 2.5, 3, 3.4, 4, 5, 10, 15, 20) if full_scale else (0.5, 1, 2, 5, 10, 20)
-        runs = 100
-        rows = xp.success_rate_sweep(ns, ss, 1.5, runs, seed, workers=workers)
-        out = out_dir / "fig3_sweep.csv"
-        xp.write_csv(out, list(rows[0].keys()), rows, meta={"preset": name, "seed": seed}, timestamp=ts)
-    elif name in ("fig4", "fig5"):
-        n = 1000
-        ss = (0.5, 1, 2, 3, 3.4, 4, 5) if full_scale else (1.0, 3.4)
-        config = xp.BatchConfig(
-            algorithm="comma", fn_spec="onemax", n_values=(n,),
-            fs_values=tuple((1.5, s) for s in ss), runs=100, master_seed=seed,
-            gen_cap_multiplier=500.0, trace_level="levels",
-        )
-        batch = xp.run_batch(config, workers=workers)
-        rows = []
-        for cell in batch.cells:
-            rows.extend(
-                xp.fixed_target_table(cell) if name == "fig4" else xp.lambda_per_fitness(cell)
-            )
-        out = out_dir / ("fig4_fixed_target.csv" if name == "fig4" else "fig5_lambda_levels.csv")
-        xp.write_csv(out, list(rows[0].keys()), rows, meta={"preset": name, "seed": seed}, timestamp=ts)
-    elif name == "fig6":
-        ss = (1, 2, 3, 3.4, 4, 5, 20) if full_scale else (1.0, 20.0)
-        config = xp.BatchConfig(
-            algorithm="comma", fn_spec="onemax", n_values=(100,),
-            fs_values=tuple((1.5, s) for s in ss), runs=100, master_seed=seed,
-            gen_cap_multiplier=None, eval_cap=1_500_000, trace_level="levels",
-        )
-        batch = xp.run_batch(config, workers=workers)
-        rows = []
-        for cell in batch.cells:
-            rows.extend(xp.evals_per_fitness_histogram(cell))
-        out = out_dir / "fig6_eval_histogram.csv"
-        xp.write_csv(out, list(rows[0].keys()), rows, meta={"preset": name, "seed": seed}, timestamp=ts)
-    elif name == "ratchet":
-        config = xp.BatchConfig(
-            algorithm="comma", fn_spec="onemax", n_values=(1000,), fs_values=((1.5, 1.0),),
-            runs=100, master_seed=seed, gen_cap_multiplier=500.0, trace_level="full",
-        )
-        batch = xp.run_batch(config, workers=workers)
-        rows = []
-        for cell in batch.cells:
-            mon = xp.ratchet_monitor(cell, r_values=(2.0, 5.0, 10.0, 20.0))
-            for r, bad in mon["gap_violations"].items():
-                rows.append(
-                    {
-                        "n": mon["n"], "s": mon["s"], "runs": mon["runs"], "r": r,
-                        "gap_violations": bad,
-                        "runs_without_gap_violation": mon["runs_without_gap_violation"][r],
-                        "eligible_generations": mon["eligible_generations"],
-                        "fitness_drops_at_large_lambda": mon["fitness_drops_at_large_lambda"],
-                    }
-                )
-        out = out_dir / "ratchet_report.csv"
-        xp.write_csv(out, list(rows[0].keys()), rows, meta={"preset": name, "seed": seed}, timestamp=ts)
-    else:
-        raise ConfigError(f"unknown preset {name!r} (use fig2..fig6 or ratchet)")
-    print(json.dumps({"preset": name, "output": str(out)}))
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
 
@@ -575,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("batch", help="grid of seeded runs (or a figure preset)")
-    p.add_argument("--preset", help="fig2|fig3|fig4|fig5|fig6|ratchet")
+    p.add_argument("--preset", help="|".join(sorted(xp.FIGURES)))
     p.add_argument("--full-scale", dest="full_scale", action="store_true", default=None)
     p.add_argument("--algo", choices=["comma", "plus", "static"])
     p.add_argument("--fn")

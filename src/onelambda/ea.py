@@ -461,12 +461,10 @@ def run(
     if fn.level_based:
         table = fn.level_table().tolist()
         init_raw = table[ones]
-        size = max(max(table), fn.optimum_raw) + 1
     else:
         table = None
         init_raw = fn.raw_from_bits(bits, ones)
-        size = 2 * fn.n + 1
-    trace = _Trace(trace_level, size, init_raw, float(lambda0))
+    trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw, float(lambda0))
     cause, gens, evals, cur_f, best_f, lam = _evolve(
         _offspring_sampler(fn, table, bits, rng), bits, ones, init_raw, float(lambda0),
         fn, kind, params, stop, trace,

@@ -20,8 +20,9 @@ import hashlib
 import json
 import math
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,12 +44,15 @@ __all__ = [
     "child_seed",
     "run_batch",
     "normalized_runtime_stats",
-    "success_rate_sweep",
+    "sweep_table",
     "fixed_target_table",
     "lambda_per_fitness",
     "evals_per_fitness_histogram",
     "ratchet_monitor",
     "bootstrap_mean_ci",
+    "Figure",
+    "FIGURES",
+    "run_figure",
     "write_csv",
 ]
 
@@ -275,38 +279,19 @@ def bootstrap_mean_ci(
     return float(lo), float(hi)
 
 
-def success_rate_sweep(
-    n_values,
-    s_values,
-    F: float,
-    runs: int,
-    master_seed: int,
-    gen_cap_multiplier: float = 500.0,
-    workers: int | None = None,
-    ci_level: float = 0.99,
-    resamples: int = 10_000,
-) -> list[dict]:
-    """Mean capped generations / n per (n, s) with a bootstrap CI.
+def sweep_table(batch: BatchResult) -> list[dict]:
+    """Mean capped generations / n per cell with a 99% bootstrap CI.
 
-    Runs the self-adjusting comma algorithm on onemax; capped runs
-    contribute the cap value (gen_cap_multiplier * n) to the mean.
+    Capped runs contribute the cap value (gen_cap_multiplier * n) to the
+    mean; the bootstrap generator is seeded from the batch's master seed.
     """
-    config = BatchConfig(
-        algorithm="comma",
-        fn_spec="onemax",
-        n_values=tuple(n_values),
-        fs_values=tuple((F, s) for s in s_values),
-        runs=runs,
-        master_seed=master_seed,
-        gen_cap_multiplier=gen_cap_multiplier,
-    )
-    batch = run_batch(config, workers=workers)
-    boot_rng = np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(0xB007,)))
+    seed = np.random.SeedSequence(batch.config.master_seed, spawn_key=(0xB007,))
+    boot_rng = np.random.default_rng(seed)
     rows = []
     for cell in batch.cells:
-        cap = gen_cap_multiplier * cell.n
+        cap = batch.config.gen_cap_multiplier * cell.n
         vals = np.array([min(r.generations, cap) / cell.n for r in cell.records])
-        lo, hi = bootstrap_mean_ci(vals, boot_rng, level=ci_level, resamples=resamples)
+        lo, hi = bootstrap_mean_ci(vals, boot_rng)
         rows.append(
             {
                 "n": cell.n,
@@ -445,6 +430,107 @@ def ratchet_monitor(cell: CellResult, r_values=(10.0,)) -> dict:
         "gap_violations": gap_rows,
         "runs_without_gap_violation": gap_runs_clean,
     }
+
+
+# ---------------------------------------------------------------------------
+# figure presets
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Figure:
+    """One figure preset: the batches behind one CSV file.
+
+    Algorithm j of ``algorithms`` runs one batch on onemax at F = 1.5 under
+    master seed ``seed + j``, over the cells ``n_values`` x ``s_values``
+    with ``runs`` runs each; ``full`` replaces fields at full scale.
+    ``aggregate(batch)`` turns each batch into CSV rows.
+    """
+
+    csv: str
+    aggregate: Callable[[BatchResult], list]
+    n_values: tuple
+    s_values: tuple
+    runs: int = 100
+    full: dict = field(default_factory=dict)
+    algorithms: tuple = ("comma",)
+    gen_cap_multiplier: float | None = 500.0
+    eval_cap: int | None = None
+    trace_level: str = "summary"
+
+
+def _ratchet_rows(batch: BatchResult) -> list[dict]:
+    rows = []
+    for cell in batch.cells:
+        mon = ratchet_monitor(cell, r_values=(2.0, 5.0, 10.0, 20.0))
+        for r, bad in mon["gap_violations"].items():
+            rows.append(
+                {
+                    "n": mon["n"], "s": mon["s"], "runs": mon["runs"], "r": r,
+                    "gap_violations": bad,
+                    "runs_without_gap_violation": mon["runs_without_gap_violation"][r],
+                    "eligible_generations": mon["eligible_generations"],
+                    "fitness_drops_at_large_lambda": mon["fitness_drops_at_large_lambda"],
+                }
+            )
+    return rows
+
+
+FIGURES = {
+    "fig2": Figure(
+        "fig2_boxstats.csv", lambda batch: [normalized_runtime_stats(c) for c in batch.cells],
+        (100, 200, 500, 1000), (1.0,), 200, full=dict(runs=1000),
+        algorithms=("comma", "plus", "static"),
+    ),
+    "fig3": Figure(
+        "fig3_sweep.csv", sweep_table, (100,), (0.5, 1, 2, 5, 10, 20),
+        full=dict(n_values=(100, 200, 500, 1000),
+                  s_values=(0.5, 1, 1.5, 2, 2.5, 3, 3.4, 4, 5, 10, 15, 20)),
+    ),
+    "fig4": Figure(
+        "fig4_fixed_target.csv",
+        lambda batch: [row for c in batch.cells for row in fixed_target_table(c)],
+        (1000,), (1.0, 3.4), full=dict(s_values=(0.5, 1, 2, 3, 3.4, 4, 5)), trace_level="levels",
+    ),
+    "fig6": Figure(
+        "fig6_eval_histogram.csv",
+        lambda batch: [row for c in batch.cells for row in evals_per_fitness_histogram(c)],
+        (100,), (20.0, 1.0), full=dict(s_values=(1, 2, 3, 3.4, 4, 5, 20)),
+        gen_cap_multiplier=None, eval_cap=1_500_000, trace_level="levels",
+    ),
+    "ratchet": Figure("ratchet_report.csv", _ratchet_rows, (1000,), (1.0,), trace_level="full"),
+}
+# fig5 runs fig4's batches and aggregates the offspring count per fitness
+FIGURES["fig5"] = replace(
+    FIGURES["fig4"], csv="fig5_lambda_levels.csv",
+    aggregate=lambda batch: [row for c in batch.cells for row in lambda_per_fitness(c)],
+)
+
+
+def run_figure(
+    name: str, seed: int, full_scale: bool = False, workers: int | None = None, progress=None
+) -> tuple[list[dict], dict]:
+    """Run the batches of figure preset ``name`` and aggregate them.
+
+    Returns the CSV rows and the CSV metadata, which holds every batch's
+    configuration.  ``workers`` and ``progress`` go to :func:`run_batch`.
+    """
+    if name not in FIGURES:
+        raise ValueError(f"unknown preset {name!r} (use {', '.join(sorted(FIGURES))})")
+    fig = FIGURES[name]
+    if full_scale:
+        fig = replace(fig, **fig.full)
+    rows, configs = [], []
+    for j, algorithm in enumerate(fig.algorithms):
+        config = BatchConfig(
+            algorithm=algorithm, fn_spec="onemax", n_values=fig.n_values,
+            fs_values=tuple((1.5, s) for s in fig.s_values), runs=fig.runs, master_seed=seed + j,
+            gen_cap_multiplier=fig.gen_cap_multiplier, eval_cap=fig.eval_cap,
+            trace_level=fig.trace_level,
+        )
+        rows.extend(fig.aggregate(run_batch(config, workers=workers, progress=progress)))
+        configs.append(config.to_dict())
+    return rows, {"preset": name, "seed": seed, "full_scale": full_scale, "batches": configs}
 
 
 # ---------------------------------------------------------------------------

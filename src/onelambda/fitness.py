@@ -152,7 +152,8 @@ class FitnessFunction:
         if k == "jump":
             return self.param + n
         if k == "cliff":
-            return 2 * (n - self.param) + 1
+            # the top of the first slope beats the second slope's end for d > n/2
+            return max(2 * self.param, 2 * (n - self.param) + 1)
         return 2 * n  # ridge optimum at the all-ones string
 
     @property

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln
 
-from .ea import ControllerParams, round_lambda
+from .ea import ControllerParams, round_lambda, update_lambda
 
 __all__ = [
     "FitnessChangeDistribution",
@@ -518,8 +518,8 @@ def exact_potential_drift(
     """Exact E[g(X_next) - g(X_now)] at state (fitness i, lambda_real).
 
     The offspring count is round(lambda_real) while the lambda term is
-    evaluated on the real value; the lambda branches mirror the
-    controller exactly (success -> max(1, lam/F), else lam * F^(1/s)).
+    evaluated on the real value; the lambda branches are the controller
+    step itself (``update_lambda``).
     With ``cap_gain_at_one`` fitness gains count as +1 (the conservative
     progress measure); this can only lower the drift.
     """
@@ -530,8 +530,8 @@ def exact_potential_drift(
     lam_int = round_lambda(lambda_real)
     p_plus, _, _, gain, loss = _level_sums(n, i, lam_int)
     fitness_part = (p_plus if cap_gain_at_one else gain) - loss
-    lam_succ = max(1.0, lambda_real / params.F)
-    lam_fail = lambda_real * params.growth_factor
+    lam_succ = update_lambda(lambda_real, True, params)
+    lam_fail = update_lambda(lambda_real, False, params)
     h = potential.h
     return fitness_part + p_plus * h(lam_succ) + (1.0 - p_plus) * h(lam_fail) - h(lambda_real)
 

@@ -9,7 +9,6 @@ enough for Monte Carlo noise at those sizes.
 import math
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion, workers
 from test_oracle import brute_force_drift
@@ -21,14 +20,7 @@ from onelambda.ea import (
     round_lambda,
     update_lambda,
 )
-from onelambda.experiments import (
-    BatchConfig,
-    evals_per_fitness_histogram,
-    normalized_runtime_stats,
-    ratchet_monitor,
-    run_batch,
-    success_rate_sweep,
-)
+from onelambda.experiments import BatchConfig, run_batch, run_figure
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     best_of_lambda_distribution,
@@ -147,31 +139,23 @@ def test_c06_negative_drift_band_g2():
     assert ok, report.violations[:5]
 
 
-@pytest.fixture(scope="module")
-def fig2_batches():
-    ns = (100, 200, 500, 1000)
-    batches = {}
-    for algo, seed_off in (("comma", 7), ("plus", 8), ("static", 9)):
-        config = BatchConfig(
-            algorithm=algo, fn_spec="onemax", n_values=ns, fs_values=((1.5, 1.0),),
-            runs=200, master_seed=MASTER + seed_off, gen_cap_multiplier=500.0,
-        )
-        batches[algo] = run_batch(config, workers=workers())
-    return batches
+def _algorithm(label):
+    """comma, plus or static from a run record's algorithm label."""
+    return "static" if label.startswith("static") else label.removeprefix("sa-")
 
 
-def test_c07_runtime_comparison(fig2_batches):
-    ns = (100, 200, 500, 1000)
-    stats = {
-        algo: {c.n: normalized_runtime_stats(c) for c in batch.cells}
-        for algo, batch in fig2_batches.items()
-    }
+def test_c07_runtime_comparison():
+    rows, _ = run_figure("fig2", MASTER + 7, workers=workers())
+    stats = {"comma": {}, "plus": {}, "static": {}}
+    for row in rows:
+        stats[_algorithm(row["algorithm"])][row["n"]] = row
+    ns = sorted(stats["comma"])
     comma_all_opt = all(s["censored"] == 0 for s in stats["comma"].values())
-    scale_ratio = stats["comma"][1000]["median"] / stats["comma"][100]["median"]
+    scale_ratio = stats["comma"][ns[-1]]["median"] / stats["comma"][ns[0]]["median"]
     scale_ok = 0.5 <= scale_ratio <= 2.0
     static_ok = True
     plus_ok = True
-    details = [f"scaling median ratio n=1000/n=100 = {scale_ratio:.3f}"]
+    details = [f"scaling median ratio n={ns[-1]}/n={ns[0]} = {scale_ratio:.3f}"]
     for n in ns:
         cm, st, pl = (stats[a][n]["median"] for a in ("comma", "static", "plus"))
         static_ok = static_ok and (st < cm) and (cm / st <= 3.0)
@@ -187,8 +171,7 @@ def test_c07_runtime_comparison(fig2_batches):
 
 
 def test_c08_success_rate_threshold():
-    rows = success_rate_sweep((100,), (0.5, 1.0, 2.0, 5.0, 10.0, 20.0), 1.5, 100,
-                              MASTER + 3, workers=workers())
+    rows, _ = run_figure("fig3", MASTER + 3, workers=workers())
     by_s = {r["s"]: r for r in rows}
     low_ok = all(by_s[s]["reached_optimum"] >= 99 for s in (0.5, 1.0))
     high_ok = by_s[20.0]["capped"] >= 95
@@ -205,16 +188,11 @@ def test_c08_success_rate_threshold():
 
 
 def test_c09_evaluation_histogram_modes():
-    config = BatchConfig(
-        algorithm="comma", fn_spec="onemax", n_values=(100,),
-        fs_values=((1.5, 20.0), (1.5, 1.0)), runs=100, master_seed=MASTER + 4,
-        gen_cap_multiplier=None, eval_cap=1_500_000, trace_level="levels",
-    )
-    batch = run_batch(config, workers=workers())
-    modes = {}
-    for cell in batch.cells:
-        rows = evals_per_fitness_histogram(cell)
-        modes[cell.s] = max(rows, key=lambda r: r["share_pct"])["fitness"]
+    rows, _ = run_figure("fig6", MASTER + 4, workers=workers())
+    modes = {
+        s: max((r for r in rows if r["s"] == s), key=lambda r: r["share_pct"])["fitness"]
+        for s in {r["s"] for r in rows}
+    }
     ok = 40 <= modes[20.0] <= 60 and modes[1.0] >= 90
     record_criterion(
         "C9", "evaluation-share histogram modes (n=100, 1.5M-eval cap)", ok,
@@ -280,19 +258,15 @@ def test_c11_mutation_distribution():
 
 
 def test_c12_ratchet_monitors():
-    n = 1000
-    config = BatchConfig(
-        algorithm="comma", fn_spec="onemax", n_values=(n,), fs_values=((1.5, 1.0),),
-        runs=100, master_seed=MASTER + 7, gen_cap_multiplier=500.0, trace_level="full",
-    )
-    batch = run_batch(config, workers=workers())
-    mon = ratchet_monitor(batch.cells[0], r_values=(10.0,))
-    clean_ok = mon["runs_without_gap_violation"][10.0] >= 99
-    drop_ok = mon["drop_fraction"] <= 10.0 / n**2
+    rows, _ = run_figure("ratchet", MASTER + 7, workers=workers())
+    row = next(r for r in rows if r["r"] == 10.0)
+    clean = row["runs_without_gap_violation"]
+    drops, eligible = row["fitness_drops_at_large_lambda"], row["eligible_generations"]
+    clean_ok = clean >= 99
+    drop_ok = (drops / eligible if eligible else 0.0) <= 10.0 / row["n"] ** 2
     ok = clean_ok and drop_ok
     record_criterion(
         "C12", "ratchet monitors: best-so-far gap and large-lambda drops", ok,
-        f"clean runs {mon['runs_without_gap_violation'][10.0]}/100; "
-        f"drops {mon['fitness_drops_at_large_lambda']}/{mon['eligible_generations']} eligible",
+        f"clean runs {clean}/100; drops {drops}/{eligible} eligible",
     )
     assert ok

@@ -1,9 +1,11 @@
 """CLI dispatch, config handling and output files."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from onelambda import experiments as xp
 from onelambda.cli import main
 from onelambda.oracle import elitist_evaluations_bound
 
@@ -62,6 +64,13 @@ class TestRunCommand:
         out = tmp_path / "fresh" / "dir" / "t.csv"
         rc = main(["run", "--algo", "static", "--n", "20", "--seed", "2", "--out", str(out)])
         assert rc == 0 and out.exists()
+
+    def test_bad_trace_level_in_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 20, "s": 1, "trace": "bogus"}))
+        rc = main(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")])
+        assert rc == 2
+        assert "trace" in capsys.readouterr().err
 
     def test_golden_output_reproducible(self, tmp_path):
         out = tmp_path / "a.csv"
@@ -157,6 +166,45 @@ class TestAnalysisCommands:
         with pytest.raises(SystemExit) as exc:
             main(["drift-check", "--potential", "g9"])
         assert exc.value.code == 2
+
+
+PRESET_CSV = {
+    "fig2": "fig2_boxstats.csv",
+    "fig3": "fig3_sweep.csv",
+    "fig4": "fig4_fixed_target.csv",
+    "fig5": "fig5_lambda_levels.csv",
+    "fig6": "fig6_eval_histogram.csv",
+    "ratchet": "ratchet_report.csv",
+}
+
+
+class TestPresets:
+    @pytest.fixture
+    def tiny_figures(self, monkeypatch):
+        assert set(xp.FIGURES) == set(PRESET_CSV)
+        for name, fig in list(xp.FIGURES.items()):
+            tiny = replace(fig, n_values=(12,), s_values=(1.0,), runs=20,
+                           eval_cap=fig.eval_cap and 5_000)
+            monkeypatch.setitem(xp.FIGURES, name, tiny)
+
+    @pytest.mark.parametrize("name", sorted(PRESET_CSV))
+    def test_preset_writes_the_figure_rows(self, name, tiny_figures, tmp_path, capsys):
+        rc = main(["batch", "--preset", name, "--seed", "5", "--workers", "1",
+                   "--out-dir", str(tmp_path), "--no-timestamp"])
+        assert rc == 0
+        captured = capsys.readouterr()
+        out = tmp_path / PRESET_CSV[name]
+        assert json.loads(captured.out) == {"preset": name, "output": str(out)}
+        assert "  20/20 runs" in captured.err.splitlines()
+        rows, meta = xp.run_figure(name, 5, workers=1)
+        ref = tmp_path / "ref.csv"
+        xp.write_csv(ref, list(rows[0].keys()), rows, meta=meta, timestamp=False)
+        assert read_data_lines(out) == read_data_lines(ref)
+
+    def test_unknown_preset_is_config_error(self, tmp_path, capsys):
+        rc = main(["batch", "--preset", "fig9", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "fig9" in capsys.readouterr().err
 
 
 class TestParserBehaviour:

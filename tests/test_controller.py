@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from onelambda.ea import ControllerParams, round_lambda, update_lambda
+from onelambda.ea import (
+    AlgorithmKind,
+    ControllerParams,
+    StoppingCondition,
+    round_lambda,
+    run,
+    update_lambda,
+)
+from onelambda.fitness import FitnessFunction
 
 
 class TestRounding:
@@ -79,3 +87,22 @@ class TestUpdate:
         for _ in range(10_000):
             lam = update_lambda(lam, rnd.random() < 0.7, p)
             assert lam >= 1.0
+
+
+class TestRunExecutesUpdate:
+    """The run loop's lambda step is update_lambda, row by row, exactly
+    (static runs keep lambda: TestTraces.test_static_lambda_constant)."""
+
+    @pytest.mark.parametrize("selection", ["comma", "plus"])
+    @pytest.mark.parametrize("spec", ["onemax", "twomax", "jump:3", "cliff:5", "ridge"])
+    def test_adaptive_rows_follow_update_lambda(self, selection, spec):
+        p = ControllerParams(F=1.7, s=2.5)
+        for seed in range(3):
+            rec = run(AlgorithmKind(selection), FitnessFunction.parse(spec, 16), p,
+                      StoppingCondition(max_generations=3000), seed, trace_level="full",
+                      lambda0=2.2)
+            fit = rec.rows["fitness_raw"].tolist()
+            lam = rec.rows["lambda_real"].tolist()
+            assert lam[0] == 2.2 and len(lam) > 1
+            for t in range(len(lam) - 1):
+                assert lam[t + 1] == update_lambda(lam[t], fit[t + 1] > fit[t], p)

@@ -17,7 +17,7 @@ from onelambda.experiments import (
     normalized_runtime_stats,
     ratchet_monitor,
     run_batch,
-    success_rate_sweep,
+    sweep_table,
     write_csv,
 )
 
@@ -112,7 +112,8 @@ class TestBootstrap:
 
 class TestSweep:
     def test_small_sweep_shape_and_cap(self):
-        rows = success_rate_sweep((20,), (1.0, 20.0), 1.5, 6, 11, workers=1)
+        batch = small_batch(trace="summary", runs=6, n=(20,), fs=((1.5, 1.0), (1.5, 20.0)))
+        rows = sweep_table(batch)
         assert len(rows) == 2
         easy = next(r for r in rows if r["s"] == 1.0)
         assert easy["reached_optimum"] == 6

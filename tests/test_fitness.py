@@ -168,6 +168,14 @@ class TestFitnessFunctionInterface:
         assert FitnessFunction("cliff", 10, 3).optimum_value == 7.5
         assert FitnessFunction("ridge", 10).optimum_value == 20
 
+    def test_optimum_is_the_level_table_maximum(self):
+        # cliff:d with d > n/2 peaks at the top of its first slope
+        for n in range(1, 31):
+            for kind in ("onemax", "zeromax", "twomax", "jump", "cliff"):
+                for param in range(1, n) if kind in ("jump", "cliff") else (None,):
+                    fn = FitnessFunction(kind, n, param)
+                    assert fn.optimum_raw == max(fn.level_table()), fn
+
     def test_is_optimum_by_value_not_pattern(self):
         fn = FitnessFunction("twomax", 8)
         assert fn.is_optimum(raw(fn, [1] * 8))

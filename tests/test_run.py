@@ -191,7 +191,7 @@ class TestTraces:
 
 
 class TestOtherFunctions:
-    @pytest.mark.parametrize("spec", ["zeromax", "twomax", "jump:2", "cliff:2", "ridge"])
+    @pytest.mark.parametrize("spec", ["zeromax", "twomax", "jump:2", "cliff:2", "cliff:6", "ridge"])
     def test_runs_reach_optimum_on_small_instances(self, spec):
         n = 8
         fn = FitnessFunction.parse(spec, n)
