@@ -1,8 +1,11 @@
-"""Command-line surface: run | batch | sweep | fixed-target | drift-check |
-bounds-check | bound.
+"""Command-line surface: run | batch | figure | sweep | fixed-target |
+drift-check | bounds-check | bound.
 
-Configuration may come from a flat JSON file (--config); explicit flags
-override file values, unknown file keys are errors.  Machine-readable
+Every setting is declared once, as a flag of its subcommand in
+build_parser.  A flat JSON config file (--config) is read by the same
+parser: each key names a setting's dest and becomes that flag, ahead of
+the command line's flags, so explicit flags override file values.
+Unknown keys and values the flag rejects are configuration errors.  Machine-readable
 summaries go to stdout, progress to stderr.  Exit codes: 0 success,
 2 configuration error, 3 internal failure.
 """
@@ -38,6 +41,9 @@ TRACE_COLUMNS = [
     "best_so_far",
 ]
 
+# namespace entries that are not settings: neither config keys nor CSV metadata
+_NOT_SETTINGS = ("help", "func", "config", "command", "no_timestamp")
+
 
 class ConfigError(Exception):
     pass
@@ -47,59 +53,36 @@ def _out_dir() -> Path:
     return Path(os.environ.get("ONELAMBDA_OUTDIR", "."))
 
 
-def _load_config(path: str | None, known: dict) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config file must hold a flat JSON object")
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown config key: {key!r}")
-    return data
+def _settings(args: argparse.Namespace) -> dict:
+    """The parsed settings, as a CSV's config metadata records them."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
 
 
-def _merge(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults < config file < explicit flags."""
-    cfg = dict(defaults)
-    cfg.update(_load_config(getattr(args, "config", None), defaults))
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+def int_list(text: str) -> tuple:
+    return tuple(int(v) for v in text.split(",") if v)
 
 
-def _parse_list(text, conv=float) -> tuple:
-    if isinstance(text, (list, tuple)):
-        return tuple(conv(v) for v in text)
-    try:
-        return tuple(conv(v) for v in str(text).split(",") if v != "")
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse list value {text!r}") from exc
+def float_list(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(",") if v)
 
 
-def _batch_config(cfg: dict, n_values, s_values, runs: int) -> xp.BatchConfig:
-    """A subcommand's grid as a BatchConfig.  Keys the subcommand lacks
-    keep the self-adjusting comma algorithm on onemax and BatchConfig's
-    defaults (sweep and fixed-target have no algo, fn or eval cap)."""
+def target_list(text: str) -> tuple | None:
+    """'all' (None) or comma-separated fitness values."""
+    return None if text == "all" else int_list(text)
+
+
+def _batch_config(args, n_values, s_values, runs, algo="comma", fn="onemax", **fields):
+    """A subcommand's grid as a BatchConfig: F, seed and the generation cap
+    from ``args``; ``fields`` the BatchConfig fields the subcommand sets."""
     return xp.BatchConfig(
-        algorithm=cfg.get("algo", "comma"),
-        fn_spec=cfg.get("fn", "onemax"),
+        algorithm=algo,
+        fn_spec=fn,
         n_values=n_values,
-        fs_values=tuple((float(cfg["F"]), s) for s in s_values),
+        fs_values=tuple((args.F, s) for s in s_values),
         runs=runs,
-        master_seed=int(cfg["seed"]),
-        gen_cap_multiplier=cfg["gen_cap_multiplier"],
-        eval_cap=int(cfg["eval_cap"]) if cfg.get("eval_cap") else None,
-        stop_on_optimum=bool(cfg.get("stop_on_optimum", True)),
-        trace_level=cfg.get("trace", "summary"),
-        lambda0=float(cfg.get("lambda0", 1.0)),
-        static_lambda=int(cfg["static_lambda"]) if cfg.get("static_lambda") else None,
+        master_seed=args.seed,
+        gen_cap_multiplier=args.gen_cap_multiplier,
+        **fields,
     )
 
 
@@ -132,34 +115,21 @@ def _trace_rows(rec, fn, run_id):
 # subcommands
 # ---------------------------------------------------------------------------
 
-RUN_DEFAULTS = {
-    "algo": "comma",
-    "fn": "onemax",
-    "n": None,
-    "F": 1.5,
-    "s": None,
-    "lambda0": 1.0,
-    "static_lambda": None,
-    "seed": 1,
-    "gen_cap_multiplier": 500.0,
-    "eval_cap": None,
-    "stop_on_optimum": True,
-    "trace": "summary",
-    "out": None,
-}
-
 
 def cmd_run(args) -> int:
-    cfg = _merge(args, RUN_DEFAULTS)
-    if cfg["n"] is None:
+    if args.n is None:
         raise ConfigError("missing required key: n")
-    n = int(cfg["n"])
-    if cfg["algo"] in ("comma", "plus") and cfg["s"] is None:
+    if args.algo in ("comma", "plus") and args.s is None:
         raise ConfigError("missing required key: s (needed by the self-adjusting controller)")
-    s = float(cfg["s"] if cfg["s"] is not None else 1.0)
-    config = _batch_config(cfg, (n,), (s,), runs=1)
-    params = ControllerParams(F=float(cfg["F"]), s=s)
-    fn = FitnessFunction.parse(cfg["fn"], n)
+    n = args.n
+    s = args.s if args.s is not None else 1.0
+    config = _batch_config(
+        args, (n,), (s,), 1, args.algo, args.fn,
+        eval_cap=args.eval_cap or None, stop_on_optimum=args.stop_on_optimum,
+        trace_level=args.trace, lambda0=args.lambda0, static_lambda=args.static_lambda or None,
+    )
+    params = ControllerParams(F=args.F, s=s)
+    fn = FitnessFunction.parse(args.fn, n)
     kind = config.kind_for(n)
     rec = run(
         kind,
@@ -170,12 +140,12 @@ def cmd_run(args) -> int:
         trace_level=config.trace_level,
         lambda0=config.lambda0,
     )
-    out = Path(cfg["out"]) if cfg["out"] else _out_dir() / "run_trace.csv"
+    out = Path(args.out) if args.out else _out_dir() / "run_trace.csv"
     xp.write_csv(
         out,
         TRACE_COLUMNS,
         _trace_rows(rec, fn, run_id=0),
-        meta={**cfg, "algorithm": kind.label},
+        meta={**_settings(args), "algorithm": kind.label},
         timestamp=not args.no_timestamp,
     )
     print(
@@ -193,45 +163,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-BATCH_DEFAULTS = {
-    "preset": None,
-    "full_scale": False,
-    "algo": "comma",
-    "fn": "onemax",
-    "n": "100",
-    "s": "1",
-    "F": 1.5,
-    "runs": 10,
-    "seed": 1,
-    "gen_cap_multiplier": 500.0,
-    "eval_cap": None,
-    "trace": "summary",
-    "static_lambda": None,
-    "workers": None,
-    "out_dir": None,
-}
-
-
 def _progress(done, total):
     if total >= 20 and done % max(1, total // 20) == 0:
         print(f"  {done}/{total} runs", file=sys.stderr)
 
 
 def cmd_batch(args) -> int:
-    cfg = _merge(args, BATCH_DEFAULTS)
-    out_dir = Path(cfg["out_dir"]) if cfg["out_dir"] else _out_dir()
-    workers = int(cfg["workers"]) if cfg["workers"] else (os.cpu_count() or 1)
-    ts = not args.no_timestamp
-    if cfg["preset"]:
-        rows, meta = xp.run_figure(
-            cfg["preset"], int(cfg["seed"]), bool(cfg["full_scale"]), workers, _progress
-        )
-        out = out_dir / xp.FIGURES[cfg["preset"]].csv
-        xp.write_csv(out, list(rows[0].keys()), rows, meta=meta, timestamp=ts)
-        print(json.dumps({"preset": cfg["preset"], "output": str(out)}))
-        return 0
-    config = _batch_config(cfg, _parse_list(cfg["n"], int), _parse_list(cfg["s"]), int(cfg["runs"]))
-    batch = xp.run_batch(config, workers=workers, progress=_progress)
+    config = _batch_config(
+        args, args.n, args.s, args.runs, args.algo, args.fn,
+        eval_cap=args.eval_cap or None, trace_level=args.trace,
+        static_lambda=args.static_lambda or None,
+    )
+    batch = xp.run_batch(config, workers=args.workers or None, progress=_progress)
     rows = []
     for cell in batch.cells:
         for ridx, rec in enumerate(cell.records):
@@ -252,110 +195,68 @@ def cmd_batch(args) -> int:
                     "final_lambda": rec.final_lambda,
                 }
             )
-    out = out_dir / "batch_runs.csv"
-    xp.write_csv(out, list(rows[0].keys()), rows, meta=config.to_dict(), timestamp=ts)
+    out = (Path(args.out_dir) if args.out_dir else _out_dir()) / "batch_runs.csv"
+    xp.write_csv(out, list(rows[0].keys()), rows, meta=config.to_dict(),
+                 timestamp=not args.no_timestamp)
     print(json.dumps({"cells": len(batch.cells), "runs": len(rows), "output": str(out)}))
     return 0
 
 
-SWEEP_DEFAULTS = {
-    "n": "100",
-    "s": "0.5,1,2,5,10,20",
-    "F": 1.5,
-    "runs": 100,
-    "seed": 1,
-    "gen_cap_multiplier": 500.0,
-    "workers": None,
-    "out": None,
-}
+def cmd_figure(args) -> int:
+    rows, meta = xp.run_figure(args.name, args.seed, args.full_scale, args.workers or None,
+                               _progress)
+    out = (Path(args.out_dir) if args.out_dir else _out_dir()) / xp.FIGURES[args.name].csv
+    xp.write_csv(out, list(rows[0].keys()), rows, meta=meta, timestamp=not args.no_timestamp)
+    print(json.dumps({"preset": args.name, "output": str(out)}))
+    return 0
 
 
 def cmd_sweep(args) -> int:
-    cfg = _merge(args, SWEEP_DEFAULTS)
-    config = _batch_config(cfg, _parse_list(cfg["n"], int), _parse_list(cfg["s"]), int(cfg["runs"]))
-    batch = xp.run_batch(config, workers=int(cfg["workers"]) if cfg["workers"] else None)
+    config = _batch_config(args, args.n, args.s, args.runs)
+    batch = xp.run_batch(config, workers=args.workers or None)
     rows = xp.sweep_table(batch)
-    out = Path(cfg["out"]) if cfg["out"] else _out_dir() / "fig3_sweep.csv"
-    xp.write_csv(out, list(rows[0].keys()), rows, meta=cfg, timestamp=not args.no_timestamp)
+    out = Path(args.out) if args.out else _out_dir() / "fig3_sweep.csv"
+    xp.write_csv(out, list(rows[0].keys()), rows, meta=_settings(args),
+                 timestamp=not args.no_timestamp)
     print(json.dumps({"cells": len(rows), "output": str(out)}))
     return 0
 
 
-FT_DEFAULTS = {
-    "n": 1000,
-    "s": "1,2,3.4,5",
-    "F": 1.5,
-    "runs": 100,
-    "seed": 1,
-    "gen_cap_multiplier": 500.0,
-    "targets": "all",
-    "workers": None,
-    "out": None,
-}
-
-
 def cmd_fixed_target(args) -> int:
-    cfg = _merge(args, FT_DEFAULTS)
-    config = _batch_config(
-        {**cfg, "trace": "levels"}, (int(cfg["n"]),), _parse_list(cfg["s"]), int(cfg["runs"])
-    )
-    batch = xp.run_batch(config, workers=int(cfg["workers"]) if cfg["workers"] else None)
-    targets = None if cfg["targets"] == "all" else [int(t) for t in _parse_list(cfg["targets"], int)]
-    rows = []
-    for cell in batch.cells:
-        rows.extend(xp.fixed_target_table(cell, targets))
-    out = Path(cfg["out"]) if cfg["out"] else _out_dir() / "fig4_fixed_target.csv"
-    xp.write_csv(out, list(rows[0].keys()), rows, meta=cfg, timestamp=not args.no_timestamp)
+    config = _batch_config(args, (args.n,), args.s, args.runs, trace_level="levels")
+    batch = xp.run_batch(config, workers=args.workers or None)
+    rows = [row for cell in batch.cells for row in xp.fixed_target_table(cell, args.targets)]
+    out = Path(args.out) if args.out else _out_dir() / "fig4_fixed_target.csv"
+    xp.write_csv(out, list(rows[0].keys()), rows, meta=_settings(args),
+                 timestamp=not args.no_timestamp)
     print(json.dumps({"rows": len(rows), "output": str(out)}))
     return 0
 
 
-DRIFT_DEFAULTS = {
-    "potential": "g1",
-    "n": 1000,
-    "F": 1.5,
-    "s": None,
-    "threshold": None,
-    "cap_gain": False,
-    "out": None,
-}
-
-
 def cmd_drift_check(args) -> int:
-    cfg = _merge(args, DRIFT_DEFAULTS)
-    n = int(cfg["n"])
-    F = float(cfg["F"])
-    kind = cfg["potential"]
-    if kind not in ("g1", "g2"):
-        raise ConfigError("potential must be g1 or g2")
-    if cfg["s"] is None:
-        cfg["s"] = 0.5 if kind == "g1" else 18.0
-    s = float(cfg["s"])
-    params = ControllerParams(F=F, s=s)
-    pot = make_potential(kind, F=F, s=s, n=n)
+    n, F, kind = args.n, args.F, args.potential
+    if args.s is None:
+        args.s = 0.5 if kind == "g1" else 18.0
+    params = ControllerParams(F=F, s=args.s)
+    pot = make_potential(kind, F=F, s=args.s, n=n)
     if kind == "g1":
         states = [(i, lam) for i in range(n) for lam in g1_grid_lambdas(n, params)]
-        threshold = float(cfg["threshold"]) if cfg["threshold"] is not None else (1 - s) / (2 * math.e)
-        direction = "min_at_least"
+        threshold, direction = (1 - args.s) / (2 * math.e), "min_at_least"
     else:
         states = g2_band_states(n, F)
-        threshold = float(cfg["threshold"]) if cfg["threshold"] is not None else -0.0008
-        direction = "max_at_most"
+        threshold, direction = -0.0008, "max_at_most"
+    if args.threshold is not None:
+        threshold = args.threshold
     report = drift_grid_check(
         pot, params, n, states, threshold, direction,
-        cap_gain_at_one=bool(cfg["cap_gain"]), collect_rows=True,
+        cap_gain_at_one=args.cap_gain, collect_rows=True,
     )
-    out = Path(cfg["out"]) if cfg["out"] else _out_dir() / f"drift_{kind}.csv"
-    rows = (
-        (n, i, lam, lint, d, threshold, (d - threshold) if direction == "min_at_least" else (threshold - d),
-         (d >= threshold) if direction == "min_at_least" else (d <= threshold))
-        for (i, lam, lint, d) in report.rows
-    )
+    out = Path(args.out) if args.out else _out_dir() / f"drift_{kind}.csv"
     xp.write_csv(
         out,
         ["n", "i", "lambda_real", "lambda_int", "drift", "threshold", "margin", "pass"],
-        rows,
-        meta=cfg,
+        report.rows,
+        meta=_settings(args),
         timestamp=not args.no_timestamp,
     )
     print(
@@ -374,19 +275,9 @@ def cmd_drift_check(args) -> int:
     return 0
 
 
-BOUNDS_DEFAULTS = {
-    "n": 163,
-    "lambdas": "1,2,3,5,8,13,21,34,55,64",
-    "out": None,
-}
-
-
 def cmd_bounds_check(args) -> int:
-    cfg = _merge(args, BOUNDS_DEFAULTS)
-    n = int(cfg["n"])
-    lambdas = [int(v) for v in _parse_list(cfg["lambdas"], int)]
-    report = check_transition_bounds(n, lambdas=lambdas, collect_rows=True)
-    out = Path(cfg["out"]) if cfg["out"] else _out_dir() / "bounds_report.csv"
+    report = check_transition_bounds(args.n, lambdas=args.lambdas, collect_rows=True)
+    out = Path(args.out) if args.out else _out_dir() / "bounds_report.csv"
     rows = (
         (c.n, c.i, c.lam, c.quantity, c.name, c.side, c.exact, c.bound, c.margin, c.ok)
         for c in report.rows
@@ -395,13 +286,13 @@ def cmd_bounds_check(args) -> int:
         out,
         ["n", "i", "lambda", "quantity", "bound", "side", "exact", "bound_value", "margin", "pass"],
         rows,
-        meta=cfg,
+        meta=_settings(args),
         timestamp=not args.no_timestamp,
     )
     print(
         json.dumps(
             {
-                "n": n,
+                "n": args.n,
                 "states": report.states_checked,
                 "checks": report.checks_performed,
                 "violations": len(report.violations),
@@ -412,19 +303,11 @@ def cmd_bounds_check(args) -> int:
     return 0 if report.ok else 1
 
 
-BOUND_DEFAULTS = {"n": None, "a": 0, "b": None, "F": 1.5, "s": 1.0, "lambda0": 1.0}
-
-
 def cmd_bound(args) -> int:
-    cfg = _merge(args, BOUND_DEFAULTS)
-    if cfg["n"] is None:
+    if args.n is None:
         raise ConfigError("missing required key: n")
-    n = int(cfg["n"])
-    b = int(cfg["b"]) if cfg["b"] is not None else n
-    value = elitist_evaluations_bound(
-        n, int(cfg["a"]), b, float(cfg["F"]), float(cfg["s"]), float(cfg["lambda0"])
-    )
-    print(value)
+    b = args.b if args.b is not None else args.n
+    print(elitist_evaluations_bound(args.n, args.a, b, args.F, args.s, args.lambda0))
     return 0
 
 
@@ -432,10 +315,21 @@ def cmd_bound(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-
-def _add_common(p):
-    p.add_argument("--config", help="flat JSON config file; flags override its keys")
-    p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header line")
+# settings several subcommands share: dest -> (flag, add_argument keywords)
+_SHARED = {
+    "algo": ("--algo", dict(choices=["comma", "plus", "static"], default="comma")),
+    "fn": ("--fn", dict(default="onemax", help="onemax|zeromax|twomax|jump:k|cliff:d|ridge")),
+    "F": ("--F", dict(type=float, default=1.5)),
+    "lambda0": ("--lambda0", dict(type=float, default=1.0)),
+    "static_lambda": ("--static-lambda", dict(type=int)),
+    "seed": ("--seed", dict(type=int, default=1)),
+    "gen_cap_multiplier": ("--gen-cap-mult", dict(type=float, default=500.0)),
+    "eval_cap": ("--eval-cap", dict(type=int)),
+    "trace": ("--trace", dict(choices=["summary", "levels", "full"], default="summary")),
+    "workers": ("--workers", dict(type=int)),
+    "out": ("--out", {}),
+    "out_dir": ("--out-dir", {}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,100 +339,138 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="single seeded run, trace CSV out")
-    p.add_argument("--algo", choices=["comma", "plus", "static"])
-    p.add_argument("--fn", help="onemax|zeromax|twomax|jump:k|cliff:d|ridge")
+    def command(name, func, help, *shared):
+        # no abbreviations: `figure fig3 --s 20` would otherwise set --seed
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        for dest in shared:
+            flag, kwargs = _SHARED[dest]
+            p.add_argument(flag, dest=dest, **kwargs)
+        p.add_argument("--config", help="flat JSON config file; flags override its keys")
+        p.add_argument("--no-timestamp", action="store_true", help="omit the timestamp header line")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("run", cmd_run, "single seeded run, trace CSV out", "algo", "fn", "F",
+                "lambda0", "static_lambda", "seed", "gen_cap_multiplier", "eval_cap", "trace", "out")
     p.add_argument("--n", type=int)
-    p.add_argument("--F", type=float)
     p.add_argument("--s", type=float)
-    p.add_argument("--lambda0", type=float)
-    p.add_argument("--static-lambda", dest="static_lambda", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gen-cap-mult", dest="gen_cap_multiplier", type=float)
-    p.add_argument("--eval-cap", dest="eval_cap", type=int)
-    p.add_argument("--trace", choices=["summary", "levels", "full"])
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_run)
+    p.set_defaults(stop_on_optimum=True)  # config-file only
 
-    p = sub.add_parser("batch", help="grid of seeded runs (or a figure preset)")
-    p.add_argument("--preset", help="|".join(sorted(xp.FIGURES)))
-    p.add_argument("--full-scale", dest="full_scale", action="store_true", default=None)
-    p.add_argument("--algo", choices=["comma", "plus", "static"])
-    p.add_argument("--fn")
-    p.add_argument("--n", help="comma-separated problem sizes")
-    p.add_argument("--s", help="comma-separated success rates")
-    p.add_argument("--F", type=float)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gen-cap-mult", dest="gen_cap_multiplier", type=float)
-    p.add_argument("--eval-cap", dest="eval_cap", type=int)
-    p.add_argument("--trace", choices=["summary", "levels", "full"])
-    p.add_argument("--static-lambda", dest="static_lambda", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out-dir", dest="out_dir")
-    _add_common(p)
-    p.set_defaults(func=cmd_batch)
+    p = command("batch", cmd_batch, "grid of seeded runs", "algo", "fn", "F", "seed",
+                "gen_cap_multiplier", "eval_cap", "trace", "static_lambda", "workers", "out_dir")
+    p.add_argument("--n", type=int_list, default="100", help="comma-separated problem sizes")
+    p.add_argument("--s", type=float_list, default="1", help="comma-separated success rates")
+    p.add_argument("--runs", type=int, default=10)
 
-    p = sub.add_parser("sweep", help="success-rate sweep (capped generations per n)")
-    p.add_argument("--n")
-    p.add_argument("--s")
-    p.add_argument("--F", type=float)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gen-cap-mult", dest="gen_cap_multiplier", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
+    p = command("figure", cmd_figure, "one figure preset's CSV", "seed", "workers", "out_dir")
+    p.add_argument("name", metavar="NAME", choices=sorted(xp.FIGURES))
+    p.add_argument("--full-scale", dest="full_scale", action="store_true",
+                   help="the study's sizes and run counts")
 
-    p = sub.add_parser("fixed-target", help="mean evaluations to reach fitness targets")
-    p.add_argument("--n", type=int)
-    p.add_argument("--s")
-    p.add_argument("--F", type=float)
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gen-cap-mult", dest="gen_cap_multiplier", type=float)
-    p.add_argument("--targets", help="'all' or comma-separated fitness values")
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_fixed_target)
+    p = command("sweep", cmd_sweep, "success-rate sweep (capped generations per n)", "F", "seed",
+                "gen_cap_multiplier", "workers", "out")
+    p.add_argument("--n", type=int_list, default="100")
+    p.add_argument("--s", type=float_list, default="0.5,1,2,5,10,20")
+    p.add_argument("--runs", type=int, default=100)
 
-    p = sub.add_parser("drift-check", help="exact potential drift over a state grid")
-    p.add_argument("--potential", choices=["g1", "g2"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--F", type=float)
-    p.add_argument("--s", type=float)
+    p = command("fixed-target", cmd_fixed_target, "mean evaluations to reach fitness targets",
+                "F", "seed", "gen_cap_multiplier", "workers", "out")
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--s", type=float_list, default="1,2,3.4,5")
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--targets", type=target_list, default="all",
+                   help="'all' or comma-separated fitness values")
+
+    p = command("drift-check", cmd_drift_check, "exact potential drift over a state grid",
+                "F", "out")
+    p.add_argument("--potential", choices=["g1", "g2"], default="g1")
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--s", type=float, help="default 0.5 for g1, 18 for g2")
     p.add_argument("--threshold", type=float)
-    p.add_argument("--cap-gain", dest="cap_gain", action="store_true", default=None)
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_drift_check)
+    p.add_argument("--cap-gain", dest="cap_gain", action="store_true")
 
-    p = sub.add_parser("bounds-check", help="exact transition quantities vs sandwich bounds")
-    p.add_argument("--n", type=int)
-    p.add_argument("--lambdas", help="comma-separated offspring counts")
-    p.add_argument("--out")
-    _add_common(p)
-    p.set_defaults(func=cmd_bounds_check)
+    p = command("bounds-check", cmd_bounds_check, "exact transition quantities vs sandwich bounds",
+                "out")
+    p.add_argument("--n", type=int, default=163)
+    p.add_argument("--lambdas", type=int_list, default="1,2,3,5,8,13,21,34,55,64",
+                   help="comma-separated offspring counts")
 
-    p = sub.add_parser("bound", help="closed-form elitist evaluation bound")
+    p = command("bound", cmd_bound, "closed-form elitist evaluation bound", "F", "lambda0")
     p.add_argument("--n", type=int)
-    p.add_argument("--a", type=int)
+    p.add_argument("--a", type=int, default=0)
     p.add_argument("--b", type=int)
-    p.add_argument("--F", type=float)
-    p.add_argument("--s", type=float)
-    p.add_argument("--lambda0", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_bound)
+    p.add_argument("--s", type=float, default=1.0)
 
     return ap
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _config_tokens(parser: argparse.ArgumentParser, path: str) -> tuple[list, dict]:
+    """Read a flat JSON config file as flag tokens for ``parser``.
+
+    A key is a setting's dest.  A list becomes a comma-joined value, null
+    is allowed where the setting's default is None and leaves it there, and
+    a switch (a flag without a value) must be a JSON bool.  A config-only
+    setting (a parser default with no flag) must have its default's type
+    and becomes the parser's default.  Returns the tokens and the config
+    key behind each flag.
+    """
     try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config file must hold a flat JSON object")
+    flags = {a.dest: a for a in parser._actions if a.option_strings and a.dest not in _NOT_SETTINGS}
+    tokens, keys = [], {}
+    for key, value in data.items():
+        action = flags.get(key)
+        if action is None:
+            default = None if key in _NOT_SETTINGS else parser.get_default(key)
+            if default is None:
+                raise ConfigError(f"unknown config key: {key!r}")
+            if type(value) is not type(default):
+                raise ConfigError(f"config key {key!r} must be a JSON {type(default).__name__}")
+            parser.set_defaults(**{key: value})
+            continue
+        flag = action.option_strings[0]
+        keys[flag] = key
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} is a switch: use true or false")
+            if value:
+                tokens.append(flag)
+        elif value is None:
+            if action.default is not None:
+                raise ConfigError(f"config key {key!r} cannot be null")
+        else:
+            if isinstance(value, list):
+                value = ",".join(map(str, value))
+            tokens.append(f"{flag}={value}")
+    return tokens, keys
+
+
+def _parse_with_config(parser, args, argv) -> argparse.Namespace:
+    """Parse the config file's tokens ahead of the command line's flags."""
+    (commands,) = (a for a in parser._actions if a.dest == "command")
+    sub = commands.choices[args.command]
+    tokens, keys = _config_tokens(sub, args.config)
+    # the command line's flags parsed already, so any error is the file's
+    sub.exit_on_error = False
+    try:
+        return sub.parse_args(tokens + argv[argv.index(args.command) + 1:])
+    except argparse.ArgumentError as exc:
+        key = keys.get(exc.argument_name, exc.argument_name)
+        raise ConfigError(f"config key {key!r}: {exc.message}") from exc
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    try:
+        if args.config:
+            args = _parse_with_config(parser, args, argv)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

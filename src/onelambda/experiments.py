@@ -282,15 +282,17 @@ def bootstrap_mean_ci(
 def sweep_table(batch: BatchResult) -> list[dict]:
     """Mean capped generations / n per cell with a 99% bootstrap CI.
 
-    Capped runs contribute the cap value (gen_cap_multiplier * n) to the
-    mean; the bootstrap generator is seeded from the batch's master seed.
+    Capped runs contribute the cell's generation cap to the mean; without
+    a cap, generations count in full.  The bootstrap generator is seeded
+    from the batch's master seed.
     """
     seed = np.random.SeedSequence(batch.config.master_seed, spawn_key=(0xB007,))
     boot_rng = np.random.default_rng(seed)
     rows = []
     for cell in batch.cells:
-        cap = batch.config.gen_cap_multiplier * cell.n
-        vals = np.array([min(r.generations, cap) / cell.n for r in cell.records])
+        cap = batch.config.stopping(cell.n).max_generations
+        vals = np.array([(r.generations if cap is None else min(r.generations, cap)) / cell.n
+                         for r in cell.records])
         lo, hi = bootstrap_mean_ci(vals, boot_rng)
         rows.append(
             {

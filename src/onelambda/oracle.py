@@ -137,13 +137,6 @@ class FitnessChangeDistribution:
     lam: int
     pmf: np.ndarray
 
-    def cdf(self) -> np.ndarray:
-        return np.cumsum(self.pmf)
-
-    @property
-    def support(self) -> np.ndarray:
-        return np.arange(self.n + 1)
-
 
 def single_offspring_distribution(n: int, i: int) -> FitnessChangeDistribution:
     """Exact new-fitness pmf for one standard-bit-mutation offspring."""
@@ -381,16 +374,6 @@ class TransitionBoundReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def merge(self, other: "TransitionBoundReport") -> None:
-        self.states_checked += other.states_checked
-        self.checks_performed += other.checks_performed
-        self.violations.extend(other.violations)
-        for name, chk in other.worst.items():
-            if name not in self.worst or chk.margin < self.worst[name].margin:
-                self.worst[name] = chk
-        if self.rows is not None and other.rows is not None:
-            self.rows.extend(other.rows)
-
 
 def check_transition_bounds(
     n: int,
@@ -548,6 +531,8 @@ class DriftReport:
     extreme: float | None
     extreme_state: tuple | None
     violations: list
+    # with collect_rows, one tuple per state:
+    # (n, i, lambda_real, lambda_int, drift, threshold, margin, passed)
     rows: list | None = None
 
     @property
@@ -573,9 +558,10 @@ def drift_grid_check(
     """Evaluate the exact drift on every (i, lambda_real) state.
 
     direction "min_at_least": flag states with drift < threshold;
-    direction "max_at_most": flag states with drift > threshold.
-    Violations are data (the claims are asymptotic), so they are returned,
-    not raised.
+    direction "max_at_most": flag states with drift > threshold.  A
+    state's margin is its distance from the threshold on the passing
+    side, negative when it is flagged.  Violations are data (the claims
+    are asymptotic), so they are returned, not raised.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
@@ -589,11 +575,12 @@ def drift_grid_check(
         count += 1
         if extreme is None or (d < extreme if direction == "min_at_least" else d > extreme):
             extreme, extreme_state = d, (int(i), float(lam_real))
-        bad = d < threshold if direction == "min_at_least" else d > threshold
-        if bad:
+        margin = d - threshold if direction == "min_at_least" else threshold - d
+        if margin < 0:
             violations.append((int(i), float(lam_real), d))
         if collect_rows:
-            rows.append((int(i), float(lam_real), round_lambda(float(lam_real)), d))
+            rows.append((n, int(i), float(lam_real), round_lambda(float(lam_real)), d,
+                         threshold, margin, margin >= 0))
     return DriftReport(
         potential=getattr(potential, "kind", "?"),
         n=n,

@@ -1,12 +1,14 @@
 """CLI dispatch, config handling and output files."""
 
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from onelambda import experiments as xp
-from onelambda.cli import main
+from onelambda.cli import build_parser, main
 from onelambda.oracle import elitist_evaluations_bound
 
 
@@ -189,7 +191,7 @@ class TestPresets:
 
     @pytest.mark.parametrize("name", sorted(PRESET_CSV))
     def test_preset_writes_the_figure_rows(self, name, tiny_figures, tmp_path, capsys):
-        rc = main(["batch", "--preset", name, "--seed", "5", "--workers", "1",
+        rc = main(["figure", name, "--seed", "5", "--workers", "1",
                    "--out-dir", str(tmp_path), "--no-timestamp"])
         assert rc == 0
         captured = capsys.readouterr()
@@ -202,9 +204,100 @@ class TestPresets:
         assert read_data_lines(out) == read_data_lines(ref)
 
     def test_unknown_preset_is_config_error(self, tmp_path, capsys):
-        rc = main(["batch", "--preset", "fig9", "--out-dir", str(tmp_path)])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["figure", "fig9", "--out-dir", str(tmp_path)])
+        assert exc.value.code == 2
         assert "fig9" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "fig3", "--n", "30"],
+        ["figure", "fig3", "--runs", "50"],
+        ["figure", "fig3", "--s", "20"],
+        ["batch", "--full-scale"],
+        ["batch", "--preset", "fig3"],
+    ])
+    def test_grid_flags_and_figure_flags_do_not_mix(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
+def write_config(tmp_path, data):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    return str(cfg)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("argv, data, key", [
+        (["run"], {"n": "x", "s": 1}, "n"),
+        (["run"], {"n": 20, "s": 1, "seed": None}, "seed"),
+        (["run"], {"n": 20, "s": 1, "stop_on_optimum": "false"}, "stop_on_optimum"),
+        (["batch"], {"trace": "bogus"}, "trace"),
+        (["batch"], {"s": [1, "x"]}, "s"),
+        (["batch"], {"preset": "fig3"}, "preset"),
+        (["drift-check"], {"cap_gain": "false"}, "cap_gain"),
+        (["drift-check"], {"no_timestamp": True}, "no_timestamp"),
+        (["figure", "fig3"], {"full_scale": 1}, "full_scale"),
+        (["figure", "fig3"], {"name": "fig4"}, "name"),
+    ])
+    def test_bad_value_returns_2_and_names_the_key(self, argv, data, key, tmp_path, capsys):
+        rc = main(argv + ["--config", write_config(tmp_path, data)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and repr(key) in err
+
+    @pytest.mark.parametrize("argv, data, flags", [
+        (["batch", "--runs", "2", "--workers", "1"], {"n": [20, 25], "s": [1, 2.5]},
+         ["--n", "20,25", "--s", "1,2.5"]),
+        (["batch", "--runs", "2", "--workers", "1"], {"n": "20,25", "eval_cap": None}, ["--n", "20,25"]),
+        (["drift-check", "--n", "30", "--s", "0.5"], {"cap_gain": True}, ["--cap-gain"]),
+        (["drift-check", "--n", "30", "--s", "0.5"], {"cap_gain": False}, []),
+        (["bounds-check", "--n", "20"], {"lambdas": [1, 3]}, ["--lambdas", "1,3"]),
+    ])
+    def test_config_values_equal_their_flags(self, argv, data, flags, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        monkeypatch.setenv("ONELAMBDA_OUTDIR", str(out))
+        assert main(argv + flags + ["--no-timestamp"]) == 0
+        by_flags = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv + ["--config", write_config(tmp_path, data), "--no-timestamp"]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == by_flags
+
+    def test_flag_overrides_config_value(self, tmp_path, capsys):
+        out = tmp_path / "t.csv"
+        flags = ["--n", "30", "--s", "1", "--trace", "full", "--out", str(out), "--no-timestamp"]
+        assert main(["run", "--seed", "6"] + flags) == 0
+        by_flags = out.read_bytes()
+        cfg = write_config(tmp_path, {"seed": 5, "trace": "summary"})
+        assert main(["run", "--config", cfg, "--seed", "6"] + flags) == 0
+        assert out.read_bytes() == by_flags
+        assert main(["run", "--config", cfg] + flags) == 0
+        assert out.read_bytes() != by_flags
+
+    def test_stop_on_optimum_is_config_only(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 20, "s": 1, "gen_cap_multiplier": 20,
+                                      "stop_on_optimum": False})
+        assert main(["run", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 0
+        # at the optimum every generation fails, so lambda grows until it aborts
+        assert json.loads(capsys.readouterr().out)["stop_cause"] == "lambda_abort"
+        with pytest.raises(SystemExit):
+            main(["run", "--stop-on-optimum"])
+
+
+def readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("onelambda ")]
+
+
+class TestReadme:
+    def test_every_cli_example_parses(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {"run", "batch", "figure", "sweep", "fixed-target",
+                                                  "drift-check", "bounds-check", "bound"}
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
 
 class TestParserBehaviour:

@@ -121,6 +121,16 @@ class TestSweep:
             assert r["ci_low"] <= r["mean_generations_over_n"] <= r["ci_high"]
             assert r["mean_generations_over_n"] <= 500.0
 
+    @pytest.mark.parametrize("mult", [None, 0.0])
+    def test_without_generation_cap_means_are_uncapped(self, mult):
+        batch = small_batch(trace="summary", runs=3, n=(20,), gen_cap_multiplier=mult)
+        (row,) = sweep_table(batch)
+        gens = [r.generations / 20 for r in batch.cells[0].records]
+        assert row["reached_optimum"] == 3
+        assert np.mean(gens) > 0
+        assert row["mean_generations_over_n"] == pytest.approx(np.mean(gens))
+        assert row["ci_low"] <= row["mean_generations_over_n"] <= row["ci_high"]
+
 
 class TestFixedTarget:
     def test_monotone_and_initial_zero(self):

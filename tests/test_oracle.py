@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from onelambda.ea import ControllerParams
+from onelambda.ea import ControllerParams, round_lambda
 from onelambda.oracle import (
     best_of_lambda_distribution,
     check_transition_bounds,
@@ -300,6 +300,25 @@ class TestDriftGridCheck:
             pot, params, 30, [(10, 1.0), (20, 2.0)], 10.0, "min_at_least"
         )
         assert len(report.violations) == 2 and not report.ok
+
+    @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
+    def test_rows_carry_margin_and_verdict(self, direction):
+        params = ControllerParams(F=1.5, s=0.5)
+        pot = make_potential("g1", F=1.5, s=0.5, n=30)
+        states = [(i, lam) for i in range(0, 30, 2) for lam in (1.0, 2.5, 7.0)]
+        first = drift_grid_check(pot, params, 30, states, 0.0, direction, collect_rows=True)
+        # an odd count, so one state sits exactly on the threshold and passes
+        threshold = float(np.median([row[4] for row in first.rows]))
+        report = drift_grid_check(pot, params, 30, states, threshold, direction,
+                                  collect_rows=True)
+        flagged = []
+        for n, i, lam, lam_int, d, thr, margin, passed in report.rows:
+            assert (n, thr, lam_int) == (30, threshold, round_lambda(lam))
+            assert margin == (d - thr if direction == "min_at_least" else thr - d)
+            assert passed == (d >= thr if direction == "min_at_least" else d <= thr)
+            if not passed:
+                flagged.append((i, lam, d))
+        assert flagged == report.violations and len(flagged) == len(states) // 2
 
 
 class TestElitistEvaluationsBound:
