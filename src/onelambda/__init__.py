@@ -19,15 +19,13 @@ from .ea import (
 )
 from .fitness import FitnessFunction
 from .oracle import (
-    best_of_lambda_distribution,
+    best_of_lambda_pmf,
     check_transition_bounds,
     drift_grid_check,
     elitist_evaluations_bound,
     exact_potential_drift,
-    improvement_probability,
     level_quantities,
     make_potential,
-    single_offspring_distribution,
 )
 
 __version__ = "0.1.0"

@@ -7,14 +7,14 @@ parser: each key names a setting's dest and becomes that flag, ahead of
 the command line's flags, so explicit flags override file values.
 Unknown keys and values the flag rejects are configuration errors.  Machine-readable
 summaries go to stdout, progress to stderr.  Exit codes: 0 success,
-2 configuration error, 3 internal failure.
+1 a check failed (drift-check or bounds-check found a violation or
+checked no state), 2 configuration error, 3 internal failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -24,11 +24,9 @@ from .ea import ControllerParams, run
 from .fitness import FitnessFunction
 from .oracle import (
     check_transition_bounds,
+    drift_claim,
     drift_grid_check,
     elitist_evaluations_bound,
-    g1_grid_lambdas,
-    g2_band_states,
-    make_potential,
 )
 
 TRACE_COLUMNS = [
@@ -237,18 +235,11 @@ def cmd_drift_check(args) -> int:
     n, F, kind = args.n, args.F, args.potential
     if args.s is None:
         args.s = 0.5 if kind == "g1" else 18.0
-    params = ControllerParams(F=F, s=args.s)
-    pot = make_potential(kind, F=F, s=args.s, n=n)
-    if kind == "g1":
-        states = [(i, lam) for i in range(n) for lam in g1_grid_lambdas(n, params)]
-        threshold, direction = (1 - args.s) / (2 * math.e), "min_at_least"
-    else:
-        states = g2_band_states(n, F)
-        threshold, direction = -0.0008, "max_at_most"
+    pot, states, threshold, direction = drift_claim(kind, n, F, args.s)
     if args.threshold is not None:
         threshold = args.threshold
     report = drift_grid_check(
-        pot, params, n, states, threshold, direction,
+        pot, ControllerParams(F=F, s=args.s), n, states, threshold, direction,
         cap_gain_at_one=args.cap_gain, collect_rows=True,
     )
     out = Path(args.out) if args.out else _out_dir() / f"drift_{kind}.csv"
@@ -272,7 +263,7 @@ def cmd_drift_check(args) -> int:
             }
         )
     )
-    return 0
+    return 0 if report.ok else 1
 
 
 def cmd_bounds_check(args) -> int:

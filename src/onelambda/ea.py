@@ -262,10 +262,10 @@ class RunRecord:
     lambda_int = round_lambda(lambda_real) is the offspring count the next
     generation would use.  Level accumulators (trace levels "levels" and
     "full") aggregate over generations: for each raw fitness value v,
-    ``gens_at[v]`` counts generations entered at fitness v, ``lambda_sum_at``
-    and ``evals_at`` add up their offspring counts, and ``first_hit_evals[v]``
-    is the evaluations counter when fitness >= v was first reached (-1 if
-    never).
+    ``gens_at[v]`` counts generations entered at fitness v,
+    ``lambda_sum_at[v]`` adds up their offspring counts (the evaluations
+    spent at v), and ``first_hit_evals[v]`` is the evaluations counter when
+    fitness >= v was first reached (-1 if never).
     """
 
     algorithm: str
@@ -286,7 +286,6 @@ class RunRecord:
     first_hit_evals: np.ndarray | None = None
     gens_at: np.ndarray | None = None
     lambda_sum_at: np.ndarray | None = None
-    evals_at: np.ndarray | None = None
     rows: dict[str, np.ndarray] | None = field(default=None, repr=False)
 
     @property
@@ -309,7 +308,6 @@ class _Trace:
                 self.first_hit[v] = 0
             self.gens_at = [0] * size
             self.lambda_sum_at = [0] * size
-            self.evals_at = [0] * size
         if self.want_rows:
             self.r_fit = [cur_f]
             self.r_lam = [lam]
@@ -322,7 +320,6 @@ class _Trace:
     def before_generation(self, cur_f: int, lam_int: int) -> None:
         self.gens_at[cur_f] += 1
         self.lambda_sum_at[cur_f] += lam_int
-        self.evals_at[cur_f] += lam_int
 
     def new_best(self, prev_best: int, best_f: int, evals: int) -> None:
         fh = self.first_hit
@@ -343,7 +340,6 @@ class _Trace:
             rec.first_hit_evals = np.array(self.first_hit, dtype=np.int64)
             rec.gens_at = np.array(self.gens_at, dtype=np.int64)
             rec.lambda_sum_at = np.array(self.lambda_sum_at, dtype=np.int64)
-            rec.evals_at = np.array(self.evals_at, dtype=np.int64)
         if self.want_rows:
             rec.rows = {
                 "generation": np.arange(len(self.r_fit), dtype=np.int64),

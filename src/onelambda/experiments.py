@@ -149,10 +149,6 @@ class CellResult:
     fn_spec: str
     records: list[RunRecord] = field(default_factory=list)
 
-    @property
-    def censored(self) -> list[RunRecord]:
-        return [r for r in self.records if r.censored]
-
 
 @dataclass
 class BatchResult:
@@ -323,13 +319,17 @@ def fixed_target_table(cell: CellResult, targets=None) -> list[dict]:
 
     Targets never reached by any run are emitted with mean None.  The
     first-hit count is taken at generation granularity (the evaluations
-    counter after the hitting generation completes).
+    counter after the hitting generation completes).  A target outside the
+    level table's raw range [0, size) is a ValueError.
     """
     _require_levels(cell.records)
     fn = FitnessFunction.parse(cell.fn_spec, cell.n)
     size = cell.records[0].first_hit_evals.size
     if targets is None:
         targets = range(size)
+    for raw in targets:
+        if not 0 <= raw < size:
+            raise ValueError(f"target {raw} is outside the level table [0, {size})")
     rows = []
     for raw in targets:
         hits = np.array(
@@ -373,7 +373,7 @@ def evals_per_fitness_histogram(cell: CellResult) -> list[dict]:
     """Percentage of all evaluations spent while sitting at each fitness."""
     _require_levels(cell.records)
     fn = FitnessFunction.parse(cell.fn_spec, cell.n)
-    evals = np.sum([r.evals_at for r in cell.records], axis=0, dtype=np.float64)
+    evals = np.sum([r.lambda_sum_at for r in cell.records], axis=0, dtype=np.float64)
     total = evals.sum()
     rows = []
     for raw in np.nonzero(evals)[0]:

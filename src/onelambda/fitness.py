@@ -92,10 +92,6 @@ class FitnessFunction:
     # -- evaluation ------------------------------------------------------
 
     @property
-    def doubled_scale(self) -> bool:
-        return self.kind == "cliff"
-
-    @property
     def level_based(self) -> bool:
         """True when fitness depends on the one-bit count alone."""
         return self.kind != "ridge"

@@ -40,12 +40,9 @@ from scipy.special import gammaln
 from .ea import ControllerParams, round_lambda, update_lambda
 
 __all__ = [
-    "FitnessChangeDistribution",
+    "best_of_lambda_pmf",
     "LevelQuantities",
-    "single_offspring_distribution",
-    "best_of_lambda_distribution",
     "level_quantities",
-    "improvement_probability",
     "max_flip_gain_series",
     "BoundCheck",
     "TransitionBoundReport",
@@ -56,6 +53,7 @@ __all__ = [
     "exact_potential_drift",
     "DriftReport",
     "drift_grid_check",
+    "drift_claim",
     "g1_grid_lambdas",
     "g2_band_states",
     "G2_BAND_OFFSET",
@@ -128,59 +126,23 @@ def _power_pmf(logcdf: np.ndarray, lam: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class FitnessChangeDistribution:
-    """Distribution of the next-generation fitness from state (n, i)."""
-
-    n: int
-    i: int
-    lam: int
-    pmf: np.ndarray
-
-
-def single_offspring_distribution(n: int, i: int) -> FitnessChangeDistribution:
-    """Exact new-fitness pmf for one standard-bit-mutation offspring."""
-    pmf, _ = _single_parts(n, i)
-    return FitnessChangeDistribution(n, i, 1, pmf)
-
-
-def best_of_lambda_distribution(n: int, i: int, lam: int) -> FitnessChangeDistribution:
-    """Exact new-fitness pmf of the best of lam independent offspring."""
+def best_of_lambda_pmf(n: int, i: int, lam: int) -> np.ndarray:
+    """Exact new-fitness pmf of the best of lam independent offspring from
+    fitness i; at lam = 1 the one-offspring pmf (read-only)."""
     if lam < 1:
-        raise ValueError("lam must be >= 1")
+        raise ValueError(f"need lam >= 1, got lam={lam}")
     pmf, logcdf = _single_parts(n, i)
-    if lam == 1:
-        return FitnessChangeDistribution(n, i, 1, pmf)
-    return FitnessChangeDistribution(n, i, lam, _power_pmf(logcdf, lam))
+    return pmf if lam == 1 else _power_pmf(logcdf, lam)
 
 
-@lru_cache(maxsize=262144)
-def _level_sums(n: int, i: int, lam: int) -> tuple[float, float, float, float, float]:
-    """(p_plus, p_zero, p_minus, gain_mass, loss_mass) at (n, i, lam).
-
-    gain_mass = E[(f' - i)+] and loss_mass = E[(i - f')+] are the
-    unconditional forward / backward first moments.
-    """
-    pmf1, logcdf = _single_parts(n, i)
-    pmf = pmf1 if lam == 1 else _power_pmf(logcdf, lam)
-    j = np.arange(n + 1)
-    lc_i = lam * logcdf[i]
-    p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
-    if i == 0:
-        p_minus = 0.0
-    else:
-        lc_im1 = lam * logcdf[i - 1]
-        p_minus = math.exp(lc_im1) if np.isfinite(lc_im1) else 0.0
-    p_zero = float(pmf[i])
-    gain = float(((j[i + 1 :] - i) * pmf[i + 1 :]).sum())
-    loss = float(((i - j[:i]) * pmf[:i]).sum())
-    return p_plus, p_zero, p_minus, gain, loss
-
-
-@dataclass(frozen=True)
+# slots: the level_quantities cache may hold 262144 of these
+@dataclass(frozen=True, slots=True)
 class LevelQuantities:
-    """Per-level transition quantities; conditional drifts are None when
-    the conditioning probability is below ~1e-300."""
+    """Per-level transition quantities of the best of lam offspring.
+
+    gain = E[(f' - i)+] and loss = E[(i - f')+] are the unconditional
+    forward / backward first moments; the conditional drifts are None when
+    the conditioning probability is below UNDEFINED_BELOW."""
 
     n: int
     i: int
@@ -188,24 +150,37 @@ class LevelQuantities:
     p_plus: float
     p_zero: float
     p_minus: float
-    delta_plus: float | None
-    delta_minus: float | None
+    gain: float
+    loss: float
+
+    @property
+    def delta_plus(self) -> float | None:
+        return self.gain / self.p_plus if self.p_plus > UNDEFINED_BELOW else None
+
+    @property
+    def delta_minus(self) -> float | None:
+        return self.loss / self.p_minus if self.p_minus > UNDEFINED_BELOW else None
 
 
+@lru_cache(maxsize=262144)
 def level_quantities(n: int, i: int, lam: int) -> LevelQuantities:
+    """The transition quantities at state (n, i, lam), 0 <= i < n."""
     if not 0 <= i < n:
         raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
-    p_plus, p_zero, p_minus, gain, loss = _level_sums(n, i, lam)
-    d_plus = gain / p_plus if p_plus > UNDEFINED_BELOW else None
-    d_minus = loss / p_minus if p_minus > UNDEFINED_BELOW else None
-    return LevelQuantities(n, i, lam, p_plus, p_zero, p_minus, d_plus, d_minus)
-
-
-def improvement_probability(n: int, i: int, lam: int) -> float:
-    """P(best of lam offspring strictly beats fitness i)."""
+    pmf = best_of_lambda_pmf(n, i, lam)
     _, logcdf = _single_parts(n, i)
-    lc = lam * logcdf[i]
-    return -math.expm1(lc) if np.isfinite(lc) else 1.0
+    # p_plus and p_minus straight from the CDF power, accurate at large lam
+    lc_i = lam * logcdf[i]
+    p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
+    if i == 0:
+        p_minus = 0.0
+    else:
+        lc_im1 = lam * logcdf[i - 1]
+        p_minus = math.exp(lc_im1) if np.isfinite(lc_im1) else 0.0
+    j = np.arange(n + 1)
+    gain = float(((j[i + 1 :] - i) * pmf[i + 1 :]).sum())
+    loss = float(((i - j[:i]) * pmf[:i]).sum())
+    return LevelQuantities(n, i, lam, p_plus, float(pmf[i]), p_minus, gain, loss)
 
 
 def max_flip_gain_series(lam: int) -> float:
@@ -372,7 +347,8 @@ class TransitionBoundReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        # an empty grid proves nothing and is not a pass
+        return self.states_checked > 0 and not self.violations
 
 
 def check_transition_bounds(
@@ -394,17 +370,11 @@ def check_transition_bounds(
     for i in i_values:
         for lam in lambdas:
             q = level_quantities(n, i, int(lam))
-            values = {
-                "p_plus": q.p_plus,
-                "p_minus": q.p_minus,
-                "delta_plus": q.delta_plus,
-                "delta_minus": q.delta_minus,
-            }
             report.states_checked += 1
             for name, quantity, side, value_fn, applies in _BOUNDS:
                 if not applies(n, i, lam):
                     continue
-                exact = values[quantity]
+                exact = getattr(q, quantity)
                 if exact is None:
                     continue
                 bound = value_fn(n, i, lam)
@@ -506,13 +476,11 @@ def exact_potential_drift(
     With ``cap_gain_at_one`` fitness gains count as +1 (the conservative
     progress measure); this can only lower the drift.
     """
-    if not 0 <= i < n:
-        raise ValueError(f"need 0 <= i < n, got i={i}")
     if lambda_real < 1.0:
         raise ValueError("lambda_real must be >= 1")
-    lam_int = round_lambda(lambda_real)
-    p_plus, _, _, gain, loss = _level_sums(n, i, lam_int)
-    fitness_part = (p_plus if cap_gain_at_one else gain) - loss
+    q = level_quantities(n, i, round_lambda(lambda_real))
+    p_plus = q.p_plus
+    fitness_part = (p_plus if cap_gain_at_one else q.gain) - q.loss
     lam_succ = update_lambda(lambda_real, True, params)
     lam_fail = update_lambda(lambda_real, False, params)
     h = potential.h
@@ -626,6 +594,22 @@ def g2_band_states(n: int, F: float, lambda_step: float = 0.05, lambda_max: floa
             if lo < g2 < hi:
                 states.append((i, round(float(lam), 10)))
     return states
+
+
+def drift_claim(kind: str, n: int, F: float, s: float):
+    """The drift claim for potential ``kind`` at size n, as
+    (potential, states, threshold, direction) for :func:`drift_grid_check`.
+
+    g1: drift at least (1 - s)/(2e) at every level i < n and every lambda
+    of :func:`g1_grid_lambdas`.  g2: drift at most -0.0008 across the
+    stagnation band of :func:`g2_band_states`.
+    """
+    potential = make_potential(kind, F=F, s=s, n=n)
+    if kind == "g1":
+        lambdas = g1_grid_lambdas(n, ControllerParams(F=F, s=s))
+        states = [(i, lam) for i in range(n) for lam in lambdas]
+        return potential, states, (1 - s) / (2 * _E), "min_at_least"
+    return potential, g2_band_states(n, F), -0.0008, "max_at_most"
 
 
 # ---------------------------------------------------------------------------

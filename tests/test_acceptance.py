@@ -23,15 +23,13 @@ from onelambda.ea import (
 from onelambda.experiments import BatchConfig, run_batch, run_figure
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
-    best_of_lambda_distribution,
+    best_of_lambda_pmf,
     check_transition_bounds,
+    drift_claim,
     drift_grid_check,
     elitist_evaluations_bound,
     exact_potential_drift,
-    g1_grid_lambdas,
-    g2_band_states,
     make_potential,
-    single_offspring_distribution,
 )
 
 MASTER = 20250809
@@ -42,10 +40,8 @@ def test_c01_distribution_normalization():
     worst = 0.0
     for n in GRID_N:
         for i in range(n + 1):
-            worst = max(worst, abs(single_offspring_distribution(n, i).pmf.sum() - 1.0))
-            for lam in range(1, 65):
-                s = best_of_lambda_distribution(n, i, lam).pmf.sum()
-                worst = max(worst, abs(s - 1.0))
+            for lam in range(1, 65):  # lam = 1 is the one-offspring law
+                worst = max(worst, abs(best_of_lambda_pmf(n, i, lam).sum() - 1.0))
     ok = worst <= 1e-12
     record_criterion("C1", "distribution normalization on the full grid",
                      ok, f"worst |sum-1| = {worst:.2e}")
@@ -106,13 +102,9 @@ def test_c04_controller_identities():
 def test_c05_positive_drift_floor_g1():
     n, F, s = 1000, 1.5, 0.5
     params = ControllerParams(F=F, s=s)
-    pot = make_potential("g1", F=F, s=s, n=n)
-    floor = (1.0 - s) / (2.0 * math.e)  # 0.09197
-    lams = g1_grid_lambdas(n, params)
-    states = [(i, lam) for i in range(n) for lam in lams]
-    plain = drift_grid_check(pot, params, n, states, floor, "min_at_least")
-    capped = drift_grid_check(pot, params, n, states, floor, "min_at_least",
-                              cap_gain_at_one=True)
+    pot, states, floor, direction = drift_claim("g1", n, F, s)  # floor 0.09197
+    plain = drift_grid_check(pot, params, n, states, floor, direction)
+    capped = drift_grid_check(pot, params, n, states, floor, direction, cap_gain_at_one=True)
     # capped-only violations are reported; the gate is the uncapped variant
     ok = plain.ok
     detail = (
@@ -126,10 +118,8 @@ def test_c05_positive_drift_floor_g1():
 
 def test_c06_negative_drift_band_g2():
     n, F, s = 1000, 1.5, 18.0
-    params = ControllerParams(F=F, s=s)
-    pot = make_potential("g2", F=F)
-    states = g2_band_states(n, F)
-    report = drift_grid_check(pot, params, n, states, -0.0008, "max_at_most")
+    pot, states, ceiling, direction = drift_claim("g2", n, F, s)
+    report = drift_grid_check(pot, ControllerParams(F=F, s=s), n, states, ceiling, direction)
     ok = report.ok  # empty band would not be a pass
     record_criterion(
         "C6", "negative drift across the stagnation band (n=1000, s=18)", ok,

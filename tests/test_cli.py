@@ -140,6 +140,30 @@ class TestAnalysisCommands:
         header = read_data_lines(out)[0]
         assert header.startswith("n,i,lambda,quantity,bound,side,exact,bound_value,margin")
 
+    @pytest.mark.parametrize("lambdas", ["0,1", "-2"])
+    def test_bounds_check_rejects_lambda_below_one(self, lambdas, tmp_path, capsys):
+        rc = main(["bounds-check", "--n", "10", f"--lambdas={lambdas}",
+                   "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "lam" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds-check", "--n", "0"],
+        ["drift-check", "--potential", "g2", "--n", "100"],
+        ["drift-check", "--potential", "g2", "--n", "0"],
+    ])
+    def test_empty_grid_exits_1(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
+        assert json.loads(capsys.readouterr().out)["states"] == 0
+
+    def test_drift_check_violation_exits_1(self, tmp_path, capsys):
+        rc = main(["drift-check", "--potential", "g1", "--n", "20", "--threshold", "10",
+                   "--out", str(tmp_path / "g1.csv")])
+        assert rc == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["violations"] == summary["states"] > 0
+
     def test_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         rc = main(["sweep", "--n", "20", "--s", "1,20", "--runs", "4",
@@ -154,6 +178,16 @@ class TestAnalysisCommands:
                    "--out", str(out), "--no-timestamp"])
         assert rc == 0
         assert len(read_data_lines(out)) == 4
+
+    @pytest.mark.parametrize("targets", ["-1,20", "5,99"])
+    def test_fixed_target_outside_level_table_is_config_error(self, targets, tmp_path, capsys):
+        out = tmp_path / "ft.csv"
+        rc = main(["fixed-target", "--n", "20", "--s", "1", "--runs", "3", "--workers", "1",
+                   f"--targets={targets}", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and "outside the level table" in err
+        assert not out.exists()
 
     def test_batch_explicit(self, tmp_path, capsys):
         rc = main(["batch", "--algo", "comma", "--fn", "onemax", "--n", "20,25",

@@ -178,6 +178,18 @@ class TestLevelAggregations:
         want = {int(v): sums[v] / counts[v] for v in sums}
         assert got == want
 
+    def test_histogram_matches_full_trace_evaluations(self):
+        cell = small_batch(trace="full", runs=3).cells[0]
+        # generation t+1 ran from row t's fitness and spent the evaluations
+        # between rows t and t+1 there
+        spent = {}
+        for rec in cell.records:
+            fit, evals = rec.rows["fitness_raw"], rec.rows["evaluations"]
+            for t in range(fit.size - 1):
+                spent[int(fit[t])] = spent.get(int(fit[t]), 0) + int(evals[t + 1] - evals[t])
+        rows = evals_per_fitness_histogram(cell)
+        assert {r["fitness"]: r["evaluations"] for r in rows} == spent
+
     def test_requires_level_traces(self):
         batch = small_batch(trace="summary", runs=2)
         with pytest.raises(ValueError):

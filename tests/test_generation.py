@@ -21,7 +21,7 @@ from onelambda.ea import (
     _Trace,
 )
 from onelambda.fitness import FitnessFunction
-from onelambda.oracle import best_of_lambda_distribution, level_quantities
+from onelambda.oracle import best_of_lambda_pmf, level_quantities
 
 P = ControllerParams(F=1.5, s=1.0)
 COMMA = AlgorithmKind.self_adjusting_comma()
@@ -231,7 +231,7 @@ class TestGenerationComma:
         counts = np.zeros(n + 1)
         for _ in range(trials):
             counts[gen.step(with_ones(n, i), lam).fitness] += 1
-        pmf = best_of_lambda_distribution(n, i, lam).pmf
+        pmf = best_of_lambda_pmf(n, i, lam)
         for j in range(n + 1):
             se = math.sqrt(max(pmf[j] * (1 - pmf[j]), 1e-12) / trials)
             assert abs(counts[j] / trials - pmf[j]) <= 4 * se + 1e-4

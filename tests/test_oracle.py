@@ -8,17 +8,19 @@ import pytest
 
 from onelambda.ea import ControllerParams, round_lambda
 from onelambda.oracle import (
-    best_of_lambda_distribution,
+    _power_pmf,
+    _single_parts,
+    best_of_lambda_pmf,
     check_transition_bounds,
+    drift_claim,
     drift_grid_check,
     elitist_evaluations_bound,
     exact_potential_drift,
+    g1_grid_lambdas,
     g2_band_states,
-    improvement_probability,
     level_quantities,
     make_potential,
     max_flip_gain_series,
-    single_offspring_distribution,
 )
 
 E = math.e
@@ -28,14 +30,12 @@ class TestSingleOffspringDistribution:
     def test_two_bit_enumeration(self):
         # all 4 mutation masks of 2 bits, parent 10: {} -> 1, {b1} -> 0,
         # {b2} -> 2, {b1,b2} -> 1, each with probability 1/4
-        d = single_offspring_distribution(2, 1)
-        assert np.allclose(d.pmf, [0.25, 0.5, 0.25], atol=1e-15)
+        pmf = best_of_lambda_pmf(2, 1, 1)
+        assert np.allclose(pmf, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_forced_flip_n1(self):
-        d = single_offspring_distribution(1, 0)
-        assert np.allclose(d.pmf, [0.0, 1.0], atol=0)
-        d = single_offspring_distribution(1, 1)
-        assert np.allclose(d.pmf, [1.0, 0.0], atol=0)
+        assert np.allclose(best_of_lambda_pmf(1, 0, 1), [0.0, 1.0], atol=0)
+        assert np.allclose(best_of_lambda_pmf(1, 1, 1), [1.0, 0.0], atol=0)
 
     def test_matches_direct_mask_enumeration(self):
         # independent oracle: enumerate all 2^n masks for a concrete parent
@@ -46,53 +46,59 @@ class TestSingleOffspringDistribution:
                 k = sum(mask)
                 child_ones = sum(b ^ m for b, m in zip(parent, mask))
                 pmf[child_ones] += (1.0 / n) ** k * (1.0 - 1.0 / n) ** (n - k)
-            got = single_offspring_distribution(n, i).pmf
+            got = best_of_lambda_pmf(n, i, 1)
             assert np.allclose(got, pmf, atol=1e-14)
 
     @pytest.mark.parametrize("n", [2, 10, 50])
     def test_normalization(self, n):
         for i in range(n + 1):
-            s = single_offspring_distribution(n, i).pmf.sum()
+            s = best_of_lambda_pmf(n, i, 1).sum()
             assert abs(s - 1.0) < 1e-12
 
 
 class TestBestOfLambda:
     def test_lambda_one_identity(self):
+        # lam = 1 is the one-offspring convolution pmf itself
         for n, i in [(2, 1), (10, 4), (30, 29)]:
-            a = single_offspring_distribution(n, i).pmf
-            b = best_of_lambda_distribution(n, i, 1).pmf
+            a = _single_parts(n, i)[0]
+            b = best_of_lambda_pmf(n, i, 1)
             assert np.allclose(a, b, atol=1e-12)
 
     def test_power_route_matches_convolution_at_lambda_one(self):
         # differencing of CDF^1 must reproduce the convolution pmf
-        from onelambda.oracle import _power_pmf, _single_parts
-
         for n, i in [(10, 3), (50, 47), (163, 140)]:
             pmf, logcdf = _single_parts(n, i)
             assert np.allclose(_power_pmf(logcdf, 1), pmf, atol=1e-12)
 
     def test_two_bit_lambda_two(self):
         # P(best of 2 reaches fitness 2) = 1 - (3/4)^2 = 7/16
-        d = best_of_lambda_distribution(2, 1, 2)
-        assert abs(d.pmf[2] - 7.0 / 16.0) < 1e-14
-        assert abs(d.pmf[0] - 1.0 / 16.0) < 1e-14
+        pmf = best_of_lambda_pmf(2, 1, 2)
+        assert abs(pmf[2] - 7.0 / 16.0) < 1e-14
+        assert abs(pmf[0] - 1.0 / 16.0) < 1e-14
 
     def test_fallback_probability_is_single_power(self):
         # full grid n <= 50: the differencing route must reproduce the
         # closed-form power identity
         for n in (2, 10, 50):
             for i in range(1, n):
-                p1 = single_offspring_distribution(n, i).pmf[:i].sum()
+                p1 = best_of_lambda_pmf(n, i, 1)[:i].sum()
                 for lam in range(1, 65):
-                    pl = best_of_lambda_distribution(n, i, lam).pmf[:i].sum()
+                    pl = best_of_lambda_pmf(n, i, lam)[:i].sum()
                     assert abs(pl - p1**lam) < 1e-10
 
     def test_normalization_with_lambda(self):
         for n in (10, 50):
             for i in range(0, n, 7):
                 for lam in (2, 16, 64):
-                    s = best_of_lambda_distribution(n, i, lam).pmf.sum()
+                    s = best_of_lambda_pmf(n, i, lam).sum()
                     assert abs(s - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("lam", [0, -2])
+    def test_lambda_below_one_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam"):
+            best_of_lambda_pmf(10, 4, lam)
+        with pytest.raises(ValueError, match="lam"):
+            level_quantities(10, 4, lam)
 
 
 class TestLevelQuantities:
@@ -118,9 +124,24 @@ class TestLevelQuantities:
                     q = level_quantities(n, i, lam)
                     assert abs(q.p_plus + q.p_zero + q.p_minus - 1.0) < 1e-12
 
-    def test_improvement_probability_matches(self):
-        for n, i, lam in [(20, 15, 3), (100, 70, 8)]:
-            assert improvement_probability(n, i, lam) == level_quantities(n, i, lam).p_plus
+    def test_moments_of_the_best_of_lambda_pmf(self):
+        for n, i, lam in [(2, 1, 1), (20, 0, 3), (20, 15, 3), (100, 70, 8), (163, 140, 64)]:
+            q = level_quantities(n, i, lam)
+            pmf = best_of_lambda_pmf(n, i, lam)
+            j = np.arange(n + 1)
+            assert q.p_zero == pmf[i]
+            assert abs(q.p_plus - pmf[i + 1 :].sum()) < 1e-12
+            assert abs(q.p_minus - pmf[:i].sum()) < 1e-12
+            assert abs(q.gain - ((j - i) * pmf)[i + 1 :].sum()) < 1e-12
+            assert abs(q.loss - ((i - j) * pmf)[:i].sum()) < 1e-12
+            assert q.delta_plus == q.gain / q.p_plus
+
+    def test_drift_reads_the_cached_level_record(self):
+        level_quantities.cache_clear()
+        pot = make_potential("g2", F=1.5)
+        exact_potential_drift(pot, 30, 20, 2.6, ControllerParams(F=1.5, s=1.0))
+        assert level_quantities.cache_info().currsize == 1
+        assert level_quantities(30, 20, 3) is level_quantities(30, 20, 3)
 
     def test_undefined_markers(self):
         q = level_quantities(10, 0, 4)
@@ -146,6 +167,11 @@ class TestTransitionBounds:
         report = check_transition_bounds(10)
         assert report.ok, report.violations[:5]
         assert report.checks_performed > 0
+
+    def test_empty_grid_is_not_a_pass(self):
+        for report in (check_transition_bounds(0), check_transition_bounds(10, lambdas=())):
+            assert report.states_checked == 0 and not report.violations
+            assert not report.ok
 
     def test_hard_band_cap_checked_at_163(self):
         report = check_transition_bounds(163, lambdas=(1,), collect_rows=True)
@@ -321,6 +347,26 @@ class TestDriftGridCheck:
         assert flagged == report.violations and len(flagged) == len(states) // 2
 
 
+class TestDriftClaim:
+    def test_g1_floor_over_the_full_grid(self):
+        n, F, s = 30, 1.5, 0.5
+        pot, states, threshold, direction = drift_claim("g1", n, F, s)
+        assert pot.kind == "g1" and (pot.F, pot.s, pot.n) == (F, s, n)
+        lams = g1_grid_lambdas(n, ControllerParams(F=F, s=s))
+        assert states == [(i, lam) for i in range(n) for lam in lams]
+        assert threshold == (1 - s) / (2 * E) and direction == "min_at_least"
+
+    def test_g2_ceiling_over_the_band(self):
+        pot, states, threshold, direction = drift_claim("g2", 1000, 1.5, 18.0)
+        assert pot.kind == "g2" and pot.F == 1.5
+        assert states == g2_band_states(1000, 1.5)
+        assert (threshold, direction) == (-0.0008, "max_at_most")
+
+    def test_unknown_potential(self):
+        with pytest.raises(ValueError):
+            drift_claim("g3", 30, 1.5, 1.0)
+
+
 class TestElitistEvaluationsBound:
     def test_empty_interval(self):
         assert elitist_evaluations_bound(50, 7, 7, 2.0, 1.0, 3.0) == 3.0 * 2.0
@@ -356,8 +402,5 @@ class TestUndefinedThreshold:
         # p_minus = (p1)^lam underflows for extreme lam; marker, not NaN
         q = level_quantities(50, 25, 64)
         assert q.p_minus > 0  # still representable here
-        from onelambda.oracle import _level_sums
-
-        p_plus, _, p_minus, gain, loss = _level_sums(50, 25, 64)
-        assert math.isfinite(gain) and math.isfinite(loss)
-        assert p_minus < 1 and p_plus < 1
+        assert math.isfinite(q.gain) and math.isfinite(q.loss)
+        assert q.p_minus < 1 and q.p_plus < 1

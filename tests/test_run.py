@@ -168,14 +168,11 @@ class TestTraces:
         size = rec.gens_at.size
         gens_at = np.zeros(size, dtype=np.int64)
         lam_at = np.zeros(size, dtype=np.int64)
-        ev_at = np.zeros(size, dtype=np.int64)
         for t in range(fit.size - 1):  # generation t+1 ran from row t's state
             gens_at[fit[t]] += 1
             lam_at[fit[t]] += lam_int[t]
-            ev_at[fit[t]] += lam_int[t]
         assert np.array_equal(gens_at, rec.gens_at)
         assert np.array_equal(lam_at, rec.lambda_sum_at)
-        assert np.array_equal(ev_at, rec.evals_at)
         first = np.full(size, -1, dtype=np.int64)
         for t in range(fit.size):
             head = first[: best[t] + 1]

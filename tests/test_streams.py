@@ -35,9 +35,12 @@ def record_digest(rec) -> str:
         rec.final_fitness, rec.best_fitness, rec.final_lambda,
     )
     h.update(repr(summary).encode())
-    for name in ("first_hit_evals", "gens_at", "lambda_sum_at", "evals_at"):
+    # "evals_at" hashes lambda_sum_at again: the digests were pinned while
+    # records carried an evals_at field, which always equalled lambda_sum_at
+    for name, attr in (("first_hit_evals", "first_hit_evals"), ("gens_at", "gens_at"),
+                       ("lambda_sum_at", "lambda_sum_at"), ("evals_at", "lambda_sum_at")):
         h.update(name.encode())
-        h.update(getattr(rec, name).astype("<i8").tobytes())
+        h.update(getattr(rec, attr).astype("<i8").tobytes())
     for key in sorted(rec.rows):
         col = rec.rows[key]
         h.update(key.encode())
