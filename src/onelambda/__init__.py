@@ -26,6 +26,7 @@ from .oracle import (
     exact_potential_drift,
     level_quantities,
     make_potential,
+    selected_child_law,
 )
 
 __version__ = "0.1.0"

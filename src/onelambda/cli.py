@@ -56,6 +56,13 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v)
 
@@ -222,6 +229,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_fixed_target(args) -> int:
     config = _batch_config(args, (args.n,), args.s, args.runs, trace_level="levels")
+    xp.check_targets(args.targets, FitnessFunction.parse(config.fn_spec, args.n).optimum_raw + 1)
     batch = xp.run_batch(config, workers=args.workers or None)
     rows = [row for cell in batch.cells for row in xp.fixed_target_table(cell, args.targets)]
     out = Path(args.out) if args.out else _out_dir() / "fig4_fixed_target.csv"
@@ -375,14 +383,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("drift-check", cmd_drift_check, "exact potential drift over a state grid",
                 "F", "out")
     p.add_argument("--potential", choices=["g1", "g2"], default="g1")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=positive_int, default=1000)
     p.add_argument("--s", type=float, help="default 0.5 for g1, 18 for g2")
     p.add_argument("--threshold", type=float)
     p.add_argument("--cap-gain", dest="cap_gain", action="store_true")
 
     p = command("bounds-check", cmd_bounds_check, "exact transition quantities vs sandwich bounds",
                 "out")
-    p.add_argument("--n", type=int, default=163)
+    p.add_argument("--n", type=positive_int, default=163)
     p.add_argument("--lambdas", type=int_list, default="1,2,3,5,8,13,21,34,55,64",
                    help="comma-separated offspring counts")
 

@@ -13,16 +13,28 @@ multiplied by F^(1/s), where s is the success rate.  One success every
 s+1 generations keeps lambda constant.  Only the rounded value is used to
 create offspring.
 
-Mutation samples the flip count from Binomial(n, 1/n) and then picks that
-many distinct positions uniformly, which is distributionally identical to
-per-bit flips but independent of n in cost.
+Two engines run the generations of one loop:
+
+* Level functions (fitness a function of the one-count: onemax, zeromax,
+  twomax, jump, cliff) run as a Markov chain on the one-count.  Each
+  generation draws the next parent's one-count with one uniform from the
+  exact law of the selected child (``oracle.selected_child_law``), so its
+  cost does not depend on lambda.  The initial one-count is drawn from
+  Binomial(n, 1/2); no bit string exists.
+* Ridge, whose value depends on the bit layout, mutates a bit-list parent:
+  each child's flip count comes from Binomial(n, 1/n), then that many
+  distinct positions are picked uniformly, which is distributionally
+  identical to per-bit flips but independent of n in cost.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -51,9 +63,10 @@ def round_lambda(lambda_real: float) -> int:
 class ControllerParams:
     """Success-based controller hyperparameters.
 
-    F is the update strength (> 1), s the success rate (> 0).  The derived
-    factors satisfy growth_factor**s * shrink_factor == 1, so one success
-    per s+1 generations leaves lambda unchanged.
+    F is the update strength (> 1), s the success rate (> 0).  A success
+    divides lambda by F and a failure multiplies it by growth_factor, and
+    growth_factor**s == F, so one success per s+1 generations leaves lambda
+    unchanged.
     """
 
     F: float = 1.5
@@ -71,11 +84,6 @@ class ControllerParams:
     def growth_factor(self) -> float:
         """Multiplier applied to lambda after an unsuccessful generation."""
         return self.F ** (1.0 / self.s)
-
-    @property
-    def shrink_factor(self) -> float:
-        """Multiplier applied to lambda after a successful generation."""
-        return 1.0 / self.F
 
 
 def update_lambda(lambda_real: float, success: bool, params: ControllerParams) -> float:
@@ -161,7 +169,64 @@ class StopCause(str, Enum):
     LAMBDA_ABORT = "lambda_abort"
 
 
-_BLOCK = 4096  # pre-sampled flip counts / single-flip positions per refill
+_BLOCK = 4096  # pre-sampled uniforms / flip counts / single-flip positions per refill
+_TICKS = 2.0**53  # rng.random() draws multiples of 1/_TICKS
+_MEMO = 4096  # per-run window memo size before it is emptied
+
+
+@lru_cache(maxsize=4096)
+def _cumulative_window(fn: FitnessFunction, ones: int, lam_int: int, plus: bool):
+    """The next one-count's law at (ones, lam_int) as (lo, cum): a draw u
+    from rng.random() selects one-count lo + bisect_right(cum, u).
+
+    The cumulative probabilities are rounded to multiples of 2^-53, the
+    grid u lies on, and the window is trimmed to the entries some u
+    selects (cum[-1] is 1.0); one-counts outside it have less than 2^-54
+    of mass.  Windows are stored as compact float arrays, about 0.5 kB
+    each with the cache's own overhead, so the LRU stays near 2 MB.
+    """
+    from .oracle import selected_child_law  # oracle imports this module
+
+    lo, pmf = selected_child_law(fn, ones, lam_int, "plus" if plus else "comma")
+    ticks = pmf.cumsum()
+    ticks *= _TICKS / ticks[-1]
+    np.rint(ticks, out=ticks)
+    first = int(ticks.searchsorted(0.0, "right"))
+    last = int(ticks.searchsorted(_TICKS))
+    cum = ticks[first : last + 1]
+    cum /= _TICKS
+    return lo + first, array("d", cum.tobytes())
+
+
+def _law_sampler(fn: FitnessFunction, table: list, plus: bool, rng: np.random.Generator):
+    """The level-function engine: returns ``sample(lam_int, ones, cur_f)``,
+    which gives ``(f, child_ones, None)`` for the next parent (the parent
+    itself when plus selection keeps it), drawn from the selected child's
+    exact one-count law with one uniform; ``f`` is ``table[child_ones]``.
+    Uniforms are drawn in blocks; windows come from a per-run memo in
+    front of the shared ``_cumulative_window`` LRU."""
+    n1 = fn.n + 1
+    memo = {}
+    ublock = rng.random(_BLOCK).tolist()
+    uidx = 0
+
+    def sample(lam_int, ones, cur_f):
+        nonlocal ublock, uidx
+        key = lam_int * n1 + ones
+        window = memo.get(key)
+        if window is None:
+            if len(memo) >= _MEMO:
+                memo.clear()
+            window = memo[key] = _cumulative_window(fn, ones, lam_int, plus)
+        if uidx == _BLOCK:
+            ublock = rng.random(_BLOCK).tolist()
+            uidx = 0
+        lo, cum = window
+        child = lo + bisect_right(cum, ublock[uidx])
+        uidx += 1
+        return table[child], child, None
+
+    return sample
 
 
 def _distinct_positions(rng: np.random.Generator, n: int, k: int) -> list:
@@ -175,10 +240,8 @@ def _distinct_positions(rng: np.random.Generator, n: int, k: int) -> list:
     return rng.permutation(n)[:k].tolist()
 
 
-def _offspring_sampler(
-    fn: FitnessFunction, table: list | None, bits: list, rng: np.random.Generator
-):
-    """The one offspring sampler: best of lam_int standard-bit mutants.
+def _offspring_sampler(fn: FitnessFunction, bits: list, rng: np.random.Generator):
+    """The bit-mutation engine (ridge): best of lam_int standard-bit mutants.
 
     ``bits`` is the parent as a list of ints, which the caller updates in
     place between calls.  Returns ``sample(lam_int, ones, cur_f)``, where
@@ -187,13 +250,12 @@ def _offspring_sampler(
     child (reservoir tie-breaking), with ``flips`` None (no bit flipped),
     one position, or a list of positions.  Each child's flip count comes
     from Binomial(n, 1/n); flip counts and single-flip positions are drawn
-    in blocks.  With a level ``table`` a child scores ``table[child_ones]``;
-    without one (ridge) the parent is flipped in place, scored by
-    ``fn.raw_from_bits`` and flipped back.
+    in blocks of _BLOCK, so memory stays bounded at any lam_int.  A child
+    is scored by flipping the parent in place, calling
+    ``fn.raw_from_bits`` and flipping back.
     """
     n = fn.n
     inv_n = 1.0 / n
-    genotype = table is None
     raw_from_bits = fn.raw_from_bits
     rand = rng.random
     kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
@@ -203,50 +265,51 @@ def _offspring_sampler(
 
     def sample(lam_int, ones, cur_f):
         nonlocal kblock, kidx, pblock, pidx
-        if kidx + lam_int > _BLOCK:
-            kblock = rng.binomial(n, inv_n, size=max(_BLOCK, lam_int)).tolist()
+        if kidx + lam_int > _BLOCK:  # a generation that fits one block starts in one
+            kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
             kidx = 0
         bf = -1
         best_ones = ones
         best_flips = None
         ties = 0
-        for _ in range(lam_int):
-            k = kblock[kidx]
-            kidx += 1
-            if k == 0:
-                co = ones
-                f = cur_f
-                flips = None
-            elif k == 1:
-                if pidx == _BLOCK:
-                    pblock = rng.integers(0, n, size=_BLOCK).tolist()
-                    pidx = 0
-                flips = pblock[pidx]
-                pidx += 1
-                co = ones + 1 - 2 * bits[flips]
-                if genotype:
+        left = lam_int
+        while left:
+            if kidx == _BLOCK:
+                kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
+                kidx = 0
+            take = min(left, _BLOCK - kidx)
+            chunk = kblock[kidx : kidx + take]
+            kidx += take
+            left -= take
+            for k in chunk:
+                if k == 0:
+                    co = ones
+                    f = cur_f
+                    flips = None
+                elif k == 1:
+                    if pidx == _BLOCK:
+                        pblock = rng.integers(0, n, size=_BLOCK).tolist()
+                        pidx = 0
+                    flips = pblock[pidx]
+                    pidx += 1
+                    co = ones + 1 - 2 * bits[flips]
                     bits[flips] ^= 1
                     f = raw_from_bits(bits, co)
                     bits[flips] ^= 1
                 else:
-                    f = table[co]
-            else:
-                flips = _distinct_positions(rng, n, k)
-                co = ones + k - 2 * sum([bits[p] for p in flips])
-                if genotype:
+                    flips = _distinct_positions(rng, n, k)
+                    co = ones + k - 2 * sum([bits[p] for p in flips])
                     for p in flips:
                         bits[p] ^= 1
                     f = raw_from_bits(bits, co)
                     for p in flips:
                         bits[p] ^= 1
-                else:
-                    f = table[co]
-            if f > bf:
-                bf, best_ones, best_flips, ties = f, co, flips, 1
-            elif f == bf:
-                ties += 1
-                if rand() < 1.0 / ties:
-                    best_ones, best_flips = co, flips
+                if f > bf:
+                    bf, best_ones, best_flips, ties = f, co, flips, 1
+                elif f == bf:
+                    ties += 1
+                    if rand() < 1.0 / ties:
+                        best_ones, best_flips = co, flips
         return bf, best_ones, best_flips
 
     return sample
@@ -352,10 +415,10 @@ class _Trace:
 
 
 def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
-    """The run loop: generations from the parent ``bits`` (one-count
-    ``ones``, raw fitness ``cur_f``, updated in place) with real-valued
-    lambda ``lam`` until a stop cause holds, one ``sample`` call per
-    generation.  Returns (cause, generations, evaluations, final raw
+    """The run loop: generations from the parent (one-count ``ones``, raw
+    fitness ``cur_f``; bit list ``bits``, updated in place, or None on the
+    level engine) with real-valued lambda ``lam`` until a stop cause
+    holds, one ``sample`` call per generation.  Returns (cause, generations, evaluations, final raw
     fitness, best raw fitness, final lambda)."""
     opt_raw = fn.optimum_raw
     abort_at = stop.lambda_abort_threshold
@@ -399,7 +462,7 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
                 else:
                     for p in best_flips:
                         bits[p] ^= 1
-                ones = best_ones
+            ones = best_ones
             success = bf > cur_f
             cur_f = bf
         else:
@@ -431,7 +494,8 @@ def run(
     trace_level: str = "summary",
     lambda0: float = 1.0,
 ) -> RunRecord:
-    """Run the configured algorithm from a fresh uniform random parent.
+    """Run the configured algorithm from a fresh uniform random parent
+    (its one-count alone on level functions, see the module docstring).
 
     ``seed`` may be an int, a numpy SeedSequence, or a Generator.  Output
     is bit-identical for identical (configuration, seed).
@@ -452,18 +516,20 @@ def run(
     if lambda0 < 1.0:
         raise ValueError("initial lambda must be >= 1")
 
-    bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
-    ones = sum(bits)
     if fn.level_based:
+        bits = None
+        ones = int(rng.binomial(fn.n, 0.5))
         table = fn.level_table().tolist()
         init_raw = table[ones]
+        sample = _law_sampler(fn, table, kind.selection == "plus", rng)
     else:
-        table = None
+        bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
+        ones = sum(bits)
         init_raw = fn.raw_from_bits(bits, ones)
+        sample = _offspring_sampler(fn, bits, rng)
     trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw, float(lambda0))
     cause, gens, evals, cur_f, best_f, lam = _evolve(
-        _offspring_sampler(fn, table, bits, rng), bits, ones, init_raw, float(lambda0),
-        fn, kind, params, stop, trace,
+        sample, bits, ones, init_raw, float(lambda0), fn, kind, params, stop, trace,
     )
 
     rec = RunRecord(

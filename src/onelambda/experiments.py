@@ -45,6 +45,7 @@ __all__ = [
     "run_batch",
     "normalized_runtime_stats",
     "sweep_table",
+    "check_targets",
     "fixed_target_table",
     "lambda_per_fitness",
     "evals_per_fitness_histogram",
@@ -314,6 +315,14 @@ def _require_levels(records: list[RunRecord]) -> None:
             raise ValueError("this aggregation needs runs with trace_level 'levels' or 'full'")
 
 
+def check_targets(targets, size: int) -> None:
+    """Raise ValueError for a raw target outside the level table [0, size);
+    None (every target) passes."""
+    for raw in targets or ():
+        if not 0 <= raw < size:
+            raise ValueError(f"target {raw} is outside the level table [0, {size})")
+
+
 def fixed_target_table(cell: CellResult, targets=None) -> list[dict]:
     """Mean evaluations to first reach each target fitness.
 
@@ -327,9 +336,7 @@ def fixed_target_table(cell: CellResult, targets=None) -> list[dict]:
     size = cell.records[0].first_hit_evals.size
     if targets is None:
         targets = range(size)
-    for raw in targets:
-        if not 0 <= raw < size:
-            raise ValueError(f"target {raw} is outside the level table [0, {size})")
+    check_targets(targets, size)
     rows = []
     for raw in targets:
         hits = np.array(

@@ -20,7 +20,7 @@ Six classic benchmarks behind one interface:
 Cliff values live on a half-integer scale.  To keep fitness comparisons
 exact, :class:`FitnessFunction` stores cliff values as doubled integers
 (raw scale) and converts back for display.  All runs stop on reaching the
-optimum *value* (``is_optimum``), never on a hard-coded bit pattern, so
+optimum *value* (``optimum_raw``), never on a hard-coded bit pattern, so
 multi-optimum functions like twomax behave correctly.
 """
 
@@ -151,10 +151,3 @@ class FitnessFunction:
             # the top of the first slope beats the second slope's end for d > n/2
             return max(2 * self.param, 2 * (n - self.param) + 1)
         return 2 * n  # ridge optimum at the all-ones string
-
-    @property
-    def optimum_value(self) -> float | int:
-        return self.display(self.optimum_raw)
-
-    def is_optimum(self, raw: int) -> bool:
-        return raw >= self.optimum_raw

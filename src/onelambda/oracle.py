@@ -1,4 +1,5 @@
-"""Exact finite-n transition analysis for the one-bit-counting benchmark.
+"""Exact finite-n transition analysis for the one-bit-counting benchmark,
+and the exact law of the selected child on every level function.
 
 For a parent with fitness ``i`` on the ones-counting function, the number
 of flipped one-bits ``A ~ Binomial(i, 1/n)`` and flipped zero-bits
@@ -19,6 +20,12 @@ Everything downstream is built on that:
   the real value),
 * a closed-form upper bound on the expected evaluations of the elitist
   variant to climb between two fitness values.
+
+On a level function (fitness a function of the one-count) the same
+convolution gives one child's one-count law; the best of ``lam`` children
+is then a maximum over fitness values, with ties split uniformly.
+:func:`selected_child_law` gives that law on a window of one-counts
+around the parent; ``ea.run`` samples it instead of mutating bits.
 
 Numerics: binomial masses come from log-gamma and are exponentiated in
 log space (target relative accuracy ~1e-10 for masses above 1e-250;
@@ -41,6 +48,8 @@ from .ea import ControllerParams, round_lambda, update_lambda
 
 __all__ = [
     "best_of_lambda_pmf",
+    "CHILD_WINDOW",
+    "selected_child_law",
     "LevelQuantities",
     "level_quantities",
     "max_flip_gain_series",
@@ -72,11 +81,12 @@ UNDEFINED_BELOW = 1e-300
 REFINED_UPPER_MIN_FRACTION = 0.87
 
 
-def _binom_pmf(m: int, p: float) -> np.ndarray:
-    """Binomial(m, p) masses for k = 0..m via log-gamma; underflow -> 0."""
+def _binom_pmf(m: int, p: float, kmax: int | None = None) -> np.ndarray:
+    """Binomial(m, p) masses for k = 0..m (or 0..min(m, kmax)) via
+    log-gamma; underflow -> 0."""
     if m == 0:
         return np.ones(1)
-    k = np.arange(m + 1)
+    k = np.arange(m + 1 if kmax is None else min(m, kmax) + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log1mp = np.log1p(-p)  # -inf when p == 1 (n == 1 forces every bit to flip)
         tail_term = np.where(k < m, (m - k) * log1mp, 0.0)
@@ -133,6 +143,80 @@ def best_of_lambda_pmf(n: int, i: int, lam: int) -> np.ndarray:
         raise ValueError(f"need lam >= 1, got lam={lam}")
     pmf, logcdf = _single_parts(n, i)
     return pmf if lam == 1 else _power_pmf(logcdf, lam)
+
+
+# Half-width w of the one-count window of selected_child_law.  A child
+# leaves [i - w, i + w] only by flipping more than w bits, with probability
+# P(Binomial(n, 1/n) > w) <= 1/(w+1)!, so the law of the best of lam
+# children puts at most lam/(w+1)! outside the window: lam * 1.2e-34 at
+# w = 30, below 2^-53 (the resolution of one uniform draw) for lam < 9e17.
+CHILD_WINDOW = 30
+
+
+@lru_cache(maxsize=16)
+def _level_table(fn) -> np.ndarray:
+    return fn.level_table()
+
+
+@lru_cache(maxsize=1024)
+def _child_levels(fn, i: int):
+    """The lam-free part of :func:`selected_child_law` at one-count i.
+
+    Returns (lo, group, share, logcdf) over the window one-counts lo,
+    lo+1, ...: the index of each one's fitness among the window's distinct
+    fitness values in ascending order, and its share of one child's mass
+    on that value; then one child's fitness log CDF over the distinct
+    values, accumulated from the top as in ``_single_parts``.
+    """
+    n = fn.n
+    if not 0 <= i <= n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
+    p = 1.0 / n
+    lost = _binom_pmf(i, p, CHILD_WINDOW)  # flipped one-bits
+    gained = _binom_pmf(n - i, p, CHILD_WINDOW)  # flipped zero-bits
+    q = np.convolve(lost[::-1], gained)
+    lo = i - (lost.size - 1)
+    values = _level_table(fn)[lo : lo + q.size]
+    distinct = np.unique(values)
+    group = distinct.searchsorted(values).astype(np.int8)  # at most 2w+1 values
+    mass = np.bincount(group, weights=q, minlength=distinct.size)
+    tail = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logcdf = np.log1p(-np.minimum(tail, 1.0))
+        share = np.where(mass[group] > 0, q / mass[group], 0.0)
+    for a in (group, share, logcdf):
+        a.setflags(write=False)
+    return lo, group, share, logcdf
+
+
+def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
+    """Law of the next parent's one-count on a level function.
+
+    The parent has i one-bits; lam children come from standard bit
+    mutation and a uniformly random fitness-maximal one is selected.
+    Under comma it is the next parent; under plus it is only when at least
+    as fit as the parent, else the parent (one-count i) stays.  Returns
+    (lo, pmf) with pmf[k] = P(next one-count = lo + k) on the window
+    [max(0, i - w), min(n, i + w)], w = CHILD_WINDOW; the mass the window
+    leaves out, at most lam/(w+1)!, falls to the window's lowest fitness.
+    The fitness maximum's law is a plain difference of CDF powers, so
+    entries are accurate to about 1e-15 absolute (``best_of_lambda_pmf``
+    keeps relative accuracy in the tails).  Raises ValueError on ridge,
+    which has no level table.
+    """
+    if lam < 1:
+        raise ValueError(f"need lam >= 1, got lam={lam}")
+    if selection not in ("comma", "plus"):
+        raise ValueError(f"selection must be 'comma' or 'plus', got {selection!r}")
+    lo, group, share, logcdf = _child_levels(fn, i)
+    best = np.exp(lam * logcdf)  # P(best fitness <= each distinct value)
+    best[1:] -= best[:-1].copy()
+    pmf = best[group] * share  # ties split by one-child mass
+    if selection == "plus":
+        worse = group < group[i - lo]
+        pmf[i - lo] += pmf[worse].sum()
+        pmf[worse] = 0.0
+    return lo, pmf
 
 
 # slots: the level_quantities cache may hold 262144 of these

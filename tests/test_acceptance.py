@@ -220,19 +220,20 @@ def test_c10_elitist_evaluation_bound():
 
 
 def test_c11_mutation_distribution():
-    # single mutants from the sampler run() uses: at lambda 1 its one
-    # child is the mutant, returned as its flipped positions
+    # single mutants from the bit-mutation sampler run() uses on ridge: at
+    # lambda 1 its one child is the mutant, returned as its flipped positions
     n = 100
     rng = np.random.default_rng(MASTER + 6)
     parent = rng.integers(0, 2, size=n).tolist()
-    fn = FitnessFunction("onemax", n)
-    sample = _offspring_sampler(fn, fn.level_table().tolist(), parent, rng)
+    fn = FitnessFunction("ridge", n)
+    sample = _offspring_sampler(fn, parent, rng)
     ones = sum(parent)
+    f = fn.raw_from_bits(parent, ones)
     trials = 1_000_000
     total = 0
     zero = 0
     for _ in range(trials):
-        _, _, flips = sample(1, ones, ones)
+        _, _, flips = sample(1, ones, f)
         h = 0 if flips is None else 1 if type(flips) is int else len(set(flips))
         total += h
         zero += h == 0

@@ -148,14 +148,33 @@ class TestAnalysisCommands:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "lam" in err
 
+    @pytest.mark.parametrize("argv, code", [
+        (["bounds-check", "--n", "0"], 2),
+        (["drift-check", "--potential", "g2", "--n", "100"], 1),
+        (["drift-check", "--potential", "g2", "--n", "0"], 2),
+    ], ids=["argv0", "argv1", "argv2"])
+    def test_empty_grid_exits_1(self, argv, code, tmp_path, capsys):
+        # an empty grid is not a pass; n = 0 never builds one (--n must be >= 1)
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
+        if code == 2:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and "--n" in capsys.readouterr().err
+        else:
+            assert main(argv) == 1
+            assert json.loads(capsys.readouterr().out)["states"] == 0
+
     @pytest.mark.parametrize("argv", [
-        ["bounds-check", "--n", "0"],
-        ["drift-check", "--potential", "g2", "--n", "100"],
-        ["drift-check", "--potential", "g2", "--n", "0"],
+        ["drift-check", "--potential", "g1", "--n", "0"],
+        ["drift-check", "--potential", "g1", "--n=-3"],
+        ["bounds-check", "--n=-1"],
     ])
-    def test_empty_grid_exits_1(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 1
-        assert json.loads(capsys.readouterr().out)["states"] == 0
+    def test_n_below_one_names_n(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert exc.value.code == 2
+        assert "argument --n: must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_drift_check_violation_exits_1(self, tmp_path, capsys):
         rc = main(["drift-check", "--potential", "g1", "--n", "20", "--threshold", "10",
@@ -178,6 +197,17 @@ class TestAnalysisCommands:
                    "--out", str(out), "--no-timestamp"])
         assert rc == 0
         assert len(read_data_lines(out)) == 4
+
+    def test_fixed_target_checks_targets_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_batch(*args, **kwargs):
+            raise AssertionError("run_batch called")
+
+        monkeypatch.setattr(xp, "run_batch", no_batch)
+        out = tmp_path / "ft.csv"
+        rc = main(["fixed-target", "--n", "1000", "--targets", "5,9999", "--out", str(out)])
+        assert rc == 2
+        assert "target 9999 is outside the level table [0, 1001)" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("targets", ["-1,20", "5,99"])
     def test_fixed_target_outside_level_table_is_config_error(self, targets, tmp_path, capsys):

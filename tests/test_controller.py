@@ -50,7 +50,7 @@ class TestParams:
     )
     def test_equilibrium_identity(self, F, s):
         p = ControllerParams(F=F, s=s)
-        assert abs(p.growth_factor ** s * p.shrink_factor - 1.0) < 1e-12
+        assert abs(p.growth_factor ** s / p.F - 1.0) < 1e-12
 
 
 class TestUpdate:

@@ -161,12 +161,16 @@ class TestFitnessFunctionInterface:
                 assert (raws[a] < raws[b]) == (vals[a] < vals[b])
 
     def test_optimum_values(self):
-        assert FitnessFunction("onemax", 10).optimum_value == 10
-        assert FitnessFunction("zeromax", 10).optimum_value == 10
-        assert FitnessFunction("twomax", 10).optimum_value == 10
-        assert FitnessFunction("jump", 10, 3).optimum_value == 13
-        assert FitnessFunction("cliff", 10, 3).optimum_value == 7.5
-        assert FitnessFunction("ridge", 10).optimum_value == 20
+        def optimum(*args):
+            fn = FitnessFunction(*args)
+            return fn.display(fn.optimum_raw)
+
+        assert optimum("onemax", 10) == 10
+        assert optimum("zeromax", 10) == 10
+        assert optimum("twomax", 10) == 10
+        assert optimum("jump", 10, 3) == 13
+        assert optimum("cliff", 10, 3) == 7.5
+        assert optimum("ridge", 10) == 20
 
     def test_optimum_is_the_level_table_maximum(self):
         # cliff:d with d > n/2 peaks at the top of its first slope
@@ -177,12 +181,13 @@ class TestFitnessFunctionInterface:
                     assert fn.optimum_raw == max(fn.level_table()), fn
 
     def test_is_optimum_by_value_not_pattern(self):
+        # run() stops on raw fitness >= optimum_raw
         fn = FitnessFunction("twomax", 8)
-        assert fn.is_optimum(raw(fn, [1] * 8))
-        assert fn.is_optimum(raw(fn, [0] * 8))
-        assert not fn.is_optimum(raw(fn, [1, 0] * 4))
+        assert raw(fn, [1] * 8) >= fn.optimum_raw
+        assert raw(fn, [0] * 8) >= fn.optimum_raw
+        assert not raw(fn, [1, 0] * 4) >= fn.optimum_raw
 
     def test_zeromax_optimum_at_all_zeros(self):
         fn = FitnessFunction("zeromax", 6)
-        assert fn.is_optimum(raw(fn, [0] * 6))
-        assert not fn.is_optimum(raw(fn, [1] * 6))
+        assert raw(fn, [0] * 6) >= fn.optimum_raw
+        assert not raw(fn, [1] * 6) >= fn.optimum_raw

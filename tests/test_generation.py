@@ -1,27 +1,37 @@
-"""The offspring sampler and single generations of the run loop.
+"""The offspring samplers and single generations of the run loop.
 
-Everything here drives the sampler and the loop that ``run()`` executes:
-``_offspring_sampler`` for offspring, ``_evolve`` capped at one generation
-for the comma/plus step from a chosen parent.
+Everything here drives the engines and the loop that ``run()`` executes:
+``_law_sampler`` (the exact selected-child law, level functions) and
+``_offspring_sampler`` (bit mutation, ridge) for offspring, ``_evolve``
+capped at one generation for the comma/plus step from a chosen parent.
+``reference_block_sampler`` is the bit-mutation sampler the level
+functions ran on before the exact law; it stays here as the independent
+reference that ``TestSelectionLaw`` checks against the enumerated law and
+``test_exact_law.py`` compares whole runs with.
 """
 
 import itertools
 import math
+import tracemalloc
 from collections import Counter, defaultdict, namedtuple
 
 import numpy as np
 import pytest
 
 from onelambda.ea import (
+    _BLOCK,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
+    _cumulative_window,
+    _distinct_positions,
     _evolve,
+    _law_sampler,
     _offspring_sampler,
     _Trace,
 )
 from onelambda.fitness import FitnessFunction
-from onelambda.oracle import best_of_lambda_pmf, level_quantities
+from onelambda.oracle import best_of_lambda_pmf, level_quantities, selected_child_law
 
 P = ControllerParams(F=1.5, s=1.0)
 COMMA = AlgorithmKind.self_adjusting_comma()
@@ -34,14 +44,68 @@ def reference_per_bit_mutate(bits, rng: np.random.Generator) -> list:
     return [b ^ int(f) for b, f in zip(bits, flips)]
 
 
+def reference_block_sampler(fn, table: list, bits: list, rng: np.random.Generator):
+    """Independent reference for the level engine: best of lam_int
+    standard-bit mutants of the parent list ``bits``, each scored
+    ``table[child_ones]``, with the interface of ``_offspring_sampler``
+    (``sample(lam_int, ones, cur_f)`` gives ``(f, child_ones, flips)``).
+    Flip counts come from Binomial(n, 1/n) and single-flip positions in
+    blocks, k >= 2 positions from ``_distinct_positions``; ties are broken
+    uniformly by reservoir sampling."""
+    n = fn.n
+    inv_n = 1.0 / n
+    rand = rng.random
+    kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
+    kidx = 0
+    pblock = rng.integers(0, n, size=_BLOCK).tolist()
+    pidx = 0
+
+    def sample(lam_int, ones, cur_f):
+        nonlocal kblock, kidx, pblock, pidx
+        if kidx + lam_int > _BLOCK:
+            kblock = rng.binomial(n, inv_n, size=max(_BLOCK, lam_int)).tolist()
+            kidx = 0
+        bf = -1
+        best_ones = ones
+        best_flips = None
+        ties = 0
+        for _ in range(lam_int):
+            k = kblock[kidx]
+            kidx += 1
+            if k == 0:
+                co, flips = ones, None
+            elif k == 1:
+                if pidx == _BLOCK:
+                    pblock = rng.integers(0, n, size=_BLOCK).tolist()
+                    pidx = 0
+                flips = pblock[pidx]
+                pidx += 1
+                co = ones + 1 - 2 * bits[flips]
+            else:
+                flips = _distinct_positions(rng, n, k)
+                co = ones + k - 2 * sum([bits[p] for p in flips])
+            f = table[co]
+            if f > bf:
+                bf, best_ones, best_flips, ties = f, co, flips, 1
+            elif f == bf:
+                ties += 1
+                if rand() < 1.0 / ties:
+                    best_ones, best_flips = co, flips
+        return bf, best_ones, best_flips
+
+    return sample
+
+
 def raw(fn, bits) -> int:
     return fn.raw_from_bits(bits, sum(bits))
 
 
 def sampler(fn, bits, rng):
-    """The sampler as run() builds it, over the parent list ``bits``."""
-    table = fn.level_table().tolist() if fn.level_based else None
-    return _offspring_sampler(fn, table, bits, rng)
+    """A bit-mutation sampler over the parent list ``bits``: the shipped
+    one for ridge, the reference for level functions."""
+    if fn.level_based:
+        return reference_block_sampler(fn, fn.level_table().tolist(), bits, rng)
+    return _offspring_sampler(fn, bits, rng)
 
 
 def child_of(bits, flips) -> list:
@@ -62,23 +126,33 @@ Step = namedtuple("Step", "fitness lam evaluations generations best bits")
 
 class Generation:
     """Single generations of the run loop from chosen parents, all drawing
-    from one sampler."""
+    from one engine as ``run()`` builds it: the exact law for level
+    functions (no bit string: ``bits`` is None in the result), bit mutation
+    for ridge."""
 
     def __init__(self, fn, kind, seed, params=P):
         self.fn, self.kind, self.params = fn, kind, params
-        self.parent = [0] * fn.n
-        self.sample = sampler(fn, self.parent, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed)
+        if fn.level_based:
+            self.parent = None
+            self.sample = _law_sampler(fn, fn.level_table().tolist(),
+                                       kind.selection == "plus", rng)
+        else:
+            self.parent = [0] * fn.n
+            self.sample = _offspring_sampler(fn, self.parent, rng)
         self.stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
 
     def step(self, bits, lam) -> Step:
-        self.parent[:] = bits
+        if self.parent is not None:
+            self.parent[:] = bits
         f = raw(self.fn, bits)
         trace = _Trace("summary", 0, f, float(lam))
         _, gens, evals, cur_f, best_f, lam = _evolve(
             self.sample, self.parent, sum(bits), f, float(lam),
             self.fn, self.kind, self.params, self.stop, trace,
         )
-        return Step(cur_f, lam, evals, gens, best_f, list(self.parent))
+        return Step(cur_f, lam, evals, gens, best_f,
+                    None if self.parent is None else list(self.parent))
 
 
 def with_ones(n, ones):
@@ -86,8 +160,10 @@ def with_ones(n, ones):
 
 
 class TestMutate:
+    """Standard bit mutation as it ships: ridge's sampler."""
+
     def test_n1_forced_flip(self):
-        sample = sampler(FitnessFunction("onemax", 1), [0], np.random.default_rng(0))
+        sample = sampler(FitnessFunction("ridge", 1), [0], np.random.default_rng(0))
         for _ in range(50):
             assert mutant(sample, [0]) == [1]
 
@@ -111,7 +187,7 @@ class TestMutate:
             exact[pat] = (1.0 / n) ** h * (1.0 - 1.0 / n) ** (n - h)
         trials = 120_000
         tol = 5.0 * math.sqrt(0.25 / trials) + 0.002
-        fn = FitnessFunction("onemax", n)
+        fn = FitnessFunction("ridge", n)
         shipped = sampler(fn, list(parent), np.random.default_rng(99))
         impls = {
             "sampler": lambda rng: mutant(shipped, parent),
@@ -127,9 +203,25 @@ class TestMutate:
 
     def test_mean_flip_count_near_one(self):
         parent = [0] * 50
-        sample = sampler(FitnessFunction("onemax", 50), parent, np.random.default_rng(12))
+        sample = sampler(FitnessFunction("ridge", 50), parent, np.random.default_rng(12))
         total = sum(sum(mutant(sample, parent)) for _ in range(20_000))
         assert abs(total / 20_000 - 1.0) < 0.05
+
+    def test_generation_memory_is_bounded_at_large_lambda(self):
+        # flip counts are drawn _BLOCK at a time, so one generation of
+        # 2e5 children allocates no O(lambda) block (drawing them all at
+        # once peaked above 3 MB)
+        n = 20
+        fn = FitnessFunction("ridge", n)
+        parent = [1, 0] * (n // 2)
+        sample = sampler(fn, parent, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            sample(200_000, n // 2, raw(fn, parent))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 def exact_selection_law(fn, parent, lam) -> dict:
@@ -151,7 +243,56 @@ def exact_selection_law(fn, parent, lam) -> dict:
     return law
 
 
+LAW_CASES = [
+    ("onemax", [1, 0, 1, 0, 0]),
+    ("zeromax", [1, 1, 0, 1]),
+    ("twomax", [1, 0, 1, 0, 0]),
+    ("jump:2", [1, 1, 1, 0, 0]),
+    ("cliff:2", [1, 1, 0, 0, 0]),
+]
+
+
+def exact_one_count_law(fn, parent, lam, selection) -> dict:
+    """The next parent's one-count law from the enumerated genotype law;
+    under plus a worse selected child leaves the parent in place."""
+    f, law = raw(fn, parent), defaultdict(float)
+    for child, p in exact_selection_law(fn, parent, lam).items():
+        kept = selection == "plus" and raw(fn, list(child)) < f
+        law[sum(parent) if kept else sum(child)] += p
+    return law
+
+
 class TestSelectionLaw:
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    @pytest.mark.parametrize("spec, parent", LAW_CASES)
+    def test_selected_child_law_matches_exact_law(self, spec, parent, lam):
+        n = len(parent)
+        fn = FitnessFunction.parse(spec, n)
+        for selection in ("comma", "plus"):
+            want = exact_one_count_law(fn, parent, lam, selection)
+            lo, pmf = selected_child_law(fn, sum(parent), lam, selection)
+            got = dict(zip(range(lo, lo + pmf.size), pmf))
+            for j in range(n + 1):
+                assert abs(got.get(j, 0.0) - want.get(j, 0.0)) < 1e-12, (selection, j)
+
+    @pytest.mark.parametrize(
+        "spec, n, i, lam",
+        [("onemax", 1, 0, 1), ("twomax", 9, 4, 2), ("jump:3", 40, 37, 1000),
+         ("cliff:13", 40, 13, 7), ("onemax", 1000, 990, 10**6), ("zeromax", 200, 3, 5)],
+    )
+    def test_engine_window_is_the_law_on_the_uniform_grid(self, spec, n, i, lam):
+        # the engine's cumulative window selects each one-count with the
+        # law's probability rounded to the 2^-53 grid of rng.random()
+        fn = FitnessFunction.parse(spec, n)
+        for plus in (False, True):
+            lo, pmf = selected_child_law(fn, i, lam, "plus" if plus else "comma")
+            pmf = pmf / pmf.sum()
+            wlo, cum = _cumulative_window(fn, i, lam, plus)
+            assert cum[-1] == 1.0 and all(c * 2.0**53 == int(c * 2.0**53) for c in cum)
+            got = np.zeros(pmf.size)
+            got[wlo - lo : wlo - lo + len(cum)] = np.diff(cum, prepend=0.0)
+            assert np.abs(got - pmf).max() <= 2.0**-52
+
     @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize(
         "spec, parent",
@@ -246,7 +387,7 @@ class TestGenerationPlus:
         for _ in range(5000):
             nxt = gen.step(bits, lam)
             assert nxt.fitness >= fit
-            bits, fit, lam = nxt.bits, nxt.fitness, nxt.lam
+            bits, fit, lam = with_ones(50, nxt.fitness), nxt.fitness, nxt.lam
             if fit == 50:  # past the optimum every step fails and lambda diverges
                 break
         assert fit == 50
@@ -259,13 +400,14 @@ class TestGenerationPlus:
             assert nxt.lam == 1.0 * P.growth_factor
 
     def test_tie_replaces_genotype(self):
-        # at a tie the offspring becomes the new parent (genotype may change)
-        gen = Generation(FitnessFunction("onemax", 6), PLUS, 23)
-        parent = with_ones(6, 3)
+        # at a tie the offspring becomes the new parent (genotype may
+        # change); ridge off its path scores n - ones, so swaps tie
+        gen = Generation(FitnessFunction("ridge", 6), PLUS, 23)
+        parent = [1, 0, 1, 0, 0, 0]
         changed = False
         for _ in range(2000):
             nxt = gen.step(parent, 1.0)
-            if nxt.fitness == 3 and nxt.bits != parent:
+            if nxt.fitness == 4 and nxt.bits != parent:
                 changed = True
                 break
         assert changed
@@ -276,4 +418,4 @@ class TestGenerationPlus:
         for _ in range(50):
             nxt = gen.step(bits, lam)
             assert nxt.lam == 5.0
-            bits, lam = nxt.bits, nxt.lam
+            bits, lam = with_ones(15, nxt.fitness), nxt.lam

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from onelambda.ea import ControllerParams, round_lambda
+from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
+    CHILD_WINDOW,
     _power_pmf,
     _single_parts,
     best_of_lambda_pmf,
@@ -21,6 +23,7 @@ from onelambda.oracle import (
     level_quantities,
     make_potential,
     max_flip_gain_series,
+    selected_child_law,
 )
 
 E = math.e
@@ -99,6 +102,68 @@ class TestBestOfLambda:
             best_of_lambda_pmf(10, 4, lam)
         with pytest.raises(ValueError, match="lam"):
             level_quantities(10, 4, lam)
+
+
+def level_functions(n):
+    """Every level function at size n, jump and cliff at every parameter."""
+    fns = [FitnessFunction(kind, n) for kind in ("onemax", "zeromax", "twomax")]
+    return fns + [FitnessFunction(kind, n, d) for kind in ("jump", "cliff") for d in range(1, n)]
+
+
+class TestSelectedChildLaw:
+    # the stated bound on the mass outside the window, plus the rounding of
+    # the log-gamma binomial masses (their sum misses 1 by 6e-13 at n=1000,
+    # which the law renormalizes and best_of_lambda_pmf keeps)
+    @staticmethod
+    def tolerance(lam):
+        return lam / math.factorial(CHILD_WINDOW + 1) + 1e-11
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12, 40])
+    def test_normalization_every_level_function(self, n):
+        # n = 1 flips the only bit with probability 1
+        for fn in level_functions(n):
+            for i in range(n + 1):
+                for lam in (1, 2, 7, 64, 10**4, 10**9):
+                    for selection in ("comma", "plus"):
+                        lo, pmf = selected_child_law(fn, i, lam, selection)
+                        assert abs(pmf.sum() - 1.0) <= 1e-12, (fn, i, lam, selection)
+                        assert pmf.min() >= 0.0
+                        assert max(0, i - CHILD_WINDOW) == lo
+                        assert lo + pmf.size - 1 == min(n, i + CHILD_WINDOW)
+
+    def test_n1_forced_flip(self):
+        for i in (0, 1):
+            lo, pmf = selected_child_law(FitnessFunction("onemax", 1), i, 3, "comma")
+            assert lo == 0 and list(pmf) == [float(i == 1), float(i == 0)]
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_onemax_agrees_with_best_of_lambda_pmf(self, n):
+        fn = FitnessFunction("onemax", n)
+        for i in sorted({0, 1, n // 3, n // 2, n - 2, n - 1}):
+            for lam in (1, 3, 50, 10**5, 10**9):
+                lo, pmf = selected_child_law(fn, i, lam)
+                ref = best_of_lambda_pmf(n, i, lam)
+                tol = self.tolerance(lam)
+                assert np.abs(pmf - ref[lo : lo + pmf.size]).max() <= tol, (i, lam)
+                assert ref[:lo].sum() + ref[lo + pmf.size :].sum() <= tol, (i, lam)
+
+    def test_plus_keeps_the_parent_when_every_child_is_worse(self):
+        # onemax at the optimum: every child ties or is worse
+        fn = FitnessFunction("onemax", 30)
+        lo, pmf = selected_child_law(fn, 30, 4, "plus")
+        assert pmf[30 - lo] == pytest.approx(1.0, abs=1e-15)
+        comma_lo, comma = selected_child_law(fn, 30, 4, "comma")
+        assert comma[30 - comma_lo] == pytest.approx(best_of_lambda_pmf(30, 30, 4)[30], abs=1e-13)
+
+    def test_rejects_ridge_lambda_below_one_and_unknown_selection(self):
+        with pytest.raises(ValueError):
+            selected_child_law(FitnessFunction("ridge", 8), 3, 2)
+        with pytest.raises(ValueError):
+            selected_child_law(FitnessFunction("onemax", 8), 3, 0)
+        with pytest.raises(ValueError):
+            selected_child_law(FitnessFunction("onemax", 8), 3, 2, "elitist")
+        with pytest.raises(ValueError):
+            selected_child_law(FitnessFunction("onemax", 8), 9, 2)
 
 
 class TestLevelQuantities:

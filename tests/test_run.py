@@ -14,6 +14,7 @@ from onelambda.ea import (
     run,
 )
 from onelambda.fitness import FitnessFunction
+from onelambda.oracle import selected_child_law
 
 P = ControllerParams(F=1.5, s=1.0)
 
@@ -200,7 +201,7 @@ class TestOtherFunctions:
             seed=123,
         )
         assert rec.stop_cause == StopCause.OPTIMUM
-        assert rec.final_fitness == fn.optimum_value
+        assert rec.final_fitness == fn.display(fn.optimum_raw)
 
     def test_cliff_trace_fitness_is_half_integer(self):
         fn = FitnessFunction.parse("cliff:2", 10)
@@ -246,10 +247,12 @@ class TestEngines:
         assert abs(good / tot - p) <= 4 * se
 
     def test_engines_refuse_mismatched_function(self):
-        # the sampler scores level functions by the level table; ridge,
-        # whose value depends on the bit layout, has none
+        # the exact law works through the level table; ridge, whose value
+        # depends on the bit layout, has none and runs on bit mutation
         with pytest.raises(ValueError):
             FitnessFunction("ridge", 8).level_table()
+        with pytest.raises(ValueError):
+            selected_child_law(FitnessFunction("ridge", 8), 3, 2)
 
     def test_genotype_engine_deterministic(self):
         # ridge children are scored on the genotype, flipped in place
