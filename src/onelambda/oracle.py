@@ -199,10 +199,11 @@ def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
     (lo, pmf) with pmf[k] = P(next one-count = lo + k) on the window
     [max(0, i - w), min(n, i + w)], w = CHILD_WINDOW; the mass the window
     leaves out, at most lam/(w+1)!, falls to the window's lowest fitness.
-    The fitness maximum's law is a plain difference of CDF powers, so
-    entries are accurate to about 1e-15 absolute (``best_of_lambda_pmf``
-    keeps relative accuracy in the tails).  Raises ValueError on ridge,
-    which has no level table.
+    The fitness maximum's law is a plain difference of CDF powers, so the
+    entries carry absolute, not relative, accuracy: about 1e-12 at n=1000,
+    set by the log-gamma binomial masses (``best_of_lambda_pmf`` keeps
+    relative accuracy in the tails).  Raises ValueError on ridge, which
+    has no level table.
     """
     if lam < 1:
         raise ValueError(f"need lam >= 1, got lam={lam}")
