@@ -566,18 +566,8 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
         fh.write("# note: log-normalisations use log base 2\n")
         if timestamp:
             fh.write(f"# generated_at: {datetime.datetime.now().isoformat()}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh)  # None as empty, floats by float.__repr__
         writer.writerow(columns)
-        for row in rows:
-            if isinstance(row, dict):
-                writer.writerow([_fmt(row.get(c)) for c in columns])
-            else:
-                writer.writerow([_fmt(v) for v in row])
-
-
-def _fmt(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
+        writer.writerows(
+            [row.get(c) for c in columns] if isinstance(row, dict) else row for row in rows
+        )

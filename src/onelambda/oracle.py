@@ -114,25 +114,27 @@ def _single_parts(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
     return pmf, logcdf
 
 
-def _power_pmf(logcdf: np.ndarray, lam: int) -> np.ndarray:
+def _power_pmf(logcdf: np.ndarray, lam) -> np.ndarray:
     """pmf of the max of lam i.i.d. draws, from the single-draw log CDF.
 
-    Adjacent CDF powers are differenced as exp(lo) * expm1(hi - lo), which
-    keeps relative accuracy where both are representable.  Where exp(lo)
-    underflows (lo <= -700) or the gap would overflow expm1 (diff >= 500),
-    the lower term is negligible against the upper and the plain
-    difference exp(hi) - exp(lo) is exact enough.
+    ``lam`` is a scalar, or a column of shape (L, 1) for one pmf row per
+    lam.  Adjacent CDF powers are differenced as exp(lo) * expm1(hi - lo),
+    which keeps relative accuracy where both are representable.  Where
+    exp(lo) underflows (lo <= -700) or the gap would overflow expm1
+    (diff >= 500), the lower term is negligible against the upper and the
+    plain difference exp(hi) - exp(lo) is exact enough.
     """
     powlog = lam * logcdf
     with np.errstate(invalid="ignore", over="ignore"):
         cdfl = np.exp(powlog)
         out = np.empty_like(cdfl)
-        out[0] = cdfl[0]
-        lo = powlog[:-1]
-        diff = powlog[1:] - lo
+        out[..., 0] = cdfl[..., 0]
+        lo = powlog[..., :-1]
+        diff = powlog[..., 1:] - lo
         refine = np.isfinite(lo) & (lo > -700.0) & (diff < 500.0)
         head = np.exp(np.where(refine, lo, 0.0)) * np.expm1(np.where(refine, diff, 0.0))
-        out[1:] = np.where(refine, head, cdfl[1:] - np.where(np.isfinite(lo), cdfl[:-1], 0.0))
+        below = np.where(np.isfinite(lo), cdfl[..., :-1], 0.0)
+        out[..., 1:] = np.where(refine, head, cdfl[..., 1:] - below)
     return out
 
 
@@ -220,7 +222,7 @@ def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
     return lo, pmf
 
 
-# slots: the level_quantities cache may hold 262144 of these
+# slots: the level_row cache may hold a few hundred thousand of these
 @dataclass(frozen=True, slots=True)
 class LevelQuantities:
     """Per-level transition quantities of the best of lam offspring.
@@ -247,27 +249,43 @@ class LevelQuantities:
         return self.loss / self.p_minus if self.p_minus > UNDEFINED_BELOW else None
 
 
-@lru_cache(maxsize=262144)
-def level_quantities(n: int, i: int, lam: int) -> LevelQuantities:
-    """The transition quantities at state (n, i, lam), 0 <= i < n."""
+@lru_cache(maxsize=4096)
+def level_row(n: int, i: int, lams: tuple) -> tuple[LevelQuantities, ...]:
+    """The transition quantities at (n, i, lam) for each lam of ``lams``,
+    in order, from one numpy pass over the level; 0 <= i < n."""
     if not 0 <= i < n:
         raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
-    pmf = best_of_lambda_pmf(n, i, lam)
-    _, logcdf = _single_parts(n, i)
-    # p_plus and p_minus straight from the CDF power, accurate at large lam
-    lc_i = lam * logcdf[i]
-    p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
-    if i == 0:
-        p_minus = 0.0
-    else:
-        lc_im1 = lam * logcdf[i - 1]
-        p_minus = math.exp(lc_im1) if np.isfinite(lc_im1) else 0.0
+    for lam in lams:
+        if lam < 1:
+            raise ValueError(f"need lam >= 1, got lam={lam}")
+    pmf, logcdf = _single_parts(n, i)
+    col = np.array(lams, dtype=float).reshape(-1, 1)
+    pmfs = _power_pmf(logcdf, col)
+    pmfs[col[:, 0] == 1] = pmf  # lam = 1 is the convolution pmf, as in best_of_lambda_pmf
     j = np.arange(n + 1)
-    gain = float(((j[i + 1 :] - i) * pmf[i + 1 :]).sum())
-    loss = float(((i - j[:i]) * pmf[:i]).sum())
-    return LevelQuantities(n, i, lam, p_plus, float(pmf[i]), p_minus, gain, loss)
+    gains = ((j[i + 1 :] - i) * pmfs[:, i + 1 :]).sum(axis=-1)
+    losses = ((i - j[:i]) * pmfs[:, :i]).sum(axis=-1)
+    row = []
+    for lam, p_zero, gain, loss in zip(lams, pmfs[:, i], gains, losses):
+        # p_plus and p_minus straight from the CDF power, accurate at large lam
+        lc_i = lam * logcdf[i]
+        p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
+        if i == 0:
+            p_minus = 0.0
+        else:
+            lc_im1 = lam * logcdf[i - 1]
+            p_minus = math.exp(lc_im1) if np.isfinite(lc_im1) else 0.0
+        row.append(LevelQuantities(n, i, lam, p_plus, float(p_zero), p_minus,
+                                   float(gain), float(loss)))
+    return tuple(row)
 
 
+def level_quantities(n: int, i: int, lam: int) -> LevelQuantities:
+    """The transition quantities at state (n, i, lam), 0 <= i < n."""
+    return level_row(n, i, (lam,))[0]
+
+
+@lru_cache(maxsize=4096)
 def max_flip_gain_series(lam: int) -> float:
     """sum_{j>=1} (1 - (1 - 1/j!)^lam): expected max flip count bound."""
     total = 0.0
@@ -451,10 +469,10 @@ def check_transition_bounds(
         lambdas = range(1, 65)
     if i_values is None:
         i_values = range(n)
+    lams = tuple(int(lam) for lam in lambdas)
     report = TransitionBoundReport(n=n, rows=[] if collect_rows else None)
     for i in i_values:
-        for lam in lambdas:
-            q = level_quantities(n, i, int(lam))
+        for lam, q in zip(lams, level_row(n, i, lams)):
             report.states_checked += 1
             for name, quantity, side, value_fn, applies in _BOUNDS:
                 if not applies(n, i, lam):
@@ -464,7 +482,7 @@ def check_transition_bounds(
                     continue
                 bound = value_fn(n, i, lam)
                 margin = (bound - exact) if side == "upper" else (exact - bound)
-                chk = BoundCheck(n, i, int(lam), name, quantity, side, exact, bound, margin)
+                chk = BoundCheck(n, i, lam, name, quantity, side, exact, bound, margin)
                 report.checks_performed += 1
                 if not chk.ok:
                     report.violations.append(chk)
@@ -561,9 +579,19 @@ def exact_potential_drift(
     With ``cap_gain_at_one`` fitness gains count as +1 (the conservative
     progress measure); this can only lower the drift.
     """
+    q = level_quantities(n, i, _offspring_count(lambda_real))
+    return _drift(potential, q, lambda_real, params, cap_gain_at_one)
+
+
+def _offspring_count(lambda_real: float) -> int:
     if lambda_real < 1.0:
         raise ValueError("lambda_real must be >= 1")
-    q = level_quantities(n, i, round_lambda(lambda_real))
+    return round_lambda(lambda_real)
+
+
+def _drift(potential, q: LevelQuantities, lambda_real: float, params, cap_gain_at_one) -> float:
+    """The drift of :func:`exact_potential_drift` from the level record q
+    at round(lambda_real) offspring."""
     p_plus = q.p_plus
     fitness_part = (p_plus if cap_gain_at_one else q.gain) - q.loss
     lam_succ = update_lambda(lambda_real, True, params)
@@ -618,28 +646,34 @@ def drift_grid_check(
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
+    states = [(int(i), float(lam_real)) for i, lam_real in states]
+    levels = {}  # fitness level -> its distinct offspring counts, in grid order
+    for i, lam_real in states:
+        levels.setdefault(i, {})[_offspring_count(lam_real)] = None
+    records = {}  # (i, offspring count) -> level record, one level row per level
+    for i, lams in levels.items():
+        lams = tuple(lams)
+        records.update(((i, lam), q) for lam, q in zip(lams, level_row(n, i, lams)))
     extreme = None
     extreme_state = None
     violations = []
     rows = [] if collect_rows else None
-    count = 0
     for i, lam_real in states:
-        d = exact_potential_drift(potential, n, int(i), float(lam_real), params, cap_gain_at_one)
-        count += 1
+        lam = round_lambda(lam_real)
+        d = _drift(potential, records[i, lam], lam_real, params, cap_gain_at_one)
         if extreme is None or (d < extreme if direction == "min_at_least" else d > extreme):
-            extreme, extreme_state = d, (int(i), float(lam_real))
+            extreme, extreme_state = d, (i, lam_real)
         margin = d - threshold if direction == "min_at_least" else threshold - d
         if margin < 0:
-            violations.append((int(i), float(lam_real), d))
+            violations.append((i, lam_real, d))
         if collect_rows:
-            rows.append((n, int(i), float(lam_real), round_lambda(float(lam_real)), d,
-                         threshold, margin, margin >= 0))
+            rows.append((n, i, lam_real, lam, d, threshold, margin, margin >= 0))
     return DriftReport(
         potential=getattr(potential, "kind", "?"),
         n=n,
         threshold=threshold,
         direction=direction,
-        states_checked=count,
+        states_checked=len(states),
         extreme=extreme,
         extreme_state=extreme_state,
         violations=violations,

@@ -234,3 +234,11 @@ class TestCsv:
         write_csv(target, ["a"], [[1]], meta={"seed": 42}, timestamp=False)
         text = target.read_text()
         assert '"seed": 42' in text and "config_hash" in text
+
+    def test_numpy_scalars_are_written_as_numbers(self, tmp_path):
+        # repr(np.float64(0.5)) is "np.float64(0.5)" under numpy 2; the CSV
+        # must carry the number, for sequence and dict rows alike
+        target = tmp_path / "o.csv"
+        rows = [[np.float64(0.5), None, 0.1], {"a": np.float64(0.25), "c": np.int64(3)}]
+        write_csv(target, ["a", "b", "c"], rows, meta={}, timestamp=False)
+        assert target.read_text().splitlines()[-2:] == ["0.5,,0.1", "0.25,,3"]

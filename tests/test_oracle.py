@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from onelambda import oracle
 from onelambda.ea import ControllerParams, round_lambda
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
@@ -21,6 +22,7 @@ from onelambda.oracle import (
     g1_grid_lambdas,
     g2_band_states,
     level_quantities,
+    level_row,
     make_potential,
     max_flip_gain_series,
     selected_child_law,
@@ -202,10 +204,10 @@ class TestLevelQuantities:
             assert q.delta_plus == q.gain / q.p_plus
 
     def test_drift_reads_the_cached_level_record(self):
-        level_quantities.cache_clear()
+        level_row.cache_clear()
         pot = make_potential("g2", F=1.5)
         exact_potential_drift(pot, 30, 20, 2.6, ControllerParams(F=1.5, s=1.0))
-        assert level_quantities.cache_info().currsize == 1
+        assert level_row.cache_info().currsize == 1
         assert level_quantities(30, 20, 3) is level_quantities(30, 20, 3)
 
     def test_undefined_markers(self):
@@ -222,6 +224,64 @@ class TestLevelQuantities:
         for i in range(0, n, 5):
             seq = [vals[lam][i] for lam in lams]
             assert all(b >= a - 1e-14 for a, b in zip(seq, seq[1:]))
+
+
+def reference_level_quantities(n, i, lam):
+    """The per-lam level record: one 1-D CDF power and plain sums."""
+    pmf, logcdf = _single_parts(n, i)
+    if lam > 1:
+        pmf = _power_pmf(logcdf, lam)
+    lc_i = lam * logcdf[i]
+    p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
+    lc_im1 = lam * logcdf[i - 1] if i > 0 else -np.inf
+    p_minus = math.exp(lc_im1) if np.isfinite(lc_im1) else 0.0
+    j = np.arange(n + 1)
+    gain = float(((j[i + 1 :] - i) * pmf[i + 1 :]).sum())
+    loss = float(((i - j[:i]) * pmf[:i]).sum())
+    return (p_plus, float(pmf[i]), p_minus, gain, loss)
+
+
+class TestLevelRow:
+    LAMS = (1, 2, 3, 7, 64, 2446, 10**6, 10**9)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 200, 1000])
+    def test_row_is_the_per_lambda_record_bitwise(self, n):
+        for lams in (self.LAMS, (64, 1, 10**9, 7, 1, 3, 64)):
+            for i in range(n):
+                row = level_row(n, i, lams)
+                assert [q.lam for q in row] == list(lams)
+                for q in row:
+                    got = (q.p_plus, q.p_zero, q.p_minus, q.gain, q.loss)
+                    assert got == reference_level_quantities(n, i, q.lam), (n, i, q.lam)
+
+    def test_level_quantities_is_the_one_lambda_row(self):
+        assert level_quantities(40, 30, 5) is level_row(40, 30, (5,))[0]
+
+    @pytest.mark.parametrize("lams", [(3, 0, 2), (-1,), (1, 2, -5)])
+    def test_lambda_below_one_rejected(self, lams):
+        with pytest.raises(ValueError, match="lam"):
+            level_row(10, 4, lams)
+
+
+def test_every_oracle_memo_clears_and_refills():
+    memos = [f for f in vars(oracle).values() if callable(getattr(f, "cache_clear", None))]
+    names = {f.__name__ for f in memos}
+    assert {"_single_parts", "_child_levels", "level_row", "max_flip_gain_series"} <= names
+    pot, states, threshold, direction = drift_claim("g1", 30, 1.5, 0.5)
+    params = ControllerParams(F=1.5, s=0.5)
+
+    def misses():
+        drift_grid_check(pot, params, 30, states, threshold, direction)
+        return level_row.cache_info().misses, _single_parts.cache_info().misses
+
+    for f in memos:
+        f.cache_clear()
+    cold = misses()
+    assert cold == (30, 30)  # one row and one single-child law per level
+    assert misses() == cold  # warm: no new misses
+    for f in memos:
+        f.cache_clear()
+    assert misses() == cold
 
 
 class TestTransitionBounds:
