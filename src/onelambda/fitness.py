@@ -27,6 +27,7 @@ multi-optimum functions like twomax behave correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -119,8 +120,9 @@ class FitnessFunction:
         raise ValueError("ridge fitness depends on the full bit string")
 
     def level_table(self) -> np.ndarray:
-        """Raw fitness per one-bit count, as an int64 array of size n+1."""
-        return np.array([self.raw_from_ones(v) for v in range(self.n + 1)], dtype=np.int64)
+        """Raw fitness per one-bit count, as a read-only int64 array of
+        size n+1, built once per function."""
+        return _level_table(self)
 
     def raw_from_bits(self, bits, ones: int) -> int:
         """Raw fitness of a bit sequence (list or 1-d array) with ``ones`` one-bits."""
@@ -151,3 +153,10 @@ class FitnessFunction:
             # the top of the first slope beats the second slope's end for d > n/2
             return max(2 * self.param, 2 * (n - self.param) + 1)
         return 2 * n  # ridge optimum at the all-ones string
+
+
+@lru_cache(maxsize=16)
+def _level_table(fn: FitnessFunction) -> np.ndarray:
+    table = np.array([fn.raw_from_ones(v) for v in range(fn.n + 1)], dtype=np.int64)
+    table.setflags(write=False)
+    return table

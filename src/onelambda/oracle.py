@@ -155,11 +155,6 @@ def best_of_lambda_pmf(n: int, i: int, lam: int) -> np.ndarray:
 CHILD_WINDOW = 30
 
 
-@lru_cache(maxsize=16)
-def _level_table(fn) -> np.ndarray:
-    return fn.level_table()
-
-
 @lru_cache(maxsize=1024)
 def _child_levels(fn, i: int):
     """The lam-free part of :func:`selected_child_law` at one-count i.
@@ -178,7 +173,7 @@ def _child_levels(fn, i: int):
     gained = _binom_pmf(n - i, p, CHILD_WINDOW)  # flipped zero-bits
     q = np.convolve(lost[::-1], gained)
     lo = i - (lost.size - 1)
-    values = _level_table(fn)[lo : lo + q.size]
+    values = fn.level_table()[lo : lo + q.size]
     distinct = np.unique(values)
     group = distinct.searchsorted(values).astype(np.int8)  # at most 2w+1 values
     mass = np.bincount(group, weights=q, minlength=distinct.size)

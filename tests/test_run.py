@@ -254,6 +254,19 @@ class TestEngines:
         with pytest.raises(ValueError):
             selected_child_law(FitnessFunction("ridge", 8), 3, 2)
 
+    def test_second_run_builds_no_level_table(self, monkeypatch):
+        fn = FitnessFunction("jump", 137, 4)
+        stop = StoppingCondition(max_generations=3)
+        first = run(AlgorithmKind.self_adjusting_comma(), fn, P, stop, 1)
+        table = fn.level_table()
+        assert not table.flags.writeable
+        # an equal function reads the same table; nothing scores a level again
+        monkeypatch.setattr(FitnessFunction, "raw_from_ones", None)
+        again = run(AlgorithmKind.self_adjusting_comma(), FitnessFunction("jump", 137, 4),
+                    P, stop, 1)
+        assert again == first
+        assert FitnessFunction("jump", 137, 4).level_table() is table
+
     def test_genotype_engine_deterministic(self):
         # ridge children are scored on the genotype, flipped in place
         a = run(AlgorithmKind.self_adjusting_comma(), FitnessFunction("ridge", 40), P,
