@@ -60,6 +60,13 @@ class TestSingleOffspringDistribution:
             s = best_of_lambda_pmf(n, i, 1).sum()
             assert abs(s - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("n", [2000, 5000])
+    def test_normalization_at_large_n(self, n):
+        # C1's tolerance, every n/50-th level
+        for i in range(0, n + 1, n // 50):
+            s = best_of_lambda_pmf(n, i, 1).sum()
+            assert abs(s - 1.0) < 1e-12, (n, i)
+
 
 class TestBestOfLambda:
     def test_lambda_one_identity(self):
@@ -114,8 +121,8 @@ def level_functions(n):
 
 class TestSelectedChildLaw:
     # the stated bound on the mass outside the window, plus the rounding of
-    # the log-gamma binomial masses (their sum misses 1 by 6e-13 at n=1000,
-    # which the law renormalizes and best_of_lambda_pmf keeps)
+    # the binomial masses (a few 1e-16 since the ratio recurrence; log-gamma
+    # masses missed 1 by 6e-13 at n=1000, which only best_of_lambda_pmf kept)
     @staticmethod
     def tolerance(lam):
         return lam / math.factorial(CHILD_WINDOW + 1) + 1e-11
