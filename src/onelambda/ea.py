@@ -17,10 +17,15 @@ Two engines run the generations of one loop:
 
 * Level functions (fitness a function of the one-count: onemax, zeromax,
   twomax, jump, cliff) run as a Markov chain on the one-count.  Each
-  generation draws the next parent's one-count with one uniform from the
-  exact law of the selected child (``oracle.selected_child_law``), so its
-  cost does not depend on lambda.  The initial one-count is drawn from
-  Binomial(n, 1/2); no bit string exists.
+  generation draws the next parent's one-count with one uniform u from
+  the exact law of the selected child (``oracle.selected_child_law``):
+  the best of lambda children has fitness CDF C^lambda, where C, one
+  child's CDF over the one-counts within 30 of the parent, does not
+  depend on lambda, so one bisection of log(u)/lambda into log C picks
+  the fitness.  A generation costs the same at any lambda.  The
+  lambda-free rows are built for blocks of levels at a time and shared
+  with the oracle.  The initial one-count is drawn from Binomial(n, 1/2);
+  no bit string exists.
 * Ridge, whose value depends on the bit layout, mutates a bit-list parent:
   each child's flip count comes from Binomial(n, 1/n), then that many
   distinct positions are picked uniformly, which is distributionally
@@ -30,11 +35,9 @@ Two engines run the generations of one loop:
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
@@ -170,59 +173,60 @@ class StopCause(str, Enum):
 
 
 _BLOCK = 4096  # pre-sampled uniforms / flip counts / single-flip positions per refill
-_TICKS = 2.0**53  # rng.random() draws multiples of 1/_TICKS
-_MEMO = 4096  # per-run window memo size before it is emptied
 
 
-@lru_cache(maxsize=4096)
-def _cumulative_window(fn: FitnessFunction, ones: int, lam_int: int, plus: bool):
-    """The next one-count's law at (ones, lam_int) as (lo, cum): a draw u
-    from rng.random() selects one-count lo + bisect_right(cum, u).
-
-    The cumulative probabilities are rounded to multiples of 2^-53, the
-    grid u lies on, and the window is trimmed to the entries some u
-    selects (cum[-1] is 1.0); one-counts outside it have less than 2^-54
-    of mass.  Windows are stored as compact float arrays, about 0.5 kB
-    each with the cache's own overhead, so the LRU stays near 2 MB.
-    """
-    from .oracle import selected_child_law  # oracle imports this module
-
-    lo, pmf = selected_child_law(fn, ones, lam_int, "plus" if plus else "comma")
-    ticks = pmf.cumsum()
-    ticks *= _TICKS / ticks[-1]
-    np.rint(ticks, out=ticks)
-    first = int(ticks.searchsorted(0.0, "right"))
-    last = int(ticks.searchsorted(_TICKS))
-    cum = ticks[first : last + 1]
-    cum /= _TICKS
-    return lo + first, array("d", cum.tobytes())
+def _uniforms(rng: np.random.Generator):
+    """_BLOCK uniforms, and their logs (log 0 = -inf) as a list."""
+    u = rng.random(_BLOCK)
+    with np.errstate(divide="ignore"):
+        return u, np.log(u).tolist()
 
 
 def _law_sampler(fn: FitnessFunction, table: list, plus: bool, rng: np.random.Generator):
     """The level-function engine: returns ``sample(lam_int, ones, cur_f)``,
     which gives ``(f, child_ones, None)`` for the next parent (the parent
     itself when plus selection keeps it), drawn from the selected child's
-    exact one-count law with one uniform; ``f`` is ``table[child_ones]``.
-    Uniforms are drawn in blocks; windows come from a per-run memo in
-    front of the shared ``_cumulative_window`` LRU."""
-    n1 = fn.n + 1
-    memo = {}
-    ublock = rng.random(_BLOCK).tolist()
+    exact one-count law with one uniform u; ``f`` is ``table[child_ones]``.
+
+    The best of lam children has a fitness at most the window's g-th
+    lowest value with probability C_g^lam, C_g = exp(logcdf[g]) from the
+    level's lam-free row (``oracle._LawBlock.row``), so u selects the first g
+    with log(u)/lam < logcdf[g].  A tie group picks a member by u's
+    position in (C_(g-1)^lam, C_g^lam] against the members' cumulative
+    shares; under plus a group below the parent's keeps the parent.
+    Uniforms are drawn in blocks; the rows live in the oracle's bounded
+    LRU of level blocks, and the sampler keeps the block of its last level.
+    """
+    from .oracle import _level_law  # oracle imports this module
+
+    block, rows, first, width = None, None, 0, 0  # the block of the last level
+    ublock, lblock = _uniforms(rng)
     uidx = 0
 
     def sample(lam_int, ones, cur_f):
-        nonlocal ublock, uidx
-        key = lam_int * n1 + ones
-        window = memo.get(key)
-        if window is None:
-            if len(memo) >= _MEMO:
-                memo.clear()
-            window = memo[key] = _cumulative_window(fn, ones, lam_int, plus)
+        nonlocal block, rows, first, width, ublock, lblock, uidx
+        r = ones - first
+        if not 0 <= r < width:
+            block, r = _level_law(fn, ones)
+            rows, first, width = block.rows, block.first, len(block.rows)
+        row = rows[r]
+        if row is None:
+            row = block.row(r)
         if uidx == _BLOCK:
-            ublock = rng.random(_BLOCK).tolist()
+            ublock, lblock = _uniforms(rng)
             uidx = 0
-        lo, cum = window
-        child = lo + bisect_right(cum, ublock[uidx])
+        logcdf, pick, parent, ties = row
+        g = bisect_right(logcdf, lblock[uidx] / lam_int)
+        if plus and g < parent:
+            child = ones
+        else:
+            child = pick[g]
+            if child is None:
+                cum, members = ties[g]
+                low = math.exp(lam_int * logcdf[g - 1]) if g else 0.0
+                span = math.exp(lam_int * logcdf[g]) - low
+                t = (float(ublock[uidx]) - low) / span if span > 0.0 else 0.0
+                child = members[min(bisect_right(cum, t), len(members) - 1)]
         uidx += 1
         return table[child], child, None
 

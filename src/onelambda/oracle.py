@@ -25,7 +25,10 @@ On a level function (fitness a function of the one-count) the same
 convolution gives one child's one-count law; the best of ``lam`` children
 is then a maximum over fitness values, with ties split uniformly.
 :func:`selected_child_law` gives that law on a window of one-counts
-around the parent; ``ea.run`` samples it instead of mutating bits.
+around the parent.  It reads lambda-free rows (one child's log CDF per
+fitness value of the window, and tie shares) built by one numpy pass per
+block of levels; ``ea.run`` samples the same rows instead of mutating
+bits.
 
 Numerics: binomial masses come from the ratio recurrence
 pmf[k+1] = pmf[k] * (m-k)/(k+1) * p/(1-p) from pmf[0] = (1-p)^m, so each
@@ -41,8 +44,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .ea import ControllerParams, round_lambda, update_lambda
 
@@ -152,35 +157,120 @@ def best_of_lambda_pmf(n: int, i: int, lam: int) -> np.ndarray:
 CHILD_WINDOW = 30
 
 
-@lru_cache(maxsize=1024)
-def _child_levels(fn, i: int):
-    """The lam-free part of :func:`selected_child_law` at one-count i.
+# Levels per numpy pass of the selected-child law, and the passes kept.
+_LAW_BLOCK = 32
+_LAW_BLOCKS = 64
 
-    Returns (lo, group, share, logcdf) over the window one-counts lo,
-    lo+1, ...: the index of each one's fitness among the window's distinct
-    fitness values in ascending order, and its share of one child's mass
-    on that value; then one child's fitness log CDF over the distinct
-    values, accumulated from the top as in ``_single_parts``.
+
+def _binom_rows(m: np.ndarray, p: float, kmax: int) -> np.ndarray:
+    """Binomial(m[r], p) masses for k = 0..kmax, one row per entry of m, by
+    the ratio recurrence of :func:`_binom_pmf`; masses past m[r] are 0."""
+    k = np.arange(kmax)
+    if p == 1.0:  # n == 1 flips every bit
+        return (np.arange(kmax + 1) == m[:, None]).astype(float)
+    ratios = np.maximum(m[:, None] - k, 0) / (k + 1) * (p / (1.0 - p))
+    first = np.exp(m * math.log1p(-p))[:, None]
+    return np.cumprod(np.concatenate([first, ratios], axis=1), axis=1)
+
+
+class _LawBlock:
+    """The lam-free law of the selected child at levels first, first+1, ...
+    (up to _LAW_BLOCK of them) of one level function, from one numpy pass.
+
+    Row r holds level first+r's window one-counts i-w..i+w, w =
+    CHILD_WINDOW, sorted by (fitness, one-count); the ``skip[r]`` leading
+    entries are pads outside [0, n], with no mass.  Per entry: ``group``,
+    the index of its fitness among the row's distinct fitness values
+    (pads -1); ``share``, its part of one child's mass on that value (a
+    group with no mass puts its share on its first member); ``logcdf``,
+    one child's fitness log CDF at its value, accumulated from the top so
+    that the mass the window leaves out falls on the lowest fitness.
+    ``rows`` holds the engine's rows (:meth:`row`), built on first use.
     """
-    n = fn.n
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    p = 1.0 / n
-    lost = _binom_pmf(i, p, CHILD_WINDOW)  # flipped one-bits
-    gained = _binom_pmf(n - i, p, CHILD_WINDOW)  # flipped zero-bits
-    q = np.convolve(lost[::-1], gained)
-    lo = i - (lost.size - 1)
-    values = fn.level_table()[lo : lo + q.size]
-    distinct = np.unique(values)
-    group = distinct.searchsorted(values).astype(np.int8)  # at most 2w+1 values
-    mass = np.bincount(group, weights=q, minlength=distinct.size)
-    tail = np.concatenate([np.cumsum(mass[::-1])[::-1][1:], [0.0]])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logcdf = np.log1p(-np.minimum(tail, 1.0))
-        share = np.where(mass[group] > 0, q / mass[group], 0.0)
-    for a in (group, share, logcdf):
-        a.setflags(write=False)
-    return lo, group, share, logcdf
+
+    __slots__ = ("first", "skip", "ones", "group", "share", "logcdf", "last", "parent", "rows")
+
+    def __init__(self, fn, first: int):
+        n, w = fn.n, CHILD_WINDOW
+        levels = np.arange(first, min(n + 1, first + _LAW_BLOCK))
+        p = 1.0 / n
+        lost = _binom_rows(levels, p, w)  # flipped one-bits
+        gained = _binom_rows(n - levels, p, w)  # flipped zero-bits
+        # one child's mass at offsets d = -w..w: sum over a of lost[a] * gained[d + a]
+        padded = np.zeros((levels.size, 3 * w + 1))
+        padded[:, w : 2 * w + 1] = gained
+        q = np.einsum("rda,ra->rd", sliding_window_view(padded, w + 1, axis=1), lost)
+        ones = levels[:, None] + np.arange(-w, w + 1)
+        inside = (ones >= 0) & (ones <= n)
+        fit = np.where(inside, fn.level_table()[np.clip(ones, 0, n)], -1)  # pads sort first
+        order = np.argsort(fit, axis=1, kind="stable")
+        fit, ones, q = (np.take_along_axis(a, order, axis=1) for a in (fit, ones, q))
+        start = np.ones(fit.shape, dtype=bool)
+        start[:, 1:] = fit[:, 1:] != fit[:, :-1]
+        flat = start.ravel()  # the mass of each entry's group, summed within the group
+        mass = np.add.reduceat(q.ravel(), np.flatnonzero(flat))[np.cumsum(flat) - 1]
+        mass = mass.reshape(q.shape)
+        tail = np.zeros_like(q)  # one child's mass above each entry
+        tail[:, :-1] = np.cumsum(q[:, :0:-1], axis=1)[:, ::-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.share = np.where(mass > 0, q / mass, start)
+            self.logcdf = np.log1p(-np.minimum(tail, 1.0))
+        self.first = first
+        self.skip = (2 * w + 1 - inside.sum(axis=1)).tolist()
+        self.ones = ones
+        self.group = np.cumsum(start, axis=1) - 1 - (~inside).any(axis=1)[:, None]
+        self.last = np.ones(fit.shape, dtype=bool)  # an entry ends its group
+        self.last[:, :-1] = start[:, 1:]
+        at_parent = (ones == levels[:, None]).argmax(axis=1)
+        self.parent = self.group[np.arange(levels.size), at_parent].tolist()
+        self.rows = [None] * levels.size
+        for a in (self.share, self.logcdf, self.ones, self.group, self.last):
+            a.setflags(write=False)
+
+    def level(self, r: int):
+        """Row r without its pads: (ones, group, share, group log CDFs,
+        parent's group)."""
+        k = self.skip[r]
+        return (self.ones[r, k:], self.group[r, k:], self.share[r, k:],
+                self.logcdf[r, k:][self.last[r, k:]], self.parent[r])
+
+    def row(self, r: int):
+        """The engine's row of level first+r, as Python lists: (logcdf,
+        pick, parent, ties), built on first use and kept in ``rows``.
+
+        ``logcdf[g]`` is one child's log CDF at the window's g-th lowest
+        fitness, ``parent`` the parent's g.  ``pick[g]`` is the one-count
+        with that fitness, or None for a tie: then ``ties[g]`` is (cum,
+        members), the members with positive share in one-count order and
+        their cumulative shares.
+        """
+        row = self.rows[r]
+        if row is None:
+            ones, group, share, logcdf, parent = self.level(r)
+            pick = ones.tolist()
+            ties = {}
+            if len(pick) > logcdf.size:
+                members = [[] for _ in range(logcdf.size)]
+                for j, g, s in zip(pick, group.tolist(), share.tolist()):
+                    if s > 0.0:
+                        members[g].append((j, s))
+                pick = [m[0][0] if len(m) == 1 else None for m in members]
+                ties = {g: (list(accumulate(s for _, s in m)), [j for j, _ in m])
+                        for g, m in enumerate(members) if len(m) > 1}
+            row = self.rows[r] = (logcdf.tolist(), pick, parent, ties)
+        return row
+
+
+@lru_cache(maxsize=_LAW_BLOCKS)
+def _law_block(fn, b: int) -> _LawBlock:
+    return _LawBlock(fn, b * _LAW_BLOCK)
+
+
+def _level_law(fn, i: int):
+    """The block holding level i (see :class:`_LawBlock`) and i's row in it."""
+    if not 0 <= i <= fn.n:
+        raise ValueError(f"need 0 <= i <= n, got i={i}, n={fn.n}")
+    return _law_block(fn, i // _LAW_BLOCK), i % _LAW_BLOCK
 
 
 def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
@@ -193,24 +283,32 @@ def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
     (lo, pmf) with pmf[k] = P(next one-count = lo + k) on the window
     [max(0, i - w), min(n, i + w)], w = CHILD_WINDOW; the mass the window
     leaves out, at most lam/(w+1)!, falls to the window's lowest fitness.
-    The fitness maximum's law is a plain difference of CDF powers, so the
-    entries carry absolute, not relative, accuracy: on onemax they lie
-    within 2e-15 of ``best_of_lambda_pmf``, which keeps relative accuracy
-    in the tails, for n <= 5000 and lam <= 10**6.  Raises ValueError on
-    ridge, which has no level table.
+    The law is read from the same lam-free rows (one child's log CDF per
+    fitness value, tie shares) as the engine's sampler, built for a block
+    of levels at a time: the best fitness is at most a value with
+    probability exp(lam * logcdf).  That maximum's law is a plain
+    difference of CDF powers, so the entries carry absolute, not
+    relative, accuracy: on onemax they lie within 2e-15 of
+    ``best_of_lambda_pmf``, which keeps relative accuracy in the tails,
+    for n <= 5000 and lam <= 10**6.  Raises ValueError on ridge, which
+    has no level table.
     """
     if lam < 1:
         raise ValueError(f"need lam >= 1, got lam={lam}")
     if selection not in ("comma", "plus"):
         raise ValueError(f"selection must be 'comma' or 'plus', got {selection!r}")
-    lo, group, share, logcdf = _child_levels(fn, i)
+    block, r = _level_law(fn, i)
+    ones, group, share, logcdf, parent = block.level(r)
     best = np.exp(lam * logcdf)  # P(best fitness <= each distinct value)
     best[1:] -= best[:-1].copy()
-    pmf = best[group] * share  # ties split by one-child mass
+    law = best[group] * share  # ties split by one-child mass
+    lo = max(0, i - CHILD_WINDOW)
+    pmf = np.empty(ones.size)
+    pmf[ones - lo] = law
     if selection == "plus":
-        worse = group < group[i - lo]
-        pmf[i - lo] += pmf[worse].sum()
-        pmf[worse] = 0.0
+        worse = group < parent
+        pmf[i - lo] += law[worse].sum()
+        pmf[ones[worse] - lo] = 0.0
     return lo, pmf
 
 
@@ -261,12 +359,12 @@ def level_row(n: int, i: int, lams: tuple) -> tuple[LevelQuantities, ...]:
     for lam, p_zero, gain, loss in zip(lams, pmfs[:, i], gains, losses):
         # p_plus and p_minus straight from the CDF power, accurate at large lam
         lc_i = lam * logcdf[i]
-        p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
+        p_plus = -math.expm1(lc_i) if math.isfinite(lc_i) else 1.0
         if i == 0:
             p_minus = 0.0
         else:
             lc_im1 = lam * logcdf[i - 1]
-            p_minus = math.exp(lc_im1) if np.isfinite(lc_im1) else 0.0
+            p_minus = math.exp(lc_im1) if math.isfinite(lc_im1) else 0.0
         row.append(LevelQuantities(n, i, lam, p_plus, float(p_zero), p_minus,
                                    float(gain), float(loss)))
     return tuple(row)

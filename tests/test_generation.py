@@ -23,7 +23,6 @@ from onelambda.ea import (
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
-    _cumulative_window,
     _distinct_positions,
     _evolve,
     _law_sampler,
@@ -31,7 +30,12 @@ from onelambda.ea import (
     _Trace,
 )
 from onelambda.fitness import FitnessFunction
-from onelambda.oracle import best_of_lambda_pmf, level_quantities, selected_child_law
+from onelambda.oracle import (
+    CHILD_WINDOW,
+    best_of_lambda_pmf,
+    level_quantities,
+    selected_child_law,
+)
 
 P = ControllerParams(F=1.5, s=1.0)
 COMMA = AlgorithmKind.self_adjusting_comma()
@@ -262,6 +266,43 @@ def exact_one_count_law(fn, parent, lam, selection) -> dict:
     return law
 
 
+# (fn spec, n, parent one-count, lambda): one-bit, twomax mirror ties, a
+# jump coincidence at large lambda, cliff's drop, large n and lambda, and
+# a window cut at 0 on a decreasing function
+ENGINE_STATES = [("onemax", 1, 0, 1), ("twomax", 9, 4, 2), ("jump:3", 40, 37, 1000),
+                 ("cliff:13", 40, 13, 7), ("onemax", 1000, 990, 10**6), ("zeromax", 200, 3, 5)]
+
+
+class StubGenerator:
+    """Stands in for the engine's generator: ``random(size)`` returns the
+    next of the given uniforms, padded with 0.5."""
+
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
+
+    def random(self, size):
+        head, self.uniforms = self.uniforms[:size], self.uniforms[size:]
+        return np.array(head + [0.5] * (size - len(head)))
+
+
+def selections(fn, i, lam, plus, uniforms) -> list:
+    """The one-count the level engine selects from parent one-count i at
+    lam for each of the uniforms."""
+    uniforms = list(uniforms)
+    sample = _law_sampler(fn, fn.level_table().tolist(), plus, StubGenerator(uniforms))
+    return [sample(lam, i, None)[1] for _ in uniforms]
+
+
+def engine_order(fn, i):
+    """The window one-counts in the order the engine's uniform runs
+    through them, (fitness, one-count), and the plus map: a child worse
+    than the parent leaves the parent in place."""
+    n, table = fn.n, fn.level_table()
+    window = range(max(0, i - CHILD_WINDOW), min(n, i + CHILD_WINDOW) + 1)
+    order = sorted(window, key=lambda j: (table[j], j))
+    return order, lambda j: i if table[j] < table[i] else j
+
+
 class TestSelectionLaw:
     @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize("spec, parent", LAW_CASES)
@@ -275,23 +316,50 @@ class TestSelectionLaw:
             for j in range(n + 1):
                 assert abs(got.get(j, 0.0) - want.get(j, 0.0)) < 1e-12, (selection, j)
 
-    @pytest.mark.parametrize(
-        "spec, n, i, lam",
-        [("onemax", 1, 0, 1), ("twomax", 9, 4, 2), ("jump:3", 40, 37, 1000),
-         ("cliff:13", 40, 13, 7), ("onemax", 1000, 990, 10**6), ("zeromax", 200, 3, 5)],
-    )
+    @pytest.mark.parametrize("spec, n, i, lam", ENGINE_STATES)
     def test_engine_window_is_the_law_on_the_uniform_grid(self, spec, n, i, lam):
-        # the engine's cumulative window selects each one-count with the
-        # law's probability rounded to the 2^-53 grid of rng.random()
+        # bisect, on the 2^-53 grid of rng.random(), the first uniform past
+        # each one-count of the comma order; plus maps comma's choice
         fn = FitnessFunction.parse(spec, n)
+        order, target = engine_order(fn, i)
+        rank = {j: r for r, j in enumerate(order)}
+        lo_k = np.full(len(order), -1, dtype=np.int64)
+        hi_k = np.full(len(order), 2**53, dtype=np.int64)
+        probes = []
+        while (open_ := hi_k - lo_k > 1).any():
+            mid = np.where(open_, (lo_k + hi_k) // 2, 0)
+            sel = selections(fn, i, lam, False, mid / 2.0**53)
+            past = np.array([rank[j] for j in sel]) > np.arange(len(order))
+            hi_k = np.where(open_ & past, mid, hi_k)
+            lo_k = np.where(open_ & ~past, mid, lo_k)
+            probes.extend(mid[open_].tolist())
+        ticks = np.diff(hi_k, prepend=0)  # grid points that select order[r]
         for plus in (False, True):
             lo, pmf = selected_child_law(fn, i, lam, "plus" if plus else "comma")
-            pmf = pmf / pmf.sum()
-            wlo, cum = _cumulative_window(fn, i, lam, plus)
-            assert cum[-1] == 1.0 and all(c * 2.0**53 == int(c * 2.0**53) for c in cum)
             got = np.zeros(pmf.size)
-            got[wlo - lo : wlo - lo + len(cum)] = np.diff(cum, prepend=0.0)
-            assert np.abs(got - pmf).max() <= 2.0**-52
+            for r, j in enumerate(order):
+                got[(target(j) if plus else j) - lo] += ticks[r] / 2.0**53
+            assert np.abs(got - pmf).max() <= 2.0**-52, plus
+        edges = set(probes) | {k for e in hi_k.tolist() for k in (e - 1, e)}
+        edges = sorted(k for k in edges if 0 <= k < 2**53)
+        u = np.array(edges) / 2.0**53
+        comma = selections(fn, i, lam, False, u)
+        assert selections(fn, i, lam, True, u) == [target(j) for j in comma]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("spec, n, i, lam", ENGINE_STATES)
+    def test_zero_uniform_selects_the_lowest_one_count_with_mass(self, spec, n, i, lam):
+        # log(0) = -inf: the first one-count of the engine's order that a
+        # child can have (its best-of-lam mass may underflow), never a pad
+        # outside [0, n]; plus keeps a better parent
+        fn = FitnessFunction.parse(spec, n)
+        order, target = engine_order(fn, i)
+        lo, pmf = selected_child_law(fn, i, 1, "comma")
+        first = next(j for j in order if pmf[j - lo] > 0.0)
+        for plus in (False, True):
+            (child,) = selections(fn, i, lam, plus, [0.0])
+            assert child == (target(first) if plus else first), plus
+            assert 0 <= child <= n
 
     @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize(

@@ -273,7 +273,7 @@ class TestLevelRow:
 def test_every_oracle_memo_clears_and_refills():
     memos = [f for f in vars(oracle).values() if callable(getattr(f, "cache_clear", None))]
     names = {f.__name__ for f in memos}
-    assert {"_single_parts", "_child_levels", "level_row", "max_flip_gain_series"} <= names
+    assert {"_single_parts", "_law_block", "level_row", "max_flip_gain_series"} <= names
     pot, states, threshold, direction = drift_claim("g1", 30, 1.5, 0.5)
     params = ControllerParams(F=1.5, s=0.5)
 

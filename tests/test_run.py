@@ -1,5 +1,7 @@
 """End-to-end run semantics: stopping, determinism, traces, accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -253,6 +255,19 @@ class TestEngines:
             FitnessFunction("ridge", 8).level_table()
         with pytest.raises(ValueError):
             selected_child_law(FitnessFunction("ridge", 8), 3, 2)
+
+    @pytest.mark.parametrize("selection", ["comma", "plus"])
+    def test_level_run_memory_is_bounded_at_large_n(self, selection):
+        # the law is built for the blocks of levels a run visits: a table
+        # over every level would be 61 * (n+1) float64, 49 MB per array
+        tracemalloc.start()
+        try:
+            run(AlgorithmKind(selection), onemax(10**5), P,
+                StoppingCondition(max_generations=5), 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
 
     def test_second_run_builds_no_level_table(self, monkeypatch):
         fn = FitnessFunction("jump", 137, 4)
