@@ -86,10 +86,10 @@ UNDEFINED_BELOW = 1e-300
 REFINED_UPPER_MIN_FRACTION = 0.87
 
 
-def _binom_pmf(m: int, p: float, kmax: int | None = None) -> np.ndarray:
-    """Binomial(m, p) masses for k = 0..m (or 0..min(m, kmax)) by the ratio
-    recurrence from (1-p)^m; underflow -> 0."""
-    k = np.arange(m + 1 if kmax is None else min(m, kmax) + 1)
+def _binom_pmf(m: int, p: float) -> np.ndarray:
+    """Binomial(m, p) masses for k = 0..m by the ratio recurrence from
+    (1-p)^m; underflow -> 0."""
+    k = np.arange(m + 1)
     if p == 1.0:  # n == 1 flips every bit
         return (k == m).astype(float)
     ratios = (m - k[:-1]) / (k[:-1] + 1) * (p / (1.0 - p))
@@ -202,7 +202,8 @@ class _LawBlock:
         q = np.einsum("rda,ra->rd", sliding_window_view(padded, w + 1, axis=1), lost)
         ones = levels[:, None] + np.arange(-w, w + 1)
         inside = (ones >= 0) & (ones <= n)
-        fit = np.where(inside, fn.level_table()[np.clip(ones, 0, n)], -1)  # pads sort first
+        # raw fitness is never negative, so the pads sort first
+        fit = np.where(inside, fn.level_table()[np.clip(ones, 0, n)], -1)
         order = np.argsort(fit, axis=1, kind="stable")
         fit, ones, q = (np.take_along_axis(a, order, axis=1) for a in (fit, ones, q))
         start = np.ones(fit.shape, dtype=bool)
