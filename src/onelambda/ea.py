@@ -17,8 +17,8 @@ Two engines run the generations of one loop:
 
 * Level functions (fitness a function of the one-count: onemax, zeromax,
   twomax, jump, cliff) run as a Markov chain on the one-count.  Each
-  generation draws the next parent's one-count with one uniform u from
-  the exact law of the selected child (``oracle.selected_child_law``):
+  generation draws the selected child's one-count with one uniform u from
+  its exact law (``oracle.selected_child_law`` under comma):
   the best of lambda children has fitness CDF C^lambda, where C, one
   child's CDF over the one-counts within 30 of the parent, does not
   depend on lambda, so one bisection of log(u)/lambda into log C picks
@@ -182,20 +182,20 @@ def _uniforms(rng: np.random.Generator):
         return u, np.log(u).tolist()
 
 
-def _law_sampler(fn: FitnessFunction, table: list, plus: bool, rng: np.random.Generator):
+def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
     """The level-function engine: returns ``sample(lam_int, ones, cur_f)``,
-    which gives ``(f, child_ones, None)`` for the next parent (the parent
-    itself when plus selection keeps it), drawn from the selected child's
-    exact one-count law with one uniform u; ``f`` is ``table[child_ones]``.
+    which gives ``(f, child_ones, None)`` for the selected child, drawn
+    from its exact one-count law with one uniform u; ``f`` is
+    ``table[child_ones]``.
 
     The best of lam children has a fitness at most the window's g-th
     lowest value with probability C_g^lam, C_g = exp(logcdf[g]) from the
     level's lam-free row (``oracle._LawBlock.row``), so u selects the first g
     with log(u)/lam < logcdf[g].  A tie group picks a member by u's
     position in (C_(g-1)^lam, C_g^lam] against the members' cumulative
-    shares; under plus a group below the parent's keeps the parent.
-    Uniforms are drawn in blocks; the rows live in the oracle's bounded
-    LRU of level blocks, and the sampler keeps the block of its last level.
+    shares.  Uniforms are drawn in blocks; the rows live in the oracle's
+    bounded LRU of level blocks, and the sampler keeps the block of its
+    last level.
     """
     from .oracle import _level_law  # oracle imports this module
 
@@ -215,18 +215,15 @@ def _law_sampler(fn: FitnessFunction, table: list, plus: bool, rng: np.random.Ge
         if uidx == _BLOCK:
             ublock, lblock = _uniforms(rng)
             uidx = 0
-        logcdf, pick, parent, ties = row
+        logcdf, pick, ties = row
         g = bisect_right(logcdf, lblock[uidx] / lam_int)
-        if plus and g < parent:
-            child = ones
-        else:
-            child = pick[g]
-            if child is None:
-                cum, members = ties[g]
-                low = math.exp(lam_int * logcdf[g - 1]) if g else 0.0
-                span = math.exp(lam_int * logcdf[g]) - low
-                t = (float(ublock[uidx]) - low) / span if span > 0.0 else 0.0
-                child = members[min(bisect_right(cum, t), len(members) - 1)]
+        child = pick[g]
+        if child is None:
+            cum, members = ties[g]
+            low = math.exp(lam_int * logcdf[g - 1]) if g else 0.0
+            span = math.exp(lam_int * logcdf[g]) - low
+            t = (float(ublock[uidx]) - low) / span if span > 0.0 else 0.0
+            child = members[min(bisect_right(cum, t), len(members) - 1)]
         uidx += 1
         return table[child], child, None
 
@@ -525,7 +522,7 @@ def run(
         ones = int(rng.binomial(fn.n, 0.5))
         table = fn.level_table().tolist()
         init_raw = table[ones]
-        sample = _law_sampler(fn, table, kind.selection == "plus", rng)
+        sample = _law_sampler(fn, table, rng)
     else:
         bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
         ones = sum(bits)

@@ -258,20 +258,16 @@ def normalized_runtime_stats(cell: CellResult) -> dict:
     return out
 
 
-def bootstrap_mean_ci(
-    values: np.ndarray,
-    rng: np.random.Generator,
-    level: float = 0.99,
-    resamples: int = 10_000,
-) -> tuple[float, float]:
-    """Seeded percentile bootstrap CI for the mean."""
+def bootstrap_mean_ci(values: np.ndarray, rng: np.random.Generator) -> tuple[float, float]:
+    """Seeded 99% percentile bootstrap CI for the mean, from 10 000
+    resamples."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         v = float(values[0]) if values.size else float("nan")
         return v, v
-    idx = rng.integers(0, values.size, size=(resamples, values.size))
+    idx = rng.integers(0, values.size, size=(10_000, values.size))
     means = values[idx].mean(axis=1)
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - 0.99) / 2.0
     lo, hi = np.percentile(means, [100 * alpha, 100 * (1 - alpha)])
     return float(lo), float(hi)
 

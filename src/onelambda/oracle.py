@@ -28,15 +28,20 @@ is then a maximum over fitness values, with ties split uniformly.
 around the parent.  It reads lambda-free rows (one child's log CDF per
 fitness value of the window, and tie shares) built by one numpy pass per
 block of levels; ``ea.run`` samples the same rows instead of mutating
-bits.
+bits, and the onemax quantities above read onemax's rows.
 
-Numerics: binomial masses come from the ratio recurrence
+Numerics: one child's law lives on the window of one-counts within
+CHILD_WINDOW = 30 of the parent.  A child leaves it only by flipping more
+than 30 bits, so the best of lam children puts at most lam/31! (lam *
+1.2e-34) outside; that mass falls on the window's lowest fitness.
+Binomial masses come from the ratio recurrence
 pmf[k+1] = pmf[k] * (m-k)/(k+1) * p/(1-p) from pmf[0] = (1-p)^m, so each
-gains a rounding error of an ulp or two per step and one child's pmf sums
-to 1 within 5e-16 up to n = 5000; underflow flushes to zero.  CDF powers
-use lam * log1p(-tail) so that fallback probabilities stay accurate for
-large lam, and adjacent CDF powers are differenced through expm1 to keep
-small upper-tail masses at full relative accuracy.
+gains a rounding error of an ulp or two per step; underflow flushes to
+zero.  CDF powers use lam * log1p(-tail) so that fallback probabilities
+stay accurate for large lam, and adjacent CDF powers are differenced
+through expm1 to keep small upper-tail masses at full relative accuracy.
+Measured: one child's pmf sums to 1 within 3.4e-16 at every level up to
+n = 5000.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ea import ControllerParams, round_lambda, update_lambda
+from .fitness import FitnessFunction
 
 __all__ = [
     "best_of_lambda_pmf",
@@ -86,36 +92,6 @@ UNDEFINED_BELOW = 1e-300
 REFINED_UPPER_MIN_FRACTION = 0.87
 
 
-def _binom_pmf(m: int, p: float) -> np.ndarray:
-    """Binomial(m, p) masses for k = 0..m by the ratio recurrence from
-    (1-p)^m; underflow -> 0."""
-    k = np.arange(m + 1)
-    if p == 1.0:  # n == 1 flips every bit
-        return (k == m).astype(float)
-    ratios = (m - k[:-1]) / (k[:-1] + 1) * (p / (1.0 - p))
-    return np.cumprod(np.concatenate([[math.exp(m * math.log1p(-p))], ratios]))
-
-
-@lru_cache(maxsize=4096)
-def _single_parts(n: int, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pmf, log CDF) of the one-offspring fitness at state (n, i).
-
-    log CDF(j) is computed as log1p(-tail(j)) with tail(j) = P(X > j)
-    accumulated from the top, so upper-tail information survives in the
-    log domain.  Entries with CDF 0 are -inf.
-    """
-    if not 0 <= i <= n:
-        raise ValueError(f"need 0 <= i <= n, got i={i}, n={n}")
-    p = 1.0 / n
-    pmf = np.convolve(_binom_pmf(i, p)[::-1], _binom_pmf(n - i, p))
-    tail = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]])
-    with np.errstate(divide="ignore"):
-        logcdf = np.log1p(-np.minimum(tail, 1.0))
-    pmf.setflags(write=False)
-    logcdf.setflags(write=False)
-    return pmf, logcdf
-
-
 def _power_pmf(logcdf: np.ndarray, lam) -> np.ndarray:
     """pmf of the max of lam i.i.d. draws, from the single-draw log CDF.
 
@@ -140,16 +116,7 @@ def _power_pmf(logcdf: np.ndarray, lam) -> np.ndarray:
     return out
 
 
-def best_of_lambda_pmf(n: int, i: int, lam: int) -> np.ndarray:
-    """Exact new-fitness pmf of the best of lam independent offspring from
-    fitness i; at lam = 1 the one-offspring pmf (read-only)."""
-    if lam < 1:
-        raise ValueError(f"need lam >= 1, got lam={lam}")
-    pmf, logcdf = _single_parts(n, i)
-    return pmf if lam == 1 else _power_pmf(logcdf, lam)
-
-
-# Half-width w of the one-count window of selected_child_law.  A child
+# Half-width w of the one-count window of one child's law.  A child
 # leaves [i - w, i + w] only by flipping more than w bits, with probability
 # P(Binomial(n, 1/n) > w) <= 1/(w+1)!, so the law of the best of lam
 # children puts at most lam/(w+1)! outside the window: lam * 1.2e-34 at
@@ -164,7 +131,7 @@ _LAW_BLOCKS = 64
 
 def _binom_rows(m: np.ndarray, p: float, kmax: int) -> np.ndarray:
     """Binomial(m[r], p) masses for k = 0..kmax, one row per entry of m, by
-    the ratio recurrence of :func:`_binom_pmf`; masses past m[r] are 0."""
+    the ratio recurrence from (1-p)^m[r]; masses past m[r] are 0."""
     k = np.arange(kmax)
     if p == 1.0:  # n == 1 flips every bit
         return (np.arange(kmax + 1) == m[:, None]).astype(float)
@@ -188,7 +155,7 @@ class _LawBlock:
     ``rows`` holds the engine's rows (:meth:`row`), built on first use.
     """
 
-    __slots__ = ("first", "skip", "ones", "group", "share", "logcdf", "last", "parent", "rows")
+    __slots__ = ("first", "skip", "ones", "group", "share", "logcdf", "last", "rows")
 
     def __init__(self, fn, first: int):
         n, w = fn.n, CHILD_WINDOW
@@ -222,32 +189,28 @@ class _LawBlock:
         self.group = np.cumsum(start, axis=1) - 1 - (~inside).any(axis=1)[:, None]
         self.last = np.ones(fit.shape, dtype=bool)  # an entry ends its group
         self.last[:, :-1] = start[:, 1:]
-        at_parent = (ones == levels[:, None]).argmax(axis=1)
-        self.parent = self.group[np.arange(levels.size), at_parent].tolist()
         self.rows = [None] * levels.size
         for a in (self.share, self.logcdf, self.ones, self.group, self.last):
             a.setflags(write=False)
 
     def level(self, r: int):
-        """Row r without its pads: (ones, group, share, group log CDFs,
-        parent's group)."""
+        """Row r without its pads: (ones, group, share, group log CDFs)."""
         k = self.skip[r]
         return (self.ones[r, k:], self.group[r, k:], self.share[r, k:],
-                self.logcdf[r, k:][self.last[r, k:]], self.parent[r])
+                self.logcdf[r, k:][self.last[r, k:]])
 
     def row(self, r: int):
         """The engine's row of level first+r, as Python lists: (logcdf,
-        pick, parent, ties), built on first use and kept in ``rows``.
+        pick, ties), built on first use and kept in ``rows``.
 
         ``logcdf[g]`` is one child's log CDF at the window's g-th lowest
-        fitness, ``parent`` the parent's g.  ``pick[g]`` is the one-count
-        with that fitness, or None for a tie: then ``ties[g]`` is (cum,
-        members), the members with positive share in one-count order and
-        their cumulative shares.
+        fitness.  ``pick[g]`` is the one-count with that fitness, or None
+        for a tie: then ``ties[g]`` is (cum, members), the members with
+        positive share in one-count order and their cumulative shares.
         """
         row = self.rows[r]
         if row is None:
-            ones, group, share, logcdf, parent = self.level(r)
+            ones, group, share, logcdf = self.level(r)
             pick = ones.tolist()
             ties = {}
             if len(pick) > logcdf.size:
@@ -258,7 +221,7 @@ class _LawBlock:
                 pick = [m[0][0] if len(m) == 1 else None for m in members]
                 ties = {g: (list(accumulate(s for _, s in m)), [j for j, _ in m])
                         for g, m in enumerate(members) if len(m) > 1}
-            row = self.rows[r] = (logcdf.tolist(), pick, parent, ties)
+            row = self.rows[r] = (logcdf.tolist(), pick, ties)
         return row
 
 
@@ -272,6 +235,32 @@ def _level_law(fn, i: int):
     if not 0 <= i <= fn.n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={fn.n}")
     return _law_block(fn, i // _LAW_BLOCK), i % _LAW_BLOCK
+
+
+def _onemax_law(n: int, i: int):
+    """One child's window one-counts (ascending) and log CDF at level i of
+    onemax, where each one-count is its own fitness: the row of
+    :class:`_LawBlock` that the engine samples on onemax."""
+    block, r = _level_law(FitnessFunction("onemax", n), i)
+    ones, _, _, logcdf = block.level(r)
+    return ones, logcdf
+
+
+def best_of_lambda_pmf(n: int, i: int, lam: int) -> np.ndarray:
+    """Exact new-fitness pmf, over 0..n, of the best of lam independent
+    offspring from fitness i on onemax.
+
+    The mass lies on the window [i - w, i + w] of one-counts, w =
+    CHILD_WINDOW, from :func:`_power_pmf` of one child's window log CDF;
+    the at most lam/(w+1)! that a jump out of the window carries falls on
+    the window's lowest fitness.
+    """
+    if lam < 1:
+        raise ValueError(f"need lam >= 1, got lam={lam}")
+    ones, logcdf = _onemax_law(n, i)
+    pmf = np.zeros(n + 1)
+    pmf[ones[0] : ones[-1] + 1] = _power_pmf(logcdf, lam)
+    return pmf
 
 
 def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
@@ -289,8 +278,8 @@ def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
     of levels at a time: the best fitness is at most a value with
     probability exp(lam * logcdf).  That maximum's law is a plain
     difference of CDF powers, so the entries carry absolute, not
-    relative, accuracy: on onemax they lie within 2e-15 of
-    ``best_of_lambda_pmf``, which keeps relative accuracy in the tails,
+    relative, accuracy: on onemax they lie within 5e-15 of
+    ``best_of_lambda_pmf``, which differences the same row through expm1,
     for n <= 5000 and lam <= 10**6.  Raises ValueError on ridge, which
     has no level table.
     """
@@ -299,7 +288,7 @@ def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
     if selection not in ("comma", "plus"):
         raise ValueError(f"selection must be 'comma' or 'plus', got {selection!r}")
     block, r = _level_law(fn, i)
-    ones, group, share, logcdf, parent = block.level(r)
+    ones, group, share, logcdf = block.level(r)
     best = np.exp(lam * logcdf)  # P(best fitness <= each distinct value)
     best[1:] -= best[:-1].copy()
     law = best[group] * share  # ties split by one-child mass
@@ -307,7 +296,7 @@ def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
     pmf = np.empty(ones.size)
     pmf[ones - lo] = law
     if selection == "plus":
-        worse = group < parent
+        worse = group < group[ones == i]
         pmf[i - lo] += law[worse].sum()
         pmf[ones[worse] - lo] = 0.0
     return lo, pmf
@@ -343,28 +332,32 @@ class LevelQuantities:
 @lru_cache(maxsize=4096)
 def level_row(n: int, i: int, lams: tuple) -> tuple[LevelQuantities, ...]:
     """The transition quantities at (n, i, lam) for each lam of ``lams``,
-    in order, from one numpy pass over the level; 0 <= i < n."""
+    in order, from one numpy pass over the level; 0 <= i < n.
+
+    The pass is :func:`_power_pmf` of one child's log CDF on the window
+    [i - w, i + w], w = CHILD_WINDOW, one row per lam, as in
+    :func:`best_of_lambda_pmf`: a jump out of the window, at most lam/(w+1)!
+    of the mass, counts as a fall to the window's lowest fitness.
+    """
     if not 0 <= i < n:
         raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
     for lam in lams:
         if lam < 1:
             raise ValueError(f"need lam >= 1, got lam={lam}")
-    pmf, logcdf = _single_parts(n, i)
-    col = np.array(lams, dtype=float).reshape(-1, 1)
-    pmfs = _power_pmf(logcdf, col)
-    pmfs[col[:, 0] == 1] = pmf  # lam = 1 is the convolution pmf, as in best_of_lambda_pmf
-    j = np.arange(n + 1)
-    gains = ((j[i + 1 :] - i) * pmfs[:, i + 1 :]).sum(axis=-1)
-    losses = ((i - j[:i]) * pmfs[:, :i]).sum(axis=-1)
+    ones, logcdf = _onemax_law(n, i)
+    pmfs = _power_pmf(logcdf, np.array(lams, dtype=float).reshape(-1, 1))
+    k = i - ones[0]  # the parent's column
+    gains = ((ones[k + 1 :] - i) * pmfs[:, k + 1 :]).sum(axis=-1)
+    losses = ((i - ones[:k]) * pmfs[:, :k]).sum(axis=-1)
     row = []
-    for lam, p_zero, gain, loss in zip(lams, pmfs[:, i], gains, losses):
+    for lam, p_zero, gain, loss in zip(lams, pmfs[:, k], gains, losses):
         # p_plus and p_minus straight from the CDF power, accurate at large lam
-        lc_i = lam * logcdf[i]
+        lc_i = lam * logcdf[k]
         p_plus = -math.expm1(lc_i) if math.isfinite(lc_i) else 1.0
         if i == 0:
             p_minus = 0.0
         else:
-            lc_im1 = lam * logcdf[i - 1]
+            lc_im1 = lam * logcdf[k - 1]
             p_minus = math.exp(lc_im1) if math.isfinite(lc_im1) else 0.0
         row.append(LevelQuantities(n, i, lam, p_plus, float(p_zero), p_minus,
                                    float(gain), float(loss)))
@@ -548,21 +541,18 @@ class TransitionBoundReport:
 def check_transition_bounds(
     n: int,
     lambdas=None,
-    i_values=None,
     collect_rows: bool = False,
 ) -> TransitionBoundReport:
-    """Check every applicable sandwich bound at every grid state.
+    """Check every applicable sandwich bound at every state (i, lam), i < n.
 
     A bound is checked only where its precondition holds and the exact
     quantity is defined; any violation is recorded with both sides.
     """
     if lambdas is None:
         lambdas = range(1, 65)
-    if i_values is None:
-        i_values = range(n)
     lams = tuple(int(lam) for lam in lambdas)
     report = TransitionBoundReport(n=n, rows=[] if collect_rows else None)
-    for i in i_values:
+    for i in range(n):
         for lam, q in zip(lams, level_row(n, i, lams)):
             report.states_checked += 1
             for name, quantity, side, value_fn, applies in _BOUNDS:
@@ -788,10 +778,10 @@ def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:
 G2_BAND_OFFSET = 2.2 * math.log(4.5) ** 2
 
 
-def g2_band_states(n: int, F: float, lambda_step: float = 0.05, lambda_max: float = 2.4):
+def g2_band_states(n: int, F: float):
     """States (i, lambda_real) of the negative-drift band for the
-    log-squared potential: 0.84n < i < 0.85n, lambda in [1, lambda_max],
-    filtered to 0.84n + 2.2*ln(4.5)^2 < g2 < 0.85n."""
+    log-squared potential: 0.84n < i < 0.85n, lambda in [1, 2.4] in steps
+    of 0.05, filtered to 0.84n + 2.2*ln(4.5)^2 < g2 < 0.85n."""
     pot = LambdaLogSquaredPotential(F)
     lo = 0.84 * n + G2_BAND_OFFSET
     hi = 0.85 * n
@@ -799,7 +789,7 @@ def g2_band_states(n: int, F: float, lambda_step: float = 0.05, lambda_max: floa
     i_lo = math.floor(0.84 * n) + 1
     i_hi = math.ceil(0.85 * n) - 1
     for i in range(i_lo, i_hi + 1):
-        for lam in np.arange(1.0, lambda_max + 1e-9, lambda_step):
+        for lam in np.arange(1.0, 2.4 + 1e-9, 0.05):
             g2 = pot.value(i, float(lam))
             if lo < g2 < hi:
                 states.append((i, round(float(lam), 10)))

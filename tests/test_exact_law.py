@@ -2,13 +2,14 @@
 
 ``run()`` draws each generation on a level function from the exact law of
 the selected child.  The reference runs the same loop (``_evolve``) on a
-uniform random bit string with ``reference_block_sampler``, which mutates
-and scores every child.  For each level function, selection scheme and a
-small and a large lambda, RUNS runs per side from disjoint seeds must agree
-in distribution (two-sample Kolmogorov-Smirnov) on the evaluations at the
-stop and on two summaries of the level accumulators: the mean fitness
-weighted by the evaluations spent at each fitness (``lambda_sum_at``) and
-by the generations entered there (``gens_at``).  The threshold ALPHA is
+uniform random bit string with ridge's bit-mutation engine,
+``_offspring_sampler``, which mutates and scores every child.  For each
+level function, selection scheme and a small and a large lambda, RUNS
+runs per side from disjoint seeds must agree in distribution (two-sample
+Kolmogorov-Smirnov) on the evaluations at the stop and on two summaries
+of the level accumulators: the mean fitness weighted by the evaluations
+spent at each fitness (``lambda_sum_at``) and by the generations entered
+there (``gens_at``).  The threshold ALPHA is
 Bonferroni's 1% over all the comparisons in this file.
 """
 
@@ -16,13 +17,12 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from test_generation import reference_block_sampler
-
 from onelambda.ea import (
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
     _evolve,
+    _offspring_sampler,
     _Trace,
     default_static_lambda,
     run,
@@ -49,8 +49,8 @@ def kind_for(selection, lam0, n):
 
 
 def reference_run(kind, fn, stop, seed, lambda0):
-    """``run()`` at trace level "levels" with the bit-mutation reference
-    in place of the exact law: (evaluations, gens_at, lambda_sum_at)."""
+    """``run()`` at trace level "levels" with bit mutation in place of the
+    exact law: (evaluations, gens_at, lambda_sum_at)."""
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
     ones = sum(bits)
@@ -58,7 +58,7 @@ def reference_run(kind, fn, stop, seed, lambda0):
     if kind.static_lambda is not None:
         lambda0 = float(kind.static_lambda)
     trace = _Trace("levels", fn.optimum_raw + 1, table[ones], lambda0)
-    sample = reference_block_sampler(fn, table, bits, rng)
+    sample = _offspring_sampler(fn, bits, rng)
     _, _, evals, _, _, _ = _evolve(sample, bits, ones, table[ones], lambda0, fn, kind, P,
                                    stop, trace)
     return evals, np.array(trace.gens_at), np.array(trace.lambda_sum_at)

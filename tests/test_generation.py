@@ -4,10 +4,10 @@ Everything here drives the engines and the loop that ``run()`` executes:
 ``_law_sampler`` (the exact selected-child law, level functions) and
 ``_offspring_sampler`` (bit mutation, ridge) for offspring, ``_evolve``
 capped at one generation for the comma/plus step from a chosen parent.
-``reference_block_sampler`` is the bit-mutation sampler the level
-functions ran on before the exact law; it stays here as the independent
-reference that ``TestSelectionLaw`` checks against the enumerated law and
-``test_exact_law.py`` compares whole runs with.
+Bit mutation scores a child through ``fn.raw_from_bits``, so the shipped
+``_offspring_sampler`` also runs on level functions: there it is the
+independent reference that ``TestSelectionLaw`` checks against the
+enumerated law and ``test_exact_law.py`` compares whole runs with.
 """
 
 import itertools
@@ -19,11 +19,9 @@ import numpy as np
 import pytest
 
 from onelambda.ea import (
-    _BLOCK,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
-    _distinct_positions,
     _evolve,
     _law_sampler,
     _offspring_sampler,
@@ -48,68 +46,8 @@ def reference_per_bit_mutate(bits, rng: np.random.Generator) -> list:
     return [b ^ int(f) for b, f in zip(bits, flips)]
 
 
-def reference_block_sampler(fn, table: list, bits: list, rng: np.random.Generator):
-    """Independent reference for the level engine: best of lam_int
-    standard-bit mutants of the parent list ``bits``, each scored
-    ``table[child_ones]``, with the interface of ``_offspring_sampler``
-    (``sample(lam_int, ones, cur_f)`` gives ``(f, child_ones, flips)``).
-    Flip counts come from Binomial(n, 1/n) and single-flip positions in
-    blocks, k >= 2 positions from ``_distinct_positions``; ties are broken
-    uniformly by reservoir sampling."""
-    n = fn.n
-    inv_n = 1.0 / n
-    rand = rng.random
-    kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
-    kidx = 0
-    pblock = rng.integers(0, n, size=_BLOCK).tolist()
-    pidx = 0
-
-    def sample(lam_int, ones, cur_f):
-        nonlocal kblock, kidx, pblock, pidx
-        if kidx + lam_int > _BLOCK:
-            kblock = rng.binomial(n, inv_n, size=max(_BLOCK, lam_int)).tolist()
-            kidx = 0
-        bf = -1
-        best_ones = ones
-        best_flips = None
-        ties = 0
-        for _ in range(lam_int):
-            k = kblock[kidx]
-            kidx += 1
-            if k == 0:
-                co, flips = ones, None
-            elif k == 1:
-                if pidx == _BLOCK:
-                    pblock = rng.integers(0, n, size=_BLOCK).tolist()
-                    pidx = 0
-                flips = pblock[pidx]
-                pidx += 1
-                co = ones + 1 - 2 * bits[flips]
-            else:
-                flips = _distinct_positions(rng, n, k)
-                co = ones + k - 2 * sum([bits[p] for p in flips])
-            f = table[co]
-            if f > bf:
-                bf, best_ones, best_flips, ties = f, co, flips, 1
-            elif f == bf:
-                ties += 1
-                if rand() < 1.0 / ties:
-                    best_ones, best_flips = co, flips
-        return bf, best_ones, best_flips
-
-    return sample
-
-
 def raw(fn, bits) -> int:
     return fn.raw_from_bits(bits, sum(bits))
-
-
-def sampler(fn, bits, rng):
-    """A bit-mutation sampler over the parent list ``bits``: the shipped
-    one for ridge, the reference for level functions."""
-    if fn.level_based:
-        return reference_block_sampler(fn, fn.level_table().tolist(), bits, rng)
-    return _offspring_sampler(fn, bits, rng)
 
 
 def child_of(bits, flips) -> list:
@@ -132,15 +70,14 @@ class Generation:
     """Single generations of the run loop from chosen parents, all drawing
     from one engine as ``run()`` builds it: the exact law for level
     functions (no bit string: ``bits`` is None in the result), bit mutation
-    for ridge."""
+    for ridge.  ``seed`` may also be a generator."""
 
     def __init__(self, fn, kind, seed, params=P):
         self.fn, self.kind, self.params = fn, kind, params
-        rng = np.random.default_rng(seed)
+        rng = seed if hasattr(seed, "random") else np.random.default_rng(seed)
         if fn.level_based:
             self.parent = None
-            self.sample = _law_sampler(fn, fn.level_table().tolist(),
-                                       kind.selection == "plus", rng)
+            self.sample = _law_sampler(fn, fn.level_table().tolist(), rng)
         else:
             self.parent = [0] * fn.n
             self.sample = _offspring_sampler(fn, self.parent, rng)
@@ -167,14 +104,14 @@ class TestMutate:
     """Standard bit mutation as it ships: ridge's sampler."""
 
     def test_n1_forced_flip(self):
-        sample = sampler(FitnessFunction("ridge", 1), [0], np.random.default_rng(0))
+        sample = _offspring_sampler(FitnessFunction("ridge", 1), [0], np.random.default_rng(0))
         for _ in range(50):
             assert mutant(sample, [0]) == [1]
 
     def test_parent_unmodified(self):
         # ridge scores a child by flipping the parent in place and back
         parent = [0, 1] * 8
-        sample = sampler(FitnessFunction("ridge", 16), parent, np.random.default_rng(1))
+        sample = _offspring_sampler(FitnessFunction("ridge", 16), parent, np.random.default_rng(1))
         f = raw(FitnessFunction("ridge", 16), parent)
         for t in range(100):
             sample(1 + t % 4, 8, f)
@@ -192,7 +129,7 @@ class TestMutate:
         trials = 120_000
         tol = 5.0 * math.sqrt(0.25 / trials) + 0.002
         fn = FitnessFunction("ridge", n)
-        shipped = sampler(fn, list(parent), np.random.default_rng(99))
+        shipped = _offspring_sampler(fn, list(parent), np.random.default_rng(99))
         impls = {
             "sampler": lambda rng: mutant(shipped, parent),
             "reference": lambda rng: reference_per_bit_mutate(parent, rng),
@@ -207,7 +144,7 @@ class TestMutate:
 
     def test_mean_flip_count_near_one(self):
         parent = [0] * 50
-        sample = sampler(FitnessFunction("ridge", 50), parent, np.random.default_rng(12))
+        sample = _offspring_sampler(FitnessFunction("ridge", 50), parent, np.random.default_rng(12))
         total = sum(sum(mutant(sample, parent)) for _ in range(20_000))
         assert abs(total / 20_000 - 1.0) < 0.05
 
@@ -218,7 +155,7 @@ class TestMutate:
         n = 20
         fn = FitnessFunction("ridge", n)
         parent = [1, 0] * (n // 2)
-        sample = sampler(fn, parent, np.random.default_rng(5))
+        sample = _offspring_sampler(fn, parent, np.random.default_rng(5))
         tracemalloc.start()
         try:
             sample(200_000, n // 2, raw(fn, parent))
@@ -285,12 +222,20 @@ class StubGenerator:
         return np.array(head + [0.5] * (size - len(head)))
 
 
-def selections(fn, i, lam, plus, uniforms) -> list:
-    """The one-count the level engine selects from parent one-count i at
-    lam for each of the uniforms."""
+def selections(fn, i, lam, uniforms) -> list:
+    """The child one-count the level engine selects from parent one-count
+    i at lam for each of the uniforms."""
     uniforms = list(uniforms)
-    sample = _law_sampler(fn, fn.level_table().tolist(), plus, StubGenerator(uniforms))
+    sample = _law_sampler(fn, fn.level_table().tolist(), StubGenerator(uniforms))
     return [sample(lam, i, None)[1] for _ in uniforms]
+
+
+def plus_fitnesses(fn, i, lam, uniforms) -> list:
+    """The parent's raw fitness after one plus generation of the run loop
+    from parent one-count i at lam, for each of the uniforms."""
+    uniforms = list(uniforms)
+    gen = Generation(fn, PLUS, StubGenerator(uniforms))
+    return [gen.step(with_ones(fn.n, i), lam).fitness for _ in uniforms]
 
 
 def engine_order(fn, i):
@@ -328,7 +273,7 @@ class TestSelectionLaw:
         probes = []
         while (open_ := hi_k - lo_k > 1).any():
             mid = np.where(open_, (lo_k + hi_k) // 2, 0)
-            sel = selections(fn, i, lam, False, mid / 2.0**53)
+            sel = selections(fn, i, lam, mid / 2.0**53)
             past = np.array([rank[j] for j in sel]) > np.arange(len(order))
             hi_k = np.where(open_ & past, mid, hi_k)
             lo_k = np.where(open_ & ~past, mid, lo_k)
@@ -343,8 +288,9 @@ class TestSelectionLaw:
         edges = set(probes) | {k for e in hi_k.tolist() for k in (e - 1, e)}
         edges = sorted(k for k in edges if 0 <= k < 2**53)
         u = np.array(edges) / 2.0**53
-        comma = selections(fn, i, lam, False, u)
-        assert selections(fn, i, lam, True, u) == [target(j) for j in comma]
+        table = fn.level_table()
+        comma = selections(fn, i, lam, u)
+        assert plus_fitnesses(fn, i, lam, u) == [table[target(j)] for j in comma]
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("spec, n, i, lam", ENGINE_STATES)
@@ -356,10 +302,8 @@ class TestSelectionLaw:
         order, target = engine_order(fn, i)
         lo, pmf = selected_child_law(fn, i, 1, "comma")
         first = next(j for j in order if pmf[j - lo] > 0.0)
-        for plus in (False, True):
-            (child,) = selections(fn, i, lam, plus, [0.0])
-            assert child == (target(first) if plus else first), plus
-            assert 0 <= child <= n
+        assert selections(fn, i, lam, [0.0]) == [first]
+        assert plus_fitnesses(fn, i, lam, [0.0]) == [fn.level_table()[target(first)]]
 
     @pytest.mark.parametrize("lam", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -379,7 +323,7 @@ class TestSelectionLaw:
         assert abs(sum(law.values()) - 1.0) < 1e-12
         bits = list(parent)
         ones, f = sum(parent), raw(fn, parent)
-        sample = sampler(fn, bits, np.random.default_rng((n, lam, sum(map(ord, spec)))))
+        sample = _offspring_sampler(fn, bits, np.random.default_rng((n, lam, sum(map(ord, spec)))))
         trials = 50_000
         counts = Counter()
         for _ in range(trials):

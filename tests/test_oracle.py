@@ -5,14 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from onelambda import oracle
 from onelambda.ea import ControllerParams, round_lambda
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
+    _law_block,
+    _onemax_law,
     _power_pmf,
-    _single_parts,
     best_of_lambda_pmf,
     check_transition_bounds,
     drift_claim,
@@ -68,19 +70,50 @@ class TestSingleOffspringDistribution:
             assert abs(s - 1.0) < 1e-12, (n, i)
 
 
-class TestBestOfLambda:
-    def test_lambda_one_identity(self):
-        # lam = 1 is the one-offspring convolution pmf itself
-        for n, i in [(2, 1), (10, 4), (30, 29)]:
-            a = _single_parts(n, i)[0]
-            b = best_of_lambda_pmf(n, i, 1)
-            assert np.allclose(a, b, atol=1e-12)
+def full_support_law(n, i, lam):
+    """Independent reference for the best of lam children on onemax: one
+    child's pmf over 0..n as the full convolution of scipy's binomial
+    masses (lost one-bits reversed, gained zero-bits), then the plain
+    difference of the lam-th powers of its CDF."""
+    lost = binom.pmf(np.arange(i + 1), i, 1.0 / n)
+    gained = binom.pmf(np.arange(n - i + 1), n - i, 1.0 / n)
+    pmf = np.convolve(lost[::-1], gained)
+    tail = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]])
+    with np.errstate(divide="ignore"):
+        logcdf = np.log1p(-np.minimum(tail, 1.0))
+    return np.diff(np.exp(lam * logcdf), prepend=0.0), logcdf
 
-    def test_power_route_matches_convolution_at_lambda_one(self):
-        # differencing of CDF^1 must reproduce the convolution pmf
-        for n, i in [(10, 3), (50, 47), (163, 140)]:
-            pmf, logcdf = _single_parts(n, i)
-            assert np.allclose(_power_pmf(logcdf, 1), pmf, atol=1e-12)
+
+class TestBestOfLambda:
+    LAMS = (1, 64, 10**6, 10**9)
+
+    @staticmethod
+    def levels(n):
+        return sorted({*range(0, n + 1, max(1, n // 40)), n - 1, n})
+
+    @pytest.mark.parametrize("n", [1, 10, 200, 1000])
+    def test_window_matches_full_support_reference(self, n):
+        for i in self.levels(n):
+            for lam in self.LAMS:
+                want, _ = full_support_law(n, i, lam)
+                got = best_of_lambda_pmf(n, i, lam)
+                assert got.shape == (n + 1,)
+                assert np.abs(got - want).max() <= 1e-12, (i, lam)
+
+    @pytest.mark.parametrize("n", [1, 10, 200, 1000])
+    def test_level_row_matches_full_support_reference(self, n):
+        j = np.arange(n + 1)
+        for i in self.levels(n):
+            if i == n:
+                continue
+            for q in level_row(n, i, self.LAMS):
+                pmf, logcdf = full_support_law(n, i, q.lam)
+                p_plus = -math.expm1(q.lam * logcdf[i])
+                p_minus = math.exp(q.lam * logcdf[i - 1]) if i else 0.0
+                want = (p_plus, pmf[i], p_minus, ((j - i) * pmf)[i + 1 :].sum(),
+                        ((i - j) * pmf)[:i].sum())
+                got = (q.p_plus, q.p_zero, q.p_minus, q.gain, q.loss)
+                assert np.abs(np.subtract(got, want)).max() <= 1e-12, (i, q.lam, got, want)
 
     def test_two_bit_lambda_two(self):
         # P(best of 2 reaches fitness 2) = 1 - (3/4)^2 = 7/16
@@ -120,9 +153,7 @@ def level_functions(n):
 
 
 class TestSelectedChildLaw:
-    # the stated bound on the mass outside the window, plus the rounding of
-    # the binomial masses (a few 1e-16 since the ratio recurrence; log-gamma
-    # masses missed 1 by 6e-13 at n=1000, which only best_of_lambda_pmf kept)
+    # the stated bound on the mass outside the window, plus rounding
     @staticmethod
     def tolerance(lam):
         return lam / math.factorial(CHILD_WINDOW + 1) + 1e-11
@@ -234,18 +265,18 @@ class TestLevelQuantities:
 
 
 def reference_level_quantities(n, i, lam):
-    """The per-lam level record: one 1-D CDF power and plain sums."""
-    pmf, logcdf = _single_parts(n, i)
-    if lam > 1:
-        pmf = _power_pmf(logcdf, lam)
-    lc_i = lam * logcdf[i]
+    """The per-lam level record from the same window row: one 1-D CDF
+    power and plain sums."""
+    ones, logcdf = _onemax_law(n, i)
+    pmf = _power_pmf(logcdf, lam)
+    k = i - ones[0]
+    lc_i = lam * logcdf[k]
     p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
-    lc_im1 = lam * logcdf[i - 1] if i > 0 else -np.inf
+    lc_im1 = lam * logcdf[k - 1] if i > 0 else -np.inf
     p_minus = math.exp(lc_im1) if np.isfinite(lc_im1) else 0.0
-    j = np.arange(n + 1)
-    gain = float(((j[i + 1 :] - i) * pmf[i + 1 :]).sum())
-    loss = float(((i - j[:i]) * pmf[:i]).sum())
-    return (p_plus, float(pmf[i]), p_minus, gain, loss)
+    gain = float(((ones[k + 1 :] - i) * pmf[k + 1 :]).sum())
+    loss = float(((i - ones[:k]) * pmf[:k]).sum())
+    return (p_plus, float(pmf[k]), p_minus, gain, loss)
 
 
 class TestLevelRow:
@@ -273,18 +304,18 @@ class TestLevelRow:
 def test_every_oracle_memo_clears_and_refills():
     memos = [f for f in vars(oracle).values() if callable(getattr(f, "cache_clear", None))]
     names = {f.__name__ for f in memos}
-    assert {"_single_parts", "_law_block", "level_row", "max_flip_gain_series"} <= names
-    pot, states, threshold, direction = drift_claim("g1", 30, 1.5, 0.5)
+    assert {"_law_block", "level_row", "max_flip_gain_series"} <= names
+    pot, states, threshold, direction = drift_claim("g1", 70, 1.5, 0.5)
     params = ControllerParams(F=1.5, s=0.5)
 
     def misses():
-        drift_grid_check(pot, params, 30, states, threshold, direction)
-        return level_row.cache_info().misses, _single_parts.cache_info().misses
+        drift_grid_check(pot, params, 70, states, threshold, direction)
+        return level_row.cache_info().misses, _law_block.cache_info().misses
 
     for f in memos:
         f.cache_clear()
     cold = misses()
-    assert cold == (30, 30)  # one row and one single-child law per level
+    assert cold == (70, 3)  # one row per level, one law block per 32 levels
     assert misses() == cold  # warm: no new misses
     for f in memos:
         f.cache_clear()
