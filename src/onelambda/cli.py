@@ -23,6 +23,7 @@ from . import experiments as xp
 from .ea import ControllerParams, run
 from .fitness import FitnessFunction
 from .oracle import (
+    LAMBDA_MAX,
     check_transition_bounds,
     drift_claim,
     drift_grid_check,
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "out")
     p.add_argument("--n", type=positive_int, default=163)
     p.add_argument("--lambdas", type=int_list, default="1,2,3,5,8,13,21,34,55,64",
-                   help="comma-separated offspring counts")
+                   help=f"comma-separated offspring counts, each from 1 to {LAMBDA_MAX:.2g}")
 
     p = command("bound", cmd_bound, "closed-form elitist evaluation bound", "F", "lambda0")
     p.add_argument("--n", type=int)

@@ -23,6 +23,7 @@ from onelambda.ea import (
 from onelambda.experiments import BatchConfig, run_batch, run_figure
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
+    _child_masses,
     best_of_lambda_pmf,
     check_transition_bounds,
     drift_claim,
@@ -39,6 +40,9 @@ GRID_N = (2, 10, 50, 163, 500)
 def test_c01_distribution_normalization():
     worst = 0.0
     for n in GRID_N:
+        # one child's masses, before the log CDF puts any deficit on the lowest fitness
+        sums = _child_masses(n, np.arange(n + 1)).sum(axis=1)
+        worst = max(worst, float(np.abs(sums - 1.0).max()))
         for i in range(n + 1):
             for lam in range(1, 65):  # lam = 1 is the one-offspring law
                 worst = max(worst, abs(best_of_lambda_pmf(n, i, lam).sum() - 1.0))

@@ -9,7 +9,7 @@ import pytest
 
 from onelambda import experiments as xp
 from onelambda.cli import build_parser, main
-from onelambda.oracle import elitist_evaluations_bound
+from onelambda.oracle import LAMBDA_MAX, elitist_evaluations_bound
 
 
 def read_data_lines(path):
@@ -147,6 +147,13 @@ class TestAnalysisCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "lam" in err
+
+    def test_bounds_check_rejects_lambda_past_the_window_bound(self, tmp_path, capsys):
+        rc = main(["bounds-check", "--n", "10", f"--lambdas=1,{LAMBDA_MAX + 1}",
+                   "--out", str(tmp_path / "b.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and str(LAMBDA_MAX) in err
 
     @pytest.mark.parametrize("argv, code", [
         (["bounds-check", "--n", "0"], 2),

@@ -12,6 +12,8 @@ from onelambda.ea import ControllerParams, round_lambda
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
+    LAMBDA_MAX,
+    _child_masses,
     _law_block,
     _onemax_law,
     _power_pmf,
@@ -56,28 +58,33 @@ class TestSingleOffspringDistribution:
             got = best_of_lambda_pmf(n, i, 1)
             assert np.allclose(got, pmf, atol=1e-14)
 
-    @pytest.mark.parametrize("n", [2, 10, 50])
+    # One child's masses, before the window's log CDF accumulates them from
+    # the top and so puts any deficit on the lowest fitness.  The mass of a
+    # jump past the window, at most 1/31!, is far below the tolerance.
+    @pytest.mark.parametrize("n", [1, 2, 10, 50])
     def test_normalization(self, n):
-        for i in range(n + 1):
-            s = best_of_lambda_pmf(n, i, 1).sum()
-            assert abs(s - 1.0) < 1e-12
+        sums = _child_masses(n, np.arange(n + 1)).sum(axis=1)
+        assert np.abs(sums - 1.0).max() < 1e-12
 
     @pytest.mark.parametrize("n", [2000, 5000])
     def test_normalization_at_large_n(self, n):
-        # C1's tolerance, every n/50-th level
-        for i in range(0, n + 1, n // 50):
-            s = best_of_lambda_pmf(n, i, 1).sum()
-            assert abs(s - 1.0) < 1e-12, (n, i)
+        # C1's tolerance at every level, which log-gamma masses missed by
+        # 1.8e-12 at n = 2000 and 7.5e-12 at n = 5000
+        sums = _child_masses(n, np.arange(n + 1)).sum(axis=1)
+        assert np.abs(sums - 1.0).max() < 1e-12, int(np.abs(sums - 1.0).argmax())
 
 
 def full_support_law(n, i, lam):
     """Independent reference for the best of lam children on onemax: one
     child's pmf over 0..n as the full convolution of scipy's binomial
     masses (lost one-bits reversed, gained zero-bits), then the plain
-    difference of the lam-th powers of its CDF."""
+    difference of the lam-th powers of its CDF.  The pmf is rescaled to
+    sum to 1: a rounding deficit of a few 1e-16 would otherwise fall at
+    one-count 0, where the loss weighs it by i (2.2e-12 at n = 5000)."""
     lost = binom.pmf(np.arange(i + 1), i, 1.0 / n)
     gained = binom.pmf(np.arange(n - i + 1), n - i, 1.0 / n)
     pmf = np.convolve(lost[::-1], gained)
+    pmf /= pmf.sum()
     tail = np.concatenate([np.cumsum(pmf[::-1])[::-1][1:], [0.0]])
     with np.errstate(divide="ignore"):
         logcdf = np.log1p(-np.minimum(tail, 1.0))
@@ -91,7 +98,7 @@ class TestBestOfLambda:
     def levels(n):
         return sorted({*range(0, n + 1, max(1, n // 40)), n - 1, n})
 
-    @pytest.mark.parametrize("n", [1, 10, 200, 1000])
+    @pytest.mark.parametrize("n", [1, 10, 200, 1000, 2000, 5000])
     def test_window_matches_full_support_reference(self, n):
         for i in self.levels(n):
             for lam in self.LAMS:
@@ -100,7 +107,7 @@ class TestBestOfLambda:
                 assert got.shape == (n + 1,)
                 assert np.abs(got - want).max() <= 1e-12, (i, lam)
 
-    @pytest.mark.parametrize("n", [1, 10, 200, 1000])
+    @pytest.mark.parametrize("n", [1, 10, 200, 1000, 2000, 5000])
     def test_level_row_matches_full_support_reference(self, n):
         j = np.arange(n + 1)
         for i in self.levels(n):
@@ -144,6 +151,18 @@ class TestBestOfLambda:
             best_of_lambda_pmf(10, 4, lam)
         with pytest.raises(ValueError, match="lam"):
             level_quantities(10, 4, lam)
+
+    def test_lambda_past_the_window_bound_rejected(self):
+        # above LAMBDA_MAX the mass outside the window, lam/31!, passes 2^-53
+        assert LAMBDA_MAX * 2**53 <= math.factorial(CHILD_WINDOW + 1) < (LAMBDA_MAX + 1) * 2**53
+        best_of_lambda_pmf(10, 4, LAMBDA_MAX)
+        level_quantities(10, 4, LAMBDA_MAX)
+        selected_child_law(FitnessFunction("jump", 10, 2), 4, LAMBDA_MAX)
+        for law in (lambda lam: best_of_lambda_pmf(10, 4, lam),
+                    lambda lam: level_row(10, 4, (1, lam)),
+                    lambda lam: selected_child_law(FitnessFunction("jump", 10, 2), 4, lam)):
+            with pytest.raises(ValueError, match="lam"):
+                law(LAMBDA_MAX + 1)
 
 
 def level_functions(n):
