@@ -278,14 +278,10 @@ def cmd_drift_check(args) -> int:
 def cmd_bounds_check(args) -> int:
     report = check_transition_bounds(args.n, lambdas=args.lambdas, collect_rows=True)
     out = Path(args.out) if args.out else _out_dir() / "bounds_report.csv"
-    rows = (
-        (c.n, c.i, c.lam, c.quantity, c.name, c.side, c.exact, c.bound, c.margin, c.ok)
-        for c in report.rows
-    )
     xp.write_csv(
         out,
         ["n", "i", "lambda", "quantity", "bound", "side", "exact", "bound_value", "margin", "pass"],
-        rows,
+        report.rows,
         meta=_settings(args),
         timestamp=not args.no_timestamp,
     )

@@ -173,11 +173,14 @@ class StopCause(str, Enum):
 
 
 _BLOCK = 4096  # pre-sampled uniforms / flip counts / single-flip positions per refill
+_FIRST_UNIFORMS = 64  # the first block of a level run; blocks double up to _BLOCK
 
 
-def _uniforms(rng: np.random.Generator):
-    """_BLOCK uniforms, and their logs (log 0 = -inf) as a list."""
-    u = rng.random(_BLOCK)
+def _uniforms(rng: np.random.Generator, size: int):
+    """size uniforms, and their logs (log 0 = -inf) as a list.  The stream
+    does not depend on the block sizes: PCG64 gives the same doubles drawn
+    64 + 128 + ... at a time as in one draw."""
+    u = rng.random(size)
     with np.errstate(divide="ignore"):
         return u, np.log(u).tolist()
 
@@ -193,18 +196,20 @@ def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
     level's lam-free row (``oracle._LawBlock.row``), so u selects the first g
     with log(u)/lam < logcdf[g].  A tie group picks a member by u's
     position in (C_(g-1)^lam, C_g^lam] against the members' cumulative
-    shares.  Uniforms are drawn in blocks; the rows live in the oracle's
+    shares.  Uniforms are drawn in blocks, from 64 doubling up to _BLOCK,
+    so a short run draws few; the rows live in the oracle's
     bounded LRU of level blocks, and the sampler keeps the block of its
     last level.
     """
     from .oracle import _level_law  # oracle imports this module
 
     block, rows, first, width = None, None, 0, 0  # the block of the last level
-    ublock, lblock = _uniforms(rng)
+    usize = _FIRST_UNIFORMS
+    ublock, lblock = _uniforms(rng, usize)
     uidx = 0
 
     def sample(lam_int, ones, cur_f):
-        nonlocal block, rows, first, width, ublock, lblock, uidx
+        nonlocal block, rows, first, width, ublock, lblock, uidx, usize
         r = ones - first
         if not 0 <= r < width:
             block, r = _level_law(fn, ones)
@@ -212,8 +217,9 @@ def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
         row = rows[r]
         if row is None:
             row = block.row(r)
-        if uidx == _BLOCK:
-            ublock, lblock = _uniforms(rng)
+        if uidx == usize:
+            usize = min(2 * usize, _BLOCK)
+            ublock, lblock = _uniforms(rng, usize)
             uidx = 0
         logcdf, pick, ties = row
         g = bisect_right(logcdf, lblock[uidx] / lam_int)

@@ -30,6 +30,18 @@ fitness value of the window, and tie shares) built by one numpy pass per
 block of levels; ``ea.run`` samples the same rows instead of mutating
 bits, and the onemax quantities above read onemax's rows.
 
+The onemax checks run over arrays.  :func:`level_row` gives one level's
+quantities for a tuple of lams as arrays, :func:`drift_grid_check`
+gathers each state's from them into one drift expression, and
+:func:`check_transition_bounds` evaluates each bound over a block of
+levels x lams.  Entries that pass through exp, log1p, expm1, log2 or a
+power (p_plus, p_minus and eight of the bounds) stay ``math`` scalars,
+one call per (i, lam) or per lam: numpy's SIMD versions differ from
+``math`` in the last place on some inputs (exp on 4.7%, log1p 7.3%, expm1
+0.7% and power 5.4% of random inputs, on an AVX-512 build of numpy 2.4),
+and the check CSVs keep the scalar values.  Sums, products and quotients
+are correctly rounded either way.
+
 Numerics: one child's law lives on the window of one-counts within
 CHILD_WINDOW = 30 of the parent.  A child leaves it only by flipping more
 than 30 bits, so the best of lam children puts at most lam/31! (lam *
@@ -53,7 +65,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -323,7 +336,6 @@ def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
     return lo, pmf
 
 
-# slots: the level_row cache may hold a few hundred thousand of these
 @dataclass(frozen=True, slots=True)
 class LevelQuantities:
     """Per-level transition quantities of the best of lam offspring.
@@ -350,44 +362,60 @@ class LevelQuantities:
         return self.loss / self.p_minus if self.p_minus > UNDEFINED_BELOW else None
 
 
+class LevelRow(NamedTuple):
+    """The fields of :class:`LevelQuantities` at one level, each a read-only
+    float array with one entry per lam of the row."""
+
+    p_plus: np.ndarray
+    p_zero: np.ndarray
+    p_minus: np.ndarray
+    gain: np.ndarray
+    loss: np.ndarray
+
+
+def _each(f, *args) -> np.ndarray:
+    """f, a scalar function such as ``math.exp``, at every entry of the
+    broadcast arrays ``args``: one call per entry, on Python numbers."""
+    return np.frompyfunc(f, len(args), 1)(*args).astype(float)
+
+
 @lru_cache(maxsize=4096)
-def level_row(n: int, i: int, lams: tuple) -> tuple[LevelQuantities, ...]:
+def level_row(n: int, i: int, lams: tuple) -> LevelRow:
     """The transition quantities at (n, i, lam) for each lam of ``lams``,
-    in order, from one numpy pass over the level; 0 <= i < n.
+    in order, as arrays from one numpy pass over the level; 0 <= i < n.
 
     The pass is :func:`_power_pmf` of one child's log CDF on the window
     [i - w, i + w], w = CHILD_WINDOW, one row per lam, as in
     :func:`best_of_lambda_pmf`: a jump out of the window, at most lam/(w+1)!
-    of the mass, counts as a fall to the window's lowest fitness.  Needs
-    1 <= lam <= LAMBDA_MAX.
+    of the mass, counts as a fall to the window's lowest fitness.  p_plus
+    and p_minus come straight from the CDF power, accurate at large lam,
+    through ``math.expm1`` and ``math.exp`` one entry at a time: numpy's
+    SIMD exp and expm1 may differ from ``math`` in the last place, and the
+    check CSVs are pinned to the scalar values.  Needs 1 <= lam <= LAMBDA_MAX.
     """
     if not 0 <= i < n:
         raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
     for lam in lams:
         _check_lam(lam)
     ones, logcdf = _onemax_law(n, i)
-    pmfs = _power_pmf(logcdf, np.array(lams, dtype=float).reshape(-1, 1))
+    lam_vals = np.array(lams, dtype=float)
+    pmfs = _power_pmf(logcdf, lam_vals.reshape(-1, 1))
     k = i - ones[0]  # the parent's column
-    gains = ((ones[k + 1 :] - i) * pmfs[:, k + 1 :]).sum(axis=-1)
-    losses = ((i - ones[:k]) * pmfs[:, :k]).sum(axis=-1)
-    row = []
-    for lam, p_zero, gain, loss in zip(lams, pmfs[:, k], gains, losses):
-        # p_plus and p_minus straight from the CDF power, accurate at large lam
-        lc_i = lam * logcdf[k]
-        p_plus = -math.expm1(lc_i) if math.isfinite(lc_i) else 1.0
-        if i == 0:
-            p_minus = 0.0
-        else:
-            lc_im1 = lam * logcdf[k - 1]
-            p_minus = math.exp(lc_im1) if math.isfinite(lc_im1) else 0.0
-        row.append(LevelQuantities(n, i, lam, p_plus, float(p_zero), p_minus,
-                                   float(gain), float(loss)))
-    return tuple(row)
+    row = LevelRow(
+        p_plus=-_each(math.expm1, lam_vals * logcdf[k]),
+        p_zero=pmfs[:, k].copy(),  # not a view: the cache keeps no pmfs
+        p_minus=_each(math.exp, lam_vals * logcdf[k - 1]) if i else np.zeros(len(lams)),
+        gain=((ones[k + 1 :] - i) * pmfs[:, k + 1 :]).sum(axis=-1),
+        loss=((i - ones[:k]) * pmfs[:, :k]).sum(axis=-1),
+    )
+    for a in row:
+        a.setflags(write=False)
+    return row
 
 
 def level_quantities(n: int, i: int, lam: int) -> LevelQuantities:
     """The transition quantities at state (n, i, lam), 0 <= i < n."""
-    return level_row(n, i, (lam,))[0]
+    return LevelQuantities(n, i, lam, *(float(a[0]) for a in level_row(n, i, (lam,))))
 
 
 @lru_cache(maxsize=4096)
@@ -410,35 +438,41 @@ def max_flip_gain_series(lam: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
+    """One bound at one state, its fields in the column order of the
+    bounds-check CSV."""
+
     n: int
     i: int
     lam: int
-    name: str
     quantity: str
+    name: str
     side: str  # "lower" | "upper"
     exact: float
     bound: float
     margin: float  # >= 0 means the bound holds
-
-    @property
-    def ok(self) -> bool:
-        return self.margin >= -1e-10
+    ok: bool  # margin >= -1e-10
 
 
-def _one_flip_term(n: int, i: int) -> float:
-    return ((n - i) / n) * math.exp((n - 1) * math.log1p(-1.0 / n))
+def _no_flip(n: int, m: int) -> float:
+    """(1 - 1/n)^m: the chance that m given bits of n all stay unflipped."""
+    return math.exp(m * math.log1p(-1.0 / n)) if n > 1 else float(m == 0)
 
 
-def _pow_from_base(base: float, lam: int) -> float:
-    """(1 - base)^lam -> 1 - that, computed accurately."""
-    if base >= 1.0:
-        return 1.0
-    return -math.expm1(lam * math.log1p(-base))
+def _one_flip_term(n: int, i: np.ndarray) -> np.ndarray:
+    return ((n - i) / n) * _no_flip(n, n - 1)
+
+
+def _pow_from_base(base: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """1 - (1 - base)^lam, computed accurately; 1 where base >= 1."""
+    below = base < 1.0
+    log_stay = _each(math.log1p, -np.where(below, base, 0.0))
+    return np.where(below, -_each(math.expm1, lam * log_stay), 1.0)
 
 
 def _bound_definitions():
+    """(name, quantity, side, value, applies) per bound; value and applies
+    take n, a column of levels i and a row of lams, and broadcast."""
     e = _E
     return [
         # improvement probability, lower bounds (hold everywhere)
@@ -447,14 +481,14 @@ def _bound_definitions():
             "p_plus",
             "lower",
             lambda n, i, lam: 1.0 - e * n / (e * n + lam * (n - i)),
-            lambda n, i, lam: True,
+            None,
         ),
         (
             "p_plus_lower_single_flip",
             "p_plus",
             "lower",
             lambda n, i, lam: _pow_from_base((n - i) / (e * n), lam),
-            lambda n, i, lam: True,
+            None,
         ),
         # improvement probability, upper bounds
         (
@@ -469,37 +503,36 @@ def _bound_definitions():
             "p_plus",
             "upper",
             lambda n, i, lam: _pow_from_base((n - i) / n, lam),
-            lambda n, i, lam: True,
+            None,
         ),
         (
             "p_plus_upper_hard_band",
             "p_plus",
             "upper",
             lambda n, i, lam: 0.069,
-            lambda n, i, lam: lam == 1 and n >= 163 and 0.84 * n <= i <= 0.85 * n,
+            lambda n, i, lam: (lam == 1) & (n >= 163) & (0.84 * n <= i) & (i <= 0.85 * n),
         ),
         # fallback probability
         (
             "p_minus_lower",
             "p_minus",
             "lower",
-            lambda n, i, lam: (i / n - 1.0 / e) ** lam,
+            lambda n, i, lam: _each(pow, i / n - 1.0 / e, lam),
             lambda n, i, lam: i / n >= 1.0 / e,
         ),
         (
             "p_minus_upper",
             "p_minus",
             "upper",
-            lambda n, i, lam: (1.0 - (n - i) / (e * n) - math.exp(n * math.log1p(-1.0 / n)))
-            ** lam,
-            lambda n, i, lam: True,
+            lambda n, i, lam: _each(pow, 1.0 - (n - i) / (e * n) - _no_flip(n, n), lam),
+            None,
         ),
         (
             "p_minus_upper_coarse",
             "p_minus",
             "upper",
-            lambda n, i, lam: ((e - 1.0) / e) ** lam,
-            lambda n, i, lam: True,
+            lambda n, i, lam: _each(pow, (e - 1.0) / e, lam),
+            None,
         ),
         # backward drift
         (
@@ -507,14 +540,14 @@ def _bound_definitions():
             "delta_minus",
             "lower",
             lambda n, i, lam: 1.0,
-            lambda n, i, lam: True,
+            None,
         ),
         (
             "delta_minus_upper",
             "delta_minus",
             "upper",
             lambda n, i, lam: e / (e - 1.0),
-            lambda n, i, lam: True,
+            None,
         ),
         # forward drift
         (
@@ -522,26 +555,74 @@ def _bound_definitions():
             "delta_plus",
             "lower",
             lambda n, i, lam: 1.0,
-            lambda n, i, lam: True,
+            None,
         ),
         (
             "delta_plus_upper_series",
             "delta_plus",
             "upper",
-            lambda n, i, lam: max_flip_gain_series(lam),
-            lambda n, i, lam: True,
+            lambda n, i, lam: _each(max_flip_gain_series, lam),
+            None,
         ),
         (
             "delta_plus_upper_log",
             "delta_plus",
             "upper",
-            lambda n, i, lam: math.ceil(math.log2(lam)) + 0.413,
+            lambda n, i, lam: _each(lambda m: math.ceil(math.log2(m)) + 0.413, lam),
             lambda n, i, lam: lam >= 5,
         ),
     ]
 
 
 _BOUNDS = _bound_definitions()
+
+# Levels per numpy pass of check_transition_bounds.
+_BOUND_LEVELS = 32
+
+
+def _floats(a) -> np.ndarray:
+    """a as an array of Python float objects (dtype object)."""
+    return np.asarray(a, dtype=float).astype(object)
+
+
+def _bound_pass(n: int, levels: range, lams: tuple):
+    """Every applicable check at the states (i, lam) of ``levels`` x
+    ``lams``, in (i, lam, bound) order: each check's index in _BOUNDS, and
+    a BoundCheck whose fields are arrays with one entry per check."""
+    rows = (level_row(n, level, lams) for level in levels)
+    p_plus, _, p_minus, gain, loss = map(np.array, zip(*rows))  # (level, lam) each
+    i = np.array(levels).reshape(-1, 1)
+    lam = np.array(lams).reshape(1, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = {  # quantity -> (exact value, where it is defined)
+            "p_plus": (p_plus, True),
+            "p_minus": (p_minus, True),
+            "delta_plus": (gain / p_plus, p_plus > UNDEFINED_BELOW),
+            "delta_minus": (loss / p_minus, p_minus > UNDEFINED_BELOW),
+        }
+    # exact and bound values as Python floats, one object per entry before
+    # broadcasting: the checks of one state share them, which keeps the rows small
+    objects = {quantity: _floats(q) for quantity, (q, _) in values.items()}
+    exact, bound, margin, checked = [], [], [], []
+    for _, quantity, side, value, applies in _BOUNDS:
+        q, defined = values[quantity]
+        b = value(n, i, lam)
+        exact.append(objects[quantity])
+        bound.append(np.broadcast_to(_floats(b), q.shape))
+        margin.append(b - q if side == "upper" else q - b)
+        checked.append(defined if applies is None else applies(n, i, lam) & defined)
+    checked = np.stack(np.broadcast_arrays(*checked), axis=-1)
+    li, mi, bi = np.nonzero(checked)
+    names, quantities, sides = (np.array(col, dtype=object) for col in list(zip(*_BOUNDS))[:3])
+    exact, bound, margin = (np.stack(a, axis=-1)[checked] for a in (exact, bound, margin))
+    return bi, BoundCheck(np.full(bi.size, n), i[li, 0], lam[0, mi], quantities[bi], names[bi],
+                          sides[bi], exact, bound, margin, margin >= -1e-10)
+
+
+def _check_rows(checks: BoundCheck, k) -> list:
+    """The BoundCheck rows at index k (an index array, mask or slice) of
+    a BoundCheck of arrays, as Python values."""
+    return list(map(BoundCheck._make, zip(*(col[k].tolist() for col in checks))))
 
 
 @dataclass
@@ -567,32 +648,33 @@ def check_transition_bounds(
     """Check every applicable sandwich bound at every state (i, lam), i < n.
 
     A bound is checked only where its precondition holds and the exact
-    quantity is defined; any violation is recorded with both sides.
+    quantity is defined; any violation is recorded with both sides.  Each
+    bound is one array expression, with an array precondition mask, over
+    a block of _BOUND_LEVELS levels x lams read from :func:`level_row`;
+    the rows come out in (i, lam, bound) order, one block at a time.  The
+    (1 - base)^lam bounds and the plain powers stay ``math`` scalars, one
+    call per state, as p_plus and p_minus do: numpy's SIMD exp, log1p,
+    expm1 and power may differ from ``math`` in the last place.
     """
     if lambdas is None:
         lambdas = range(1, 65)
     lams = tuple(int(lam) for lam in lambdas)
     report = TransitionBoundReport(n=n, rows=[] if collect_rows else None)
-    for i in range(n):
-        for lam, q in zip(lams, level_row(n, i, lams)):
-            report.states_checked += 1
-            for name, quantity, side, value_fn, applies in _BOUNDS:
-                if not applies(n, i, lam):
-                    continue
-                exact = getattr(q, quantity)
-                if exact is None:
-                    continue
-                bound = value_fn(n, i, lam)
-                margin = (bound - exact) if side == "upper" else (exact - bound)
-                chk = BoundCheck(n, i, lam, name, quantity, side, exact, bound, margin)
-                report.checks_performed += 1
-                if not chk.ok:
-                    report.violations.append(chk)
-                prev = report.worst.get(name)
-                if prev is None or margin < prev.margin:
-                    report.worst[name] = chk
-                if collect_rows:
-                    report.rows.append(chk)
+    if n < 1 or not lams:
+        return report
+    report.states_checked = n * len(lams)
+    for lo in range(0, n, _BOUND_LEVELS):
+        b, checks = _bound_pass(n, range(lo, min(n, lo + _BOUND_LEVELS)), lams)
+        report.checks_performed += b.size
+        report.violations += _check_rows(checks, ~checks.ok)
+        for index, (name, *_) in enumerate(_BOUNDS):
+            of_bound = np.flatnonzero(b == index)
+            if of_bound.size:  # the first check with the least margin
+                k = of_bound[np.argmin(checks.margin[of_bound])]
+                if name not in report.worst or checks.margin[k] < report.worst[name].margin:
+                    report.worst[name] = _check_rows(checks, [k])[0]
+        if collect_rows:
+            report.rows += _check_rows(checks, slice(None))
     return report
 
 
@@ -682,7 +764,8 @@ def exact_potential_drift(
     progress measure); this can only lower the drift.
     """
     q = level_quantities(n, i, _offspring_count(lambda_real))
-    return _drift(potential, q, lambda_real, params, cap_gain_at_one)
+    return _drift(q.p_plus, q.gain, q.loss, _lambda_terms(potential, lambda_real, params),
+                  cap_gain_at_one)
 
 
 def _offspring_count(lambda_real: float) -> int:
@@ -691,15 +774,20 @@ def _offspring_count(lambda_real: float) -> int:
     return round_lambda(lambda_real)
 
 
-def _drift(potential, q: LevelQuantities, lambda_real: float, params, cap_gain_at_one) -> float:
-    """The drift of :func:`exact_potential_drift` from the level record q
-    at round(lambda_real) offspring."""
-    p_plus = q.p_plus
-    fitness_part = (p_plus if cap_gain_at_one else q.gain) - q.loss
-    lam_succ = update_lambda(lambda_real, True, params)
-    lam_fail = update_lambda(lambda_real, False, params)
+def _lambda_terms(potential, lambda_real: float, params) -> tuple:
+    """h after a success, h after a failure and h now, at lambda_real."""
     h = potential.h
-    return fitness_part + p_plus * h(lam_succ) + (1.0 - p_plus) * h(lam_fail) - h(lambda_real)
+    return (h(update_lambda(lambda_real, True, params)),
+            h(update_lambda(lambda_real, False, params)), h(lambda_real))
+
+
+def _drift(p_plus, gain, loss, terms, cap_gain_at_one):
+    """The drift of :func:`exact_potential_drift` from the level quantities
+    at round(lambda_real) offspring and the :func:`_lambda_terms` of
+    lambda_real; scalars, or arrays with one entry per state."""
+    h_succ, h_fail, h_now = terms
+    fitness_part = (p_plus if cap_gain_at_one else gain) - loss
+    return fitness_part + p_plus * h_succ + (1.0 - p_plus) * h_fail - h_now
 
 
 @dataclass
@@ -745,42 +833,53 @@ def drift_grid_check(
     state's margin is its distance from the threshold on the passing
     side, negative when it is flagged.  Violations are data (the claims
     are asymptotic), so they are returned, not raised.
+
+    Each state's level quantities are gathered from one :func:`level_row`
+    per level, the controller's scalar code runs once per distinct
+    lambda_real, and one array expression gives every drift, with the
+    operands of :func:`exact_potential_drift` in its order.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
-    states = [(int(i), float(lam_real)) for i, lam_real in states]
-    levels = {}  # fitness level -> its distinct offspring counts, in grid order
-    for i, lam_real in states:
-        levels.setdefault(i, {})[_offspring_count(lam_real)] = None
-    records = {}  # (i, offspring count) -> level record, one level row per level
-    for i, lams in levels.items():
-        lams = tuple(lams)
-        records.update(((i, lam), q) for lam, q in zip(lams, level_row(n, i, lams)))
-    extreme = None
-    extreme_state = None
-    violations = []
-    rows = [] if collect_rows else None
-    for i, lam_real in states:
-        lam = round_lambda(lam_real)
-        d = _drift(potential, records[i, lam], lam_real, params, cap_gain_at_one)
-        if extreme is None or (d < extreme if direction == "min_at_least" else d > extreme):
-            extreme, extreme_state = d, (i, lam_real)
-        margin = d - threshold if direction == "min_at_least" else threshold - d
-        if margin < 0:
-            violations.append((i, lam_real, d))
-        if collect_rows:
-            rows.append((n, i, lam_real, lam, d, threshold, margin, margin >= 0))
-    return DriftReport(
+    grid = np.asarray(states, dtype=float).reshape(-1, 2)
+    report = DriftReport(
         potential=getattr(potential, "kind", "?"),
         n=n,
         threshold=threshold,
         direction=direction,
-        states_checked=len(states),
-        extreme=extreme,
-        extreme_state=extreme_state,
-        violations=violations,
-        rows=rows,
+        states_checked=len(grid),
+        extreme=None,
+        extreme_state=None,
+        violations=[],
+        rows=[] if collect_rows else None,
     )
+    if not len(grid):
+        return report
+    i, lam_real = grid[:, 0].astype(int), grid[:, 1]
+    lam_values, lam_of = np.unique(lam_real, return_inverse=True)
+    per_lam = [(_offspring_count(x), *_lambda_terms(potential, x, params))
+               for x in lam_values.tolist()]
+    lam, *terms = (np.array(col)[lam_of] for col in zip(*per_lam))
+    # one level row per level, over the level's distinct offspring counts
+    pairs, pair_of = np.unique(np.column_stack([i, lam]), axis=0, return_inverse=True)
+    levels, starts = np.unique(pairs[:, 0], return_index=True)
+    rows = [level_row(n, level, tuple(lams.tolist()))
+            for level, lams in zip(levels.tolist(), np.split(pairs[:, 1], starts[1:]))]
+    q = LevelRow(*(np.concatenate(col)[pair_of] for col in zip(*rows)))  # per state
+    drift = _drift(q.p_plus, q.gain, q.loss, terms, cap_gain_at_one)
+    if direction == "min_at_least":
+        k, margin = np.argmin(drift), drift - threshold
+    else:
+        k, margin = np.argmax(drift), threshold - drift
+    report.extreme = float(drift[k])
+    report.extreme_state = (int(i[k]), float(lam_real[k]))
+    bad = margin < 0
+    report.violations = list(zip(i[bad].tolist(), lam_real[bad].tolist(), drift[bad].tolist()))
+    if collect_rows:
+        report.rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam.tolist(),
+                               drift.tolist(), repeat(threshold), margin.tolist(),
+                               (margin >= 0).tolist()))
+    return report
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

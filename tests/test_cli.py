@@ -140,6 +140,18 @@ class TestAnalysisCommands:
         header = read_data_lines(out)[0]
         assert header.startswith("n,i,lambda,quantity,bound,side,exact,bound_value,margin")
 
+    @pytest.mark.parametrize("argv", [
+        ["drift-check", "--potential", "g1", "--n", "30", "--s", "0.5"],
+        ["drift-check", "--potential", "g2", "--n", "600", "--s", "18"],
+        ["bounds-check", "--n", "30", "--lambdas", "1,2,5"],
+    ])
+    def test_check_outputs_hold_plain_numbers(self, argv, tmp_path, capsys):
+        # a numpy scalar would print as np.float64(...) in the CSV or the JSON
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out), "--no-timestamp"]) == 0
+        assert "np." not in capsys.readouterr().out
+        assert "np." not in out.read_text()
+
     @pytest.mark.parametrize("lambdas", ["0,1", "-2"])
     def test_bounds_check_rejects_lambda_below_one(self, lambdas, tmp_path, capsys):
         rc = main(["bounds-check", "--n", "10", f"--lambdas={lambdas}",

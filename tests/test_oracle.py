@@ -113,14 +113,15 @@ class TestBestOfLambda:
         for i in self.levels(n):
             if i == n:
                 continue
-            for q in level_row(n, i, self.LAMS):
-                pmf, logcdf = full_support_law(n, i, q.lam)
-                p_plus = -math.expm1(q.lam * logcdf[i])
-                p_minus = math.exp(q.lam * logcdf[i - 1]) if i else 0.0
+            row = level_row(n, i, self.LAMS)
+            for c, lam in enumerate(self.LAMS):
+                pmf, logcdf = full_support_law(n, i, lam)
+                p_plus = -math.expm1(lam * logcdf[i])
+                p_minus = math.exp(lam * logcdf[i - 1]) if i else 0.0
                 want = (p_plus, pmf[i], p_minus, ((j - i) * pmf)[i + 1 :].sum(),
                         ((i - j) * pmf)[:i].sum())
-                got = (q.p_plus, q.p_zero, q.p_minus, q.gain, q.loss)
-                assert np.abs(np.subtract(got, want)).max() <= 1e-12, (i, q.lam, got, want)
+                got = tuple(field[c] for field in row)
+                assert np.abs(np.subtract(got, want)).max() <= 1e-12, (i, lam, got, want)
 
     def test_two_bit_lambda_two(self):
         # P(best of 2 reaches fitness 2) = 1 - (3/4)^2 = 7/16
@@ -265,7 +266,8 @@ class TestLevelQuantities:
         pot = make_potential("g2", F=1.5)
         exact_potential_drift(pot, 30, 20, 2.6, ControllerParams(F=1.5, s=1.0))
         assert level_row.cache_info().currsize == 1
-        assert level_quantities(30, 20, 3) is level_quantities(30, 20, 3)
+        level_quantities(30, 20, 3)
+        assert level_row.cache_info()[:4] == (1, 1, 4096, 1)  # hits, misses, size, held
 
     def test_undefined_markers(self):
         q = level_quantities(10, 0, 4)
@@ -306,13 +308,18 @@ class TestLevelRow:
         for lams in (self.LAMS, (64, 1, 10**9, 7, 1, 3, 64)):
             for i in range(n):
                 row = level_row(n, i, lams)
-                assert [q.lam for q in row] == list(lams)
-                for q in row:
-                    got = (q.p_plus, q.p_zero, q.p_minus, q.gain, q.loss)
-                    assert got == reference_level_quantities(n, i, q.lam), (n, i, q.lam)
+                for field in row:
+                    assert field.shape == (len(lams),) and not field.flags.writeable
+                for c, lam in enumerate(lams):
+                    got = tuple(field[c] for field in row)
+                    assert got == reference_level_quantities(n, i, lam), (n, i, lam)
 
     def test_level_quantities_is_the_one_lambda_row(self):
-        assert level_quantities(40, 30, 5) is level_row(40, 30, (5,))[0]
+        q = level_quantities(40, 30, 5)
+        values = (q.p_plus, q.p_zero, q.p_minus, q.gain, q.loss)
+        assert (q.n, q.i, q.lam) == (40, 30, 5)
+        assert values == tuple(field[0] for field in level_row(40, 30, (5,)))
+        assert all(type(v) is float for v in values)
 
     @pytest.mark.parametrize("lams", [(3, 0, 2), (-1,), (1, 2, -5)])
     def test_lambda_below_one_rejected(self, lams):
@@ -339,6 +346,44 @@ def test_every_oracle_memo_clears_and_refills():
     for f in memos:
         f.cache_clear()
     assert misses() == cold
+
+
+def reference_bound_checks(n, lams):
+    """(n, i, lam, quantity, name, side, exact, bound) of every applicable
+    check, one state and one bound at a time, with the exact quantities of
+    level_quantities and the bounds in scalar math."""
+    stay = [math.exp(m * math.log1p(-1.0 / n)) for m in (n - 1, n)]
+
+    def from_base(base, lam):
+        return 1.0 if base >= 1.0 else -math.expm1(lam * math.log1p(-base))
+
+    out = []
+    for i in range(n):
+        for lam in lams:
+            q = level_quantities(n, i, lam)
+            bounds = [  # name, side, applies, value
+                ("p_plus_lower_harmonic", "lower", True, 1.0 - E * n / (E * n + lam * (n - i))),
+                ("p_plus_lower_single_flip", "lower", True, from_base((n - i) / (E * n), lam)),
+                ("p_plus_upper_refined", "upper", i >= 0.87 * n,
+                 from_base(1.14 * (((n - i) / n) * stay[0]), lam)),
+                ("p_plus_upper_zero_flip", "upper", True, from_base((n - i) / n, lam)),
+                ("p_plus_upper_hard_band", "upper",
+                 lam == 1 and n >= 163 and 0.84 * n <= i <= 0.85 * n, 0.069),
+                ("p_minus_lower", "lower", i / n >= 1.0 / E, (i / n - 1.0 / E) ** lam),
+                ("p_minus_upper", "upper", True, (1.0 - (n - i) / (E * n) - stay[1]) ** lam),
+                ("p_minus_upper_coarse", "upper", True, ((E - 1.0) / E) ** lam),
+                ("delta_minus_lower", "lower", True, 1.0),
+                ("delta_minus_upper", "upper", True, E / (E - 1.0)),
+                ("delta_plus_lower", "lower", True, 1.0),
+                ("delta_plus_upper_series", "upper", True, max_flip_gain_series(lam)),
+                ("delta_plus_upper_log", "upper", lam >= 5, math.ceil(math.log2(lam)) + 0.413),
+            ]
+            for name, side, applies, bound in bounds:
+                quantity = "_".join(name.split("_")[:2])
+                exact = getattr(q, quantity)
+                if applies and exact is not None:
+                    out.append((n, i, lam, quantity, name, side, exact, bound))
+    return out
 
 
 class TestTransitionBounds:
@@ -376,6 +421,45 @@ class TestTransitionBounds:
         assert report.ok
         rows = [c for c in report.rows if c.name == "p_plus_upper_refined"]
         assert rows and all(c.i >= 0.87 * n for c in rows)
+
+    @pytest.mark.parametrize("n, lams", [(60, (1, 2, 5, 64)), (163, (1, 3, 8))])
+    def test_rows_are_the_scalar_loop_bitwise(self, n, lams):
+        report = check_transition_bounds(n, lambdas=lams, collect_rows=True)
+        want = reference_bound_checks(n, lams)
+        assert len(report.rows) == report.checks_performed == len(want)
+        assert [c[:6] for c in report.rows] == [w[:6] for w in want]
+        got = np.array([c[6:8] for c in report.rows])
+        assert np.array_equal(got.view(np.int64), np.array([w[6:] for w in want]).view(np.int64))
+        for c in report.rows:
+            assert c.margin == (c.bound - c.exact if c.side == "upper" else c.exact - c.bound)
+            assert c.ok is (c.margin >= -1e-10)
+        assert {tuple(map(type, c)) for c in report.rows} == {
+            (int, int, int, str, str, str, float, float, float, bool)}
+
+    def test_worst_is_the_first_row_with_the_least_margin(self):
+        report = check_transition_bounds(60, lambdas=(1, 2, 5, 64), collect_rows=True)
+        assert set(report.worst) == {c.name for c in report.rows}
+        for name, worst in report.worst.items():
+            rows = [c for c in report.rows if c.name == name]
+            least = min(c.margin for c in rows)
+            assert worst == next(c for c in rows if c.margin == least)
+
+    def test_violations_are_the_failing_rows(self, monkeypatch):
+        # the refined cap fails on easy levels: checked everywhere, it is violated
+        bounds = [b[:4] + (None,) if b[0] == "p_plus_upper_refined" else b
+                  for b in oracle._BOUNDS]
+        monkeypatch.setattr(oracle, "_BOUNDS", bounds)
+        report = check_transition_bounds(60, lambdas=(1, 2, 5), collect_rows=True)
+        failing = [c for c in report.rows if not c.ok]
+        assert 0 < len(failing) < len(report.rows)
+        assert report.violations == failing and not report.ok
+        assert {c.name for c in failing} == {"p_plus_upper_refined"}
+
+    def test_one_bit(self):
+        # the only bit always flips: (1 - 1/n)^n = 0, not a log1p(-1) domain error
+        report = check_transition_bounds(1, lambdas=(1, 2), collect_rows=True)
+        assert report.ok and report.states_checked == 2
+        assert {c.exact for c in report.rows if c.quantity == "p_plus"} == {1.0}
 
     def test_negative_base_lower_bound_skipped(self):
         # (i/n - 1/e)^lam is only meaningful once i/n >= 1/e
@@ -527,6 +611,27 @@ class TestDriftGridCheck:
             if not passed:
                 flagged.append((i, lam, d))
         assert flagged == report.violations and len(flagged) == len(states) // 2
+
+
+    @pytest.mark.parametrize("kind, n, cap", [("g1", 70, False), ("g1", 70, True),
+                                              ("g2", 1000, False)])
+    def test_rows_are_the_state_by_state_drift_bitwise(self, kind, n, cap):
+        s = 0.5 if kind == "g1" else 18.0
+        params = ControllerParams(F=1.5, s=s)
+        pot, states, threshold, direction = drift_claim(kind, n, 1.5, s)
+        report = drift_grid_check(pot, params, n, states, threshold, direction,
+                                  cap_gain_at_one=cap, collect_rows=True)
+        assert [row[1:4] for row in report.rows] == [
+            (i, lam, round_lambda(lam)) for i, lam in states]
+        got = np.array([row[4] for row in report.rows])
+        want = np.array([exact_potential_drift(pot, n, i, lam, params, cap_gain_at_one=cap)
+                         for i, lam in states])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        k = int(np.argmin(want) if direction == "min_at_least" else np.argmax(want))
+        assert (report.extreme, report.extreme_state) == (want[k], states[k])
+        assert [type(v) for v in (report.extreme, *report.extreme_state)] == [float, int, float]
+        assert {tuple(map(type, row)) for row in report.rows} == {
+            (int, int, float, int, float, float, float, bool)}
 
 
 class TestDriftClaim:
