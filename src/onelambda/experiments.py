@@ -15,13 +15,13 @@ normalised by n, matching the 500n generation cap.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -180,32 +180,69 @@ def _run_one(args) -> RunRecord:
     )
 
 
+_POOL = None  # (owner pid, workers, executor) of the pool run_batch reuses
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers, created on first use.
+
+    Later calls with the same worker count return the same pool, so its
+    workers keep their level blocks and law rows warm from batch to batch.
+    Another worker count shuts the old pool down first.  A pool inherited
+    through fork belongs to the parent process: it is neither used nor shut
+    down, and a new one takes its place.
+
+    Workers start by the platform's default method (fork on Linux) at the
+    pool's first task, before the executor starts its manager thread, and
+    run the program as it was then.  The old pool is shut down before a new
+    one forks, so no fork happens beside a live manager thread.  At
+    interpreter exit ``concurrent.futures`` joins the workers.
+    """
+    global _POOL
+    pid = os.getpid()
+    if _POOL is not None and _POOL[0] == pid:
+        if _POOL[1] == workers:
+            return _POOL[2]
+        _POOL[2].shutdown()
+    _POOL = (pid, workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[2]
+
+
 def run_batch(config: BatchConfig, workers: int | None = None, progress=None) -> BatchResult:
     """Execute all cells; deterministic for a fixed (config, master_seed).
 
-    ``workers`` > 1 distributes runs over a process pool; results are
+    ``workers`` > 1 distributes runs over the process's pool (see
+    :func:`_pool`), which later batches with the same worker count reuse;
+    None means one worker per CPU this process may run on.  Results are
     identical to the sequential order because every run owns its seed.
     ``progress(done, total)``, if given, is called as each run's record
-    arrives, in run order, with or without the pool.
+    arrives, in run order, with or without the pool.  If a worker dies,
+    the pool is dropped and ``BrokenProcessPool`` propagates; the next
+    pooled batch starts a new pool.
     """
     if workers is None:
-        workers = os.cpu_count() or 1
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     tasks = []
     for cell_index, n, F, s in config.cell_specs():
         for run_index in range(config.runs):
             tasks.append((config, cell_index, n, F, s, run_index))
-    parallel = workers > 1 and len(tasks) > 1
     records = []
-    with (ProcessPoolExecutor(max_workers=workers) if parallel
-          else contextlib.nullcontext()) as pool:
-        if parallel:
-            results = pool.map(_run_one, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
+    try:
+        if workers > 1 and len(tasks) > 1:
+            results = _pool(workers).map(
+                _run_one, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
         else:
             results = map(_run_one, tasks)
         for rec in results:
             records.append(rec)
             if progress is not None:
                 progress(len(records), len(tasks))
+    except BrokenProcessPool:
+        global _POOL
+        _POOL[2].shutdown()
+        _POOL = None
+        raise
     cells = []
     per_cell = config.runs
     for j, (cell_index, n, F, s) in enumerate(config.cell_specs()):
@@ -548,8 +585,12 @@ def config_digest(meta: dict) -> str:
 
 
 def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
-    """Write rows (dicts or sequences) with '#' header comments carrying
-    the effective config, its hash and the normalisation conventions."""
+    """Write rows with '#' header comments carrying the effective config,
+    its hash and the normalisation conventions.
+
+    The rows of one call are all dicts (a missing key is an empty field)
+    or all sequences in column order; the first row decides which.
+    """
     import csv
     import datetime
     import pathlib
@@ -564,6 +605,11 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
             fh.write(f"# generated_at: {datetime.datetime.now().isoformat()}\n")
         writer = csv.writer(fh)  # None as empty, floats by float.__repr__
         writer.writerow(columns)
-        writer.writerows(
-            [row.get(c) for c in columns] if isinstance(row, dict) else row for row in rows
-        )
+        rows = iter(rows)
+        first = next(rows, None)
+        if isinstance(first, dict):
+            writer.writerow([first.get(c) for c in columns])
+            writer.writerows([row.get(c) for c in columns] for row in rows)
+        elif first is not None:
+            writer.writerow(first)
+            writer.writerows(rows)

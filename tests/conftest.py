@@ -20,7 +20,9 @@ def record_criterion(crit_id: str, description: str, passed: bool, detail: str =
 
 
 def workers() -> int:
-    return min(2, os.cpu_count() or 1)
+    """Pool size for the criteria: the usable CPUs, at most 2."""
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(2, usable)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,12 +1,20 @@
 """Batch runner, seeding, aggregations and CSV output."""
 
+import dataclasses
 import math
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import workers
+from onelambda import experiments as xp
 from onelambda.experiments import (
     BatchConfig,
     bootstrap_mean_ci,
@@ -38,6 +46,26 @@ def small_batch(trace="levels", runs=3, algo="comma", n=(30,), fs=((1.5, 1.0),),
     )
 
 
+def assert_same_records(a, b):
+    """Every field of every record equal, traces and level arrays included."""
+    for ca, cb in zip(a.cells, b.cells, strict=True):
+        for ra, rb in zip(ca.records, cb.records, strict=True):
+            for f in dataclasses.fields(ra):
+                va, vb = getattr(ra, f.name), getattr(rb, f.name)
+                if isinstance(va, dict):
+                    assert va.keys() == vb.keys(), f.name
+                    for key in va:
+                        assert np.array_equal(va[key], vb[key]), (f.name, key)
+                elif isinstance(va, np.ndarray):
+                    assert np.array_equal(va, vb), f.name
+                else:
+                    assert va == vb, f.name
+
+
+POOL_CONFIG = BatchConfig(algorithm="comma", fn_spec="onemax", n_values=(20, 30),
+                          fs_values=((1.5, 1.0),), runs=4, master_seed=9, trace_level="levels")
+
+
 class TestSeeding:
     def test_child_seeds_distinct(self):
         keys = {child_seed(1, c, r).spawn_key for c in range(2) for r in range(3)}
@@ -58,13 +86,107 @@ class TestSeeding:
                 assert np.array_equal(ra.first_hit_evals, rb.first_hit_evals)
 
     def test_worker_pool_matches_sequential(self):
-        if workers() < 2:
-            pytest.skip("single-cpu environment")
-        seq = small_batch(runs=4)
-        par = run_batch(seq.config, workers=2)
-        for ca, cb in zip(seq.cells, par.cells):
-            for ra, rb in zip(ca.records, cb.records):
-                assert ra.evaluations == rb.evaluations
+        # two different batches in a row through the same pool
+        first = dataclasses.replace(POOL_CONFIG, trace_level="full")
+        second = dataclasses.replace(POOL_CONFIG, algorithm="plus", n_values=(20, 40),
+                                     master_seed=5)
+        pools = []
+        for config in (first, second):
+            assert_same_records(run_batch(config, workers=1), run_batch(config, workers=2))
+            pools.append(xp._POOL[2])
+        assert pools[0] is pools[1]
+
+
+@pytest.fixture
+def no_pool():
+    """Start and end the test without a pool in this process."""
+    def drop():
+        if xp._POOL is not None and xp._POOL[0] == os.getpid():
+            xp._POOL[2].shutdown()
+        xp._POOL = None
+    drop()
+    yield
+    drop()
+
+
+@pytest.mark.usefixtures("no_pool")
+class TestSharedPool:
+    def test_second_batch_reuses_pool_and_workers(self):
+        run_batch(POOL_CONFIG, workers=2)
+        pool = xp._POOL[2]
+        pids = set(pool._processes)
+        assert len(pids) == 2
+        run_batch(dataclasses.replace(POOL_CONFIG, master_seed=10), workers=2)
+        assert xp._POOL[2] is pool
+        assert set(pool._processes) == pids
+
+    def test_other_worker_count_replaces_pool(self):
+        run_batch(POOL_CONFIG, workers=2)
+        old = xp._POOL[2]
+        old_workers = list(old._processes.values())
+        one = xp._pool(1)
+        assert one is not old and xp._POOL[1] == 1
+        assert not any(p.is_alive() for p in old_workers)
+        with pytest.raises(RuntimeError):
+            old.submit(abs, 1)
+        assert one.submit(abs, -3).result() == 3
+        run_batch(POOL_CONFIG, workers=2)
+        assert xp._POOL[2] not in (old, one)
+        with pytest.raises(RuntimeError):
+            one.submit(abs, 1)
+
+    def test_pool_inherited_through_fork_is_left_alone(self):
+        inherited = xp._pool(1)
+        # the pool as a forked child sees it: owned by another pid
+        xp._POOL = (os.getppid(), 1, inherited)
+        own = xp._pool(1)
+        assert own is not inherited and xp._POOL[0] == os.getpid()
+        assert inherited.submit(abs, -2).result() == 2
+        inherited.shutdown()
+
+    def test_killed_worker_fails_one_batch_then_a_new_pool_runs(self):
+        expected = run_batch(POOL_CONFIG, workers=1)
+        run_batch(POOL_CONFIG, workers=2)
+        pool = xp._POOL[2]
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken:  # the executor marks itself broken once it sees the death
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            run_batch(POOL_CONFIG, workers=2)
+        assert xp._POOL is None
+        assert_same_records(expected, run_batch(POOL_CONFIG, workers=2))
+        assert xp._POOL[2] is not pool
+
+    def test_no_worker_outlives_the_interpreter(self):
+        script = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "from onelambda import experiments as xp\n"
+            "assert xp._POOL is None\n"
+            "config = xp.BatchConfig(algorithm='comma', fn_spec='onemax', n_values=(20,),\n"
+            "                        fs_values=((1.5, 1.0),), runs=4, master_seed=1)\n"
+            "xp.run_batch(config, workers=2)\n"
+            "print(*xp._POOL[2]._processes)\n"
+        )
+        src = str(Path(xp.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        pids = [int(p) for p in out.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_default_worker_count_follows_cpu_affinity(self, monkeypatch):
+        expected = run_batch(POOL_CONFIG, workers=1)
+
+        def no_pool(workers):
+            raise AssertionError(f"a pool of {workers} started on one usable CPU")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(xp, "_pool", no_pool)
+        assert_same_records(expected, run_batch(POOL_CONFIG))
 
 
 class TestProgress:
@@ -238,7 +360,16 @@ class TestCsv:
     def test_numpy_scalars_are_written_as_numbers(self, tmp_path):
         # repr(np.float64(0.5)) is "np.float64(0.5)" under numpy 2; the CSV
         # must carry the number, for sequence and dict rows alike
+        sequences, dicts = tmp_path / "s.csv", tmp_path / "d.csv"
+        write_csv(sequences, ["a", "b", "c"], [[np.float64(0.5), None, 0.1]], meta={},
+                  timestamp=False)
+        write_csv(dicts, ["a", "b", "c"], [{"a": np.float64(0.25), "c": np.int64(3)}], meta={},
+                  timestamp=False)
+        assert sequences.read_text().splitlines()[-1] == "0.5,,0.1"
+        assert dicts.read_text().splitlines()[-1] == "0.25,,3"
+
+    @pytest.mark.parametrize("rows, body", [([], []), (iter([(1, 2), (3, None)]), ["1,2", "3,"])])
+    def test_empty_and_iterator_rows(self, tmp_path, rows, body):
         target = tmp_path / "o.csv"
-        rows = [[np.float64(0.5), None, 0.1], {"a": np.float64(0.25), "c": np.int64(3)}]
-        write_csv(target, ["a", "b", "c"], rows, meta={}, timestamp=False)
-        assert target.read_text().splitlines()[-2:] == ["0.5,,0.1", "0.25,,3"]
+        write_csv(target, ["a", "b"], rows, meta={}, timestamp=False)
+        assert target.read_text().splitlines()[3:] == ["a,b"] + body
