@@ -129,7 +129,7 @@ class TestSharedPool:
         assert not any(p.is_alive() for p in old_workers)
         with pytest.raises(RuntimeError):
             old.submit(abs, 1)
-        assert one.submit(abs, -3).result() == 3
+        assert one.submit(abs, -3).result(timeout=60) == 3
         run_batch(POOL_CONFIG, workers=2)
         assert xp._POOL[2] not in (old, one)
         with pytest.raises(RuntimeError):
@@ -141,7 +141,7 @@ class TestSharedPool:
         xp._POOL = (os.getppid(), 1, inherited)
         own = xp._pool(1)
         assert own is not inherited and xp._POOL[0] == os.getpid()
-        assert inherited.submit(abs, -2).result() == 2
+        assert inherited.submit(abs, -2).result(timeout=60) == 2
         inherited.shutdown()
 
     def test_killed_worker_fails_one_batch_then_a_new_pool_runs(self):
