@@ -26,10 +26,13 @@ Two engines run the generations of one loop:
   lambda-free rows are built for blocks of levels at a time and shared
   with the oracle.  The initial one-count is drawn from Binomial(n, 1/2);
   no bit string exists.
-* Ridge, whose value depends on the bit layout, mutates a bit-list parent:
+* Ridge, whose value depends on the bit layout, keeps a bit-list parent:
   each child's flip count comes from Binomial(n, 1/n), then that many
-  distinct positions are picked uniformly, which is distributionally
-  identical to per-bit flips but independent of n in cost.
+  distinct positions are picked uniformly from a buffered block of
+  positions, which is distributionally identical to per-bit flips.  No
+  child is built: its value comes from the parent's mismatch profile
+  against the ridge strings 1^j 0^(n-j), built once per generation, so a
+  child costs O(its flips) and a generation O(n + lambda).
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 
 import numpy as np
 
@@ -236,45 +240,47 @@ def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
     return sample
 
 
-def _distinct_positions(rng: np.random.Generator, n: int, k: int) -> list:
-    """k >= 2 distinct indices in [0, n), uniform over k-subsets."""
-    if k * k <= n:
-        # rejection on duplicates; collision probability < k^2/(2n)
-        while True:
-            idx = rng.integers(0, n, size=k).tolist()
-            if len(set(idx)) == k:
-                return idx
-    return rng.permutation(n)[:k].tolist()
-
-
-def _offspring_sampler(fn: FitnessFunction, bits: list, rng: np.random.Generator):
+def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     """The bit-mutation engine (ridge): best of lam_int standard-bit mutants.
 
-    ``bits`` is the parent as a list of ints, which the caller updates in
-    place between calls.  Returns ``sample(lam_int, ones, cur_f)``, where
-    ``ones`` and ``cur_f`` are the parent's one-count and raw fitness; it
-    gives ``(f, child_ones, flips)`` for a uniformly random fitness-maximal
-    child (reservoir tie-breaking), with ``flips`` None (no bit flipped),
-    one position, or a list of positions.  Each child's flip count comes
-    from Binomial(n, 1/n); flip counts and single-flip positions are drawn
-    in blocks of _BLOCK, so memory stays bounded at any lam_int.  A child
-    is scored by flipping the parent in place, calling
-    ``fn.raw_from_bits`` and flipping back.
+    ``bits`` is the parent as a sequence of ints, which the caller updates
+    in place between calls; the sampler only reads it.  Returns
+    ``sample(lam_int, ones, cur_f)``, where ``ones`` and ``cur_f`` are the
+    parent's one-count and raw fitness; it gives ``(f, child_ones, flips)``
+    for a uniformly random fitness-maximal child (reservoir tie-breaking),
+    with ``flips`` None (no bit flipped), one position, or a list of
+    positions.  Each child's flip count k comes from Binomial(n, 1/n).  Its
+    k distinct positions are drawn from a block of uniform positions,
+    skipping repeats, while k*k <= n (a uniform k-subset, as is
+    ``rng.permutation``'s prefix, used above that).  Flip counts,
+    positions and tie-break uniforms are drawn in blocks of _BLOCK, so
+    memory stays bounded at any lam_int and no child makes a numpy call.
+
+    A child is scored without being built.  Once per call, the parent's
+    mismatch profile d[j] = H(parent, 1^j 0^(n-j)) is one running sum.  A
+    child with flips P (k = |P|) and one-count co is the ridge string
+    1^co 0^(n-co) exactly when d[co] == k and the parent mismatches it at
+    every p in P, ``(p < co) != bits[p]``; its raw fitness is then
+    ``on[co]``, else ``off[co]``, from ``fn.shape_tables()`` (both the
+    level table on a level function).  Cost per child: O(k).
     """
     n = fn.n
     inv_n = 1.0 / n
-    raw_from_bits = fn.raw_from_bits
-    rand = rng.random
+    off, on = fn.shape_tables()
+    step = (1, -1).__getitem__  # d[j+1] - d[j] for bits[j] = 0, 1
     kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
     kidx = 0
     pblock = rng.integers(0, n, size=_BLOCK).tolist()
     pidx = 0
+    ublock = rng.random(_BLOCK).tolist()
+    uidx = 0
 
     def sample(lam_int, ones, cur_f):
-        nonlocal kblock, kidx, pblock, pidx
+        nonlocal kblock, kidx, pblock, pidx, ublock, uidx
         if kidx + lam_int > _BLOCK:  # a generation that fits one block starts in one
             kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
             kidx = 0
+        d = list(accumulate(map(step, bits), initial=ones))
         bf = -1
         best_ones = ones
         best_flips = None
@@ -299,24 +305,37 @@ def _offspring_sampler(fn: FitnessFunction, bits: list, rng: np.random.Generator
                         pidx = 0
                     flips = pblock[pidx]
                     pidx += 1
-                    co = ones + 1 - 2 * bits[flips]
-                    bits[flips] ^= 1
-                    f = raw_from_bits(bits, co)
-                    bits[flips] ^= 1
+                    b = bits[flips]
+                    co = ones + 1 - 2 * b
+                    f = on[co] if d[co] == 1 and (flips < co) != b else off[co]
                 else:
-                    flips = _distinct_positions(rng, n, k)
+                    if k * k <= n:
+                        flips = []
+                        while len(flips) < k:
+                            if pidx == _BLOCK:
+                                pblock = rng.integers(0, n, size=_BLOCK).tolist()
+                                pidx = 0
+                            p = pblock[pidx]
+                            pidx += 1
+                            if p not in flips:
+                                flips.append(p)
+                    else:
+                        flips = rng.permutation(n)[:k].tolist()
                     co = ones + k - 2 * sum([bits[p] for p in flips])
-                    for p in flips:
-                        bits[p] ^= 1
-                    f = raw_from_bits(bits, co)
-                    for p in flips:
-                        bits[p] ^= 1
+                    if d[co] == k and all([(p < co) != bits[p] for p in flips]):
+                        f = on[co]
+                    else:
+                        f = off[co]
                 if f > bf:
                     bf, best_ones, best_flips, ties = f, co, flips, 1
                 elif f == bf:
                     ties += 1
-                    if rand() < 1.0 / ties:
+                    if uidx == _BLOCK:
+                        ublock = rng.random(_BLOCK).tolist()
+                        uidx = 0
+                    if ublock[uidx] < 1.0 / ties:
                         best_ones, best_flips = co, flips
+                    uidx += 1
         return bf, best_ones, best_flips
 
     return sample

@@ -124,6 +124,16 @@ class FitnessFunction:
         size n+1, built once per function."""
         return _level_table(self)
 
+    def shape_tables(self) -> tuple[list, list]:
+        """Raw fitness per one-bit count of a string off and on the ridge
+        shape 1^i 0^(n-i), as two lists of size n+1: ridge's n - i and
+        n + i; both the level table for a level function."""
+        if self.level_based:
+            table = self.level_table().tolist()
+            return table, table
+        n = self.n
+        return list(range(n, -1, -1)), list(range(n, 2 * n + 1))
+
     def raw_from_bits(self, bits, ones: int) -> int:
         """Raw fitness of a bit sequence (list or 1-d array) with ``ones`` one-bits."""
         if self.level_based:

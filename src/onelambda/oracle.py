@@ -918,18 +918,21 @@ def g2_band_states(n: int, F: float):
 
 def drift_claim(kind: str, n: int, F: float, s: float):
     """The drift claim for potential ``kind`` at size n, as
-    (potential, states, threshold, direction) for :func:`drift_grid_check`.
+    (potential, states, threshold, direction) for :func:`drift_grid_check`;
+    ``states`` is a float array of (i, lambda_real) rows.
 
     g1: drift at least (1 - s)/(2e) at every level i < n and every lambda
-    of :func:`g1_grid_lambdas`.  g2: drift at most -0.0008 across the
-    stagnation band of :func:`g2_band_states`.
+    of :func:`g1_grid_lambdas`, levels outer.  g2: drift at most -0.0008
+    across the stagnation band of :func:`g2_band_states`.
     """
     potential = make_potential(kind, F=F, s=s, n=n)
     if kind == "g1":
         lambdas = g1_grid_lambdas(n, ControllerParams(F=F, s=s))
-        states = [(i, lam) for i in range(n) for lam in lambdas]
+        states = np.column_stack([np.repeat(np.arange(n, dtype=float), lambdas.size),
+                                  np.tile(lambdas, n)])
         return potential, states, (1 - s) / (2 * _E), "min_at_least"
-    return potential, g2_band_states(n, F), -0.0008, "max_at_most"
+    states = np.array(g2_band_states(n, F), dtype=float).reshape(-1, 2)
+    return potential, states, -0.0008, "max_at_most"
 
 
 # ---------------------------------------------------------------------------

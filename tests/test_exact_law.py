@@ -3,14 +3,15 @@
 ``run()`` draws each generation on a level function from the exact law of
 the selected child.  The reference runs the same loop (``_evolve``) on a
 uniform random bit string with ridge's bit-mutation engine,
-``_offspring_sampler``, which mutates and scores every child.  For each
-level function, selection scheme and a small and a large lambda, RUNS
-runs per side from disjoint seeds must agree in distribution (two-sample
-Kolmogorov-Smirnov) on the evaluations at the stop and on two summaries
-of the level accumulators: the mean fitness weighted by the evaluations
-spent at each fitness (``lambda_sum_at``) and by the generations entered
-there (``gens_at``).  The threshold ALPHA is
-Bonferroni's 1% over all the comparisons in this file.
+``_offspring_sampler``, which draws every child's flips and scores it
+from the level table.  For each level function, selection scheme and a
+small and a large lambda, RUNS runs per side from disjoint seeds must
+agree in distribution (two-sample Kolmogorov-Smirnov) on the evaluations
+at the stop and on two summaries of the level accumulators: the mean
+fitness weighted by the evaluations spent at each fitness
+(``lambda_sum_at``) and by the generations entered there (``gens_at``).
+The threshold ALPHA is Bonferroni's 1% over all the comparisons in this
+file.
 """
 
 import numpy as np

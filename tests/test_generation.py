@@ -4,10 +4,14 @@ Everything here drives the engines and the loop that ``run()`` executes:
 ``_law_sampler`` (the exact selected-child law, level functions) and
 ``_offspring_sampler`` (bit mutation, ridge) for offspring, ``_evolve``
 capped at one generation for the comma/plus step from a chosen parent.
-Bit mutation scores a child through ``fn.raw_from_bits``, so the shipped
-``_offspring_sampler`` also runs on level functions: there it is the
-independent reference that ``TestSelectionLaw`` checks against the
-enumerated law and ``test_exact_law.py`` compares whole runs with.
+Bit mutation draws a child's flip positions from a buffered block and
+scores it from the parent's mismatch profile and ``fn.shape_tables()``
+without building it; ``TestScoring`` checks that score against
+``fn.raw_from_bits`` of the built child.  On a level function both tables
+are the level table, so the shipped ``_offspring_sampler`` also runs
+there: it is the independent reference that ``TestSelectionLaw`` checks
+against the enumerated law and ``test_exact_law.py`` compares whole runs
+with.
 """
 
 import itertools
@@ -109,13 +113,12 @@ class TestMutate:
             assert mutant(sample, [0]) == [1]
 
     def test_parent_unmodified(self):
-        # ridge scores a child by flipping the parent in place and back
-        parent = [0, 1] * 8
+        # the sampler only reads the parent: a write to the tuple would raise
+        parent = (0, 1) * 8
         sample = _offspring_sampler(FitnessFunction("ridge", 16), parent, np.random.default_rng(1))
         f = raw(FitnessFunction("ridge", 16), parent)
         for t in range(100):
             sample(1 + t % 4, 8, f)
-            assert parent == [0, 1] * 8
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_per_bit_reference_distribution(self, n):
@@ -314,6 +317,7 @@ class TestSelectionLaw:
             ("cliff:2", [1, 1, 0, 0, 0]),
             ("ridge", [1, 1, 0, 0, 0]),
             ("ridge", [0, 1, 0, 0]),
+            ("ridge", [1, 0, 1, 0, 0]),  # two flips off the ridge: k=2 rejection can land on it
         ],
     )
     def test_selected_genotype_matches_exact_law(self, spec, parent, lam):
@@ -336,6 +340,51 @@ class TestSelectionLaw:
         for geno, p in law.items():
             se = math.sqrt(p * (1.0 - p) / trials)
             assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (geno, counts[geno], p)
+
+
+class ScriptedGenerator:
+    """Stands in for the bit-mutation sampler's generator: the flip counts,
+    block positions (k*k <= n) and permutation prefixes (k*k > n) of the
+    given flip sets, in order, padded with zero flips."""
+
+    def __init__(self, n, flip_sets):
+        self.counts = [len(P) for P in flip_sets]
+        self.positions = [p for P in flip_sets if len(P) ** 2 <= n for p in P]
+        self.prefixes = [P for P in flip_sets if len(P) ** 2 > n]
+
+    def binomial(self, n, p, size):
+        head, self.counts = self.counts[:size], self.counts[size:]
+        return np.array(head + [0] * (size - len(head)))
+
+    def integers(self, low, high, size):
+        head, self.positions = self.positions[:size], self.positions[size:]
+        return np.array(head + [0] * (size - len(head)))
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+    def permutation(self, n):
+        P = self.prefixes.pop(0)
+        return np.array(list(P) + [j for j in range(n) if j not in P])
+
+
+class TestScoring:
+    @pytest.mark.parametrize("spec", ["ridge", "twomax"])
+    def test_score_is_raw_from_bits_of_the_flipped_child(self, spec):
+        # every parent of n <= 8 bits and every set of at most 4 flips
+        # (59 380 children on each function)
+        for n in range(1, 9):
+            fn = FitnessFunction.parse(spec, n)
+            flip_sets = [P for k in range(5) for P in itertools.combinations(range(n), k)]
+            for parent in itertools.product((0, 1), repeat=n):
+                sample = _offspring_sampler(fn, parent, ScriptedGenerator(n, flip_sets))
+                ones, f = sum(parent), raw(fn, parent)
+                for P in flip_sets:
+                    bf, child_ones, flips = sample(1, ones, f)
+                    assert (() if flips is None else (flips,) if type(flips) is int
+                            else tuple(flips)) == P
+                    child = child_of(parent, flips)
+                    assert (bf, child_ones) == (raw(fn, child), sum(child)), (parent, P)
 
 
 class TestGenerationComma:

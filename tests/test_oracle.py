@@ -621,6 +621,7 @@ class TestDriftGridCheck:
         pot, states, threshold, direction = drift_claim(kind, n, 1.5, s)
         report = drift_grid_check(pot, params, n, states, threshold, direction,
                                   cap_gain_at_one=cap, collect_rows=True)
+        states = [(int(i), lam) for i, lam in states.tolist()]
         assert [row[1:4] for row in report.rows] == [
             (i, lam, round_lambda(lam)) for i, lam in states]
         got = np.array([row[4] for row in report.rows])
@@ -640,13 +641,13 @@ class TestDriftClaim:
         pot, states, threshold, direction = drift_claim("g1", n, F, s)
         assert pot.kind == "g1" and (pot.F, pot.s, pot.n) == (F, s, n)
         lams = g1_grid_lambdas(n, ControllerParams(F=F, s=s))
-        assert states == [(i, lam) for i in range(n) for lam in lams]
+        assert states.tolist() == [[i, lam] for i in range(n) for lam in lams]
         assert threshold == (1 - s) / (2 * E) and direction == "min_at_least"
 
     def test_g2_ceiling_over_the_band(self):
         pot, states, threshold, direction = drift_claim("g2", 1000, 1.5, 18.0)
         assert pot.kind == "g2" and pot.F == 1.5
-        assert states == g2_band_states(1000, 1.5)
+        assert states.tolist() == [list(state) for state in g2_band_states(1000, 1.5)]
         assert (threshold, direction) == (-0.0008, "max_at_most")
 
     def test_unknown_potential(self):
