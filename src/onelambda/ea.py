@@ -31,8 +31,9 @@ Two engines run the generations of one loop:
   distinct positions are picked uniformly from a buffered block of
   positions, which is distributionally identical to per-bit flips.  No
   child is built: its value comes from the parent's mismatch profile
-  against the ridge strings 1^j 0^(n-j), built once per generation, so a
-  child costs O(its flips) and a generation O(n + lambda).
+  against the ridge strings 1^j 0^(n-j), read at the child's one-count
+  after one count over the parent per generation, so a child costs
+  O(its flips) and a generation O(n + lambda).
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
 
@@ -249,25 +249,37 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     parent's one-count and raw fitness; it gives ``(f, child_ones, flips)``
     for a uniformly random fitness-maximal child (reservoir tie-breaking),
     with ``flips`` None (no bit flipped), one position, or a list of
-    positions.  Each child's flip count k comes from Binomial(n, 1/n).  Its
-    k distinct positions are drawn from a block of uniform positions,
-    skipping repeats, while k*k <= n (a uniform k-subset, as is
-    ``rng.permutation``'s prefix, used above that).  Flip counts,
-    positions and tie-break uniforms are drawn in blocks of _BLOCK, so
-    memory stays bounded at any lam_int and no child makes a numpy call.
+    positions.  A child's flip count k comes from Binomial(n, 1/n) and its
+    k distinct positions from the position block, skipping repeats (a
+    uniform k-subset; ``rng.permutation``'s prefix when k*k > n).  Flip
+    counts, positions and tie-break uniforms are drawn in blocks of
+    _BLOCK, so memory stays bounded at any lam_int.
 
-    A child is scored without being built.  Once per call, the parent's
-    mismatch profile d[j] = H(parent, 1^j 0^(n-j)) is one running sum.  A
-    child with flips P (k = |P|) and one-count co is the ridge string
-    1^co 0^(n-co) exactly when d[co] == k and the parent mismatches it at
-    every p in P, ``(p < co) != bits[p]``; its raw fitness is then
-    ``on[co]``, else ``off[co]``, from ``fn.shape_tables()`` (both the
-    level table on a level function).  Cost per child: O(k).
+    A child is scored in O(k) without being built, from the parent's
+    mismatch profile d[j] = H(parent, 1^j 0^(n-j)).  A child with flips P
+    and one-count co is the ridge string 1^co 0^(n-co) exactly when the
+    parent mismatches that string at every p in P, ``(p < co) != bits[p]``,
+    and nowhere else, d[co] == k.  Only such candidates read the profile:
+    d[ones] is counted once per call (one O(n) list count) at the first
+    candidate, and d[co] follows from the bits between ones and co.  The child's raw fitness is
+    ``on[co]`` on the ridge, else ``off[co]``, from ``fn.shape_tables()``
+    (the level table twice on a level function).
     """
     n = fn.n
     inv_n = 1.0 / n
     off, on = fn.shape_tables()
-    step = (1, -1).__getitem__  # d[j+1] - d[j] for bits[j] = 0, 1
+    d1 = -1  # d[ones] for the current call's parent; -1 until counted
+
+    def on_ridge(ones, co, k):
+        """d[co] == k for a candidate with k flips and one-count co."""
+        nonlocal d1
+        if d1 < 0:
+            d1 = 2 * bits[:ones].count(0)  # zeros before ones, as many ones after
+        if d1 > 2 * k:  # |d[co] - d[ones]| <= |co - ones| <= k
+            return False
+        between = sum(bits[ones:co]) - sum(bits[co:ones])  # one slice is empty
+        return d1 + co - ones - 2 * between == k
+
     kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
     kidx = 0
     pblock = rng.integers(0, n, size=_BLOCK).tolist()
@@ -276,11 +288,11 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     uidx = 0
 
     def sample(lam_int, ones, cur_f):
-        nonlocal kblock, kidx, pblock, pidx, ublock, uidx
+        nonlocal kblock, kidx, pblock, pidx, ublock, uidx, d1
         if kidx + lam_int > _BLOCK:  # a generation that fits one block starts in one
             kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
             kidx = 0
-        d = list(accumulate(map(step, bits), initial=ones))
+        d1 = -1
         bf = -1
         best_ones = ones
         best_flips = None
@@ -307,7 +319,7 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
                     pidx += 1
                     b = bits[flips]
                     co = ones + 1 - 2 * b
-                    f = on[co] if d[co] == 1 and (flips < co) != b else off[co]
+                    f = on[co] if (flips < co) != b and on_ridge(ones, co, 1) else off[co]
                 else:
                     if k * k <= n:
                         flips = []
@@ -322,7 +334,7 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
                     else:
                         flips = rng.permutation(n)[:k].tolist()
                     co = ones + k - 2 * sum([bits[p] for p in flips])
-                    if d[co] == k and all([(p < co) != bits[p] for p in flips]):
+                    if all([(p < co) != bits[p] for p in flips]) and on_ridge(ones, co, k):
                         f = on[co]
                     else:
                         f = off[co]
