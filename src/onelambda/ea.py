@@ -261,9 +261,9 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     parent mismatches that string at every p in P, ``(p < co) != bits[p]``,
     and nowhere else, d[co] == k.  Only such candidates read the profile:
     d[ones] is counted once per call (one O(n) list count) at the first
-    candidate, and d[co] follows from the bits between ones and co.  The child's raw fitness is
-    ``on[co]`` on the ridge, else ``off[co]``, from ``fn.shape_tables()``
-    (the level table twice on a level function).
+    candidate, and d[co] follows from the bits between ones and co.  The
+    child's raw fitness is ``on[co]`` on the ridge, else ``off[co]``, from
+    ``fn.shape_tables()`` (the level table twice on a level function).
     """
     n = fn.n
     inv_n = 1.0 / n
