@@ -19,7 +19,6 @@ from .ea import (
 )
 from .fitness import FitnessFunction
 from .oracle import (
-    best_of_lambda_pmf,
     check_transition_bounds,
     drift_grid_check,
     elitist_evaluations_bound,

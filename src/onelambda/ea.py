@@ -84,7 +84,11 @@ class ControllerParams:
             raise ValueError(f"update strength F must be > 1, got {self.F}")
         if not self.s > 0.0:
             raise ValueError(f"success rate s must be > 0, got {self.s}")
-        if not math.isfinite(self.F ** (1.0 / self.s)):
+        try:  # float ** raises OverflowError rather than return inf
+            finite = math.isfinite(self.F ** (1.0 / self.s))
+        except OverflowError:
+            finite = False
+        if not finite:
             raise ValueError(f"F^(1/s) overflows for F={self.F}, s={self.s}")
 
     @property

@@ -52,8 +52,16 @@ Binomial masses come from the ratio recurrence
 pmf[k+1] = pmf[k] * (m-k)/(k+1) * p/(1-p) from pmf[0] = (1-p)^m, so each
 gains a rounding error of an ulp or two per step; underflow flushes to
 zero.  CDF powers use lam * log1p(-tail) so that fallback probabilities
-stay accurate for large lam, and adjacent CDF powers are differenced
-through expm1 to keep small upper-tail masses at full relative accuracy.
+stay accurate for large lam.  Adjacent CDF powers exp(lo) <= exp(hi) are
+differenced as exp(lo) * expm1(hi - lo) only where hi - lo < 1, where the
+plain difference would cancel; elsewhere exp(hi) - exp(lo) loses nothing
+to cancellation.  A wider rule costs accuracy: lo = lam * logcdf is
+rounded to its own ulp (5.7e-14 at lo = -494), and exp(lo) carries that
+error in full into a mass that, at a large gap, is nearly all exp(hi),
+whose smaller argument is rounded far finer.  Against 50-digit
+differences of the same float rows, the worst relative error of masses
+above 1e-6 is 1.0e-15 with the rule and was 2.2e-14 (onemax n = 1000)
+when expm1 took every gap below 500.
 Measured: one child's window masses, before the log CDF accumulates
 them from the top (which puts any deficit on the lowest fitness), sum to
 1 within 4.5e-16 at every level for each n of 1, 2, 3, 10, 50, 163, 200,
@@ -75,7 +83,6 @@ from .ea import ControllerParams, round_lambda, update_lambda
 from .fitness import FitnessFunction
 
 __all__ = [
-    "best_of_lambda_pmf",
     "CHILD_WINDOW",
     "LAMBDA_MAX",
     "selected_child_law",
@@ -114,11 +121,12 @@ def _power_pmf(logcdf: np.ndarray, lam) -> np.ndarray:
     """pmf of the max of lam i.i.d. draws, from the single-draw log CDF.
 
     ``lam`` is a scalar, or a column of shape (L, 1) for one pmf row per
-    lam.  Adjacent CDF powers are differenced as exp(lo) * expm1(hi - lo),
-    which keeps relative accuracy where both are representable.  Where
-    exp(lo) underflows (lo <= -700) or the gap would overflow expm1
-    (diff >= 500), the lower term is negligible against the upper and the
-    plain difference exp(hi) - exp(lo) is exact enough.
+    lam.  Adjacent CDF powers exp(lo) <= exp(hi) are differenced as
+    exp(lo) * expm1(hi - lo) where the gap hi - lo is below 1, which keeps
+    relative accuracy where the plain difference would cancel.  At wider
+    gaps, and where exp(lo) underflows (lo <= -700), the plain difference
+    exp(hi) - exp(lo) does not cancel, and it keeps the rounding of lo out
+    of a mass that is mostly exp(hi) (see the module's Numerics paragraph).
     """
     powlog = lam * logcdf
     with np.errstate(invalid="ignore", over="ignore"):
@@ -127,7 +135,7 @@ def _power_pmf(logcdf: np.ndarray, lam) -> np.ndarray:
         out[..., 0] = cdfl[..., 0]
         lo = powlog[..., :-1]
         diff = powlog[..., 1:] - lo
-        refine = np.isfinite(lo) & (lo > -700.0) & (diff < 500.0)
+        refine = np.isfinite(lo) & (lo > -700.0) & (diff < 1.0)
         head = np.exp(np.where(refine, lo, 0.0)) * np.expm1(np.where(refine, diff, 0.0))
         below = np.where(np.isfinite(lo), cdfl[..., :-1], 0.0)
         out[..., 1:] = np.where(refine, head, cdfl[..., 1:] - below)
@@ -141,8 +149,8 @@ def _power_pmf(logcdf: np.ndarray, lam) -> np.ndarray:
 # w = 30, below 2^-53 (the resolution of one uniform draw) for lam < 9e17.
 CHILD_WINDOW = 30
 
-# That largest lam, 9.1e17: best_of_lambda_pmf, level_row and
-# selected_child_law raise ValueError above it.
+# That largest lam, 9.1e17: selected_child_law, and level_row through it,
+# raise ValueError above it.
 LAMBDA_MAX = math.factorial(CHILD_WINDOW + 1) >> 53
 
 
@@ -273,66 +281,42 @@ def _level_law(fn, i: int):
     return _law_block(fn, i // _LAW_BLOCK), i % _LAW_BLOCK
 
 
-def _onemax_law(n: int, i: int):
-    """One child's window one-counts (ascending) and log CDF at level i of
-    onemax, where each one-count is its own fitness: the row of
-    :class:`_LawBlock` that the engine samples on onemax."""
-    block, r = _level_law(FitnessFunction("onemax", n), i)
-    ones, _, _, logcdf = block.level(r)
-    return ones, logcdf
-
-
-def best_of_lambda_pmf(n: int, i: int, lam: int) -> np.ndarray:
-    """Exact new-fitness pmf, over 0..n, of the best of lam independent
-    offspring from fitness i on onemax.
-
-    The mass lies on the window [i - w, i + w] of one-counts, w =
-    CHILD_WINDOW, from :func:`_power_pmf` of one child's window log CDF;
-    the at most lam/(w+1)! that a jump out of the window carries falls on
-    the window's lowest fitness.  Needs 1 <= lam <= LAMBDA_MAX.
-    """
-    _check_lam(lam)
-    ones, logcdf = _onemax_law(n, i)
-    pmf = np.zeros(n + 1)
-    pmf[ones[0] : ones[-1] + 1] = _power_pmf(logcdf, lam)
-    return pmf
-
-
-def selected_child_law(fn, i: int, lam: int, selection: str = "comma"):
+def selected_child_law(fn, i: int, lams, selection: str = "comma"):
     """Law of the next parent's one-count on a level function.
 
     The parent has i one-bits; lam children come from standard bit
     mutation and a uniformly random fitness-maximal one is selected.
     Under comma it is the next parent; under plus it is only when at least
-    as fit as the parent, else the parent (one-count i) stays.  Returns
-    (lo, pmf) with pmf[k] = P(next one-count = lo + k) on the window
-    [max(0, i - w), min(n, i + w)], w = CHILD_WINDOW; the mass the window
-    leaves out, at most lam/(w+1)!, falls to the window's lowest fitness.
-    The law is read from the same lam-free rows (one child's log CDF per
-    fitness value, tie shares) as the engine's sampler, built for a block
-    of levels at a time: the best fitness is at most a value with
-    probability exp(lam * logcdf).  That maximum's law is a plain
-    difference of CDF powers, so the entries carry absolute, not
-    relative, accuracy: on onemax they lie within 5e-15 of
-    ``best_of_lambda_pmf``, which differences the same row through expm1,
-    for n <= 5000 and lam <= 10**6.  Needs 1 <= lam <= LAMBDA_MAX; raises
-    ValueError on ridge, which has no level table.
+    as fit as the parent, else the parent (one-count i) stays.  ``lams``
+    is one lam or a sequence of them.  Returns (lo, pmf) with pmf[..., k]
+    = P(next one-count = lo + k) on the window [max(0, i - w), min(n, i +
+    w)], w = CHILD_WINDOW: 1-D for one lam, else one row per lam of
+    ``lams`` in order, each bit for bit the one-lam law.  The mass the
+    window leaves out, at most lam/(w+1)!, falls to the window's lowest
+    fitness.  The law is read from the same lam-free rows (one child's log
+    CDF per fitness value, tie shares) as the engine's sampler, built for
+    a block of levels at a time: the best fitness is at most a value with
+    probability exp(lam * logcdf), differenced by :func:`_power_pmf`.
+    Needs 1 <= lam <= LAMBDA_MAX; raises ValueError on ridge, which has no
+    level table.
     """
-    _check_lam(lam)
+    for lam in lams if np.ndim(lams) else (lams,):
+        _check_lam(lam)
     if selection not in ("comma", "plus"):
         raise ValueError(f"selection must be 'comma' or 'plus', got {selection!r}")
     block, r = _level_law(fn, i)
     ones, group, share, logcdf = block.level(r)
-    best = np.exp(lam * logcdf)  # P(best fitness <= each distinct value)
-    best[1:] -= best[:-1].copy()
-    law = best[group] * share  # ties split by one-child mass
+    lam_vals = np.array(lams, dtype=float)
+    best = _power_pmf(logcdf, lam_vals[..., None])  # P(best fitness = each distinct value)
+    law = best[..., group] * share  # ties split by one-child mass
     lo = max(0, i - CHILD_WINDOW)
-    pmf = np.empty(ones.size)
-    pmf[ones - lo] = law
+    pmf = np.empty(law.shape)
+    pmf[..., ones - lo] = law
     if selection == "plus":
-        worse = group < group[ones == i]
-        pmf[i - lo] += law[worse].sum()
-        pmf[ones[worse] - lo] = 0.0
+        (parent,) = group[ones == i]
+        pmf[..., ones[group < parent] - lo] = 0.0
+        if parent:  # every child worse than the parent: it stays
+            pmf[..., i - lo] += np.exp(lam_vals * logcdf[parent - 1])
     return lo, pmf
 
 
@@ -384,22 +368,22 @@ def level_row(n: int, i: int, lams: tuple) -> LevelRow:
     """The transition quantities at (n, i, lam) for each lam of ``lams``,
     in order, as arrays from one numpy pass over the level; 0 <= i < n.
 
-    The pass is :func:`_power_pmf` of one child's log CDF on the window
-    [i - w, i + w], w = CHILD_WINDOW, one row per lam, as in
-    :func:`best_of_lambda_pmf`: a jump out of the window, at most lam/(w+1)!
-    of the mass, counts as a fall to the window's lowest fitness.  p_plus
-    and p_minus come straight from the CDF power, accurate at large lam,
-    through ``math.expm1`` and ``math.exp`` one entry at a time: numpy's
-    SIMD exp and expm1 may differ from ``math`` in the last place, and the
-    check CSVs are pinned to the scalar values.  Needs 1 <= lam <= LAMBDA_MAX.
+    The pmf rows are :func:`selected_child_law` of onemax over ``lams``:
+    a jump out of the window [i - w, i + w], w = CHILD_WINDOW, at most
+    lam/(w+1)! of the mass, counts as a fall to the window's lowest
+    fitness.  p_plus and p_minus come straight from the CDF power at the
+    parent's and the next lower one-count, accurate at large lam, through
+    ``math.expm1`` and ``math.exp`` one entry at a time: numpy's SIMD exp
+    and expm1 may differ from ``math`` in the last place, and the check
+    CSVs are pinned to the scalar values.  Needs 1 <= lam <= LAMBDA_MAX.
     """
     if not 0 <= i < n:
         raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
-    for lam in lams:
-        _check_lam(lam)
-    ones, logcdf = _onemax_law(n, i)
+    onemax = FitnessFunction("onemax", n)
+    _, pmfs = selected_child_law(onemax, i, lams)
+    block, r = _level_law(onemax, i)
+    ones, _, _, logcdf = block.level(r)
     lam_vals = np.array(lams, dtype=float)
-    pmfs = _power_pmf(logcdf, lam_vals.reshape(-1, 1))
     k = i - ones[0]  # the parent's column
     row = LevelRow(
         p_plus=-_each(math.expm1, lam_vals * logcdf[k]),
@@ -694,16 +678,15 @@ class LambdaPenaltyPotential:
     kind = "g1"
 
     def __init__(self, F: float, s: float, n: int):
-        if not F > 1:
-            raise ValueError("F must be > 1")
-        if not s > 0:
-            raise ValueError("s must be > 0")
+        cap = _E * n * ControllerParams(F=F, s=s).growth_factor  # checks F and s
+        if not math.isfinite(cap):
+            raise ValueError(f"the lambda cap e*n*F^(1/s) overflows for n={n}, F={F}, s={s}")
         self.F = float(F)
         self.s = float(s)
         self.n = int(n)
         self._coef = 2.0 * s / (s + 1.0)
         self._ln_f = math.log(F)
-        self._cap = _E * n * F ** (1.0 / s)
+        self._cap = cap
 
     def h(self, lam: float) -> float:
         arg = max(self._cap / lam, 1.0)
@@ -952,17 +935,16 @@ def elitist_evaluations_bound(
     """
     if not 0 <= a <= b <= n:
         raise ValueError(f"need 0 <= a <= b <= n, got a={a}, b={b}, n={n}")
-    if not F > 1:
-        raise ValueError("F must be > 1")
-    if not s > 0:
-        raise ValueError("s must be > 0")
+    growth = ControllerParams(F=F, s=s).growth_factor  # checks F and s
     if lambda0 < 1:
         raise ValueError("lambda0 must be >= 1")
     lead = lambda0 * F / (F - 1.0)
     if a == b:
         return lead
-    growth = F ** (1.0 / s)
     unsuccessful = 1.0 / _E + (1.0 - 1.0 / growth) / math.log(growth)
-    amortize = (F ** ((s + 1.0) / s) - 1.0) / (F - 1.0)
+    try:
+        amortize = (F ** ((s + 1.0) / s) - 1.0) / (F - 1.0)
+    except OverflowError:
+        raise ValueError(f"F^((s+1)/s) overflows for F={F}, s={s}") from None
     levels = np.arange(a, b)
     return lead + unsuccessful * amortize * float((_E * n / (n - levels)).sum())

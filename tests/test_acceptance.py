@@ -24,13 +24,13 @@ from onelambda.experiments import BatchConfig, run_batch, run_figure
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     _child_masses,
-    best_of_lambda_pmf,
     check_transition_bounds,
     drift_claim,
     drift_grid_check,
     elitist_evaluations_bound,
     exact_potential_drift,
     make_potential,
+    selected_child_law,
 )
 
 MASTER = 20250809
@@ -43,9 +43,11 @@ def test_c01_distribution_normalization():
         # one child's masses, before the log CDF puts any deficit on the lowest fitness
         sums = _child_masses(n, np.arange(n + 1)).sum(axis=1)
         worst = max(worst, float(np.abs(sums - 1.0).max()))
+        onemax = FitnessFunction("onemax", n)
         for i in range(n + 1):
-            for lam in range(1, 65):  # lam = 1 is the one-offspring law
-                worst = max(worst, abs(best_of_lambda_pmf(n, i, lam).sum() - 1.0))
+            # one row per lam; lam = 1 is the one-offspring law
+            _, rows = selected_child_law(onemax, i, range(1, 65))
+            worst = max(worst, float(np.abs(rows.sum(axis=-1) - 1.0).max()))
     ok = worst <= 1e-12
     record_criterion("C1", "distribution normalization on the full grid",
                      ok, f"worst |sum-1| = {worst:.2e}")

@@ -16,6 +16,18 @@ def read_data_lines(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
 
 
+def assert_overflow_is_config_error(argv, tmp_path, capsys):
+    """F^(1/s) or a value built from it overflows: a configuration error
+    naming F and s, with no output written."""
+    out = tmp_path / "out.csv"
+    if argv[0] != "bound":  # bound prints its value and writes no file
+        argv = argv + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "F=" in err and "s=" in err, err
+    assert not out.exists()
+
+
 class TestRunCommand:
     def test_basic_run(self, tmp_path, capsys):
         out = tmp_path / "trace.csv"
@@ -74,6 +86,10 @@ class TestRunCommand:
         assert rc == 2
         assert "trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--s", "1e-9"], ["--F", "1e200", "--s", "0.5"]])
+    def test_overflowing_growth_factor_is_config_error(self, flags, tmp_path, capsys):
+        assert_overflow_is_config_error(["run", "--n", "20", *flags], tmp_path, capsys)
+
     def test_golden_output_reproducible(self, tmp_path):
         out = tmp_path / "a.csv"
         args = ["run", "--algo", "comma", "--n", "40", "--s", "1", "--seed", "9",
@@ -97,6 +113,10 @@ class TestBoundCommand:
         assert rc == 0
         printed = float(capsys.readouterr().out.strip())
         assert printed == pytest.approx(elitist_evaluations_bound(100, 0, 100, 1.5, 1.0, 1.0))
+
+    def test_overflowing_growth_factor_is_config_error(self, tmp_path, capsys):
+        argv = ["bound", "--n", "10", "--a", "0", "--b", "10", "--s", "1e-9"]
+        assert_overflow_is_config_error(argv, tmp_path, capsys)
 
 
 class TestAnalysisCommands:
@@ -194,6 +214,13 @@ class TestAnalysisCommands:
         assert exc.value.code == 2
         assert "argument --n: must be >= 1" in capsys.readouterr().err
         assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--potential", "g2", "--n", "600", "--s", "1e-9"],
+        ["--potential", "g1", "--n", "20", "--F", "1e308", "--s", "1"],  # e*n*F^(1/s) = inf
+    ])
+    def test_drift_check_overflow_is_config_error(self, flags, tmp_path, capsys):
+        assert_overflow_is_config_error(["drift-check", *flags], tmp_path, capsys)
 
     def test_drift_check_violation_exits_1(self, tmp_path, capsys):
         rc = main(["drift-check", "--potential", "g1", "--n", "20", "--threshold", "10",

@@ -34,7 +34,6 @@ from onelambda.ea import (
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
-    best_of_lambda_pmf,
     level_quantities,
     selected_child_law,
 )
@@ -433,7 +432,9 @@ class TestGenerationComma:
         counts = np.zeros(n + 1)
         for _ in range(trials):
             counts[gen.step(with_ones(n, i), lam).fitness] += 1
-        pmf = best_of_lambda_pmf(n, i, lam)
+        lo, law = selected_child_law(FitnessFunction("onemax", n), i, lam)
+        pmf = np.zeros(n + 1)
+        pmf[lo : lo + law.size] = law
         for j in range(n + 1):
             se = math.sqrt(max(pmf[j] * (1 - pmf[j]), 1e-12) / trials)
             assert abs(counts[j] / trials - pmf[j]) <= 4 * se + 1e-4

@@ -1,5 +1,6 @@
 """Exact transition distributions, sandwich bounds, potentials and drifts."""
 
+import decimal
 import itertools
 import math
 
@@ -15,9 +16,8 @@ from onelambda.oracle import (
     LAMBDA_MAX,
     _child_masses,
     _law_block,
-    _onemax_law,
+    _level_law,
     _power_pmf,
-    best_of_lambda_pmf,
     check_transition_bounds,
     drift_claim,
     drift_grid_check,
@@ -35,16 +35,24 @@ from onelambda.oracle import (
 E = math.e
 
 
+def onemax_pmf(n, i, lam):
+    """:func:`selected_child_law` on onemax as a pmf over one-counts 0..n."""
+    lo, law = selected_child_law(FitnessFunction("onemax", n), i, lam)
+    pmf = np.zeros(n + 1)
+    pmf[lo : lo + law.size] = law
+    return pmf
+
+
 class TestSingleOffspringDistribution:
     def test_two_bit_enumeration(self):
         # all 4 mutation masks of 2 bits, parent 10: {} -> 1, {b1} -> 0,
         # {b2} -> 2, {b1,b2} -> 1, each with probability 1/4
-        pmf = best_of_lambda_pmf(2, 1, 1)
+        pmf = onemax_pmf(2, 1, 1)
         assert np.allclose(pmf, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_forced_flip_n1(self):
-        assert np.allclose(best_of_lambda_pmf(1, 0, 1), [0.0, 1.0], atol=0)
-        assert np.allclose(best_of_lambda_pmf(1, 1, 1), [1.0, 0.0], atol=0)
+        assert np.allclose(onemax_pmf(1, 0, 1), [0.0, 1.0], atol=0)
+        assert np.allclose(onemax_pmf(1, 1, 1), [1.0, 0.0], atol=0)
 
     def test_matches_direct_mask_enumeration(self):
         # independent oracle: enumerate all 2^n masks for a concrete parent
@@ -55,7 +63,7 @@ class TestSingleOffspringDistribution:
                 k = sum(mask)
                 child_ones = sum(b ^ m for b, m in zip(parent, mask))
                 pmf[child_ones] += (1.0 / n) ** k * (1.0 - 1.0 / n) ** (n - k)
-            got = best_of_lambda_pmf(n, i, 1)
+            got = onemax_pmf(n, i, 1)
             assert np.allclose(got, pmf, atol=1e-14)
 
     # One child's masses, before the window's log CDF accumulates them from
@@ -100,12 +108,18 @@ class TestBestOfLambda:
 
     @pytest.mark.parametrize("n", [1, 10, 200, 1000, 2000, 5000])
     def test_window_matches_full_support_reference(self, n):
+        fn = FitnessFunction("onemax", n)
         for i in self.levels(n):
-            for lam in self.LAMS:
+            lo, rows = selected_child_law(fn, i, self.LAMS)
+            assert rows.shape == (len(self.LAMS), min(n, i + CHILD_WINDOW) - lo + 1)
+            for lam, law in zip(self.LAMS, rows):
                 want, _ = full_support_law(n, i, lam)
-                got = best_of_lambda_pmf(n, i, lam)
-                assert got.shape == (n + 1,)
+                got = np.zeros(n + 1)
+                got[lo : lo + law.size] = law
                 assert np.abs(got - want).max() <= 1e-12, (i, lam)
+                # the stated bound on the mass outside the window, plus rounding
+                outside = want[:lo].sum() + want[lo + law.size :].sum()
+                assert outside <= TestSelectedChildLaw.tolerance(lam), (i, lam)
 
     @pytest.mark.parametrize("n", [1, 10, 200, 1000, 2000, 5000])
     def test_level_row_matches_full_support_reference(self, n):
@@ -125,7 +139,7 @@ class TestBestOfLambda:
 
     def test_two_bit_lambda_two(self):
         # P(best of 2 reaches fitness 2) = 1 - (3/4)^2 = 7/16
-        pmf = best_of_lambda_pmf(2, 1, 2)
+        pmf = onemax_pmf(2, 1, 2)
         assert abs(pmf[2] - 7.0 / 16.0) < 1e-14
         assert abs(pmf[0] - 1.0 / 16.0) < 1e-14
 
@@ -134,36 +148,74 @@ class TestBestOfLambda:
         # closed-form power identity
         for n in (2, 10, 50):
             for i in range(1, n):
-                p1 = best_of_lambda_pmf(n, i, 1)[:i].sum()
+                p1 = onemax_pmf(n, i, 1)[:i].sum()
                 for lam in range(1, 65):
-                    pl = best_of_lambda_pmf(n, i, lam)[:i].sum()
+                    pl = onemax_pmf(n, i, lam)[:i].sum()
                     assert abs(pl - p1**lam) < 1e-10
 
     def test_normalization_with_lambda(self):
         for n in (10, 50):
             for i in range(0, n, 7):
                 for lam in (2, 16, 64):
-                    s = best_of_lambda_pmf(n, i, lam).sum()
+                    s = onemax_pmf(n, i, lam).sum()
                     assert abs(s - 1.0) < 1e-12
 
     @pytest.mark.parametrize("lam", [0, -2])
     def test_lambda_below_one_rejected(self, lam):
         with pytest.raises(ValueError, match="lam"):
-            best_of_lambda_pmf(10, 4, lam)
+            onemax_pmf(10, 4, lam)
         with pytest.raises(ValueError, match="lam"):
             level_quantities(10, 4, lam)
 
     def test_lambda_past_the_window_bound_rejected(self):
         # above LAMBDA_MAX the mass outside the window, lam/31!, passes 2^-53
         assert LAMBDA_MAX * 2**53 <= math.factorial(CHILD_WINDOW + 1) < (LAMBDA_MAX + 1) * 2**53
-        best_of_lambda_pmf(10, 4, LAMBDA_MAX)
+        onemax_pmf(10, 4, LAMBDA_MAX)
         level_quantities(10, 4, LAMBDA_MAX)
         selected_child_law(FitnessFunction("jump", 10, 2), 4, LAMBDA_MAX)
-        for law in (lambda lam: best_of_lambda_pmf(10, 4, lam),
+        for law in (lambda lam: onemax_pmf(10, 4, lam),
+                    lambda lam: selected_child_law(FitnessFunction("onemax", 10), 4, (1, lam)),
                     lambda lam: level_row(10, 4, (1, lam)),
                     lambda lam: selected_child_law(FitnessFunction("jump", 10, 2), 4, lam)):
             with pytest.raises(ValueError, match="lam"):
                 law(LAMBDA_MAX + 1)
+
+
+def decimal_power_pmf(logcdf, lam):
+    """The pmf of :func:`_power_pmf` in 50-digit decimal arithmetic on the
+    same float log CDF: adjacent differences of exp(lam * logcdf), with the
+    product and the powers exact to 50 digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        cdf = [(decimal.Decimal(lam) * decimal.Decimal(x)).exp() if np.isfinite(x)
+               else decimal.Decimal(0) for x in logcdf.tolist()]
+        return [cdf[0]] + [hi - lo for lo, hi in zip(cdf, cdf[1:])]
+
+
+class TestPowerPmf:
+    LAMS = (1, 3, 64, 1000, 10**6)
+
+    @staticmethod
+    def worst_relative_error(logcdf, lam):
+        """Largest relative error of _power_pmf's masses above 1e-6."""
+        got = _power_pmf(logcdf, lam)
+        want = decimal_power_pmf(logcdf, lam)
+        return max((abs(decimal.Decimal(g) - w) / w for g, w in zip(got.tolist(), want)
+                    if w > decimal.Decimal("1e-6")), default=0)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_onemax_rows_match_decimal_differences(self, n):
+        fn = FitnessFunction("onemax", n)
+        for i in range(0, n + 1, n // 50):
+            block, r = _level_law(fn, i)
+            logcdf = block.level(r)[3]
+            for lam in self.LAMS:
+                assert self.worst_relative_error(logcdf, lam) <= 2e-15, (i, lam)
+
+    def test_tied_row_matches_decimal_differences(self):
+        # the jump:3 state whose masses the engine's 2^-52 grid test pins
+        block, r = _level_law(FitnessFunction("jump", 40, 3), 37)
+        assert self.worst_relative_error(block.level(r)[3], 1000) <= 2e-15
 
 
 def level_functions(n):
@@ -196,16 +248,18 @@ class TestSelectedChildLaw:
             lo, pmf = selected_child_law(FitnessFunction("onemax", 1), i, 3, "comma")
             assert lo == 0 and list(pmf) == [float(i == 1), float(i == 0)]
 
-    @pytest.mark.parametrize("n", [10, 100, 1000])
-    def test_onemax_agrees_with_best_of_lambda_pmf(self, n):
-        fn = FitnessFunction("onemax", n)
-        for i in sorted({0, 1, n // 3, n // 2, n - 2, n - 1}):
-            for lam in (1, 3, 50, 10**5, 10**9):
-                lo, pmf = selected_child_law(fn, i, lam)
-                ref = best_of_lambda_pmf(n, i, lam)
-                tol = self.tolerance(lam)
-                assert np.abs(pmf - ref[lo : lo + pmf.size]).max() <= tol, (i, lam)
-                assert ref[:lo].sum() + ref[lo + pmf.size :].sum() <= tol, (i, lam)
+    @pytest.mark.parametrize("n", [1, 5, 40])
+    def test_lambda_rows_are_the_one_lambda_laws_bitwise(self, n):
+        lams = (64, 1, 10**9, 7, 1)  # unsorted, with a repeat
+        for fn in level_functions(n):
+            for i in range(n + 1):
+                for selection in ("comma", "plus"):
+                    lo, rows = selected_child_law(fn, i, lams, selection)
+                    assert rows.shape[0] == len(lams)
+                    for lam, row in zip(lams, rows):
+                        one_lo, one = selected_child_law(fn, i, lam, selection)
+                        assert one_lo == lo and one.shape == row.shape
+                        assert one.tobytes() == row.tobytes(), (fn, i, lam, selection)
 
     def test_plus_keeps_the_parent_when_every_child_is_worse(self):
         # onemax at the optimum: every child ties or is worse
@@ -213,7 +267,7 @@ class TestSelectedChildLaw:
         lo, pmf = selected_child_law(fn, 30, 4, "plus")
         assert pmf[30 - lo] == pytest.approx(1.0, abs=1e-15)
         comma_lo, comma = selected_child_law(fn, 30, 4, "comma")
-        assert comma[30 - comma_lo] == pytest.approx(best_of_lambda_pmf(30, 30, 4)[30], abs=1e-13)
+        assert comma[30 - comma_lo] == pytest.approx(full_support_law(30, 30, 4)[0][30], abs=1e-13)
 
     def test_rejects_ridge_lambda_below_one_and_unknown_selection(self):
         with pytest.raises(ValueError):
@@ -252,7 +306,7 @@ class TestLevelQuantities:
     def test_moments_of_the_best_of_lambda_pmf(self):
         for n, i, lam in [(2, 1, 1), (20, 0, 3), (20, 15, 3), (100, 70, 8), (163, 140, 64)]:
             q = level_quantities(n, i, lam)
-            pmf = best_of_lambda_pmf(n, i, lam)
+            pmf = onemax_pmf(n, i, lam)
             j = np.arange(n + 1)
             assert q.p_zero == pmf[i]
             assert abs(q.p_plus - pmf[i + 1 :].sum()) < 1e-12
@@ -286,11 +340,13 @@ class TestLevelQuantities:
 
 
 def reference_level_quantities(n, i, lam):
-    """The per-lam level record from the same window row: one 1-D CDF
-    power and plain sums."""
-    ones, logcdf = _onemax_law(n, i)
-    pmf = _power_pmf(logcdf, lam)
-    k = i - ones[0]
+    """The per-lam level record from the same window row: the one-lam law
+    and plain sums."""
+    fn = FitnessFunction("onemax", n)
+    lo, pmf = selected_child_law(fn, i, lam)
+    block, r = _level_law(fn, i)
+    ones, _, _, logcdf = block.level(r)
+    k = i - lo
     lc_i = lam * logcdf[k]
     p_plus = -math.expm1(lc_i) if np.isfinite(lc_i) else 1.0
     lc_im1 = lam * logcdf[k - 1] if i > 0 else -np.inf
