@@ -22,8 +22,7 @@ from .oracle import (
     check_transition_bounds,
     drift_grid_check,
     elitist_evaluations_bound,
-    exact_potential_drift,
-    level_quantities,
+    level_row,
     make_potential,
     selected_child_law,
 )

@@ -11,7 +11,7 @@ independent offspring then has CDF ``C(j)^lam``.
 Everything downstream is built on that:
 
 * per-level transition quantities (improvement / stagnation / fallback
-  probabilities and the conditional forward / backward drifts),
+  probabilities and the forward / backward first moments),
 * a report checking the exact quantities against closed-form sandwich
   bounds,
 * exact one-step drift of potential functions that combine fitness with
@@ -86,8 +86,8 @@ __all__ = [
     "CHILD_WINDOW",
     "LAMBDA_MAX",
     "selected_child_law",
-    "LevelQuantities",
-    "level_quantities",
+    "LevelRow",
+    "level_row",
     "max_flip_gain_series",
     "BoundCheck",
     "TransitionBoundReport",
@@ -95,7 +95,6 @@ __all__ = [
     "LambdaPenaltyPotential",
     "LambdaLogSquaredPotential",
     "make_potential",
-    "exact_potential_drift",
     "DriftReport",
     "drift_grid_check",
     "drift_claim",
@@ -320,35 +319,11 @@ def selected_child_law(fn, i: int, lams, selection: str = "comma"):
     return lo, pmf
 
 
-@dataclass(frozen=True, slots=True)
-class LevelQuantities:
-    """Per-level transition quantities of the best of lam offspring.
-
-    gain = E[(f' - i)+] and loss = E[(i - f')+] are the unconditional
-    forward / backward first moments; the conditional drifts are None when
-    the conditioning probability is below UNDEFINED_BELOW."""
-
-    n: int
-    i: int
-    lam: int
-    p_plus: float
-    p_zero: float
-    p_minus: float
-    gain: float
-    loss: float
-
-    @property
-    def delta_plus(self) -> float | None:
-        return self.gain / self.p_plus if self.p_plus > UNDEFINED_BELOW else None
-
-    @property
-    def delta_minus(self) -> float | None:
-        return self.loss / self.p_minus if self.p_minus > UNDEFINED_BELOW else None
-
-
 class LevelRow(NamedTuple):
-    """The fields of :class:`LevelQuantities` at one level, each a read-only
-    float array with one entry per lam of the row."""
+    """Transition quantities of the best of lam offspring at level i, one
+    entry per lam: P(f' > i), P(f' = i), P(f' < i) for its fitness f', and
+    the unconditional forward / backward moments gain = E[(f' - i)+] and
+    loss = E[(i - f')+]."""
 
     p_plus: np.ndarray
     p_zero: np.ndarray
@@ -363,8 +338,7 @@ def _each(f, *args) -> np.ndarray:
     return np.frompyfunc(f, len(args), 1)(*args).astype(float)
 
 
-@lru_cache(maxsize=4096)
-def level_row(n: int, i: int, lams: tuple) -> LevelRow:
+def level_row(n: int, i: int, lams) -> LevelRow:
     """The transition quantities at (n, i, lam) for each lam of ``lams``,
     in order, as arrays from one numpy pass over the level; 0 <= i < n.
 
@@ -385,21 +359,15 @@ def level_row(n: int, i: int, lams: tuple) -> LevelRow:
     ones, _, _, logcdf = block.level(r)
     lam_vals = np.array(lams, dtype=float)
     k = i - ones[0]  # the parent's column
-    row = LevelRow(
+    return LevelRow(
         p_plus=-_each(math.expm1, lam_vals * logcdf[k]),
-        p_zero=pmfs[:, k].copy(),  # not a view: the cache keeps no pmfs
+        # a copy, not a view: drift_grid_check holds every level's row until
+        # it concatenates them, and a view would keep each level's pmfs alive
+        p_zero=pmfs[:, k].copy(),
         p_minus=_each(math.exp, lam_vals * logcdf[k - 1]) if i else np.zeros(len(lams)),
         gain=((ones[k + 1 :] - i) * pmfs[:, k + 1 :]).sum(axis=-1),
         loss=((i - ones[:k]) * pmfs[:, :k]).sum(axis=-1),
     )
-    for a in row:
-        a.setflags(write=False)
-    return row
-
-
-def level_quantities(n: int, i: int, lam: int) -> LevelQuantities:
-    """The transition quantities at state (n, i, lam), 0 <= i < n."""
-    return LevelQuantities(n, i, lam, *(float(a[0]) for a in level_row(n, i, (lam,))))
 
 
 @lru_cache(maxsize=4096)
@@ -730,44 +698,20 @@ def make_potential(kind: str, F: float, s: float | None = None, n: int | None = 
     raise ValueError(f"unknown potential kind: {kind!r}")
 
 
-def exact_potential_drift(
-    potential,
-    n: int,
-    i: int,
-    lambda_real: float,
-    params: ControllerParams,
-    cap_gain_at_one: bool = False,
-) -> float:
-    """Exact E[g(X_next) - g(X_now)] at state (fitness i, lambda_real).
-
-    The offspring count is round(lambda_real) while the lambda term is
-    evaluated on the real value; the lambda branches are the controller
-    step itself (``update_lambda``).
-    With ``cap_gain_at_one`` fitness gains count as +1 (the conservative
-    progress measure); this can only lower the drift.
-    """
-    q = level_quantities(n, i, _offspring_count(lambda_real))
-    return _drift(q.p_plus, q.gain, q.loss, _lambda_terms(potential, lambda_real, params),
-                  cap_gain_at_one)
-
-
-def _offspring_count(lambda_real: float) -> int:
-    if lambda_real < 1.0:
-        raise ValueError("lambda_real must be >= 1")
-    return round_lambda(lambda_real)
-
-
 def _lambda_terms(potential, lambda_real: float, params) -> tuple:
     """h after a success, h after a failure and h now, at lambda_real."""
+    grown = update_lambda(lambda_real, False, params)
+    if not math.isfinite(grown):
+        raise ValueError(f"lambda * F^(1/s) overflows at lambda={lambda_real} "
+                         f"for F={params.F}, s={params.s}")
     h = potential.h
-    return (h(update_lambda(lambda_real, True, params)),
-            h(update_lambda(lambda_real, False, params)), h(lambda_real))
+    return h(update_lambda(lambda_real, True, params)), h(grown), h(lambda_real)
 
 
 def _drift(p_plus, gain, loss, terms, cap_gain_at_one):
-    """The drift of :func:`exact_potential_drift` from the level quantities
-    at round(lambda_real) offspring and the :func:`_lambda_terms` of
-    lambda_real; scalars, or arrays with one entry per state."""
+    """The drift g(X_next) - g(X_now) in expectation, from the level
+    quantities at round(lambda_real) offspring and the
+    :func:`_lambda_terms` of lambda_real, one entry per state."""
     h_succ, h_fail, h_now = terms
     fitness_part = (p_plus if cap_gain_at_one else gain) - loss
     return fitness_part + p_plus * h_succ + (1.0 - p_plus) * h_fail - h_now
@@ -809,7 +753,12 @@ def drift_grid_check(
     cap_gain_at_one: bool = False,
     collect_rows: bool = False,
 ) -> DriftReport:
-    """Evaluate the exact drift on every (i, lambda_real) state.
+    """Evaluate the exact drift E[g(X_next) - g(X_now)] on every
+    (i, lambda_real) state, lambda_real >= 1.  round(lambda_real) children
+    are drawn while the lambda term reads the real value, through the
+    controller step itself (``update_lambda``), which must stay finite.
+    With ``cap_gain_at_one`` fitness gains count as +1 (the conservative
+    progress measure); this can only lower the drift.
 
     direction "min_at_least": flag states with drift < threshold;
     direction "max_at_most": flag states with drift > threshold.  A
@@ -819,8 +768,8 @@ def drift_grid_check(
 
     Each state's level quantities are gathered from one :func:`level_row`
     per level, the controller's scalar code runs once per distinct
-    lambda_real, and one array expression gives every drift, with the
-    operands of :func:`exact_potential_drift` in its order.
+    lambda_real, and one array expression (:func:`_drift`) gives every
+    drift.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
@@ -840,13 +789,15 @@ def drift_grid_check(
         return report
     i, lam_real = grid[:, 0].astype(int), grid[:, 1]
     lam_values, lam_of = np.unique(lam_real, return_inverse=True)
-    per_lam = [(_offspring_count(x), *_lambda_terms(potential, x, params))
+    if lam_values[0] < 1.0:
+        raise ValueError(f"lambda_real must be >= 1, got {lam_values[0]}")
+    per_lam = [(round_lambda(x), *_lambda_terms(potential, x, params))
                for x in lam_values.tolist()]
     lam, *terms = (np.array(col)[lam_of] for col in zip(*per_lam))
     # one level row per level, over the level's distinct offspring counts
     pairs, pair_of = np.unique(np.column_stack([i, lam]), axis=0, return_inverse=True)
     levels, starts = np.unique(pairs[:, 0], return_index=True)
-    rows = [level_row(n, level, tuple(lams.tolist()))
+    rows = [level_row(n, level, lams)
             for level, lams in zip(levels.tolist(), np.split(pairs[:, 1], starts[1:]))]
     q = LevelRow(*(np.concatenate(col)[pair_of] for col in zip(*rows)))  # per state
     drift = _drift(q.p_plus, q.gain, q.loss, terms, cap_gain_at_one)

@@ -28,7 +28,6 @@ from onelambda.oracle import (
     drift_claim,
     drift_grid_check,
     elitist_evaluations_bound,
-    exact_potential_drift,
     make_potential,
     selected_child_law,
 )
@@ -59,12 +58,13 @@ def test_c02_drift_oracle_vs_joint_enumeration():
     for n in range(2, 7):
         params = ControllerParams(F=1.5, s=0.5)
         pots = (make_potential("g1", F=1.5, s=0.5, n=n), make_potential("g2", F=1.5))
-        for i in range(n):
-            for lam_real in (1.0, 1.5, 2.0, 2.49, 2.5, 3.0):
-                for pot in pots:
-                    want = brute_force_drift(n, i, lam_real, pot, params)
-                    got = exact_potential_drift(pot, n, i, lam_real, params)
-                    worst = max(worst, abs(got - want))
+        states = [(i, lam_real) for i in range(n) for lam_real in (1.0, 1.5, 2.0, 2.49, 2.5, 3.0)]
+        for pot in pots:
+            report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least",
+                                      collect_rows=True)
+            for (i, lam_real), row in zip(states, report.rows):
+                want = brute_force_drift(n, i, lam_real, pot, params)
+                worst = max(worst, abs(row[4] - want))
     ok = worst <= 1e-9
     record_criterion("C2", "exact drift vs joint mask enumeration (n<=6, lam<=3)",
                      ok, f"worst |diff| = {worst:.2e}")

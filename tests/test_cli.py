@@ -218,6 +218,7 @@ class TestAnalysisCommands:
     @pytest.mark.parametrize("flags", [
         ["--potential", "g2", "--n", "600", "--s", "1e-9"],
         ["--potential", "g1", "--n", "20", "--F", "1e308", "--s", "1"],  # e*n*F^(1/s) = inf
+        ["--potential", "g2", "--n", "600", "--F", "1e308", "--s", "1"],  # lambda*F^(1/s) = inf
     ])
     def test_drift_check_overflow_is_config_error(self, flags, tmp_path, capsys):
         assert_overflow_is_config_error(["drift-check", *flags], tmp_path, capsys)

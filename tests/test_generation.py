@@ -34,7 +34,7 @@ from onelambda.ea import (
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
-    level_quantities,
+    level_row,
     selected_child_law,
 )
 
@@ -421,9 +421,9 @@ class TestGenerationComma:
         gen = Generation(FitnessFunction("onemax", n), COMMA, 123)
         trials = 100_000
         improved = sum(gen.step(with_ones(n, i), lam).fitness > i for _ in range(trials))
-        q = level_quantities(n, i, lam)
-        se = math.sqrt(q.p_plus * (1 - q.p_plus) / trials)
-        assert abs(improved / trials - q.p_plus) <= 3 * se
+        p_plus = level_row(n, i, (lam,)).p_plus[0]
+        se = math.sqrt(p_plus * (1 - p_plus) / trials)
+        assert abs(improved / trials - p_plus) <= 3 * se
 
     def test_full_next_fitness_pmf_matches_oracle(self):
         n, i, lam = 12, 8, 2

@@ -9,11 +9,12 @@ import pytest
 from scipy.stats import binom
 
 from onelambda import oracle
-from onelambda.ea import ControllerParams, round_lambda
+from onelambda.ea import ControllerParams, round_lambda, update_lambda
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
     LAMBDA_MAX,
+    UNDEFINED_BELOW,
     _child_masses,
     _law_block,
     _level_law,
@@ -22,10 +23,8 @@ from onelambda.oracle import (
     drift_claim,
     drift_grid_check,
     elitist_evaluations_bound,
-    exact_potential_drift,
     g1_grid_lambdas,
     g2_band_states,
-    level_quantities,
     level_row,
     make_potential,
     max_flip_gain_series,
@@ -165,13 +164,13 @@ class TestBestOfLambda:
         with pytest.raises(ValueError, match="lam"):
             onemax_pmf(10, 4, lam)
         with pytest.raises(ValueError, match="lam"):
-            level_quantities(10, 4, lam)
+            level_row(10, 4, (lam,))
 
     def test_lambda_past_the_window_bound_rejected(self):
         # above LAMBDA_MAX the mass outside the window, lam/31!, passes 2^-53
         assert LAMBDA_MAX * 2**53 <= math.factorial(CHILD_WINDOW + 1) < (LAMBDA_MAX + 1) * 2**53
         onemax_pmf(10, 4, LAMBDA_MAX)
-        level_quantities(10, 4, LAMBDA_MAX)
+        level_row(10, 4, (LAMBDA_MAX,))
         selected_child_law(FitnessFunction("jump", 10, 2), 4, LAMBDA_MAX)
         for law in (lambda lam: onemax_pmf(10, 4, lam),
                     lambda lam: selected_child_law(FitnessFunction("onemax", 10), 4, (1, lam)),
@@ -280,58 +279,56 @@ class TestSelectedChildLaw:
             selected_child_law(FitnessFunction("onemax", 8), 9, 2)
 
 
+def one_lambda_row(n, i, lam):
+    """:func:`level_row` at one lam, as a dict of Python floats."""
+    return {name: float(field[0]) for name, field in level_row(n, i, (lam,))._asdict().items()}
+
+
 class TestLevelQuantities:
     def test_two_bit_values(self):
-        q = level_quantities(2, 1, 1)
-        assert abs(q.p_plus - 0.25) < 1e-14
-        assert abs(q.p_zero - 0.5) < 1e-14
-        assert abs(q.p_minus - 0.25) < 1e-14
-        assert abs(q.delta_plus - 1.0) < 1e-12
-        assert abs(q.delta_minus - 1.0) < 1e-12
+        q = one_lambda_row(2, 1, 1)
+        assert abs(q["p_plus"] - 0.25) < 1e-14
+        assert abs(q["p_zero"] - 0.5) < 1e-14
+        assert abs(q["p_minus"] - 0.25) < 1e-14
+        assert abs(q["gain"] / q["p_plus"] - 1.0) < 1e-12
+        assert abs(q["loss"] / q["p_minus"] - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 5, 17, 100])
     def test_last_level_single_flip_formula(self, n):
         # from i = n-1 an improvement needs exactly the one 0-bit to flip
-        q = level_quantities(n, n - 1, 1)
+        p_plus = level_row(n, n - 1, (1,)).p_plus[0]
         expected = (1.0 / n) * (1.0 - 1.0 / n) ** (n - 1)
-        assert abs(q.p_plus - expected) < 1e-14
+        assert abs(p_plus - expected) < 1e-14
 
     def test_probabilities_sum_to_one(self):
         for n in (10, 163):
             for i in range(0, n, 13):
-                for lam in (1, 3, 32):
-                    q = level_quantities(n, i, lam)
-                    assert abs(q.p_plus + q.p_zero + q.p_minus - 1.0) < 1e-12
+                row = level_row(n, i, (1, 3, 32))
+                assert np.abs(row.p_plus + row.p_zero + row.p_minus - 1.0).max() < 1e-12
 
     def test_moments_of_the_best_of_lambda_pmf(self):
         for n, i, lam in [(2, 1, 1), (20, 0, 3), (20, 15, 3), (100, 70, 8), (163, 140, 64)]:
-            q = level_quantities(n, i, lam)
+            q = one_lambda_row(n, i, lam)
             pmf = onemax_pmf(n, i, lam)
             j = np.arange(n + 1)
-            assert q.p_zero == pmf[i]
-            assert abs(q.p_plus - pmf[i + 1 :].sum()) < 1e-12
-            assert abs(q.p_minus - pmf[:i].sum()) < 1e-12
-            assert abs(q.gain - ((j - i) * pmf)[i + 1 :].sum()) < 1e-12
-            assert abs(q.loss - ((i - j) * pmf)[:i].sum()) < 1e-12
-            assert q.delta_plus == q.gain / q.p_plus
-
-    def test_drift_reads_the_cached_level_record(self):
-        level_row.cache_clear()
-        pot = make_potential("g2", F=1.5)
-        exact_potential_drift(pot, 30, 20, 2.6, ControllerParams(F=1.5, s=1.0))
-        assert level_row.cache_info().currsize == 1
-        level_quantities(30, 20, 3)
-        assert level_row.cache_info()[:4] == (1, 1, 4096, 1)  # hits, misses, size, held
+            assert q["p_zero"] == pmf[i]
+            assert abs(q["p_plus"] - pmf[i + 1 :].sum()) < 1e-12
+            assert abs(q["p_minus"] - pmf[:i].sum()) < 1e-12
+            assert abs(q["gain"] - ((j - i) * pmf)[i + 1 :].sum()) < 1e-12
+            assert abs(q["loss"] - ((i - j) * pmf)[:i].sum()) < 1e-12
 
     def test_undefined_markers(self):
-        q = level_quantities(10, 0, 4)
-        assert q.p_minus == 0.0 and q.delta_minus is None
-        assert q.delta_plus is not None
+        # at i = 0 nothing falls: the backward drift is undefined and unchecked
+        assert level_row(10, 0, (4,)).p_minus[0] == 0.0
+        report = check_transition_bounds(10, lambdas=(4,), collect_rows=True)
+        at_zero = {c.quantity for c in report.rows if c.i == 0}
+        assert "delta_plus" in at_zero and "delta_minus" not in at_zero
 
     def test_p_plus_monotone_in_i_and_lambda(self):
         n = 50
         lams = (1, 2, 5, 17, 64)
-        vals = {lam: [level_quantities(n, i, lam).p_plus for i in range(n)] for lam in lams}
+        rows = [level_row(n, i, lams).p_plus for i in range(n)]
+        vals = {lam: [row[c] for row in rows] for c, lam in enumerate(lams)}
         for lam in lams:
             assert all(a >= b - 1e-14 for a, b in zip(vals[lam], vals[lam][1:]))
         for i in range(0, n, 5):
@@ -365,17 +362,10 @@ class TestLevelRow:
             for i in range(n):
                 row = level_row(n, i, lams)
                 for field in row:
-                    assert field.shape == (len(lams),) and not field.flags.writeable
+                    assert field.shape == (len(lams),)
                 for c, lam in enumerate(lams):
                     got = tuple(field[c] for field in row)
                     assert got == reference_level_quantities(n, i, lam), (n, i, lam)
-
-    def test_level_quantities_is_the_one_lambda_row(self):
-        q = level_quantities(40, 30, 5)
-        values = (q.p_plus, q.p_zero, q.p_minus, q.gain, q.loss)
-        assert (q.n, q.i, q.lam) == (40, 30, 5)
-        assert values == tuple(field[0] for field in level_row(40, 30, (5,)))
-        assert all(type(v) is float for v in values)
 
     @pytest.mark.parametrize("lams", [(3, 0, 2), (-1,), (1, 2, -5)])
     def test_lambda_below_one_rejected(self, lams):
@@ -386,18 +376,18 @@ class TestLevelRow:
 def test_every_oracle_memo_clears_and_refills():
     memos = [f for f in vars(oracle).values() if callable(getattr(f, "cache_clear", None))]
     names = {f.__name__ for f in memos}
-    assert {"_law_block", "level_row", "max_flip_gain_series"} <= names
+    assert {"_law_block", "max_flip_gain_series"} <= names
     pot, states, threshold, direction = drift_claim("g1", 70, 1.5, 0.5)
     params = ControllerParams(F=1.5, s=0.5)
 
     def misses():
         drift_grid_check(pot, params, 70, states, threshold, direction)
-        return level_row.cache_info().misses, _law_block.cache_info().misses
+        return _law_block.cache_info().misses
 
     for f in memos:
         f.cache_clear()
     cold = misses()
-    assert cold == (70, 3)  # one row per level, one law block per 32 levels
+    assert cold == 3  # one law block per 32 levels
     assert misses() == cold  # warm: no new misses
     for f in memos:
         f.cache_clear()
@@ -407,7 +397,7 @@ def test_every_oracle_memo_clears_and_refills():
 def reference_bound_checks(n, lams):
     """(n, i, lam, quantity, name, side, exact, bound) of every applicable
     check, one state and one bound at a time, with the exact quantities of
-    level_quantities and the bounds in scalar math."""
+    the one-lam level_row and the bounds in scalar math."""
     stay = [math.exp(m * math.log1p(-1.0 / n)) for m in (n - 1, n)]
 
     def from_base(base, lam):
@@ -416,7 +406,10 @@ def reference_bound_checks(n, lams):
     out = []
     for i in range(n):
         for lam in lams:
-            q = level_quantities(n, i, lam)
+            q = one_lambda_row(n, i, lam)
+            for delta, moment, p in (("delta_plus", "gain", "p_plus"),
+                                     ("delta_minus", "loss", "p_minus")):
+                q[delta] = q[moment] / q[p] if q[p] > UNDEFINED_BELOW else None
             bounds = [  # name, side, applies, value
                 ("p_plus_lower_harmonic", "lower", True, 1.0 - E * n / (E * n + lam * (n - i))),
                 ("p_plus_lower_single_flip", "lower", True, from_base((n - i) / (E * n), lam)),
@@ -436,7 +429,7 @@ def reference_bound_checks(n, lams):
             ]
             for name, side, applies, bound in bounds:
                 quantity = "_".join(name.split("_")[:2])
-                exact = getattr(q, quantity)
+                exact = q[quantity]
                 if applies and exact is not None:
                     out.append((n, i, lam, quantity, name, side, exact, bound))
     return out
@@ -551,34 +544,49 @@ def brute_force_drift(n, i, lam_real, potential, params, cap_gain_at_one=False):
     return float((joint_p * (gain + h_next - potential.h(lam_real))).sum())
 
 
+def reference_drift(pot, n, i, lam_real, params, cap_gain_at_one):
+    """The drift at one state, in scalar math from the per-lam level record
+    and the controller step, with the operands in _drift's order."""
+    p_plus, _, _, gain, loss = reference_level_quantities(n, i, round_lambda(lam_real))
+    h_succ = pot.h(update_lambda(lam_real, True, params))
+    h_fail = pot.h(update_lambda(lam_real, False, params))
+    fitness_part = (p_plus if cap_gain_at_one else gain) - loss
+    return fitness_part + p_plus * h_succ + (1.0 - p_plus) * h_fail - pot.h(lam_real)
+
+
+def grid_drifts(pot, params, n, states, cap_gain_at_one=False):
+    """The drift of each (i, lambda_real) state, from one drift_grid_check."""
+    report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least",
+                              cap_gain_at_one=cap_gain_at_one, collect_rows=True)
+    return [row[4] for row in report.rows]
+
+
 class TestExactPotentialDrift:
     def test_matches_brute_force_small(self):
         params = ControllerParams(F=1.5, s=0.5)
         g1 = make_potential("g1", F=1.5, s=0.5, n=4)
         g2 = make_potential("g2", F=1.5)
+        states = [(i, lam_real) for i in range(4) for lam_real in (1.0, 1.5, 2.49)]
         for pot in (g1, g2):
-            for i in range(4):
-                for lam_real in (1.0, 1.5, 2.49):
-                    want = brute_force_drift(4, i, lam_real, pot, params)
-                    got = exact_potential_drift(pot, 4, i, lam_real, params)
-                    assert abs(got - want) < 1e-9, (pot.kind, i, lam_real)
+            for (i, lam_real), got in zip(states, grid_drifts(pot, params, 4, states)):
+                want = brute_force_drift(4, i, lam_real, pot, params)
+                assert abs(got - want) < 1e-9, (pot.kind, i, lam_real)
 
     def test_capped_variant_matches_brute_force(self):
         params = ControllerParams(F=1.5, s=0.5)
         pot = make_potential("g1", F=1.5, s=0.5, n=5)
-        for i in (0, 2, 4):
+        states = [(i, 2.0) for i in (0, 2, 4)]
+        for (i, _), got in zip(states, grid_drifts(pot, params, 5, states, cap_gain_at_one=True)):
             want = brute_force_drift(5, i, 2.0, pot, params, cap_gain_at_one=True)
-            got = exact_potential_drift(pot, 5, i, 2.0, params, cap_gain_at_one=True)
             assert abs(got - want) < 1e-9
 
     def test_capped_never_exceeds_uncapped(self):
         params = ControllerParams(F=1.5, s=1.0)
         pot = make_potential("g1", F=1.5, s=1.0, n=60)
-        for i in range(0, 60, 7):
-            for lam in (1.0, 2.5, 7.0):
-                full = exact_potential_drift(pot, 60, i, lam, params)
-                capped = exact_potential_drift(pot, 60, i, lam, params, cap_gain_at_one=True)
-                assert capped <= full + 1e-12
+        states = [(i, lam) for i in range(0, 60, 7) for lam in (1.0, 2.5, 7.0)]
+        full = grid_drifts(pot, params, 60, states)
+        capped = grid_drifts(pot, params, 60, states, cap_gain_at_one=True)
+        assert all(c <= f + 1e-12 for c, f in zip(capped, full))
 
     def test_monte_carlo_agreement(self):
         # simulation oracle: vectorised flip-count + hypergeometric sampling
@@ -595,7 +603,7 @@ class TestExactPotentialDrift:
         h_succ = pot.h(max(1.0, lam_real / params.F))
         h_fail = pot.h(lam_real * params.growth_factor)
         deltas = (best - i) + np.where(best > i, h_succ, h_fail) - pot.h(lam_real)
-        exact = exact_potential_drift(pot, n, i, lam_real, params)
+        (exact,) = grid_drifts(pot, params, n, [(i, lam_real)])
         sem = deltas.std(ddof=1) / math.sqrt(trials)
         assert abs(deltas.mean() - exact) <= 3 * sem
 
@@ -668,6 +676,12 @@ class TestDriftGridCheck:
                 flagged.append((i, lam, d))
         assert flagged == report.violations and len(flagged) == len(states) // 2
 
+    @pytest.mark.parametrize("lam", [0.999, 0.0, -2.0])
+    def test_lambda_below_one_rejected(self, lam):
+        pot = make_potential("g2", F=1.5)
+        with pytest.raises(ValueError, match="lambda_real must be >= 1"):
+            drift_grid_check(pot, ControllerParams(F=1.5, s=1.0), 30,
+                             [(10, 2.0), (12, lam), (14, 1.0)], 0.0, "min_at_least")
 
     @pytest.mark.parametrize("kind, n, cap", [("g1", 70, False), ("g1", 70, True),
                                               ("g2", 1000, False)])
@@ -681,8 +695,7 @@ class TestDriftGridCheck:
         assert [row[1:4] for row in report.rows] == [
             (i, lam, round_lambda(lam)) for i, lam in states]
         got = np.array([row[4] for row in report.rows])
-        want = np.array([exact_potential_drift(pot, n, i, lam, params, cap_gain_at_one=cap)
-                         for i, lam in states])
+        want = np.array([reference_drift(pot, n, i, lam, params, cap) for i, lam in states])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         k = int(np.argmin(want) if direction == "min_at_least" else np.argmax(want))
         assert (report.extreme, report.extreme_state) == (want[k], states[k])
@@ -743,8 +756,12 @@ class TestElitistEvaluationsBound:
 
 class TestUndefinedThreshold:
     def test_huge_lambda_fallback_underflows_to_undefined(self):
-        # p_minus = (p1)^lam underflows for extreme lam; marker, not NaN
-        q = level_quantities(50, 25, 64)
-        assert q.p_minus > 0  # still representable here
-        assert math.isfinite(q.gain) and math.isfinite(q.loss)
-        assert q.p_minus < 1 and q.p_plus < 1
+        # p_minus = (p1)^lam underflows to 0 for large lam near the bottom:
+        # the backward drift is then undefined and unchecked, not NaN
+        q = one_lambda_row(50, 1, 200)
+        assert q["p_minus"] == 0.0
+        assert math.isfinite(q["gain"]) and math.isfinite(q["loss"])
+        report = check_transition_bounds(50, lambdas=(200,), collect_rows=True)
+        backward = {c.i for c in report.rows if c.quantity == "delta_minus"}
+        assert 1 not in backward and 25 in backward
+        assert report.ok

@@ -231,7 +231,7 @@ class TestEngines:
         # initial fitness and compare against the exact oracle
         import math
 
-        from onelambda.oracle import level_quantities
+        from onelambda.oracle import level_row
 
         n, lam = 12, 3
         kind = AlgorithmKind.static_comma(lam)
@@ -244,7 +244,7 @@ class TestEngines:
             tot, good = counts.get(key, (0, 0))
             counts[key] = (tot + 1, good + won)
         tot, good = counts[6]  # modal initial fitness at n=12
-        p = level_quantities(n, 6, lam).p_plus
+        p = level_row(n, 6, (lam,)).p_plus[0]
         se = math.sqrt(p * (1 - p) / tot)
         assert abs(good / tot - p) <= 4 * se
 
