@@ -756,7 +756,7 @@ def drift_grid_check(
     """Evaluate the exact drift E[g(X_next) - g(X_now)] on every
     (i, lambda_real) state, lambda_real >= 1.  round(lambda_real) children
     are drawn while the lambda term reads the real value, through the
-    controller step itself (``update_lambda``), which must stay finite.
+    controller step itself (``update_lambda``); an infinite step raises.
     With ``cap_gain_at_one`` fitness gains count as +1 (the conservative
     progress measure); this can only lower the drift.
 
