@@ -42,19 +42,32 @@ TRACE_COLUMNS = [
 
 # namespace entries that are not settings: neither config keys nor CSV metadata
 _NOT_SETTINGS = ("help", "func", "config", "command", "no_timestamp")
+# settings that never change the rows: config keys, but not CSV metadata
+_NOT_RECORDED = ("out", "out_dir", "workers")
 
 
 class ConfigError(Exception):
     pass
 
 
-def _out_dir() -> Path:
-    return Path(os.environ.get("ONELAMBDA_OUTDIR", "."))
-
-
 def _settings(args: argparse.Namespace) -> dict:
-    """The parsed settings, as a CSV's config metadata records them."""
-    return {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
+    """The parsed settings that shape the rows, as a CSV's config metadata
+    records them: never the output location or the worker count."""
+    return {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS + _NOT_RECORDED}
+
+
+def _write_output(args, name, rows, meta, summary, columns=None) -> None:
+    """The one output step of every CSV command.  Write ``rows`` with
+    ``meta`` as the config header to --out, else to --out-dir/``name``,
+    else to $ONELAMBDA_OUTDIR/``name`` (default the working directory);
+    the columns are the first dict row's keys unless given.  Then print
+    ``summary`` as JSON with the path added as "output"."""
+    out = getattr(args, "out", None)
+    out = Path(out) if out else Path(
+        getattr(args, "out_dir", None) or os.environ.get("ONELAMBDA_OUTDIR", "."), name)
+    xp.write_csv(out, columns or list(rows[0].keys()), rows, meta=meta,
+                 timestamp=not args.no_timestamp)
+    print(json.dumps({**summary, "output": str(out)}))
 
 
 def positive_int(text: str) -> int:
@@ -146,26 +159,15 @@ def cmd_run(args) -> int:
         trace_level=config.trace_level,
         lambda0=config.lambda0,
     )
-    out = Path(args.out) if args.out else _out_dir() / "run_trace.csv"
-    xp.write_csv(
-        out,
-        TRACE_COLUMNS,
-        _trace_rows(rec, fn, run_id=0),
-        meta={**_settings(args), "algorithm": kind.label},
-        timestamp=not args.no_timestamp,
-    )
-    print(
-        json.dumps(
-            {
-                "stop_cause": rec.stop_cause.value,
-                "generations": rec.generations,
-                "evaluations": rec.evaluations,
-                "final_fitness": rec.final_fitness,
-                "best_fitness": rec.best_fitness,
-                "output": str(out),
-            }
-        )
-    )
+    summary = {
+        "stop_cause": rec.stop_cause.value,
+        "generations": rec.generations,
+        "evaluations": rec.evaluations,
+        "final_fitness": rec.final_fitness,
+        "best_fitness": rec.best_fitness,
+    }
+    _write_output(args, "run_trace.csv", _trace_rows(rec, fn, run_id=0),
+                  {**_settings(args), "algorithm": kind.label}, summary, TRACE_COLUMNS)
     return 0
 
 
@@ -177,8 +179,7 @@ def _progress(done, total):
 def cmd_batch(args) -> int:
     config = _batch_config(
         args, args.n, args.s, args.runs, args.algo, args.fn,
-        eval_cap=args.eval_cap or None, trace_level=args.trace,
-        static_lambda=args.static_lambda or None,
+        eval_cap=args.eval_cap or None, static_lambda=args.static_lambda or None,
     )
     batch = xp.run_batch(config, workers=args.workers or None, progress=_progress)
     rows = []
@@ -201,19 +202,15 @@ def cmd_batch(args) -> int:
                     "final_lambda": rec.final_lambda,
                 }
             )
-    out = (Path(args.out_dir) if args.out_dir else _out_dir()) / "batch_runs.csv"
-    xp.write_csv(out, list(rows[0].keys()), rows, meta=config.to_dict(),
-                 timestamp=not args.no_timestamp)
-    print(json.dumps({"cells": len(batch.cells), "runs": len(rows), "output": str(out)}))
+    _write_output(args, "batch_runs.csv", rows, config.to_dict(),
+                  {"cells": len(batch.cells), "runs": len(rows)})
     return 0
 
 
 def cmd_figure(args) -> int:
     rows, meta = xp.run_figure(args.name, args.seed, args.full_scale, args.workers or None,
                                _progress)
-    out = (Path(args.out_dir) if args.out_dir else _out_dir()) / xp.FIGURES[args.name].csv
-    xp.write_csv(out, list(rows[0].keys()), rows, meta=meta, timestamp=not args.no_timestamp)
-    print(json.dumps({"preset": args.name, "output": str(out)}))
+    _write_output(args, xp.FIGURES[args.name].csv, rows, meta, {"preset": args.name})
     return 0
 
 
@@ -221,10 +218,7 @@ def cmd_sweep(args) -> int:
     config = _batch_config(args, args.n, args.s, args.runs)
     batch = xp.run_batch(config, workers=args.workers or None)
     rows = xp.sweep_table(batch)
-    out = Path(args.out) if args.out else _out_dir() / "fig3_sweep.csv"
-    xp.write_csv(out, list(rows[0].keys()), rows, meta=_settings(args),
-                 timestamp=not args.no_timestamp)
-    print(json.dumps({"cells": len(rows), "output": str(out)}))
+    _write_output(args, "fig3_sweep.csv", rows, _settings(args), {"cells": len(rows)})
     return 0
 
 
@@ -233,10 +227,7 @@ def cmd_fixed_target(args) -> int:
     xp.check_targets(args.targets, FitnessFunction.parse(config.fn_spec, args.n).optimum_raw + 1)
     batch = xp.run_batch(config, workers=args.workers or None)
     rows = [row for cell in batch.cells for row in xp.fixed_target_table(cell, args.targets)]
-    out = Path(args.out) if args.out else _out_dir() / "fig4_fixed_target.csv"
-    xp.write_csv(out, list(rows[0].keys()), rows, meta=_settings(args),
-                 timestamp=not args.no_timestamp)
-    print(json.dumps({"rows": len(rows), "output": str(out)}))
+    _write_output(args, "fig4_fixed_target.csv", rows, _settings(args), {"rows": len(rows)})
     return 0
 
 
@@ -251,51 +242,30 @@ def cmd_drift_check(args) -> int:
         pot, ControllerParams(F=F, s=args.s), n, states, threshold, direction,
         cap_gain_at_one=args.cap_gain, collect_rows=True,
     )
-    out = Path(args.out) if args.out else _out_dir() / f"drift_{kind}.csv"
-    xp.write_csv(
-        out,
-        ["n", "i", "lambda_real", "lambda_int", "drift", "threshold", "margin", "pass"],
-        report.rows,
-        meta=_settings(args),
-        timestamp=not args.no_timestamp,
-    )
-    print(
-        json.dumps(
-            {
-                "potential": kind,
-                "states": report.states_checked,
-                "extreme_drift": report.extreme,
-                "extreme_state": report.extreme_state,
-                "violations": len(report.violations),
-                "band_empty": report.empty,
-                "output": str(out),
-            }
-        )
-    )
+    summary = {
+        "potential": kind,
+        "states": report.states_checked,
+        "extreme_drift": report.extreme,
+        "extreme_state": report.extreme_state,
+        "violations": len(report.violations),
+        "band_empty": report.empty,
+    }
+    _write_output(args, f"drift_{kind}.csv", report.rows, _settings(args), summary,
+                  ["n", "i", "lambda_real", "lambda_int", "drift", "threshold", "margin", "pass"])
     return 0 if report.ok else 1
 
 
 def cmd_bounds_check(args) -> int:
     report = check_transition_bounds(args.n, lambdas=args.lambdas, collect_rows=True)
-    out = Path(args.out) if args.out else _out_dir() / "bounds_report.csv"
-    xp.write_csv(
-        out,
-        ["n", "i", "lambda", "quantity", "bound", "side", "exact", "bound_value", "margin", "pass"],
-        report.rows,
-        meta=_settings(args),
-        timestamp=not args.no_timestamp,
-    )
-    print(
-        json.dumps(
-            {
-                "n": args.n,
-                "states": report.states_checked,
-                "checks": report.checks_performed,
-                "violations": len(report.violations),
-                "output": str(out),
-            }
-        )
-    )
+    summary = {
+        "n": args.n,
+        "states": report.states_checked,
+        "checks": report.checks_performed,
+        "violations": len(report.violations),
+    }
+    _write_output(args, "bounds_report.csv", report.rows, _settings(args), summary,
+                  ["n", "i", "lambda", "quantity", "bound", "side", "exact", "bound_value",
+                   "margin", "pass"])
     return 0 if report.ok else 1
 
 
@@ -321,7 +291,6 @@ _SHARED = {
     "seed": ("--seed", dict(type=int, default=1)),
     "gen_cap_multiplier": ("--gen-cap-mult", dict(type=float, default=500.0)),
     "eval_cap": ("--eval-cap", dict(type=int)),
-    "trace": ("--trace", dict(choices=["summary", "levels", "full"], default="summary")),
     "workers": ("--workers", dict(type=int)),
     "out": ("--out", {}),
     "out_dir": ("--out-dir", {}),
@@ -347,13 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("run", cmd_run, "single seeded run, trace CSV out", "algo", "fn", "F",
-                "lambda0", "static_lambda", "seed", "gen_cap_multiplier", "eval_cap", "trace", "out")
+                "lambda0", "static_lambda", "seed", "gen_cap_multiplier", "eval_cap", "out")
     p.add_argument("--n", type=int)
     p.add_argument("--s", type=float)
+    p.add_argument("--trace", choices=["summary", "full"], default="summary",
+                   help="summary: one row; full: one row per generation")
     p.set_defaults(stop_on_optimum=True)  # config-file only
 
     p = command("batch", cmd_batch, "grid of seeded runs", "algo", "fn", "F", "seed",
-                "gen_cap_multiplier", "eval_cap", "trace", "static_lambda", "workers", "out_dir")
+                "gen_cap_multiplier", "eval_cap", "static_lambda", "workers", "out_dir")
     p.add_argument("--n", type=int_list, default="100", help="comma-separated problem sizes")
     p.add_argument("--s", type=float_list, default="1", help="comma-separated success rates")
     p.add_argument("--runs", type=int, default=10)

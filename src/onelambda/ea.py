@@ -539,19 +539,15 @@ def run(
     """Run the configured algorithm from a fresh uniform random parent
     (its one-count alone on level functions, see the module docstring).
 
-    ``seed`` may be an int, a numpy SeedSequence, or a Generator.  Output
-    is bit-identical for identical (configuration, seed).
+    ``seed`` may be an int or a numpy SeedSequence.  Output is
+    bit-identical for identical (configuration, seed).
     """
     if trace_level not in _TRACE_LEVELS:
         raise ValueError(f"trace_level must be one of {_TRACE_LEVELS}")
-    if isinstance(seed, np.random.Generator):
-        rng = seed
-        seed_key = ("generator",)
-    elif isinstance(seed, np.random.SeedSequence):
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
+    if isinstance(seed, np.random.SeedSequence):
         seed_key = (seed.entropy,) + tuple(seed.spawn_key)
     else:
-        rng = np.random.default_rng(seed)
         seed_key = (seed,)
     if kind.static_lambda is not None:
         lambda0 = float(kind.static_lambda)

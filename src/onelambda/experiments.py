@@ -349,8 +349,10 @@ def _require_levels(records: list[RunRecord]) -> None:
 
 
 def check_targets(targets, size: int) -> None:
-    """Raise ValueError for a raw target outside the level table [0, size);
-    None (every target) passes."""
+    """Raise ValueError for an empty target list or a raw target outside
+    the level table [0, size); None (every target) passes."""
+    if targets is not None and len(targets) == 0:
+        raise ValueError("no targets: give 'all' or at least one fitness value")
     for raw in targets or ():
         if not 0 <= raw < size:
             raise ValueError(f"target {raw} is outside the level table [0, {size})")

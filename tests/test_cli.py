@@ -251,10 +251,13 @@ class TestAnalysisCommands:
 
         monkeypatch.setattr(xp, "run_batch", no_batch)
         out = tmp_path / "ft.csv"
-        rc = main(["fixed-target", "--n", "1000", "--targets", "5,9999", "--out", str(out)])
-        assert rc == 2
-        assert "target 9999 is outside the level table [0, 1001)" in capsys.readouterr().err
-        assert not out.exists()
+        for targets, message in [("5,9999", "target 9999 is outside the level table [0, 1001)"),
+                                 ("", "no targets")]:
+            rc = main(["fixed-target", "--n", "1000", f"--targets={targets}", "--out", str(out)])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert err.startswith("configuration error:") and message in err, err
+            assert not out.exists()
 
     @pytest.mark.parametrize("targets", ["-1,20", "5,99"])
     def test_fixed_target_outside_level_table_is_config_error(self, targets, tmp_path, capsys):
@@ -279,6 +282,29 @@ class TestAnalysisCommands:
         with pytest.raises(SystemExit) as exc:
             main(["drift-check", "--potential", "g9"])
         assert exc.value.code == 2
+
+
+class TestSettingsRecord:
+    """The CSV's config header records the settings that shape the rows:
+    never where the file was written or how many workers ran the batch."""
+
+    @pytest.mark.parametrize("argv, pooled", [
+        (["batch", "--n", "20,25", "--s", "1", "--runs", "2", "--seed", "3"], True),
+        (["sweep", "--n", "20", "--s", "1,20", "--runs", "4", "--seed", "3"], True),
+        (["fixed-target", "--n", "25", "--s", "1", "--runs", "3", "--seed", "3",
+          "--targets", "0,10,25"], True),
+        (["drift-check", "--potential", "g1", "--n", "30", "--s", "0.5"], False),
+        (["bounds-check", "--n", "30", "--lambdas", "1,2,5"], False),
+    ], ids=["batch", "sweep", "fixed-target", "drift-check", "bounds-check"])
+    def test_same_settings_write_the_same_bytes(self, argv, pooled, tmp_path, capsys):
+        written = []
+        for where, workers in ((tmp_path / "a", "1"), (tmp_path / "b" / "c", "2")):
+            place = (["--out-dir", str(where)] if argv[0] == "batch"
+                     else ["--out", str(where / "out.csv")])
+            assert main(argv + place + ["--workers", workers] * pooled + ["--no-timestamp"]) == 0
+            (path,) = where.iterdir()
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
 
 PRESET_CSV = {
@@ -344,13 +370,15 @@ class TestConfigFile:
         (["run"], {"n": "x", "s": 1}, "n"),
         (["run"], {"n": 20, "s": 1, "seed": None}, "seed"),
         (["run"], {"n": 20, "s": 1, "stop_on_optimum": "false"}, "stop_on_optimum"),
-        (["batch"], {"trace": "bogus"}, "trace"),
+        (["run"], {"trace": "bogus"}, "trace"),
         (["batch"], {"s": [1, "x"]}, "s"),
         (["batch"], {"preset": "fig3"}, "preset"),
         (["drift-check"], {"cap_gain": "false"}, "cap_gain"),
         (["drift-check"], {"no_timestamp": True}, "no_timestamp"),
         (["figure", "fig3"], {"full_scale": 1}, "full_scale"),
         (["figure", "fig3"], {"name": "fig4"}, "name"),
+        (["run"], {"trace": "levels"}, "trace"),  # run traces summary or full
+        (["batch"], {"trace": "summary"}, "trace"),  # batch takes no trace
     ])
     def test_bad_value_returns_2_and_names_the_key(self, argv, data, key, tmp_path, capsys):
         rc = main(argv + ["--config", write_config(tmp_path, data)])
@@ -384,6 +412,20 @@ class TestConfigFile:
         assert out.read_bytes() == by_flags
         assert main(["run", "--config", cfg] + flags) == 0
         assert out.read_bytes() != by_flags
+
+    @pytest.mark.parametrize("argv, data", [
+        (["sweep", "--n", "20", "--s", "1", "--runs", "2"], {"out": "sweep.csv", "workers": 1}),
+        (["batch", "--n", "20", "--runs", "2"], {"out_dir": ".", "workers": 1}),
+        (["bounds-check", "--n", "20"], {"out": "bounds.csv"}),
+    ])
+    def test_output_and_worker_keys_are_accepted(self, argv, data, tmp_path, capsys):
+        # valid config keys, though the CSV's config header leaves them out
+        data = {k: str(tmp_path / v) if k.startswith("out") else v for k, v in data.items()}
+        assert main(argv + ["--config", write_config(tmp_path, data)]) == 0
+        out = Path(json.loads(capsys.readouterr().out)["output"])
+        assert out.parent == tmp_path
+        config = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
+        assert not {"out", "out_dir", "workers"} & set(config)
 
     def test_stop_on_optimum_is_config_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n": 20, "s": 1, "gen_cap_multiplier": 20,

@@ -31,3 +31,17 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(onelambda, alias.asname or alias.name), alias.name
             assert alias.name in module.__all__, (node.module, alias.name)
+
+
+def test_benchmark_tracer_names_resolve(monkeypatch):
+    # the benchmark's tracer wraps program names by attribute; entering it
+    # fails if one is gone, and leaving it must restore every original
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracing").Tracer()
+    cli = importlib.import_module("onelambda.cli")
+    with tracer.installed():
+        patched = list(tracer._patched)
+        assert all(getattr(owner, attr) is not original for owner, attr, original in patched)
+    assert {attr for owner, attr, _ in patched if owner is cli} >= {
+        "main", "run", "drift_grid_check", "check_transition_bounds"}
+    assert all(getattr(owner, attr) is original for owner, attr, original in patched)
