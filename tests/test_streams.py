@@ -1,4 +1,4 @@
-"""Pinned random streams: SHA-256 digests of full-trace run records.
+"""Pinned random streams and oracle CSV bytes: SHA-256 digests.
 
 Comparing two runs inside one process cannot see a change to the random
 stream, so each configuration below pins the digest of its record: the
@@ -16,6 +16,10 @@ only they, when the bit-mutation sampler began to draw a child's flip
 positions from its position block and its tie-break uniforms from a block
 of its own: the same law (``TestSelectionLaw`` enumerates it), another
 stream.
+
+The oracle commands' CSVs are pinned byte for byte as well, written
+without the timestamp line, so a change to the CSV writer or to the
+oracle's arithmetic cannot pass silently.
 """
 
 import hashlib
@@ -23,6 +27,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from onelambda.cli import main
 from onelambda.ea import (
     AlgorithmKind,
     ControllerParams,
@@ -115,3 +120,22 @@ def test_full_trace_digest_pinned(kind, spec, n, F, s, stop, seed, lambda0, caus
               trace_level="full", lambda0=lambda0)
     assert rec.stop_cause == cause
     assert record_digest(rec) == digest
+
+
+# (argv, SHA-256 of the CSV the command writes with --no-timestamp)
+CSV_CASES = [
+    ("drift-check --potential g1 --n 60",
+     "97d4a9014eace29178531bd67af46ec7cf05906be8b68d4193ad197e869b5a38"),
+    ("drift-check --potential g2 --n 1000 --s 18",
+     "0560baf1bb2bd7e8257160fa72a676ab4e7ff06281a0a4c0e4724ab50f06700b"),
+    ("bounds-check --n 40 --lambdas 1,2,3,5,8",
+     "051ce51b418bdcd22ed16ebbf2e90f89aaeb1885f836ee72a989a943fb3d13ee"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", CSV_CASES, ids=[case[0] for case in CSV_CASES])
+def test_oracle_csv_digest_pinned(argv, digest, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv.split(), "--no-timestamp", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
