@@ -77,6 +77,20 @@ def positive_int(text: str) -> int:
     return value
 
 
+def worker_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _workers(args) -> int:
+    """--workers as run_batch takes it: unset or 0 is one worker per CPU
+    this process may run on, and a larger count is clamped to that."""
+    cpus = xp.usable_cpus()
+    return min(args.workers or cpus, cpus)
+
+
 def int_list(text: str) -> tuple:
     return tuple(int(v) for v in text.split(",") if v)
 
@@ -181,7 +195,7 @@ def cmd_batch(args) -> int:
         args, args.n, args.s, args.runs, args.algo, args.fn,
         eval_cap=args.eval_cap or None, static_lambda=args.static_lambda or None,
     )
-    batch = xp.run_batch(config, workers=args.workers or None, progress=_progress)
+    batch = xp.run_batch(config, workers=_workers(args), progress=_progress)
     rows = []
     for cell in batch.cells:
         for ridx, rec in enumerate(cell.records):
@@ -208,7 +222,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    rows, meta = xp.run_figure(args.name, args.seed, args.full_scale, args.workers or None,
+    rows, meta = xp.run_figure(args.name, args.seed, args.full_scale, _workers(args),
                                _progress)
     _write_output(args, xp.FIGURES[args.name].csv, rows, meta, {"preset": args.name})
     return 0
@@ -216,7 +230,7 @@ def cmd_figure(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _batch_config(args, args.n, args.s, args.runs)
-    batch = xp.run_batch(config, workers=args.workers or None)
+    batch = xp.run_batch(config, workers=_workers(args))
     rows = xp.sweep_table(batch)
     _write_output(args, "fig3_sweep.csv", rows, _settings(args), {"cells": len(rows)})
     return 0
@@ -225,7 +239,7 @@ def cmd_sweep(args) -> int:
 def cmd_fixed_target(args) -> int:
     config = _batch_config(args, (args.n,), args.s, args.runs, trace_level="levels")
     xp.check_targets(args.targets, FitnessFunction.parse(config.fn_spec, args.n).optimum_raw + 1)
-    batch = xp.run_batch(config, workers=args.workers or None)
+    batch = xp.run_batch(config, workers=_workers(args))
     rows = [row for cell in batch.cells for row in xp.fixed_target_table(cell, args.targets)]
     _write_output(args, "fig4_fixed_target.csv", rows, _settings(args), {"rows": len(rows)})
     return 0
@@ -291,7 +305,10 @@ _SHARED = {
     "seed": ("--seed", dict(type=int, default=1)),
     "gen_cap_multiplier": ("--gen-cap-mult", dict(type=float, default=500.0)),
     "eval_cap": ("--eval-cap", dict(type=int)),
-    "workers": ("--workers", dict(type=int)),
+    "workers": ("--workers", dict(
+        type=worker_count,
+        help="worker processes; unset or 0 is one per CPU this process may run on, "
+             "and a larger count is clamped to that number")),
     "out": ("--out", {}),
     "out_dir": ("--out-dir", {}),
 }

@@ -43,6 +43,7 @@ __all__ = [
     "BatchResult",
     "child_seed",
     "run_batch",
+    "usable_cpus",
     "normalized_runtime_stats",
     "sweep_table",
     "check_targets",
@@ -183,6 +184,13 @@ def _run_one(args) -> RunRecord:
 _POOL = None  # (owner pid, workers, executor) of the pool run_batch reuses
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on (its affinity)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _pool(workers: int) -> ProcessPoolExecutor:
     """This process's pool of ``workers`` workers, created on first use.
 
@@ -221,8 +229,7 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
     pooled batch starts a new pool.
     """
     if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+        workers = usable_cpus()
     tasks = []
     for cell_index, n, F, s in config.cell_specs():
         for run_index in range(config.runs):
@@ -586,16 +593,40 @@ def config_digest(meta: dict) -> str:
     return hashlib.sha256(json.dumps(meta, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
+_BLOCK_ROWS = 4096  # rows formatted per pass: bounds the text held at once
+
+
+def _plain_block(text: str, rows: int, width: int) -> bool:
+    """Whether ``text``, ``rows`` rows of ``width`` fields formatted by
+    str() with ',' between fields and '\\r\\n' after each row, is what
+    csv.writer would write for them: no field was None or held a comma,
+    quote or line break, and no row is one empty field."""
+    return ("None" not in text and '"' not in text
+            and text.count(",") == rows * (width - 1)
+            and text.count("\r") == rows and text.count("\n") == rows
+            and (width > 1 or not (text.startswith("\r") or "\n\r" in text)))
+
+
 def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
     """Write rows with '#' header comments carrying the effective config,
     its hash and the normalisation conventions.
 
     The rows of one call are all dicts (a missing key is an empty field)
-    or all sequences in column order; the first row decides which.
+    or all sequences in column order; the first row decides which.  The
+    body is byte for byte what ``csv.writer``'s excel dialect writes:
+    each field by str() (a float by its repr), None as an empty field,
+    quotes only around a field that holds a comma, quote or line break
+    and around a row's lone empty field, and '\\r\\n' after each row.
+
+    Rows are formatted in blocks of ``_BLOCK_ROWS``, each row by one
+    %-template, so the file's text is never held whole.  A block whose
+    text fails :func:`_plain_block`, or whose rows do not have one field
+    per column, is written by csv.writer instead.
     """
     import csv
     import datetime
     import pathlib
+    from itertools import chain, islice
 
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -605,13 +636,26 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
         fh.write("# note: log-normalisations use log base 2\n")
         if timestamp:
             fh.write(f"# generated_at: {datetime.datetime.now().isoformat()}\n")
-        writer = csv.writer(fh)  # None as empty, floats by float.__repr__
+        writer = csv.writer(fh)
         writer.writerow(columns)
         rows = iter(rows)
         first = next(rows, None)
-        if isinstance(first, dict):
-            writer.writerow([first.get(c) for c in columns])
-            writer.writerows([row.get(c) for c in columns] for row in rows)
-        elif first is not None:
-            writer.writerow(first)
-            writer.writerows(rows)
+        if first is None:
+            return
+        as_dicts = isinstance(first, dict)
+        rows = chain((first,), rows)
+        width = len(columns)
+        template = ",".join(["%s"] * width) + "\r\n"
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            if as_dicts:
+                block = [tuple(map(row.get, columns)) for row in block]
+            else:
+                block = [row if isinstance(row, tuple) else tuple(row) for row in block]
+            try:
+                text = "".join(map(template.__mod__, block))
+            except TypeError:  # a row without one field per column
+                text = None
+            if text is not None and _plain_block(text, len(block), width):
+                fh.write(text)
+            else:
+                writer.writerows(block)

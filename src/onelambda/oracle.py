@@ -763,8 +763,9 @@ def drift_grid_check(
     direction "min_at_least": flag states with drift < threshold;
     direction "max_at_most": flag states with drift > threshold.  A
     state's margin is its distance from the threshold on the passing
-    side, negative when it is flagged.  Violations are data (the claims
-    are asymptotic), so they are returned, not raised.
+    side; a state passes when its margin is >= 0, so a NaN drift is
+    flagged.  The threshold must be finite.  Violations are data (the
+    claims are asymptotic), so they are returned, not raised.
 
     Each state's level quantities are gathered from one :func:`level_row`
     per level, the controller's scalar code runs once per distinct
@@ -773,6 +774,8 @@ def drift_grid_check(
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
+    if not math.isfinite(threshold):
+        raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     report = DriftReport(
         potential=getattr(potential, "kind", "?"),
@@ -807,12 +810,13 @@ def drift_grid_check(
         k, margin = np.argmax(drift), threshold - drift
     report.extreme = float(drift[k])
     report.extreme_state = (int(i[k]), float(lam_real[k]))
-    bad = margin < 0
+    passed = margin >= 0
+    bad = ~passed
     report.violations = list(zip(i[bad].tolist(), lam_real[bad].tolist(), drift[bad].tolist()))
     if collect_rows:
         report.rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam.tolist(),
                                drift.tolist(), repeat(threshold), margin.tolist(),
-                               (margin >= 0).tolist()))
+                               passed.tolist()))
     return report
 
 
@@ -884,11 +888,13 @@ def elitist_evaluations_bound(
         + (1/e + (1 - F^(-1/s)) / ln(F^(1/s)))
           * (F^((s+1)/s) - 1)/(F-1) * sum_{i=a}^{b-1} e*n/(n-i)
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if not 0 <= a <= b <= n:
         raise ValueError(f"need 0 <= a <= b <= n, got a={a}, b={b}, n={n}")
     growth = ControllerParams(F=F, s=s).growth_factor  # checks F and s
-    if lambda0 < 1:
-        raise ValueError("lambda0 must be >= 1")
+    if not 1 <= lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be finite and >= 1, got {lambda0}")
     lead = lambda0 * F / (F - 1.0)
     if a == b:
         return lead

@@ -118,6 +118,18 @@ class TestBoundCommand:
         argv = ["bound", "--n", "10", "--a", "0", "--b", "10", "--s", "1e-9"]
         assert_overflow_is_config_error(argv, tmp_path, capsys)
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0", "--b", "0"], "n must be >= 1"),
+        (["--n=-2", "--b", "0"], "n must be >= 1"),
+        (["--n", "10", "--lambda0", "inf"], "lambda0 must be finite"),
+        (["--n", "10", "--lambda0", "nan"], "lambda0 must be finite"),
+    ])
+    def test_bad_n_or_lambda0_is_config_error(self, flags, message, capsys):
+        assert main(["bound", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error:") and message in captured.err
+
 
 class TestAnalysisCommands:
     def test_drift_check_g2_band(self, tmp_path, capsys):
@@ -222,6 +234,16 @@ class TestAnalysisCommands:
     ])
     def test_drift_check_overflow_is_config_error(self, flags, tmp_path, capsys):
         assert_overflow_is_config_error(["drift-check", *flags], tmp_path, capsys)
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+    def test_drift_check_non_finite_threshold_is_config_error(self, threshold, tmp_path,
+                                                              capsys):
+        out = tmp_path / "g1.csv"
+        rc = main(["drift-check", "--potential", "g1", "--n", "5",
+                   f"--threshold={threshold}", "--out", str(out)])
+        assert rc == 2
+        assert "threshold must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_drift_check_violation_exits_1(self, tmp_path, capsys):
         rc = main(["drift-check", "--potential", "g1", "--n", "20", "--threshold", "10",
@@ -464,3 +486,48 @@ class TestParserBehaviour:
         rc = main(["run", "--algo", "static", "--n", "15", "--seed", "1"])
         assert rc == 0
         assert (tmp_path / "run_trace.csv").exists()
+
+
+class TestWorkers:
+    """--workers is bounded before any pool starts: the pool is replaced by
+    one that records its worker count and raises, so no process starts."""
+
+    @pytest.fixture
+    def pool_counts(self, monkeypatch):
+        counts = []
+
+        def no_pool(workers):
+            counts.append(workers)
+            raise RuntimeError("no pool in this test")
+
+        monkeypatch.setattr(xp, "_pool", no_pool)
+        monkeypatch.setattr(xp.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        return counts
+
+    BATCH = ["batch", "--n", "12", "--runs", "4"]
+
+    @pytest.mark.parametrize("argv", [
+        [*BATCH, "--workers=-1"],
+        ["figure", "fig2", "--workers=-3"],
+        ["sweep", "--n", "12", "--s", "1", "--runs", "4", "--workers=-1"],
+    ])
+    def test_negative_count_exits_2(self, argv, pool_counts, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out-dir" if argv[0] != "sweep" else "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+        assert "argument --workers: must be >= 0" in capsys.readouterr().err
+        assert pool_counts == [] and not (tmp_path / "o").exists()
+
+    def test_negative_count_in_config_is_config_error(self, pool_counts, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"workers": -1}))
+        assert main([*self.BATCH, "--config", str(config), "--out-dir", str(tmp_path)]) == 2
+        assert "config key 'workers'" in capsys.readouterr().err
+        assert pool_counts == []
+
+    @pytest.mark.parametrize("workers, expected", [("1000000", 3), ("0", 3), ("2", 2)])
+    def test_count_is_clamped_to_the_cpus(self, workers, expected, pool_counts, tmp_path,
+                                          capsys):
+        assert main([*self.BATCH, "--workers", workers, "--out-dir", str(tmp_path)]) == 3
+        assert "no pool in this test" in capsys.readouterr().err
+        assert pool_counts == [expected]

@@ -1,6 +1,8 @@
 """Batch runner, seeding, aggregations and CSV output."""
 
+import csv
 import dataclasses
+import io
 import math
 import os
 import random
@@ -8,11 +10,14 @@ import signal
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onelambda import experiments as xp
 from onelambda.experiments import (
@@ -373,3 +378,71 @@ class TestCsv:
         target = tmp_path / "o.csv"
         write_csv(target, ["a", "b"], rows, meta={}, timestamp=False)
         assert target.read_text().splitlines()[3:] == ["a,b"] + body
+
+
+MISSING = object()  # a dict row without the key; None in the other row kinds
+COLUMNS = ("c0", "c1", "c2", "c3", "c4")
+FLOATS = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+NUMBERS = st.one_of(
+    st.integers(),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+    FLOATS,
+    FLOATS.map(np.float64),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308]),
+)
+# each example's fields are numbers and strings csv.writer writes as they
+# are, plus at most one kind of field it quotes or changes, so that each
+# check on a block's text meets that kind alone
+FIELDS = st.one_of(NUMBERS, st.text(st.sampled_from(list("aN e\t\x00\u00e9")), max_size=5))
+HAZARDS = ["", "None", ",", '"', "\r", "\n", "\r\n", 'a,"b"\n', None, MISSING]
+TABLES = st.sampled_from([[]] + [[hazard] for hazard in HAZARDS]).flatmap(
+    lambda hazard: st.lists(
+        st.lists(st.one_of(FIELDS, *map(st.just, hazard)), min_size=5, max_size=5), max_size=12))
+
+
+def csv_writer_body(columns, rows):
+    """The reference: csv.writer's excel dialect over the header and rows."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+class TestCsvWriterEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        width=st.integers(1, 5),
+        kind=st.sampled_from(["dict", "list", "tuple", "namedtuple"]),
+        lazy=st.booleans(),
+        values=TABLES,
+    )
+    # the second block alone holds a None: only it goes to csv.writer
+    @example(width=2, kind="tuple", lazy=True, values=[[1.5, 2]] * 4096 + [[None, 2]])
+    # a one-column file with empty fields, which csv.writer quotes
+    @example(width=1, kind="list", lazy=False, values=[[""], ["a"], [""]])
+    # dict rows without some keys
+    @example(width=3, kind="dict", lazy=False, values=[[1, MISSING, 2.5], [MISSING, "x", 3]])
+    def test_body_bytes_are_csv_writers(self, tmp_path_factory, width, kind, lazy, values):
+        columns = list(COLUMNS[:width])
+        values = [v[:width] for v in values]
+        if kind == "dict":
+            rows = [{c: v for c, v in zip(columns, row) if v is not MISSING} for row in values]
+            reference = [[row.get(c) for c in columns] for row in rows]
+        else:
+            reference = [[None if v is MISSING else v for v in row] for row in values]
+            make = {"list": list, "tuple": tuple,
+                    "namedtuple": lambda row, Row=namedtuple("Row", columns): Row(*row)}[kind]
+            rows = [make(row) for row in reference]
+        target = tmp_path_factory.mktemp("csv") / "o.csv"
+        write_csv(target, columns, (row for row in rows) if lazy else rows, meta={},
+                  timestamp=False)
+        body = target.read_bytes().split(b"\n", 3)[3]  # after the three '#' lines
+        assert body == csv_writer_body(columns, reference)
+
+    def test_rows_of_another_width_are_written_as_given(self, tmp_path):
+        rows = [(1, 2), (3,), (4, 5, 6), ()]
+        target = tmp_path / "o.csv"
+        write_csv(target, ["a", "b"], rows, meta={}, timestamp=False)
+        assert target.read_bytes().split(b"\n", 3)[3] == csv_writer_body(["a", "b"], rows)

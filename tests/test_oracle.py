@@ -676,6 +676,26 @@ class TestDriftGridCheck:
                 flagged.append((i, lam, d))
         assert flagged == report.violations and len(flagged) == len(states) // 2
 
+    @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
+    def test_nan_drift_is_flagged_by_count_and_column_alike(self, direction):
+        class NanPotential:
+            def h(self, lam):
+                return math.nan
+
+        states = [(i, lam) for i in (3, 7, 12) for lam in (1.0, 2.5)]
+        report = drift_grid_check(NanPotential(), ControllerParams(F=1.5, s=1.0), 20, states,
+                                  0.0, direction, collect_rows=True)
+        assert [row[7] for row in report.rows] == [False] * len(states)
+        assert len(report.violations) == len(states) and not report.ok
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, threshold):
+        pot = make_potential("g2", F=1.5)
+        for states in ([(10, 2.0)], []):
+            with pytest.raises(ValueError, match="threshold must be finite"):
+                drift_grid_check(pot, ControllerParams(F=1.5, s=1.0), 30, states, threshold,
+                                 "min_at_least")
+
     @pytest.mark.parametrize("lam", [0.999, 0.0, -2.0])
     def test_lambda_below_one_rejected(self, lam):
         pot = make_potential("g2", F=1.5)
@@ -752,6 +772,15 @@ class TestElitistEvaluationsBound:
             elitist_evaluations_bound(10, 5, 3, 1.5, 1.0)
         with pytest.raises(ValueError):
             elitist_evaluations_bound(10, 0, 10, 1.0, 1.0)
+
+    def test_n_below_one_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            elitist_evaluations_bound(0, 0, 0, 1.5, 1.0)
+
+    @pytest.mark.parametrize("lambda0", [0.5, math.inf, math.nan])
+    def test_lambda0_must_be_finite_and_at_least_one(self, lambda0):
+        with pytest.raises(ValueError, match="lambda0 must be finite and >= 1"):
+            elitist_evaluations_bound(10, 0, 10, 1.5, 1.0, lambda0)
 
 
 class TestUndefinedThreshold:
