@@ -230,7 +230,7 @@ def cmd_figure(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _batch_config(args, args.n, args.s, args.runs)
-    batch = xp.run_batch(config, workers=_workers(args))
+    batch = xp.run_batch(config, workers=_workers(args), progress=_progress)
     rows = xp.sweep_table(batch)
     _write_output(args, "fig3_sweep.csv", rows, _settings(args), {"cells": len(rows)})
     return 0
@@ -239,7 +239,7 @@ def cmd_sweep(args) -> int:
 def cmd_fixed_target(args) -> int:
     config = _batch_config(args, (args.n,), args.s, args.runs, trace_level="levels")
     xp.check_targets(args.targets, FitnessFunction.parse(config.fn_spec, args.n).optimum_raw + 1)
-    batch = xp.run_batch(config, workers=_workers(args))
+    batch = xp.run_batch(config, workers=_workers(args), progress=_progress)
     rows = [row for cell in batch.cells for row in xp.fixed_target_table(cell, args.targets)]
     _write_output(args, "fig4_fixed_target.csv", rows, _settings(args), {"rows": len(rows)})
     return 0

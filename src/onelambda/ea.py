@@ -28,8 +28,8 @@ Two engines run the generations of one loop:
   no bit string exists.
 * Ridge, whose value depends on the bit layout, keeps a bit-list parent:
   each child's flip count comes from Binomial(n, 1/n), then that many
-  distinct positions are picked uniformly from a buffered block of
-  positions, which is distributionally identical to per-bit flips.  No
+  distinct positions from a stream of uniform positions (repeats
+  skipped), which is distributionally identical to per-bit flips.  No
   child is built: its value comes from the parent's mismatch profile
   against the ridge strings 1^j 0^(n-j), read at the child's one-count
   after one count over the parent per generation, so a child costs
@@ -42,6 +42,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain, islice
 
 import numpy as np
 
@@ -180,8 +181,22 @@ class StopCause(str, Enum):
     LAMBDA_ABORT = "lambda_abort"
 
 
-_BLOCK = 4096  # pre-sampled uniforms / flip counts / single-flip positions per refill
-_FIRST_UNIFORMS = 64  # the first block of a level run; blocks double up to _BLOCK
+_BLOCK = 4096  # the most random numbers drawn at once
+_FIRST_BLOCK = 64  # first draw of a stream or of a level run; draws double up to _BLOCK
+
+
+def _stream(draw):
+    """The values of ``draw(size)`` one at a time, in blocks of
+    _FIRST_BLOCK doubling up to _BLOCK; each block is drawn only when the
+    previous one is used up, and none before the first value is taken."""
+
+    def blocks():
+        size = _FIRST_BLOCK
+        while True:
+            yield draw(size).tolist()
+            size = min(2 * size, _BLOCK)
+
+    return chain.from_iterable(blocks())
 
 
 def _uniforms(rng: np.random.Generator, size: int):
@@ -212,7 +227,7 @@ def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
     from .oracle import _level_law  # oracle imports this module
 
     block, rows, first, width = None, None, 0, 0  # the block of the last level
-    usize = _FIRST_UNIFORMS
+    usize = _FIRST_BLOCK
     ublock, lblock = _uniforms(rng, usize)
     uidx = 0
 
@@ -254,10 +269,10 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     for a uniformly random fitness-maximal child (reservoir tie-breaking),
     with ``flips`` None (no bit flipped), one position, or a list of
     positions.  A child's flip count k comes from Binomial(n, 1/n) and its
-    k distinct positions from the position block, skipping repeats (a
-    uniform k-subset; ``rng.permutation``'s prefix when k*k > n).  Flip
-    counts, positions and tie-break uniforms are drawn in blocks of
-    _BLOCK, so memory stays bounded at any lam_int.
+    positions are the first k distinct values of the uniform position
+    stream, a uniform k-subset.  Flip counts, positions and tie-break
+    uniforms come from three ``_stream``s, so memory stays bounded at any
+    lam_int and a short run draws little.
 
     A child is scored in O(k) without being built, from the parent's
     mismatch profile d[j] = H(parent, 1^j 0^(n-j)).  A child with flips P
@@ -284,74 +299,44 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
         between = sum(bits[ones:co]) - sum(bits[co:ones])  # one slice is empty
         return d1 + co - ones - 2 * between == k
 
-    kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
-    kidx = 0
-    pblock = rng.integers(0, n, size=_BLOCK).tolist()
-    pidx = 0
-    ublock = rng.random(_BLOCK).tolist()
-    uidx = 0
+    counts = _stream(lambda size: rng.binomial(n, inv_n, size=size))
+    positions = _stream(lambda size: rng.integers(0, n, size=size))
+    uniforms = _stream(rng.random)
 
     def sample(lam_int, ones, cur_f):
-        nonlocal kblock, kidx, pblock, pidx, ublock, uidx, d1
-        if kidx + lam_int > _BLOCK:  # a generation that fits one block starts in one
-            kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
-            kidx = 0
+        nonlocal d1
         d1 = -1
         bf = -1
         best_ones = ones
         best_flips = None
         ties = 0
-        left = lam_int
-        while left:
-            if kidx == _BLOCK:
-                kblock = rng.binomial(n, inv_n, size=_BLOCK).tolist()
-                kidx = 0
-            take = min(left, _BLOCK - kidx)
-            chunk = kblock[kidx : kidx + take]
-            kidx += take
-            left -= take
-            for k in chunk:
-                if k == 0:
-                    co = ones
-                    f = cur_f
-                    flips = None
-                elif k == 1:
-                    if pidx == _BLOCK:
-                        pblock = rng.integers(0, n, size=_BLOCK).tolist()
-                        pidx = 0
-                    flips = pblock[pidx]
-                    pidx += 1
-                    b = bits[flips]
-                    co = ones + 1 - 2 * b
-                    f = on[co] if (flips < co) != b and on_ridge(ones, co, 1) else off[co]
+        for k in islice(counts, lam_int):
+            if k == 0:
+                co = ones
+                f = cur_f
+                flips = None
+            elif k == 1:
+                flips = next(positions)
+                b = bits[flips]
+                co = ones + 1 - 2 * b
+                f = on[co] if (flips < co) != b and on_ridge(ones, co, 1) else off[co]
+            else:
+                flips = []
+                while len(flips) < k:
+                    p = next(positions)
+                    if p not in flips:
+                        flips.append(p)
+                co = ones + k - 2 * sum([bits[p] for p in flips])
+                if all([(p < co) != bits[p] for p in flips]) and on_ridge(ones, co, k):
+                    f = on[co]
                 else:
-                    if k * k <= n:
-                        flips = []
-                        while len(flips) < k:
-                            if pidx == _BLOCK:
-                                pblock = rng.integers(0, n, size=_BLOCK).tolist()
-                                pidx = 0
-                            p = pblock[pidx]
-                            pidx += 1
-                            if p not in flips:
-                                flips.append(p)
-                    else:
-                        flips = rng.permutation(n)[:k].tolist()
-                    co = ones + k - 2 * sum([bits[p] for p in flips])
-                    if all([(p < co) != bits[p] for p in flips]) and on_ridge(ones, co, k):
-                        f = on[co]
-                    else:
-                        f = off[co]
-                if f > bf:
-                    bf, best_ones, best_flips, ties = f, co, flips, 1
-                elif f == bf:
-                    ties += 1
-                    if uidx == _BLOCK:
-                        ublock = rng.random(_BLOCK).tolist()
-                        uidx = 0
-                    if ublock[uidx] < 1.0 / ties:
-                        best_ones, best_flips = co, flips
-                    uidx += 1
+                    f = off[co]
+            if f > bf:
+                bf, best_ones, best_flips, ties = f, co, flips, 1
+            elif f == bf:
+                ties += 1
+                if next(uniforms) < 1.0 / ties:
+                    best_ones, best_flips = co, flips
         return bf, best_ones, best_flips
 
     return sample
@@ -551,8 +536,8 @@ def run(
         seed_key = (seed,)
     if kind.static_lambda is not None:
         lambda0 = float(kind.static_lambda)
-    if lambda0 < 1.0:
-        raise ValueError("initial lambda must be >= 1")
+    if not 1.0 <= lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be finite and >= 1, got {lambda0}")
 
     if fn.level_based:
         bits = None

@@ -96,6 +96,11 @@ class BatchConfig:
             raise ValueError("runs must be >= 1")
         if not self.n_values or not self.fs_values:
             raise ValueError("n_values and fs_values must be non-empty")
+        mult = self.gen_cap_multiplier
+        if mult is not None and not all(math.isfinite(mult * n) for n in self.n_values):
+            raise ValueError(f"gen_cap_multiplier * n must be finite, got {mult}")
+        if self.eval_cap is not None and self.eval_cap < 0:
+            raise ValueError(f"eval_cap must be >= 0, got {self.eval_cap}")
 
     def cell_specs(self) -> list[tuple[int, int, float, float]]:
         out = []

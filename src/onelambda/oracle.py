@@ -579,7 +579,6 @@ def _check_rows(checks: BoundCheck, k) -> list:
 
 @dataclass
 class TransitionBoundReport:
-    n: int
     states_checked: int = 0
     checks_performed: int = 0
     violations: list = field(default_factory=list)
@@ -611,7 +610,7 @@ def check_transition_bounds(
     if lambdas is None:
         lambdas = range(1, 65)
     lams = tuple(int(lam) for lam in lambdas)
-    report = TransitionBoundReport(n=n, rows=[] if collect_rows else None)
+    report = TransitionBoundReport(rows=[] if collect_rows else None)
     if n < 1 or not lams:
         return report
     report.states_checked = n * len(lams)
@@ -721,10 +720,6 @@ def _drift(p_plus, gain, loss, terms, cap_gain_at_one):
 class DriftReport:
     """Outcome of a drift sign/threshold check over a state grid."""
 
-    potential: str
-    n: int
-    threshold: float
-    direction: str  # "min_at_least" | "max_at_most"
     states_checked: int
     extreme: float | None
     extreme_state: tuple | None
@@ -778,10 +773,6 @@ def drift_grid_check(
         raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     report = DriftReport(
-        potential=getattr(potential, "kind", "?"),
-        n=n,
-        threshold=threshold,
-        direction=direction,
         states_checked=len(grid),
         extreme=None,
         extreme_state=None,

@@ -90,6 +90,23 @@ class TestRunCommand:
     def test_overflowing_growth_factor_is_config_error(self, flags, tmp_path, capsys):
         assert_overflow_is_config_error(["run", "--n", "20", *flags], tmp_path, capsys)
 
+    @pytest.mark.parametrize("argv, setting", [
+        ("run --n 20 --s 1 --lambda0 inf", "lambda0"),
+        ("run --n 20 --s 1 --lambda0 nan", "lambda0"),
+        ("run --n 20 --s 1 --gen-cap-mult inf --eval-cap 100", "gen_cap_multiplier"),
+        ("run --n 20 --s 1 --gen-cap-mult nan", "gen_cap_multiplier"),
+        ("run --n 20 --s 1 --eval-cap -5", "eval_cap"),
+        ("batch --n 20 --runs 2 --workers 1 --gen-cap-mult inf", "gen_cap_multiplier"),
+        ("batch --n 20 --runs 2 --workers 1 --gen-cap-mult 1e308", "gen_cap_multiplier"),
+    ])
+    def test_invalid_setting_is_config_error(self, argv, setting, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "out.csv")] if argv.startswith("run") else [
+            "--out-dir", str(tmp_path)]
+        assert main([*argv.split(), *out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and setting in err, err
+        assert not any(tmp_path.iterdir())
+
     def test_golden_output_reproducible(self, tmp_path):
         out = tmp_path / "a.csv"
         args = ["run", "--algo", "comma", "--n", "40", "--s", "1", "--seed", "9",
@@ -266,6 +283,13 @@ class TestAnalysisCommands:
                    "--out", str(out), "--no-timestamp"])
         assert rc == 0
         assert len(read_data_lines(out)) == 4
+
+    @pytest.mark.parametrize("command", [["sweep"], ["fixed-target", "--targets", "0,20"]])
+    def test_batch_commands_report_progress(self, command, tmp_path, capsys):
+        rc = main([*command, "--n", "20", "--s", "1", "--runs", "20", "--seed", "3",
+                   "--workers", "1", "--out", str(tmp_path / "out.csv")])
+        assert rc == 0
+        assert "  20/20 runs" in capsys.readouterr().err.splitlines()
 
     def test_fixed_target_checks_targets_before_any_run(self, tmp_path, capsys, monkeypatch):
         def no_batch(*args, **kwargs):

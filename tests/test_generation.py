@@ -4,7 +4,7 @@ Everything here drives the engines and the loop that ``run()`` executes:
 ``_law_sampler`` (the exact selected-child law, level functions) and
 ``_offspring_sampler`` (bit mutation, ridge) for offspring, ``_evolve``
 capped at one generation for the comma/plus step from a chosen parent.
-Bit mutation draws a child's flip positions from a buffered block and
+Bit mutation draws a child's flip positions from a position stream and
 scores it from the parent's mismatch profile and ``fn.shape_tables()``
 without building it; ``TestScoring`` checks that score against
 ``fn.raw_from_bits`` of the built child.  On a level function both tables
@@ -29,6 +29,7 @@ from onelambda.ea import (
     _evolve,
     _law_sampler,
     _offspring_sampler,
+    _stream,
     _Trace,
 )
 from onelambda.fitness import FitnessFunction
@@ -151,9 +152,9 @@ class TestMutate:
         assert abs(total / 20_000 - 1.0) < 0.05
 
     def test_generation_memory_is_bounded_at_large_lambda(self):
-        # flip counts are drawn _BLOCK at a time, so one generation of
-        # 2e5 children allocates no O(lambda) block (drawing them all at
-        # once peaked above 3 MB)
+        # the flip-count stream holds at most _BLOCK counts at a time, so
+        # one generation of 2e5 children allocates no O(lambda) block
+        # (drawing them all at once peaked above 3 MB)
         n = 20
         fn = FitnessFunction("ridge", n)
         parent = [1, 0] * (n // 2)
@@ -165,6 +166,48 @@ class TestMutate:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20, peak
+
+    def test_stream_draws_doubling_blocks_on_demand(self):
+        sizes = []
+
+        def draw(size):
+            sizes.append(size)
+            return np.arange(size)
+
+        values = _stream(draw)
+        assert sizes == []
+        taken = list(itertools.islice(values, 64 + 128 + 256 + 512 + 1024 + 2048 + 4096 + 1))
+        assert sizes == [64, 128, 256, 512, 1024, 2048, 4096, 4096]
+        assert taken == [v for size in sizes for v in range(size)][:len(taken)]
+
+    def test_one_generation_draws_one_first_block_per_stream(self):
+        # a short ridge run pays for no full block of flip counts,
+        # positions or tie-break uniforms (it drew 3 x 4096 up front)
+        rng = RecordingGenerator(3)
+        gen = Generation(FitnessFunction("ridge", 100), COMMA, rng)
+        gen.step(with_ones(100, 40), 10.0)
+        assert rng.drawn["binomial"] == 64 and max(rng.drawn.values()) == 64, rng.drawn
+
+
+class RecordingGenerator:
+    """A numpy generator that counts the values each draw method returns,
+    in the call forms the bit-mutation sampler uses."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = Counter()
+
+    def binomial(self, n, p, size):
+        self.drawn["binomial"] += size
+        return self.rng.binomial(n, p, size=size)
+
+    def integers(self, low, high, size):
+        self.drawn["integers"] += size
+        return self.rng.integers(low, high, size=size)
+
+    def random(self, size):
+        self.drawn["random"] += size
+        return self.rng.random(size)
 
 
 def exact_selection_law(fn, parent, lam) -> dict:
@@ -342,14 +385,13 @@ class TestSelectionLaw:
 
 
 class ScriptedGenerator:
-    """Stands in for the bit-mutation sampler's generator: the flip counts,
-    block positions (k*k <= n) and permutation prefixes (k*k > n) of the
-    given flip sets, in order, padded with zero flips."""
+    """Stands in for the bit-mutation sampler's generator: the flip counts
+    and positions of the given flip sets, in order, padded with zero flips
+    (and zero positions, which no padded count takes)."""
 
-    def __init__(self, n, flip_sets):
+    def __init__(self, flip_sets):
         self.counts = [len(P) for P in flip_sets]
-        self.positions = [p for P in flip_sets if len(P) ** 2 <= n for p in P]
-        self.prefixes = [P for P in flip_sets if len(P) ** 2 > n]
+        self.positions = [p for P in flip_sets for p in P]
 
     def binomial(self, n, p, size):
         head, self.counts = self.counts[:size], self.counts[size:]
@@ -362,10 +404,6 @@ class ScriptedGenerator:
     def random(self, size):
         return np.full(size, 0.5)
 
-    def permutation(self, n):
-        P = self.prefixes.pop(0)
-        return np.array(list(P) + [j for j in range(n) if j not in P])
-
 
 class TestScoring:
     @pytest.mark.parametrize("spec", ["ridge", "twomax"])
@@ -376,7 +414,7 @@ class TestScoring:
             fn = FitnessFunction.parse(spec, n)
             flip_sets = [P for k in range(5) for P in itertools.combinations(range(n), k)]
             for parent in itertools.product((0, 1), repeat=n):
-                sample = _offspring_sampler(fn, parent, ScriptedGenerator(n, flip_sets))
+                sample = _offspring_sampler(fn, parent, ScriptedGenerator(flip_sets))
                 ones, f = sum(parent), raw(fn, parent)
                 for P in flip_sets:
                     bf, child_ones, flips = sample(1, ones, f)
