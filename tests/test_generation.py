@@ -182,7 +182,7 @@ class TestMutate:
 
     def test_one_generation_draws_one_first_block_per_stream(self):
         # a short ridge run pays for no full block of flip counts,
-        # positions or tie-break uniforms (it drew 3 x 4096 up front)
+        # positions or tie-break uniforms
         rng = RecordingGenerator(3)
         gen = Generation(FitnessFunction("ridge", 100), COMMA, rng)
         gen.step(with_ones(100, 40), 10.0)
