@@ -22,9 +22,9 @@ from .oracle import (
     check_transition_bounds,
     drift_grid_check,
     elitist_evaluations_bound,
-    level_row,
     make_potential,
     selected_child_law,
+    state_quantities,
 )
 
 __version__ = "0.1.0"

@@ -20,10 +20,9 @@ import sys
 from pathlib import Path
 
 from . import experiments as xp
-from .ea import ControllerParams, run
+from .ea import LAMBDA_MAX, ControllerParams, run
 from .fitness import FitnessFunction
 from .oracle import (
-    LAMBDA_MAX,
     check_transition_bounds,
     drift_claim,
     drift_grid_check,

@@ -49,6 +49,8 @@ import numpy as np
 from .fitness import FitnessFunction
 
 __all__ = [
+    "CHILD_WINDOW",
+    "LAMBDA_MAX",
     "ControllerParams",
     "AlgorithmKind",
     "StoppingCondition",
@@ -60,6 +62,18 @@ __all__ = [
     "default_lambda_abort_threshold",
     "run",
 ]
+
+
+# Half-width w of the one-count window of one child's law.  A child
+# leaves [i - w, i + w] only by flipping more than w bits, with probability
+# P(Binomial(n, 1/n) > w) <= 1/(w+1)!, so the law of the best of lam
+# children puts at most lam/(w+1)! outside the window: lam * 1.2e-34 at
+# w = 30, below 2^-53 (the resolution of one uniform draw) for lam < 9e17.
+CHILD_WINDOW = 30
+
+# That largest lam, 9.1e17: the engine refuses a lambda0, static lambda or
+# abort threshold above it, and the oracle's window laws a larger lam.
+LAMBDA_MAX = math.factorial(CHILD_WINDOW + 1) >> 53
 
 
 def round_lambda(lambda_real: float) -> int:
@@ -113,8 +127,9 @@ def default_static_lambda(n: int) -> int:
 
 
 def default_lambda_abort_threshold(n: int, params: ControllerParams) -> float:
-    """Runaway guard: one growth step past e * F^(1/s) * n^3."""
-    return math.e * params.growth_factor ** 2 * float(n) ** 3
+    """Runaway guard: one growth step past e * F^(1/s) * n^3, at most
+    LAMBDA_MAX (reached once n passes about 5.3e5 at F = 1.5, s = 1)."""
+    return min(math.e * params.growth_factor ** 2 * float(n) ** 3, LAMBDA_MAX)
 
 
 @dataclass(frozen=True)
@@ -172,6 +187,9 @@ class StoppingCondition:
             and not self.stop_on_optimum
         ):
             raise ValueError("at least one stop cause must be enabled")
+        if self.lambda_abort_threshold is not None and not self.lambda_abort_threshold <= LAMBDA_MAX:
+            raise ValueError(f"lambda_abort_threshold must be <= LAMBDA_MAX = {LAMBDA_MAX}, "
+                             f"got {self.lambda_abort_threshold}")
 
 
 class StopCause(str, Enum):
@@ -534,10 +552,13 @@ def run(
         seed_key = (seed.entropy,) + tuple(seed.spawn_key)
     else:
         seed_key = (seed,)
+    setting = "lambda0"
     if kind.static_lambda is not None:
-        lambda0 = float(kind.static_lambda)
-    if not 1.0 <= lambda0 < math.inf:
-        raise ValueError(f"lambda0 must be finite and >= 1, got {lambda0}")
+        lambda0, setting = kind.static_lambda, "static_lambda"
+    if not 1 <= lambda0 <= LAMBDA_MAX:  # exact on an int, before any float conversion
+        raise ValueError(f"{setting} must be finite, >= 1 and <= LAMBDA_MAX = {LAMBDA_MAX}, "
+                         f"got {lambda0}")
+    lambda0 = float(lambda0)
 
     if fn.level_based:
         bits = None
@@ -550,9 +571,9 @@ def run(
         ones = sum(bits)
         init_raw = fn.raw_from_bits(bits, ones)
         sample = _offspring_sampler(fn, bits, rng)
-    trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw, float(lambda0))
+    trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw, lambda0)
     cause, gens, evals, cur_f, best_f, lam = _evolve(
-        sample, bits, ones, init_raw, float(lambda0), fn, kind, params, stop, trace,
+        sample, bits, ones, init_raw, lambda0, fn, kind, params, stop, trace,
     )
 
     rec = RunRecord(
@@ -561,7 +582,7 @@ def run(
         n=fn.n,
         F=params.F,
         s=params.s,
-        lambda0=float(lambda0),
+        lambda0=lambda0,
         seed_key=seed_key,
         stop_cause=cause,
         generations=gens,

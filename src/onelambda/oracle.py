@@ -30,16 +30,19 @@ fitness value of the window, and tie shares) built by one numpy pass per
 block of levels; ``ea.run`` samples the same rows instead of mutating
 bits, and the onemax quantities above read onemax's rows.
 
-The onemax checks run over arrays.  :func:`level_row` gives one level's
-quantities for a tuple of lams as arrays, :func:`drift_grid_check`
-gathers each state's from them into one drift expression, and
-:func:`check_transition_bounds` evaluates each bound over a block of
-levels x lams.  Entries that pass through exp, log1p, expm1, log2 or a
-power (p_plus, p_minus and eight of the bounds) stay ``math`` scalars,
-one call per (i, lam) or per lam: numpy's SIMD versions differ from
-``math`` in the last place on some inputs (exp on 4.7%, log1p 7.3%, expm1
-0.7% and power 5.4% of random inputs, on an AVX-512 build of numpy 2.4),
-and the check CSVs keep the scalar values.  Sums, products and quotients
+The onemax checks run over arrays.  :func:`state_quantities` gives the
+quantities of a list of states (i, lam) as arrays, from one numpy pass
+per group of at most 256 states that share a block of levels and a
+window shape.  :func:`drift_grid_check` calls it once on its distinct
+(i, round(lambda)) pairs and gathers each state's into one drift
+expression, and :func:`check_transition_bounds` calls it once per block
+of levels x lams and evaluates each bound over that block.  Entries that
+pass through exp, log1p, expm1, log2 or a power (p_plus, p_minus and
+eight of the bounds) stay ``math`` scalars, one call per (i, lam) or per
+lam: numpy's SIMD versions differ from ``math`` in the last place on
+some inputs (exp on 4.7%, log1p 7.3%, expm1 0.7% and power 5.4% of
+random inputs, on an AVX-512 build of numpy 2.4), and the check CSVs
+keep the scalar values.  Sums, products and quotients
 are correctly rounded either way.
 
 Numerics: one child's law lives on the window of one-counts within
@@ -79,15 +82,13 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ea import ControllerParams, round_lambda, update_lambda
+from .ea import CHILD_WINDOW, LAMBDA_MAX, ControllerParams, round_lambda, update_lambda
 from .fitness import FitnessFunction
 
 __all__ = [
-    "CHILD_WINDOW",
-    "LAMBDA_MAX",
     "selected_child_law",
     "LevelRow",
-    "level_row",
+    "state_quantities",
     "max_flip_gain_series",
     "BoundCheck",
     "TransitionBoundReport",
@@ -134,23 +135,10 @@ def _power_pmf(logcdf: np.ndarray, lam) -> np.ndarray:
         out[..., 0] = cdfl[..., 0]
         lo = powlog[..., :-1]
         diff = powlog[..., 1:] - lo
-        refine = np.isfinite(lo) & (lo > -700.0) & (diff < 1.0)
+        refine = (lo > -700.0) & (diff < 1.0)  # false at lo = -inf, where exp(lo) = 0
         head = np.exp(np.where(refine, lo, 0.0)) * np.expm1(np.where(refine, diff, 0.0))
-        below = np.where(np.isfinite(lo), cdfl[..., :-1], 0.0)
-        out[..., 1:] = np.where(refine, head, cdfl[..., 1:] - below)
+        out[..., 1:] = np.where(refine, head, cdfl[..., 1:] - cdfl[..., :-1])
     return out
-
-
-# Half-width w of the one-count window of one child's law.  A child
-# leaves [i - w, i + w] only by flipping more than w bits, with probability
-# P(Binomial(n, 1/n) > w) <= 1/(w+1)!, so the law of the best of lam
-# children puts at most lam/(w+1)! outside the window: lam * 1.2e-34 at
-# w = 30, below 2^-53 (the resolution of one uniform draw) for lam < 9e17.
-CHILD_WINDOW = 30
-
-# That largest lam, 9.1e17: selected_child_law, and level_row through it,
-# raise ValueError above it.
-LAMBDA_MAX = math.factorial(CHILD_WINDOW + 1) >> 53
 
 
 def _check_lam(lam) -> None:
@@ -320,8 +308,8 @@ def selected_child_law(fn, i: int, lams, selection: str = "comma"):
 
 
 class LevelRow(NamedTuple):
-    """Transition quantities of the best of lam offspring at level i, one
-    entry per lam: P(f' > i), P(f' = i), P(f' < i) for its fitness f', and
+    """Transition quantities of the best of lam offspring, one entry per
+    state (i, lam): P(f' > i), P(f' = i), P(f' < i) for its fitness f', and
     the unconditional forward / backward moments gain = E[(f' - i)+] and
     loss = E[(i - f')+]."""
 
@@ -338,36 +326,59 @@ def _each(f, *args) -> np.ndarray:
     return np.frompyfunc(f, len(args), 1)(*args).astype(float)
 
 
-def level_row(n: int, i: int, lams) -> LevelRow:
-    """The transition quantities at (n, i, lam) for each lam of ``lams``,
-    in order, as arrays from one numpy pass over the level; 0 <= i < n.
+# States per numpy pass of state_quantities.
+_STATE_PASS = 256
 
-    The pmf rows are :func:`selected_child_law` of onemax over ``lams``:
-    a jump out of the window [i - w, i + w], w = CHILD_WINDOW, at most
-    lam/(w+1)! of the mass, counts as a fall to the window's lowest
-    fitness.  p_plus and p_minus come straight from the CDF power at the
-    parent's and the next lower one-count, accurate at large lam, through
-    ``math.expm1`` and ``math.exp`` one entry at a time: numpy's SIMD exp
-    and expm1 may differ from ``math`` in the last place, and the check
-    CSVs are pinned to the scalar values.  Needs 1 <= lam <= LAMBDA_MAX.
+
+def state_quantities(n: int, i, lam) -> LevelRow:
+    """The transition quantities of onemax at the states (i[t], lam[t]),
+    0 <= i < n, 1 <= lam <= LAMBDA_MAX, one entry per state in order.
+
+    The pmf of a state is :func:`selected_child_law` of onemax at (i,
+    lam): a jump out of the window [i - w, i + w], w = CHILD_WINDOW, at
+    most lam/(w+1)! of the mass, counts as a fall to the window's lowest
+    fitness.  States that share a law block and a window shape go through
+    one :func:`_power_pmf` pass, at most _STATE_PASS at a time; a state's
+    entries are the same bits alone or in any batch.  p_plus and p_minus
+    come straight from the CDF power at the parent's and the next lower
+    one-count, accurate at large lam, through ``math.expm1`` and
+    ``math.exp`` one entry at a time: numpy's SIMD exp and expm1 may
+    differ from ``math`` in the last place, and the check CSVs are pinned
+    to the scalar values.  lam is checked on its integer values, before
+    any float conversion.
     """
-    if not 0 <= i < n:
-        raise ValueError(f"need 0 <= i < n, got i={i}, n={n}")
+    i, lam = np.asarray(i, dtype=np.int64), np.asarray(lam)
+    if i.ndim != 1 or i.shape != lam.shape:
+        raise ValueError(f"need equal-length 1-D i and lam, got shapes {i.shape} and {lam.shape}")
+    out = np.zeros((len(LevelRow._fields), i.size))
+    if not i.size:
+        return LevelRow(*out)
+    if i.min() < 0 or i.max() >= n:
+        raise ValueError(f"need 0 <= i < n, got i={i[(i < 0) | (i >= n)][0]}, n={n}")
+    for x in lam[[lam.argmin(), lam.argmax()]].tolist():
+        _check_lam(x)
+    w = CHILD_WINDOW
+    below, above = np.minimum(i, w), np.minimum(n - i, w)  # the window's extent around i
+    key = ((i // _LAW_BLOCK) * (w + 1) + below) * (w + 1) + above
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
     onemax = FitnessFunction("onemax", n)
-    _, pmfs = selected_child_law(onemax, i, lams)
-    block, r = _level_law(onemax, i)
-    ones, _, _, logcdf = block.level(r)
-    lam_vals = np.array(lams, dtype=float)
-    k = i - ones[0]  # the parent's column
-    return LevelRow(
-        p_plus=-_each(math.expm1, lam_vals * logcdf[k]),
-        # a copy, not a view: drift_grid_check holds every level's row until
-        # it concatenates them, and a view would keep each level's pmfs alive
-        p_zero=pmfs[:, k].copy(),
-        p_minus=_each(math.exp, lam_vals * logcdf[k - 1]) if i else np.zeros(len(lams)),
-        gain=((ones[k + 1 :] - i) * pmfs[:, k + 1 :]).sum(axis=-1),
-        loss=((i - ones[:k]) * pmfs[:, :k]).sum(axis=-1),
-    )
+    for group in np.split(order, cuts):
+        first = group[0]
+        block = _law_block(onemax, i[first] // _LAW_BLOCK)
+        k, m = int(below[first]), int(below[first] + above[first]) + 1  # parent's column, width
+        for at in range(0, group.size, _STATE_PASS):
+            t = group[at : at + _STATE_PASS]
+            logcdf = block.logcdf[i[t] - block.first, 2 * w + 1 - m :]  # onemax: no ties
+            lam_t = lam[t].astype(float)
+            pmf = _power_pmf(logcdf, lam_t[:, None])
+            out[0, t] = -_each(math.expm1, lam_t * logcdf[:, k])
+            out[1, t] = pmf[:, k]
+            if k:
+                out[2, t] = _each(math.exp, lam_t * logcdf[:, k - 1])
+            out[3, t] = (np.arange(1, m - k) * pmf[:, k + 1 :]).sum(axis=-1)
+            out[4, t] = (np.arange(k, 0, -1) * pmf[:, :k]).sum(axis=-1)
+    return LevelRow(*out)
 
 
 @lru_cache(maxsize=4096)
@@ -541,10 +552,10 @@ def _bound_pass(n: int, levels: range, lams: tuple):
     """Every applicable check at the states (i, lam) of ``levels`` x
     ``lams``, in (i, lam, bound) order: each check's index in _BOUNDS, and
     a BoundCheck whose fields are arrays with one entry per check."""
-    rows = (level_row(n, level, lams) for level in levels)
-    p_plus, _, p_minus, gain, loss = map(np.array, zip(*rows))  # (level, lam) each
     i = np.array(levels).reshape(-1, 1)
     lam = np.array(lams).reshape(1, -1)
+    q = state_quantities(n, np.repeat(i, lam.size), np.tile(lam[0], i.size))
+    p_plus, _, p_minus, gain, loss = (a.reshape(i.size, lam.size) for a in q)  # (level, lam) each
     with np.errstate(divide="ignore", invalid="ignore"):
         values = {  # quantity -> (exact value, where it is defined)
             "p_plus": (p_plus, True),
@@ -574,7 +585,7 @@ def _bound_pass(n: int, levels: range, lams: tuple):
 def _check_rows(checks: BoundCheck, k) -> list:
     """The BoundCheck rows at index k (an index array, mask or slice) of
     a BoundCheck of arrays, as Python values."""
-    return list(map(BoundCheck._make, zip(*(col[k].tolist() for col in checks))))
+    return list(map(tuple.__new__, repeat(BoundCheck), zip(*(col[k].tolist() for col in checks))))
 
 
 @dataclass
@@ -601,7 +612,8 @@ def check_transition_bounds(
     A bound is checked only where its precondition holds and the exact
     quantity is defined; any violation is recorded with both sides.  Each
     bound is one array expression, with an array precondition mask, over
-    a block of _BOUND_LEVELS levels x lams read from :func:`level_row`;
+    a block of _BOUND_LEVELS levels x lams read from one
+    :func:`state_quantities` call;
     the rows come out in (i, lam, bound) order, one block at a time.  The
     (1 - base)^lam bounds and the plain powers stay ``math`` scalars, one
     call per state, as p_plus and p_minus do: numpy's SIMD exp, log1p,
@@ -762,10 +774,10 @@ def drift_grid_check(
     flagged.  The threshold must be finite.  Violations are data (the
     claims are asymptotic), so they are returned, not raised.
 
-    Each state's level quantities are gathered from one :func:`level_row`
-    per level, the controller's scalar code runs once per distinct
-    lambda_real, and one array expression (:func:`_drift`) gives every
-    drift.
+    The level quantities come from one :func:`state_quantities` call over
+    the distinct (i, round(lambda_real)) pairs, the controller's scalar
+    code runs once per distinct lambda_real, and one array expression
+    (:func:`_drift`) gives every drift.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
@@ -787,14 +799,14 @@ def drift_grid_check(
         raise ValueError(f"lambda_real must be >= 1, got {lam_values[0]}")
     per_lam = [(round_lambda(x), *_lambda_terms(potential, x, params))
                for x in lam_values.tolist()]
-    lam, *terms = (np.array(col)[lam_of] for col in zip(*per_lam))
-    # one level row per level, over the level's distinct offspring counts
-    pairs, pair_of = np.unique(np.column_stack([i, lam]), axis=0, return_inverse=True)
-    levels, starts = np.unique(pairs[:, 0], return_index=True)
-    rows = [level_row(n, level, lams)
-            for level, lams in zip(levels.tolist(), np.split(pairs[:, 1], starts[1:]))]
-    q = LevelRow(*(np.concatenate(col)[pair_of] for col in zip(*rows)))  # per state
-    drift = _drift(q.p_plus, q.gain, q.loss, terms, cap_gain_at_one)
+    lam, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
+    counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
+    lam, *terms = (col[lam_of] for col in (lam, *terms))
+    # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
+    pairs, pair_of = np.unique(i * counts.size + count_of[lam_of], return_inverse=True)
+    q = state_quantities(n, pairs // counts.size, counts[pairs % counts.size])
+    p_plus, _, _, gain, loss = (col[pair_of] for col in q)  # per state
+    drift = _drift(p_plus, gain, loss, terms, cap_gain_at_one)
     if direction == "min_at_least":
         k, margin = np.argmin(drift), drift - threshold
     else:

@@ -9,7 +9,8 @@ import pytest
 
 from onelambda import experiments as xp
 from onelambda.cli import build_parser, main
-from onelambda.oracle import LAMBDA_MAX, elitist_evaluations_bound
+from onelambda.ea import LAMBDA_MAX
+from onelambda.oracle import elitist_evaluations_bound
 
 
 def read_data_lines(path):
@@ -96,6 +97,11 @@ class TestRunCommand:
         ("run --n 20 --s 1 --gen-cap-mult inf --eval-cap 100", "gen_cap_multiplier"),
         ("run --n 20 --s 1 --gen-cap-mult nan", "gen_cap_multiplier"),
         ("run --n 20 --s 1 --eval-cap -5", "eval_cap"),
+        # lambda past LAMBDA_MAX, where the window law stops being exact
+        ("run --n 20 --s 1 --lambda0 1e300 --algo plus --eval-cap 10", "lambda0"),
+        ("run --n 400 --s 1 --algo static --static-lambda 1" + "0" * 60
+         + " --trace full --eval-cap 10", "static_lambda"),
+        ("run --n 20 --s 1 --fn ridge --lambda0 1e19 --eval-cap 10", "lambda0"),
         ("batch --n 20 --runs 2 --workers 1 --gen-cap-mult inf", "gen_cap_multiplier"),
         ("batch --n 20 --runs 2 --workers 1 --gen-cap-mult 1e308", "gen_cap_multiplier"),
     ])

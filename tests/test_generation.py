@@ -35,8 +35,8 @@ from onelambda.ea import (
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
-    level_row,
     selected_child_law,
+    state_quantities,
 )
 
 P = ControllerParams(F=1.5, s=1.0)
@@ -459,7 +459,7 @@ class TestGenerationComma:
         gen = Generation(FitnessFunction("onemax", n), COMMA, 123)
         trials = 100_000
         improved = sum(gen.step(with_ones(n, i), lam).fitness > i for _ in range(trials))
-        p_plus = level_row(n, i, (lam,)).p_plus[0]
+        p_plus = state_quantities(n, [i], [lam]).p_plus[0]
         se = math.sqrt(p_plus * (1 - p_plus) / trials)
         assert abs(improved / trials - p_plus) <= 3 * se
 

@@ -3,9 +3,12 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from onelambda import oracle
@@ -25,10 +28,10 @@ from onelambda.oracle import (
     elitist_evaluations_bound,
     g1_grid_lambdas,
     g2_band_states,
-    level_row,
     make_potential,
     max_flip_gain_series,
     selected_child_law,
+    state_quantities,
 )
 
 E = math.e
@@ -123,18 +126,16 @@ class TestBestOfLambda:
     @pytest.mark.parametrize("n", [1, 10, 200, 1000, 2000, 5000])
     def test_level_row_matches_full_support_reference(self, n):
         j = np.arange(n + 1)
-        for i in self.levels(n):
-            if i == n:
-                continue
-            row = level_row(n, i, self.LAMS)
-            for c, lam in enumerate(self.LAMS):
-                pmf, logcdf = full_support_law(n, i, lam)
-                p_plus = -math.expm1(lam * logcdf[i])
-                p_minus = math.exp(lam * logcdf[i - 1]) if i else 0.0
-                want = (p_plus, pmf[i], p_minus, ((j - i) * pmf)[i + 1 :].sum(),
-                        ((i - j) * pmf)[:i].sum())
-                got = tuple(field[c] for field in row)
-                assert np.abs(np.subtract(got, want)).max() <= 1e-12, (i, lam, got, want)
+        states = list(itertools.product([i for i in self.levels(n) if i < n], self.LAMS))
+        rows = state_quantities(n, *zip(*states))
+        for t, (i, lam) in enumerate(states):
+            pmf, logcdf = full_support_law(n, i, lam)
+            p_plus = -math.expm1(lam * logcdf[i])
+            p_minus = math.exp(lam * logcdf[i - 1]) if i else 0.0
+            want = (p_plus, pmf[i], p_minus, ((j - i) * pmf)[i + 1 :].sum(),
+                    ((i - j) * pmf)[:i].sum())
+            got = tuple(field[t] for field in rows)
+            assert np.abs(np.subtract(got, want)).max() <= 1e-12, (i, lam, got, want)
 
     def test_two_bit_lambda_two(self):
         # P(best of 2 reaches fitness 2) = 1 - (3/4)^2 = 7/16
@@ -164,17 +165,17 @@ class TestBestOfLambda:
         with pytest.raises(ValueError, match="lam"):
             onemax_pmf(10, 4, lam)
         with pytest.raises(ValueError, match="lam"):
-            level_row(10, 4, (lam,))
+            state_quantities(10, [4], [lam])
 
     def test_lambda_past_the_window_bound_rejected(self):
         # above LAMBDA_MAX the mass outside the window, lam/31!, passes 2^-53
         assert LAMBDA_MAX * 2**53 <= math.factorial(CHILD_WINDOW + 1) < (LAMBDA_MAX + 1) * 2**53
         onemax_pmf(10, 4, LAMBDA_MAX)
-        level_row(10, 4, (LAMBDA_MAX,))
+        state_quantities(10, [4], [LAMBDA_MAX])
         selected_child_law(FitnessFunction("jump", 10, 2), 4, LAMBDA_MAX)
         for law in (lambda lam: onemax_pmf(10, 4, lam),
                     lambda lam: selected_child_law(FitnessFunction("onemax", 10), 4, (1, lam)),
-                    lambda lam: level_row(10, 4, (1, lam)),
+                    lambda lam: state_quantities(10, [4, 4], [1, lam]),
                     lambda lam: selected_child_law(FitnessFunction("jump", 10, 2), 4, lam)):
             with pytest.raises(ValueError, match="lam"):
                 law(LAMBDA_MAX + 1)
@@ -280,8 +281,9 @@ class TestSelectedChildLaw:
 
 
 def one_lambda_row(n, i, lam):
-    """:func:`level_row` at one lam, as a dict of Python floats."""
-    return {name: float(field[0]) for name, field in level_row(n, i, (lam,))._asdict().items()}
+    """:func:`state_quantities` at one state, as a dict of Python floats."""
+    return {name: float(field[0])
+            for name, field in state_quantities(n, [i], [lam])._asdict().items()}
 
 
 class TestLevelQuantities:
@@ -296,14 +298,14 @@ class TestLevelQuantities:
     @pytest.mark.parametrize("n", [2, 5, 17, 100])
     def test_last_level_single_flip_formula(self, n):
         # from i = n-1 an improvement needs exactly the one 0-bit to flip
-        p_plus = level_row(n, n - 1, (1,)).p_plus[0]
+        p_plus = state_quantities(n, [n - 1], [1]).p_plus[0]
         expected = (1.0 / n) * (1.0 - 1.0 / n) ** (n - 1)
         assert abs(p_plus - expected) < 1e-14
 
     def test_probabilities_sum_to_one(self):
         for n in (10, 163):
             for i in range(0, n, 13):
-                row = level_row(n, i, (1, 3, 32))
+                row = state_quantities(n, [i] * 3, [1, 3, 32])
                 assert np.abs(row.p_plus + row.p_zero + row.p_minus - 1.0).max() < 1e-12
 
     def test_moments_of_the_best_of_lambda_pmf(self):
@@ -319,7 +321,7 @@ class TestLevelQuantities:
 
     def test_undefined_markers(self):
         # at i = 0 nothing falls: the backward drift is undefined and unchecked
-        assert level_row(10, 0, (4,)).p_minus[0] == 0.0
+        assert state_quantities(10, [0], [4]).p_minus[0] == 0.0
         report = check_transition_bounds(10, lambdas=(4,), collect_rows=True)
         at_zero = {c.quantity for c in report.rows if c.i == 0}
         assert "delta_plus" in at_zero and "delta_minus" not in at_zero
@@ -327,8 +329,8 @@ class TestLevelQuantities:
     def test_p_plus_monotone_in_i_and_lambda(self):
         n = 50
         lams = (1, 2, 5, 17, 64)
-        rows = [level_row(n, i, lams).p_plus for i in range(n)]
-        vals = {lam: [row[c] for row in rows] for c, lam in enumerate(lams)}
+        rows = state_quantities(n, np.repeat(range(n), len(lams)), lams * n).p_plus
+        vals = {lam: rows[c :: len(lams)].tolist() for c, lam in enumerate(lams)}
         for lam in lams:
             assert all(a >= b - 1e-14 for a, b in zip(vals[lam], vals[lam][1:]))
         for i in range(0, n, 5):
@@ -359,18 +361,61 @@ class TestLevelRow:
     @pytest.mark.parametrize("n", [1, 2, 10, 200, 1000])
     def test_row_is_the_per_lambda_record_bitwise(self, n):
         for lams in (self.LAMS, (64, 1, 10**9, 7, 1, 3, 64)):
-            for i in range(n):
-                row = level_row(n, i, lams)
-                for field in row:
-                    assert field.shape == (len(lams),)
-                for c, lam in enumerate(lams):
-                    got = tuple(field[c] for field in row)
-                    assert got == reference_level_quantities(n, i, lam), (n, i, lam)
+            states = list(itertools.product(range(n), lams))
+            rows = state_quantities(n, *zip(*states))
+            for field in rows:
+                assert field.shape == (len(states),)
+            for t, (i, lam) in enumerate(states):
+                got = tuple(field[t] for field in rows)
+                assert got == reference_level_quantities(n, i, lam), (n, i, lam)
 
     @pytest.mark.parametrize("lams", [(3, 0, 2), (-1,), (1, 2, -5)])
     def test_lambda_below_one_rejected(self, lams):
         with pytest.raises(ValueError, match="lam"):
-            level_row(10, 4, lams)
+            state_quantities(10, [4] * len(lams), lams)
+
+    def test_levels_outside_zero_to_n_rejected(self):
+        for i in (-1, 10, 11):
+            with pytest.raises(ValueError, match="i="):
+                state_quantities(10, [4, i], [1, 1])
+        empty = state_quantities(10, [], [])
+        assert all(field.shape == (0,) for field in empty)
+
+    # λ values of the batch test: small, large and the largest the window law takes
+    BATCH_LAMS = (1, 2, 7, 10**6, LAMBDA_MAX)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 140), extra=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    @example(n=1, extra=1, seed=0)
+    @example(n=60, extra=1, seed=1)
+    @example(n=140, extra=300, seed=2)
+    def test_each_state_is_the_same_bits_alone_or_in_a_batch(self, n, extra, seed):
+        # more states than one pass holds, on every window shape below n = 61
+        rng = np.random.default_rng(seed)
+        size = oracle._STATE_PASS + extra
+        i = rng.integers(0, n, size=size)
+        lam = np.array(self.BATCH_LAMS)[rng.integers(0, len(self.BATCH_LAMS), size=size)]
+        batch = state_quantities(n, i, lam)
+        alone = {}
+        for t, state in enumerate(zip(i.tolist(), lam.tolist())):
+            if state not in alone:
+                alone[state] = state_quantities(n, [state[0]], [state[1]])
+            for got, want in zip(batch, alone[state]):
+                assert got[t : t + 1].tobytes() == want.tobytes(), (n, state)
+
+    def test_memory_of_a_large_grid_is_bounded(self):
+        # every level of n = 1000 at lam = 1..64: 64 000 states.  The
+        # per-level loop it replaced peaked at 5.2 MB here.
+        n, lams = 1000, np.arange(1, 65)
+        i, lam = np.repeat(np.arange(n), lams.size), np.tile(lams, n)
+        state_quantities(n, i[:1], lam[:1])  # the import-time work, outside the trace
+        tracemalloc.start()
+        try:
+            state_quantities(n, i, lam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 5.2e6, peak
 
 
 def test_every_oracle_memo_clears_and_refills():
@@ -397,7 +442,7 @@ def test_every_oracle_memo_clears_and_refills():
 def reference_bound_checks(n, lams):
     """(n, i, lam, quantity, name, side, exact, bound) of every applicable
     check, one state and one bound at a time, with the exact quantities of
-    the one-lam level_row and the bounds in scalar math."""
+    one state's state_quantities and the bounds in scalar math."""
     stay = [math.exp(m * math.log1p(-1.0 / n)) for m in (n - 1, n)]
 
     def from_base(base, lam):

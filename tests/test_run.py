@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from onelambda.ea import (
+    LAMBDA_MAX,
     AlgorithmKind,
     ControllerParams,
     StopCause,
@@ -97,6 +98,31 @@ class TestStopCauses:
         params = ControllerParams(F=1.5, s=2.0)
         got = default_lambda_abort_threshold(10, params)
         assert got == pytest.approx(math.e * 1.5 ** (1 / 2.0) * 10**3 * 1.5 ** (1 / 2.0))
+
+    def test_default_abort_threshold_stops_at_the_lambda_ceiling(self):
+        # computed only: a run at n = 10^6 would reach generations of ~10^18 children
+        from onelambda.ea import default_lambda_abort_threshold
+
+        assert default_lambda_abort_threshold(10**6, P) == LAMBDA_MAX
+        assert default_lambda_abort_threshold(10**5, P) < LAMBDA_MAX
+
+    def test_abort_threshold_above_the_lambda_ceiling_is_refused(self):
+        StoppingCondition(lambda_abort_threshold=LAMBDA_MAX)
+        for threshold in (LAMBDA_MAX + 1, 1e300, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="lambda_abort_threshold"):
+                StoppingCondition(lambda_abort_threshold=threshold)
+
+    def test_lambda0_and_static_lambda_stop_at_the_lambda_ceiling(self):
+        # the level engine costs the same at any lambda, so LAMBDA_MAX itself runs
+        stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
+        rec = run(AlgorithmKind.static_comma(LAMBDA_MAX), onemax(10), P, stop, 0)
+        assert rec.evaluations == int(float(LAMBDA_MAX)) <= LAMBDA_MAX  # lambda is a float
+        # LAMBDA_MAX + 1 rounds to LAMBDA_MAX in float64: the int is checked first
+        with pytest.raises(ValueError, match="static_lambda"):
+            run(AlgorithmKind.static_comma(LAMBDA_MAX + 1), onemax(10), P, stop, 0)
+        for lambda0 in (2.0 * LAMBDA_MAX, 1e19, 1e300):
+            with pytest.raises(ValueError, match="lambda0"):
+                run(AlgorithmKind.self_adjusting_plus(), onemax(10), P, stop, 0, lambda0=lambda0)
 
 
 class TestDeterminism:
@@ -231,7 +257,7 @@ class TestEngines:
         # initial fitness and compare against the exact oracle
         import math
 
-        from onelambda.oracle import level_row
+        from onelambda.oracle import state_quantities
 
         n, lam = 12, 3
         kind = AlgorithmKind.static_comma(lam)
@@ -244,7 +270,7 @@ class TestEngines:
             tot, good = counts.get(key, (0, 0))
             counts[key] = (tot + 1, good + won)
         tot, good = counts[6]  # modal initial fitness at n=12
-        p = level_row(n, 6, (lam,)).p_plus[0]
+        p = state_quantities(n, [6], [lam]).p_plus[0]
         se = math.sqrt(p * (1 - p) / tot)
         assert abs(good / tot - p) <= 4 * se
 
