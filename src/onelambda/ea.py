@@ -367,9 +367,10 @@ class RunRecord:
     ``rows`` (trace level "full") holds one state snapshot per generation
     t = 0..T as columns (generation, fitness_raw, lambda_real, lambda_int,
     evaluations, best_raw): the state *after* generation t, where
-    lambda_int = round_lambda(lambda_real) is the offspring count the next
-    generation would use.  Level accumulators (trace levels "levels" and
-    "full") aggregate over generations: for each raw fitness value v,
+    lambda_int = round_lambda(lambda_real) (a static lambda's exact int) is
+    the offspring count the next generation would use.  Level accumulators
+    (trace levels "levels" and "full") aggregate over generations: for each
+    raw fitness value v,
     ``gens_at[v]`` counts generations entered at fitness v,
     ``lambda_sum_at[v]`` adds up their offspring counts (the evaluations
     spent at v), and ``first_hit_evals[v]`` is the evaluations counter when
@@ -407,7 +408,7 @@ _TRACE_LEVELS = ("summary", "levels", "full")
 class _Trace:
     """Mutable run-trace state, updated by the run loop."""
 
-    def __init__(self, trace_level: str, size: int, cur_f: int, lam: float):
+    def __init__(self, trace_level: str, size: int, cur_f: int):
         self.want_levels = trace_level in ("levels", "full")
         self.want_rows = trace_level == "full"
         if self.want_levels:
@@ -417,11 +418,7 @@ class _Trace:
             self.gens_at = [0] * size
             self.lambda_sum_at = [0] * size
         if self.want_rows:
-            self.r_fit = [cur_f]
-            self.r_lam = [lam]
-            self.r_lint = [round_lambda(lam)]
-            self.r_evals = [0]
-            self.r_best = [cur_f]
+            self.r_fit, self.r_lam, self.r_lint, self.r_evals, self.r_best = [], [], [], [], []
 
     # the run loop calls these only when the trace level wants them
 
@@ -436,10 +433,10 @@ class _Trace:
                 fh[v] = evals
         # lower targets were filled when first reached
 
-    def after_generation(self, cur_f: int, lam: float, evals: int, best_f: int) -> None:
+    def add_row(self, cur_f: int, lam: float, lam_int: int, evals: int, best_f: int) -> None:
         self.r_fit.append(cur_f)
         self.r_lam.append(lam)
-        self.r_lint.append(round_lambda(lam))
+        self.r_lint.append(lam_int)
         self.r_evals.append(evals)
         self.r_best.append(best_f)
 
@@ -480,6 +477,11 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
     best_f = cur_f
     gens = 0
     evals = 0
+    # round_lambda is floor(lam + 0.5); a static lambda runs as its exact
+    # int, which the float lam may not hold above 2**53
+    lam_int = int(lam + 0.5) if adapt else kind.static_lambda
+    if rows:
+        trace.add_row(cur_f, lam, lam_int, evals, best_f)
 
     while True:
         # the stop causes in precedence order; a lambda abort needs a generation
@@ -496,7 +498,6 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
             cause = StopCause.GENERATION_CAP
             break
 
-        lam_int = int(lam + 0.5)  # round_lambda: floor(lam + 0.5)
         if levels:
             trace.before_generation(cur_f, lam_int)
         bf, best_ones, best_flips = sample(lam_int, ones, cur_f)
@@ -512,6 +513,8 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
             cur_f = bf
         else:
             success = False
+        gens += 1
+        evals += lam_int
         if adapt:
             if success:
                 lam = lam / F
@@ -519,14 +522,13 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
                     lam = 1.0
             else:
                 lam = lam * growth
-        gens += 1
-        evals += lam_int
+            lam_int = int(lam + 0.5)
         if bf > best_f:
             if levels:
                 trace.new_best(best_f, bf, evals)
             best_f = bf
         if rows:
-            trace.after_generation(cur_f, lam, evals, best_f)
+            trace.add_row(cur_f, lam, lam_int, evals, best_f)
     return cause, gens, evals, cur_f, best_f, lam
 
 
@@ -571,7 +573,7 @@ def run(
         ones = sum(bits)
         init_raw = fn.raw_from_bits(bits, ones)
         sample = _offspring_sampler(fn, bits, rng)
-    trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw, lambda0)
+    trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw)
     cause, gens, evals, cur_f, best_f, lam = _evolve(
         sample, bits, ones, init_raw, lambda0, fn, kind, params, stop, trace,
     )

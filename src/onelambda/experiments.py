@@ -187,6 +187,7 @@ def _run_one(args) -> RunRecord:
 
 
 _POOL = None  # (owner pid, workers, executor) of the pool run_batch reuses
+_CHUNKS_PER_WORKER = 4  # chunks per worker that run_batch splits a batch into
 
 
 def usable_cpus() -> int:
@@ -228,10 +229,20 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
     :func:`_pool`), which later batches with the same worker count reuse;
     None means one worker per CPU this process may run on.  Results are
     identical to the sequential order because every run owns its seed.
-    ``progress(done, total)``, if given, is called as each run's record
-    arrives, in run order, with or without the pool.  If a worker dies,
-    the pool is dropped and ``BrokenProcessPool`` propagates; the next
-    pooled batch starts a new pool.
+
+    Runs go out largest first: sorted by (n, s) descending, ties in cell
+    and run order.  A run's cost is its number of generations, which grows
+    with n (evaluations grow as n log n, generation caps as 500 n) and at a
+    fixed n with s (high-s cells run to their caps), so the longest runs
+    start first and no worker is left finishing them alone.  The pool takes
+    them in chunks of ceil(total runs / (4 * workers)) runs; the sequential
+    branch runs the same order.  Each record is put back at its run's
+    place, so the result does not depend on the order.
+
+    ``progress(done, total)``, if given, is called as each record arrives,
+    in dispatch order, not run order, with or without the pool.  If a
+    worker dies, the pool is dropped and ``BrokenProcessPool`` propagates;
+    the next pooled batch starts a new pool.
     """
     if workers is None:
         workers = usable_cpus()
@@ -239,17 +250,19 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
     for cell_index, n, F, s in config.cell_specs():
         for run_index in range(config.runs):
             tasks.append((config, cell_index, n, F, s, run_index))
-    records = []
+    order = sorted(range(len(tasks)), key=lambda k: (tasks[k][2], tasks[k][4]), reverse=True)
+    ordered = [tasks[k] for k in order]
+    records = [None] * len(tasks)
     try:
         if workers > 1 and len(tasks) > 1:
-            results = _pool(workers).map(
-                _run_one, tasks, chunksize=max(1, len(tasks) // (8 * workers)))
+            chunksize = math.ceil(len(tasks) / (_CHUNKS_PER_WORKER * workers))
+            results = _pool(workers).map(_run_one, ordered, chunksize=chunksize)
         else:
-            results = map(_run_one, tasks)
-        for rec in results:
-            records.append(rec)
+            results = map(_run_one, ordered)
+        for done, (k, rec) in enumerate(zip(order, results), 1):
+            records[k] = rec
             if progress is not None:
-                progress(len(records), len(tasks))
+                progress(done, len(tasks))
     except BrokenProcessPool:
         global _POOL
         _POOL[2].shutdown()

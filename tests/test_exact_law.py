@@ -58,7 +58,7 @@ def reference_run(kind, fn, stop, seed, lambda0):
     table = fn.level_table().tolist()
     if kind.static_lambda is not None:
         lambda0 = float(kind.static_lambda)
-    trace = _Trace("levels", fn.optimum_raw + 1, table[ones], lambda0)
+    trace = _Trace("levels", fn.optimum_raw + 1, table[ones])
     sample = _offspring_sampler(fn, bits, rng)
     _, _, evals, _, _, _ = _evolve(sample, bits, ones, table[ones], lambda0, fn, kind, P,
                                    stop, trace)

@@ -92,7 +92,8 @@ class TestSeeding:
 
     def test_worker_pool_matches_sequential(self):
         # two different batches in a row through the same pool
-        first = dataclasses.replace(POOL_CONFIG, trace_level="full")
+        first = dataclasses.replace(POOL_CONFIG, fs_values=((1.5, 1.0), (1.5, 3.0)),
+                                    trace_level="full")
         second = dataclasses.replace(POOL_CONFIG, algorithm="plus", n_values=(20, 40),
                                      master_seed=5)
         pools = []
@@ -100,6 +101,35 @@ class TestSeeding:
             assert_same_records(run_batch(config, workers=1), run_batch(config, workers=2))
             pools.append(xp._POOL[2])
         assert pools[0] is pools[1]
+
+
+class StubPool:
+    """Stands in for the process pool: records each ``map`` call and runs
+    its tasks in this process."""
+
+    def __init__(self):
+        self.calls = []
+
+    def map(self, fn, tasks, chunksize):
+        self.calls.append((list(tasks), chunksize))
+        return map(fn, tasks)
+
+
+class TestDispatch:
+    CONFIG = BatchConfig(algorithm="comma", fn_spec="onemax", n_values=(20, 30),
+                         fs_values=((1.5, 1.0), (1.5, 3.0)), runs=3, master_seed=4,
+                         trace_level="levels")
+
+    def test_runs_go_out_largest_first_in_four_chunks_per_worker(self, monkeypatch):
+        stub = StubPool()
+        monkeypatch.setattr(xp, "_pool", lambda workers: stub)
+        batch = run_batch(self.CONFIG, workers=2)
+        [(tasks, chunksize)] = stub.calls
+        # (n, s) non-increasing; the runs of one cell keep their order
+        assert [(n, s, run) for _, _, n, _, s, run in tasks] == [
+            (n, s, run) for n in (30, 20) for s in (3.0, 1.0) for run in range(3)]
+        assert chunksize == math.ceil(len(tasks) / (4 * 2)) == 2
+        assert_same_records(run_batch(self.CONFIG, workers=1), batch)
 
 
 @pytest.fixture

@@ -91,7 +91,7 @@ class Generation:
         if self.parent is not None:
             self.parent[:] = bits
         f = raw(self.fn, bits)
-        trace = _Trace("summary", 0, f, float(lam))
+        trace = _Trace("summary", 0, f)
         _, gens, evals, cur_f, best_f, lam = _evolve(
             self.sample, self.parent, sum(bits), f, float(lam),
             self.fn, self.kind, self.params, self.stop, trace,

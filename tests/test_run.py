@@ -116,7 +116,16 @@ class TestStopCauses:
         # the level engine costs the same at any lambda, so LAMBDA_MAX itself runs
         stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
         rec = run(AlgorithmKind.static_comma(LAMBDA_MAX), onemax(10), P, stop, 0)
-        assert rec.evaluations == int(float(LAMBDA_MAX)) <= LAMBDA_MAX  # lambda is a float
+        assert rec.evaluations == LAMBDA_MAX
+        # a static lambda past 2**53 runs as its exact int, in the record and the trace
+        lam = 2**53 + 1
+        rec = run(AlgorithmKind.static_comma(lam), onemax(10), P,
+                  StoppingCondition(max_generations=3, stop_on_optimum=False,
+                                    lambda_abort_threshold=LAMBDA_MAX), 0,
+                  trace_level="full")
+        assert rec.evaluations == 3 * lam
+        assert rec.rows["lambda_int"].tolist() == [lam] * 4
+        assert rec.rows["evaluations"].tolist() == [0, lam, 2 * lam, 3 * lam]
         # LAMBDA_MAX + 1 rounds to LAMBDA_MAX in float64: the int is checked first
         with pytest.raises(ValueError, match="static_lambda"):
             run(AlgorithmKind.static_comma(LAMBDA_MAX + 1), onemax(10), P, stop, 0)
