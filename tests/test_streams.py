@@ -24,7 +24,8 @@ on the evaluations of 600 runs per selection agreed (BENCH_ridge_stream.json).
 
 The oracle commands' CSVs are pinned byte for byte as well, written
 without the timestamp line, so a change to the CSV writer or to the
-oracle's arithmetic cannot pass silently.
+oracle's arithmetic cannot pass silently.  So is the ratchet figure's
+CSV, which pins the ratchet monitor's counts over seeded full-trace runs.
 """
 
 import hashlib
@@ -144,3 +145,13 @@ def test_oracle_csv_digest_pinned(argv, digest, tmp_path, capsys):
     assert main([*argv.split(), "--no-timestamp", "--out", str(out)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_ratchet_csv_digest_pinned(tmp_path, capsys):
+    # ``figure`` writes under --out-dir, so it has its own harness
+    argv = ["figure", "ratchet", "--seed", "3", "--workers", "1", "--no-timestamp",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "ratchet_report.csv").read_bytes()).hexdigest()
+    assert digest == "2d6b3d5044911910b64495794d47b5adfbfd91dd80e8dba0e4faea6ec8947915"
