@@ -253,7 +253,7 @@ def cmd_drift_check(args) -> int:
         threshold = args.threshold
     report = drift_grid_check(
         pot, ControllerParams(F=F, s=args.s), n, states, threshold, direction,
-        cap_gain_at_one=args.cap_gain, collect_rows=True,
+        cap_gain_at_one=args.cap_gain,
     )
     summary = {
         "potential": kind,
@@ -269,7 +269,7 @@ def cmd_drift_check(args) -> int:
 
 
 def cmd_bounds_check(args) -> int:
-    report = check_transition_bounds(args.n, lambdas=args.lambdas, collect_rows=True)
+    report = check_transition_bounds(args.n, lambdas=args.lambdas)
     summary = {
         "n": args.n,
         "states": report.states_checked,

@@ -128,7 +128,8 @@ def default_static_lambda(n: int) -> int:
 
 def default_lambda_abort_threshold(n: int, params: ControllerParams) -> float:
     """Runaway guard: one growth step past e * F^(1/s) * n^3, at most
-    LAMBDA_MAX (reached once n passes about 5.3e5 at F = 1.5, s = 1)."""
+    LAMBDA_MAX (reached once n passes about 5.3e5 at F = 1.5, s = 1).  It
+    stops self-adjusting runs only: a static lambda never grows."""
     return min(math.e * params.growth_factor ** 2 * float(n) ** 3, LAMBDA_MAX)
 
 
@@ -173,7 +174,13 @@ class AlgorithmKind:
 
 @dataclass(frozen=True)
 class StoppingCondition:
-    """When a run ends.  At least one stop cause must be enabled."""
+    """When a run ends.  At least one stop cause must be enabled.
+
+    A lambda above ``lambda_abort_threshold`` after a generation stops the
+    run.  The threshold applies to every algorithm; None means the default
+    guard (:func:`default_lambda_abort_threshold`) for a self-adjusting
+    lambda, and none for a static lambda, which never grows.
+    """
 
     max_generations: int | None = None
     max_evaluations: int | None = None
@@ -463,11 +470,11 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
     holds, one ``sample`` call per generation.  Returns (cause, generations, evaluations, final raw
     fitness, best raw fitness, final lambda)."""
     opt_raw = fn.optimum_raw
-    abort_at = stop.lambda_abort_threshold
-    if abort_at is None:
-        abort_at = default_lambda_abort_threshold(fn.n, params)
     elitist = kind.selection == "plus"
     adapt = kind.adaptive
+    abort_at = stop.lambda_abort_threshold
+    if abort_at is None:  # a static lambda never grows
+        abort_at = default_lambda_abort_threshold(fn.n, params) if adapt else math.inf
     F = params.F
     growth = params.growth_factor
     max_evals = stop.max_evaluations

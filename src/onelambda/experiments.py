@@ -456,49 +456,38 @@ def evals_per_fitness_histogram(cell: CellResult) -> list[dict]:
     return rows
 
 
-def ratchet_monitor(cell: CellResult, r_values=(10.0,)) -> dict:
-    """Count two kinds of trace anomalies over full-trace runs.
+def ratchet_monitor(cell: CellResult, r_values=(2.0, 5.0, 10.0, 20.0)) -> list[dict]:
+    """The ratchet CSV rows of a cell of full-trace runs, one per r of
+    ``r_values``.  Each row counts two kinds of trace anomalies:
 
     (a) fitness drops in generations whose offspring count was at least
-        4*log2(n);
-    (b) per r in r_values, generations whose fitness sat more than
-        r*log2(n) below the best-so-far fitness.
+        4*log2(n), out of all such (eligible) generations;
+    (b) generations whose fitness sat more than r*log2(n) below the
+        best-so-far fitness, and the runs with none.
     """
     for rec in cell.records:
         if rec.rows is None:
             raise ValueError("ratchet_monitor needs trace_level 'full'")
-    n = cell.n
-    log2n = math.log2(n)
-    lam_threshold = 4.0 * log2n
-    eligible = 0
-    drops = 0
-    gap_rows = {float(r): 0 for r in r_values}
-    gap_runs_clean = {float(r): 0 for r in r_values}
-    total_generations = 0
+    log2n = math.log2(cell.n)
+    eligible = drops = 0
     for rec in cell.records:
         fit = rec.rows["fitness_raw"]
-        lam_int = rec.rows["lambda_int"]
-        best = rec.rows["best_raw"]
-        total_generations += fit.size - 1
         # generation t+1 uses row t's offspring count
-        big = lam_int[:-1] >= lam_threshold
+        big = rec.rows["lambda_int"][:-1] >= 4.0 * log2n
         eligible += int(big.sum())
         drops += int((fit[1:][big] < fit[:-1][big]).sum())
-        for r in gap_rows:
-            bad = int((fit < best - r * log2n).sum())
-            gap_rows[r] += bad
-            gap_runs_clean[r] += int(bad == 0)
-    return {
-        "n": n,
-        "s": cell.s,
-        "runs": len(cell.records),
-        "total_generations": total_generations,
-        "eligible_generations": eligible,
-        "fitness_drops_at_large_lambda": drops,
-        "drop_fraction": (drops / eligible) if eligible else 0.0,
-        "gap_violations": gap_rows,
-        "runs_without_gap_violation": gap_runs_clean,
-    }
+    rows = []
+    for r in map(float, r_values):
+        gaps = [int((rec.rows["fitness_raw"] < rec.rows["best_raw"] - r * log2n).sum())
+                for rec in cell.records]
+        rows.append(
+            {
+                "n": cell.n, "s": cell.s, "runs": len(cell.records), "r": r,
+                "gap_violations": sum(gaps), "runs_without_gap_violation": gaps.count(0),
+                "eligible_generations": eligible, "fitness_drops_at_large_lambda": drops,
+            }
+        )
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -528,23 +517,6 @@ class Figure:
     trace_level: str = "summary"
 
 
-def _ratchet_rows(batch: BatchResult) -> list[dict]:
-    rows = []
-    for cell in batch.cells:
-        mon = ratchet_monitor(cell, r_values=(2.0, 5.0, 10.0, 20.0))
-        for r, bad in mon["gap_violations"].items():
-            rows.append(
-                {
-                    "n": mon["n"], "s": mon["s"], "runs": mon["runs"], "r": r,
-                    "gap_violations": bad,
-                    "runs_without_gap_violation": mon["runs_without_gap_violation"][r],
-                    "eligible_generations": mon["eligible_generations"],
-                    "fitness_drops_at_large_lambda": mon["fitness_drops_at_large_lambda"],
-                }
-            )
-    return rows
-
-
 FIGURES = {
     "fig2": Figure(
         "fig2_boxstats.csv", lambda batch: [normalized_runtime_stats(c) for c in batch.cells],
@@ -567,7 +539,11 @@ FIGURES = {
         (100,), (20.0, 1.0), full=dict(s_values=(1, 2, 3, 3.4, 4, 5, 20)),
         gen_cap_multiplier=None, eval_cap=1_500_000, trace_level="levels",
     ),
-    "ratchet": Figure("ratchet_report.csv", _ratchet_rows, (1000,), (1.0,), trace_level="full"),
+    "ratchet": Figure(
+        "ratchet_report.csv",
+        lambda batch: [row for c in batch.cells for row in ratchet_monitor(c)],
+        (1000,), (1.0,), trace_level="full",
+    ),
 }
 # fig5 runs fig4's batches and aggregates the offspring count per fitness
 FIGURES["fig5"] = replace(

@@ -35,8 +35,9 @@ quantities of a list of states (i, lam) as arrays, from one numpy pass
 per group of at most 256 states that share a block of levels and a
 window shape.  :func:`drift_grid_check` calls it once on its distinct
 (i, round(lambda)) pairs and gathers each state's into one drift
-expression, and :func:`check_transition_bounds` calls it once per block
-of levels x lams and evaluates each bound over that block.  Entries that
+expression, and :func:`check_transition_bounds` calls it once per law
+block of levels x lams and evaluates each bound over that block.  Each
+check returns the rows its CLI command writes.  Entries that
 pass through exp, log1p, expm1, log2 or a power (p_plus, p_minus and
 eight of the bounds) stay ``math`` scalars, one call per (i, lam) or per
 lam: numpy's SIMD versions differ from ``math`` in the last place on
@@ -62,7 +63,7 @@ to cancellation.  A wider rule costs accuracy: lo = lam * logcdf is
 rounded to its own ulp (5.7e-14 at lo = -494), and exp(lo) carries that
 error in full into a mass that, at a large gap, is nearly all exp(hi),
 whose smaller argument is rounded far finer.  Against 50-digit
-differences of the same float rows, the worst relative error of masses
+differences of the same float rows, the largest relative error of masses
 above 1e-6 is 1.0e-15 with the rule and was 2.2e-14 (onemax n = 1000)
 when expm1 took every gap below 500.
 Measured: one child's window masses, before the log CDF accumulates
@@ -146,7 +147,8 @@ def _check_lam(lam) -> None:
         raise ValueError(f"need 1 <= lam <= {LAMBDA_MAX}, got lam={lam}")
 
 
-# Levels per numpy pass of the selected-child law, and the passes kept.
+# Levels per numpy pass of the selected-child law (and of the bound checks),
+# and the passes kept.
 _LAW_BLOCK = 32
 _LAW_BLOCKS = 64
 
@@ -539,19 +541,15 @@ def _bound_definitions():
 
 _BOUNDS = _bound_definitions()
 
-# Levels per numpy pass of check_transition_bounds.
-_BOUND_LEVELS = 32
-
 
 def _floats(a) -> np.ndarray:
     """a as an array of Python float objects (dtype object)."""
     return np.asarray(a, dtype=float).astype(object)
 
 
-def _bound_pass(n: int, levels: range, lams: tuple):
+def _bound_pass(n: int, levels: range, lams: tuple) -> list:
     """Every applicable check at the states (i, lam) of ``levels`` x
-    ``lams``, in (i, lam, bound) order: each check's index in _BOUNDS, and
-    a BoundCheck whose fields are arrays with one entry per check."""
+    ``lams``, as BoundCheck rows of Python values in (i, lam, bound) order."""
     i = np.array(levels).reshape(-1, 1)
     lam = np.array(lams).reshape(1, -1)
     q = state_quantities(n, np.repeat(i, lam.size), np.tile(lam[0], i.size))
@@ -578,23 +576,25 @@ def _bound_pass(n: int, levels: range, lams: tuple):
     li, mi, bi = np.nonzero(checked)
     names, quantities, sides = (np.array(col, dtype=object) for col in list(zip(*_BOUNDS))[:3])
     exact, bound, margin = (np.stack(a, axis=-1)[checked] for a in (exact, bound, margin))
-    return bi, BoundCheck(np.full(bi.size, n), i[li, 0], lam[0, mi], quantities[bi], names[bi],
-                          sides[bi], exact, bound, margin, margin >= -1e-10)
-
-
-def _check_rows(checks: BoundCheck, k) -> list:
-    """The BoundCheck rows at index k (an index array, mask or slice) of
-    a BoundCheck of arrays, as Python values."""
-    return list(map(tuple.__new__, repeat(BoundCheck), zip(*(col[k].tolist() for col in checks))))
+    columns = (i[li, 0], lam[0, mi], quantities[bi], names[bi], sides[bi], exact, bound, margin,
+               margin >= -1e-10)
+    return list(map(tuple.__new__, repeat(BoundCheck),
+                    zip(repeat(n), *(col.tolist() for col in columns))))
 
 
 @dataclass
 class TransitionBoundReport:
-    states_checked: int = 0
-    checks_performed: int = 0
-    violations: list = field(default_factory=list)
-    worst: dict = field(default_factory=dict)  # bound name -> BoundCheck with min margin
-    rows: list | None = None
+    """Outcome of :func:`check_transition_bounds`: its BoundCheck rows, in
+    (i, lam, bound) order, and the rows whose check failed."""
+
+    states_checked: int
+    rows: list
+    checks_performed: int = field(init=False)
+    violations: list = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.checks_performed = len(self.rows)
+        self.violations = [c for c in self.rows if not c.ok]
 
     @property
     def ok(self) -> bool:
@@ -602,43 +602,27 @@ class TransitionBoundReport:
         return self.states_checked > 0 and not self.violations
 
 
-def check_transition_bounds(
-    n: int,
-    lambdas=None,
-    collect_rows: bool = False,
-) -> TransitionBoundReport:
-    """Check every applicable sandwich bound at every state (i, lam), i < n.
+def check_transition_bounds(n: int, lambdas) -> TransitionBoundReport:
+    """Check every applicable sandwich bound at every state (i, lam), i < n,
+    lam in ``lambdas``.
 
     A bound is checked only where its precondition holds and the exact
-    quantity is defined; any violation is recorded with both sides.  Each
-    bound is one array expression, with an array precondition mask, over
-    a block of _BOUND_LEVELS levels x lams read from one
-    :func:`state_quantities` call;
-    the rows come out in (i, lam, bound) order, one block at a time.  The
-    (1 - base)^lam bounds and the plain powers stay ``math`` scalars, one
-    call per state, as p_plus and p_minus do: numpy's SIMD exp, log1p,
-    expm1 and power may differ from ``math`` in the last place.
+    quantity is defined; each check is one BoundCheck row with both sides.
+    Each bound is one array expression, with an array precondition mask,
+    over one law block of levels (_LAW_BLOCK of them) x lams read from one
+    :func:`state_quantities` call; the rows come out in (i, lam, bound)
+    order, one block at a time.  The (1 - base)^lam bounds and the plain
+    powers stay ``math`` scalars, one call per state, as p_plus and
+    p_minus do: numpy's SIMD exp, log1p, expm1 and power may differ from
+    ``math`` in the last place.
     """
-    if lambdas is None:
-        lambdas = range(1, 65)
     lams = tuple(int(lam) for lam in lambdas)
-    report = TransitionBoundReport(rows=[] if collect_rows else None)
     if n < 1 or not lams:
-        return report
-    report.states_checked = n * len(lams)
-    for lo in range(0, n, _BOUND_LEVELS):
-        b, checks = _bound_pass(n, range(lo, min(n, lo + _BOUND_LEVELS)), lams)
-        report.checks_performed += b.size
-        report.violations += _check_rows(checks, ~checks.ok)
-        for index, (name, *_) in enumerate(_BOUNDS):
-            of_bound = np.flatnonzero(b == index)
-            if of_bound.size:  # the first check with the least margin
-                k = of_bound[np.argmin(checks.margin[of_bound])]
-                if name not in report.worst or checks.margin[k] < report.worst[name].margin:
-                    report.worst[name] = _check_rows(checks, [k])[0]
-        if collect_rows:
-            report.rows += _check_rows(checks, slice(None))
-    return report
+        return TransitionBoundReport(0, [])
+    rows = []
+    for lo in range(0, n, _LAW_BLOCK):
+        rows += _bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
+    return TransitionBoundReport(n * len(lams), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +720,9 @@ class DriftReport:
     extreme: float | None
     extreme_state: tuple | None
     violations: list
-    # with collect_rows, one tuple per state:
+    # one tuple per state:
     # (n, i, lambda_real, lambda_int, drift, threshold, margin, passed)
-    rows: list | None = None
+    rows: list
 
     @property
     def empty(self) -> bool:
@@ -758,7 +742,6 @@ def drift_grid_check(
     threshold: float,
     direction: str,
     cap_gain_at_one: bool = False,
-    collect_rows: bool = False,
 ) -> DriftReport:
     """Evaluate the exact drift E[g(X_next) - g(X_now)] on every
     (i, lambda_real) state, lambda_real >= 1.  round(lambda_real) children
@@ -784,15 +767,8 @@ def drift_grid_check(
     if not math.isfinite(threshold):
         raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
-    report = DriftReport(
-        states_checked=len(grid),
-        extreme=None,
-        extreme_state=None,
-        violations=[],
-        rows=[] if collect_rows else None,
-    )
     if not len(grid):
-        return report
+        return DriftReport(0, None, None, [], [])
     i, lam_real = grid[:, 0].astype(int), grid[:, 1]
     lam_values, lam_of = np.unique(lam_real, return_inverse=True)
     if lam_values[0] < 1.0:
@@ -811,16 +787,13 @@ def drift_grid_check(
         k, margin = np.argmin(drift), drift - threshold
     else:
         k, margin = np.argmax(drift), threshold - drift
-    report.extreme = float(drift[k])
-    report.extreme_state = (int(i[k]), float(lam_real[k]))
     passed = margin >= 0
     bad = ~passed
-    report.violations = list(zip(i[bad].tolist(), lam_real[bad].tolist(), drift[bad].tolist()))
-    if collect_rows:
-        report.rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam.tolist(),
-                               drift.tolist(), repeat(threshold), margin.tolist(),
-                               passed.tolist()))
-    return report
+    violations = list(zip(i[bad].tolist(), lam_real[bad].tolist(), drift[bad].tolist()))
+    rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam.tolist(), drift.tolist(),
+                    repeat(threshold), margin.tolist(), passed.tolist()))
+    return DriftReport(len(grid), float(drift[k]), (int(i[k]), float(lam_real[k])), violations,
+                       rows)
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

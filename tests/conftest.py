@@ -1,7 +1,8 @@
-import os
 import time
 
 import pytest
+
+from onelambda.experiments import usable_cpus
 
 _ACCEPTANCE_RESULTS = []
 _TEST_START = [0.0]
@@ -21,8 +22,7 @@ def record_criterion(crit_id: str, description: str, passed: bool, detail: str =
 
 def workers() -> int:
     """Pool size for the criteria: the usable CPUs, at most 2."""
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return min(2, usable)
+    return min(2, usable_cpus())
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

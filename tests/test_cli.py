@@ -330,6 +330,17 @@ class TestAnalysisCommands:
         assert summary["cells"] == 2 and summary["runs"] == 4
         assert (tmp_path / "batch_runs.csv").exists()
 
+    def test_static_lambda_above_the_default_guard_runs_on(self, tmp_path, capsys):
+        # the default guard at n = 10 is about 6116: it never stops a static lambda
+        rc = main(["batch", "--algo", "static", "--static-lambda", "10000", "--n", "10",
+                   "--fn", "jump:4", "--runs", "2", "--seed", "1", "--workers", "1",
+                   "--out-dir", str(tmp_path), "--no-timestamp"])
+        assert rc == 0
+        capsys.readouterr()
+        header, *rows = (line.split(",") for line in read_data_lines(tmp_path / "batch_runs.csv"))
+        col = header.index("stop_cause")
+        assert [row[col] for row in rows] == ["optimum", "optimum"]
+
     def test_invalid_potential_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["drift-check", "--potential", "g9"])

@@ -356,16 +356,28 @@ class TestLevelAggregations:
 class TestRatchet:
     def test_elitist_runs_have_zero_violations(self):
         batch = small_batch(trace="full", runs=4, algo="plus", n=(40,))
-        mon = ratchet_monitor(batch.cells[0], r_values=(0.0, 5.0))
-        assert mon["fitness_drops_at_large_lambda"] == 0
-        assert mon["gap_violations"][0.0] == 0
-        assert mon["runs_without_gap_violation"][5.0] == 4
+        rows = ratchet_monitor(batch.cells[0], r_values=(0.0, 5.0))
+        assert [row["r"] for row in rows] == [0.0, 5.0]
+        assert all(row["fitness_drops_at_large_lambda"] == 0 for row in rows)
+        assert rows[0]["gap_violations"] == 0
+        assert rows[1]["runs_without_gap_violation"] == 4
 
     def test_comma_runs_report_shape(self):
         batch = small_batch(trace="full", runs=3, n=(40,))
-        mon = ratchet_monitor(batch.cells[0], r_values=(10.0,))
-        assert mon["total_generations"] == sum(r.generations for r in batch.cells[0].records)
-        assert 0 <= mon["drop_fraction"] <= 1
+        cell = batch.cells[0]
+        rows = ratchet_monitor(cell)
+        assert [row["r"] for row in rows] == [2.0, 5.0, 10.0, 20.0]  # the CSV's r values
+        for row in rows:
+            assert list(row) == ["n", "s", "runs", "r", "gap_violations",
+                                 "runs_without_gap_violation", "eligible_generations",
+                                 "fitness_drops_at_large_lambda"]
+            assert (row["n"], row["s"], row["runs"]) == (40, cell.s, 3)
+            assert 0 <= row["fitness_drops_at_large_lambda"] <= row["eligible_generations"]
+            assert row["eligible_generations"] <= sum(r.generations for r in cell.records)
+            assert 0 <= row["runs_without_gap_violation"] <= 3
+        # a wider gap flags fewer generations
+        gaps = [row["gap_violations"] for row in rows]
+        assert gaps == sorted(gaps, reverse=True)
 
     def test_needs_full_traces(self):
         batch = small_batch(trace="levels", runs=2)

@@ -322,7 +322,7 @@ class TestLevelQuantities:
     def test_undefined_markers(self):
         # at i = 0 nothing falls: the backward drift is undefined and unchecked
         assert state_quantities(10, [0], [4]).p_minus[0] == 0.0
-        report = check_transition_bounds(10, lambdas=(4,), collect_rows=True)
+        report = check_transition_bounds(10, lambdas=(4,))
         at_zero = {c.quantity for c in report.rows if c.i == 0}
         assert "delta_plus" in at_zero and "delta_minus" not in at_zero
 
@@ -485,24 +485,25 @@ class TestTransitionBounds:
         assert abs(max_flip_gain_series(1) - (E - 1.0)) < 1e-12
 
     def test_no_violations_small_grid(self):
-        report = check_transition_bounds(10)
+        report = check_transition_bounds(10, lambdas=range(1, 65))
         assert report.ok, report.violations[:5]
         assert report.checks_performed > 0
 
     def test_empty_grid_is_not_a_pass(self):
-        for report in (check_transition_bounds(0), check_transition_bounds(10, lambdas=())):
-            assert report.states_checked == 0 and not report.violations
+        for report in (check_transition_bounds(0, lambdas=range(1, 65)),
+                       check_transition_bounds(10, lambdas=())):
+            assert report.states_checked == 0 and not report.violations and not report.rows
             assert not report.ok
 
     def test_hard_band_cap_checked_at_163(self):
-        report = check_transition_bounds(163, lambdas=(1,), collect_rows=True)
+        report = check_transition_bounds(163, lambdas=(1,))
         assert report.ok
         rows = [c for c in report.rows if c.name == "p_plus_upper_hard_band"]
         assert sorted({c.i for c in rows}) == [137, 138]  # the 0.84n..0.85n levels
         assert all(c.exact <= 0.069 for c in rows)
 
     def test_log_cap_applies_from_lambda_five(self):
-        report = check_transition_bounds(20, lambdas=(4, 5, 8), collect_rows=True)
+        report = check_transition_bounds(20, lambdas=(4, 5, 8))
         assert report.ok
         rows = [c for c in report.rows if c.name == "delta_plus_upper_log"]
         assert {c.lam for c in rows} == {5, 8}
@@ -511,14 +512,14 @@ class TestTransitionBounds:
 
     def test_refined_upper_restricted_to_hard_levels(self):
         n = 50
-        report = check_transition_bounds(n, lambdas=(1, 2), collect_rows=True)
+        report = check_transition_bounds(n, lambdas=(1, 2))
         assert report.ok
         rows = [c for c in report.rows if c.name == "p_plus_upper_refined"]
         assert rows and all(c.i >= 0.87 * n for c in rows)
 
     @pytest.mark.parametrize("n, lams", [(60, (1, 2, 5, 64)), (163, (1, 3, 8))])
     def test_rows_are_the_scalar_loop_bitwise(self, n, lams):
-        report = check_transition_bounds(n, lambdas=lams, collect_rows=True)
+        report = check_transition_bounds(n, lambdas=lams)
         want = reference_bound_checks(n, lams)
         assert len(report.rows) == report.checks_performed == len(want)
         assert [c[:6] for c in report.rows] == [w[:6] for w in want]
@@ -530,20 +531,12 @@ class TestTransitionBounds:
         assert {tuple(map(type, c)) for c in report.rows} == {
             (int, int, int, str, str, str, float, float, float, bool)}
 
-    def test_worst_is_the_first_row_with_the_least_margin(self):
-        report = check_transition_bounds(60, lambdas=(1, 2, 5, 64), collect_rows=True)
-        assert set(report.worst) == {c.name for c in report.rows}
-        for name, worst in report.worst.items():
-            rows = [c for c in report.rows if c.name == name]
-            least = min(c.margin for c in rows)
-            assert worst == next(c for c in rows if c.margin == least)
-
     def test_violations_are_the_failing_rows(self, monkeypatch):
         # the refined cap fails on easy levels: checked everywhere, it is violated
         bounds = [b[:4] + (None,) if b[0] == "p_plus_upper_refined" else b
                   for b in oracle._BOUNDS]
         monkeypatch.setattr(oracle, "_BOUNDS", bounds)
-        report = check_transition_bounds(60, lambdas=(1, 2, 5), collect_rows=True)
+        report = check_transition_bounds(60, lambdas=(1, 2, 5))
         failing = [c for c in report.rows if not c.ok]
         assert 0 < len(failing) < len(report.rows)
         assert report.violations == failing and not report.ok
@@ -551,13 +544,13 @@ class TestTransitionBounds:
 
     def test_one_bit(self):
         # the only bit always flips: (1 - 1/n)^n = 0, not a log1p(-1) domain error
-        report = check_transition_bounds(1, lambdas=(1, 2), collect_rows=True)
+        report = check_transition_bounds(1, lambdas=(1, 2))
         assert report.ok and report.states_checked == 2
         assert {c.exact for c in report.rows if c.quantity == "p_plus"} == {1.0}
 
     def test_negative_base_lower_bound_skipped(self):
         # (i/n - 1/e)^lam is only meaningful once i/n >= 1/e
-        report = check_transition_bounds(20, lambdas=(2,), collect_rows=True)
+        report = check_transition_bounds(20, lambdas=(2,))
         rows = [c for c in report.rows if c.name == "p_minus_lower"]
         assert all(c.i / 20 >= 1 / E for c in rows)
 
@@ -602,7 +595,7 @@ def reference_drift(pot, n, i, lam_real, params, cap_gain_at_one):
 def grid_drifts(pot, params, n, states, cap_gain_at_one=False):
     """The drift of each (i, lambda_real) state, from one drift_grid_check."""
     report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least",
-                              cap_gain_at_one=cap_gain_at_one, collect_rows=True)
+                              cap_gain_at_one=cap_gain_at_one)
     return [row[4] for row in report.rows]
 
 
@@ -685,6 +678,7 @@ class TestDriftGridCheck:
             make_potential("g2", F=1.5), params, 100, states, -0.0008, "max_at_most"
         )
         assert report.empty and not report.ok  # no states in band is not a pass
+        assert report.rows == [] and report.extreme is None
 
     def test_band_states_at_n1000(self):
         states = g2_band_states(1000, 1.5)
@@ -707,11 +701,10 @@ class TestDriftGridCheck:
         params = ControllerParams(F=1.5, s=0.5)
         pot = make_potential("g1", F=1.5, s=0.5, n=30)
         states = [(i, lam) for i in range(0, 30, 2) for lam in (1.0, 2.5, 7.0)]
-        first = drift_grid_check(pot, params, 30, states, 0.0, direction, collect_rows=True)
+        first = drift_grid_check(pot, params, 30, states, 0.0, direction)
         # an odd count, so one state sits exactly on the threshold and passes
         threshold = float(np.median([row[4] for row in first.rows]))
-        report = drift_grid_check(pot, params, 30, states, threshold, direction,
-                                  collect_rows=True)
+        report = drift_grid_check(pot, params, 30, states, threshold, direction)
         flagged = []
         for n, i, lam, lam_int, d, thr, margin, passed in report.rows:
             assert (n, thr, lam_int) == (30, threshold, round_lambda(lam))
@@ -729,7 +722,7 @@ class TestDriftGridCheck:
 
         states = [(i, lam) for i in (3, 7, 12) for lam in (1.0, 2.5)]
         report = drift_grid_check(NanPotential(), ControllerParams(F=1.5, s=1.0), 20, states,
-                                  0.0, direction, collect_rows=True)
+                                  0.0, direction)
         assert [row[7] for row in report.rows] == [False] * len(states)
         assert len(report.violations) == len(states) and not report.ok
 
@@ -755,7 +748,7 @@ class TestDriftGridCheck:
         params = ControllerParams(F=1.5, s=s)
         pot, states, threshold, direction = drift_claim(kind, n, 1.5, s)
         report = drift_grid_check(pot, params, n, states, threshold, direction,
-                                  cap_gain_at_one=cap, collect_rows=True)
+                                  cap_gain_at_one=cap)
         states = [(int(i), lam) for i, lam in states.tolist()]
         assert [row[1:4] for row in report.rows] == [
             (i, lam, round_lambda(lam)) for i, lam in states]
@@ -835,7 +828,7 @@ class TestUndefinedThreshold:
         q = one_lambda_row(50, 1, 200)
         assert q["p_minus"] == 0.0
         assert math.isfinite(q["gain"]) and math.isfinite(q["loss"])
-        report = check_transition_bounds(50, lambdas=(200,), collect_rows=True)
+        report = check_transition_bounds(50, lambdas=(200,))
         backward = {c.i for c in report.rows if c.quantity == "delta_minus"}
         assert 1 not in backward and 25 in backward
         assert report.ok

@@ -112,6 +112,18 @@ class TestStopCauses:
             with pytest.raises(ValueError, match="lambda_abort_threshold"):
                 StoppingCondition(lambda_abort_threshold=threshold)
 
+    def test_default_guard_stops_only_a_growing_lambda(self):
+        # the default guard at n = 10 is about 6116; a static lambda never grows
+        stop = StoppingCondition(max_generations=3, stop_on_optimum=False)
+        lam = 2**53 + 1
+        rec = run(AlgorithmKind.static_comma(lam), onemax(10), ControllerParams(), stop, 0)
+        assert rec.stop_cause == StopCause.GENERATION_CAP and rec.generations == 3
+        assert rec.evaluations == 3 * lam
+        # a self-adjusting lambda above the guard stops after one generation
+        rec = run(AlgorithmKind.self_adjusting_comma(), onemax(10), ControllerParams(), stop, 0,
+                  lambda0=1e6)
+        assert rec.stop_cause == StopCause.LAMBDA_ABORT and rec.generations == 1
+
     def test_lambda0_and_static_lambda_stop_at_the_lambda_ceiling(self):
         # the level engine costs the same at any lambda, so LAMBDA_MAX itself runs
         stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
