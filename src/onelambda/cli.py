@@ -23,6 +23,8 @@ from . import experiments as xp
 from .ea import LAMBDA_MAX, ControllerParams, run
 from .fitness import FitnessFunction
 from .oracle import (
+    BOUND_COLUMNS,
+    DRIFT_COLUMNS,
     check_transition_bounds,
     drift_claim,
     drift_grid_check,
@@ -158,7 +160,7 @@ def cmd_run(args) -> int:
     config = _batch_config(
         args, (n,), (s,), 1, args.algo, args.fn,
         eval_cap=args.eval_cap or None, stop_on_optimum=args.stop_on_optimum,
-        trace_level=args.trace, lambda0=args.lambda0, static_lambda=args.static_lambda or None,
+        trace_level=args.trace, lambda0=args.lambda0, static_lambda=args.static_lambda,
     )
     params = ControllerParams(F=args.F, s=s)
     fn = FitnessFunction.parse(args.fn, n)
@@ -192,7 +194,7 @@ def _progress(done, total):
 def cmd_batch(args) -> int:
     config = _batch_config(
         args, args.n, args.s, args.runs, args.algo, args.fn,
-        eval_cap=args.eval_cap or None, static_lambda=args.static_lambda or None,
+        eval_cap=args.eval_cap or None, static_lambda=args.static_lambda,
     )
     batch = xp.run_batch(config, workers=_workers(args), progress=_progress)
     rows = []
@@ -261,10 +263,10 @@ def cmd_drift_check(args) -> int:
         "extreme_drift": report.extreme,
         "extreme_state": report.extreme_state,
         "violations": len(report.violations),
-        "band_empty": report.empty,
+        "band_empty": report.states_checked == 0,
     }
     _write_output(args, f"drift_{kind}.csv", report.rows, _settings(args), summary,
-                  ["n", "i", "lambda_real", "lambda_int", "drift", "threshold", "margin", "pass"])
+                  DRIFT_COLUMNS)
     return 0 if report.ok else 1
 
 
@@ -277,8 +279,7 @@ def cmd_bounds_check(args) -> int:
         "violations": len(report.violations),
     }
     _write_output(args, "bounds_report.csv", report.rows, _settings(args), summary,
-                  ["n", "i", "lambda", "quantity", "bound", "side", "exact", "bound_value",
-                   "margin", "pass"])
+                  BOUND_COLUMNS)
     return 0 if report.ok else 1
 
 
@@ -300,7 +301,7 @@ _SHARED = {
     "fn": ("--fn", dict(default="onemax", help="onemax|zeromax|twomax|jump:k|cliff:d|ridge")),
     "F": ("--F", dict(type=float, default=1.5)),
     "lambda0": ("--lambda0", dict(type=float, default=1.0)),
-    "static_lambda": ("--static-lambda", dict(type=int)),
+    "static_lambda": ("--static-lambda", dict(type=positive_int)),
     "seed": ("--seed", dict(type=int, default=1)),
     "gen_cap_multiplier": ("--gen-cap-mult", dict(type=float, default=500.0)),
     "eval_cap": ("--eval-cap", dict(type=int)),

@@ -88,7 +88,7 @@ class ControllerParams:
     F is the update strength (> 1), s the success rate (> 0).  A success
     divides lambda by F and a failure multiplies it by growth_factor, and
     growth_factor**s == F, so one success per s+1 generations leaves lambda
-    unchanged.
+    unchanged.  F^(2/s), the square the runaway guard reads, must be finite.
     """
 
     F: float = 1.5
@@ -100,11 +100,11 @@ class ControllerParams:
         if not self.s > 0.0:
             raise ValueError(f"success rate s must be > 0, got {self.s}")
         try:  # float ** raises OverflowError rather than return inf
-            finite = math.isfinite(self.F ** (1.0 / self.s))
+            finite = math.isfinite(self.growth_factor ** 2)
         except OverflowError:
             finite = False
         if not finite:
-            raise ValueError(f"F^(1/s) overflows for F={self.F}, s={self.s}")
+            raise ValueError(f"F^(2/s) overflows for F={self.F}, s={self.s}")
 
     @property
     def growth_factor(self) -> float:

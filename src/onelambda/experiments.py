@@ -101,6 +101,8 @@ class BatchConfig:
             raise ValueError(f"gen_cap_multiplier * n must be finite, got {mult}")
         if self.eval_cap is not None and self.eval_cap < 0:
             raise ValueError(f"eval_cap must be >= 0, got {self.eval_cap}")
+        if self.static_lambda is not None and self.algorithm != "static":
+            raise ValueError(f"static_lambda needs algorithm 'static', got {self.algorithm!r}")
 
     def cell_specs(self) -> list[tuple[int, int, float, float]]:
         out = []
@@ -123,7 +125,7 @@ class BatchConfig:
 
     def kind_for(self, n: int) -> AlgorithmKind:
         if self.algorithm == "static":
-            lam = self.static_lambda if self.static_lambda else default_static_lambda(n)
+            lam = default_static_lambda(n) if self.static_lambda is None else self.static_lambda
             return AlgorithmKind.static_comma(lam)
         if self.algorithm == "plus":
             return AlgorithmKind.self_adjusting_plus()

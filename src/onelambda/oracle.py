@@ -37,14 +37,15 @@ window shape.  :func:`drift_grid_check` calls it once on its distinct
 (i, round(lambda)) pairs and gathers each state's into one drift
 expression, and :func:`check_transition_bounds` calls it once per law
 block of levels x lams and evaluates each bound over that block.  Each
-check returns the rows its CLI command writes.  Entries that
-pass through exp, log1p, expm1, log2 or a power (p_plus, p_minus and
-eight of the bounds) stay ``math`` scalars, one call per (i, lam) or per
-lam: numpy's SIMD versions differ from ``math`` in the last place on
-some inputs (exp on 4.7%, log1p 7.3%, expm1 0.7% and power 5.4% of
-random inputs, on an AVX-512 build of numpy 2.4), and the check CSVs
-keep the scalar values.  Sums, products and quotients
-are correctly rounded either way.
+check returns one :class:`CheckReport`: the rows its CLI command writes,
+as plain tuples, with the verdicts read from their ``pass`` column.
+Entries that pass through exp, log1p, expm1, log2 or a power (p_plus,
+p_minus and eight of the bounds) stay ``math`` scalars, one call per (i,
+lam) or per lam: numpy's SIMD versions differ from ``math`` in the last
+place on some inputs (exp on 4.7%, log1p 7.3%, expm1 0.7% and power 5.4%
+of random inputs, on an AVX-512 build of numpy 2.4), and the check CSVs
+keep the scalar values.  Sums, products and quotients are correctly
+rounded either way.
 
 Numerics: one child's law lives on the window of one-counts within
 CHILD_WINDOW = 30 of the parent.  A child leaves it only by flipping more
@@ -91,13 +92,13 @@ __all__ = [
     "LevelRow",
     "state_quantities",
     "max_flip_gain_series",
-    "BoundCheck",
-    "TransitionBoundReport",
+    "CheckReport",
+    "BOUND_COLUMNS",
     "check_transition_bounds",
     "LambdaPenaltyPotential",
     "LambdaLogSquaredPotential",
     "make_potential",
-    "DriftReport",
+    "DRIFT_COLUMNS",
     "drift_grid_check",
     "drift_claim",
     "g1_grid_lambdas",
@@ -403,20 +404,36 @@ def max_flip_gain_series(lam: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-class BoundCheck(NamedTuple):
-    """One bound at one state, its fields in the column order of the
-    bounds-check CSV."""
+@dataclass
+class CheckReport:
+    """Outcome of a check over a grid of states: the rows its CLI command
+    writes, plain tuples in the order of the command's columns
+    (:data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS`), whose last field is
+    the verdict ``pass``.  The drift check also gives its extreme drift and
+    the state (i, lambda_real) where it lies; both are None on an empty
+    grid, and on the bound check."""
 
-    n: int
-    i: int
-    lam: int
-    quantity: str
-    name: str
-    side: str  # "lower" | "upper"
-    exact: float
-    bound: float
-    margin: float  # >= 0 means the bound holds
-    ok: bool  # margin >= -1e-10
+    states_checked: int
+    rows: list
+    extreme: float | None = None
+    extreme_state: tuple | None = None
+    checks_performed: int = field(init=False)
+    violations: list = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.checks_performed = len(self.rows)
+        self.violations = [row for row in self.rows if not row[-1]]
+
+    @property
+    def ok(self) -> bool:
+        # an empty grid proves nothing and is not a pass
+        return self.states_checked > 0 and not self.violations
+
+
+# The bounds-check CSV's columns: "bound" names the bound and "bound_value"
+# is its value; margin >= 0 means the bound holds, and pass is margin >= -1e-10.
+BOUND_COLUMNS = ("n", "i", "lambda", "quantity", "bound", "side", "exact", "bound_value",
+                 "margin", "pass")
 
 
 def _no_flip(n: int, m: int) -> float:
@@ -549,7 +566,8 @@ def _floats(a) -> np.ndarray:
 
 def _bound_pass(n: int, levels: range, lams: tuple) -> list:
     """Every applicable check at the states (i, lam) of ``levels`` x
-    ``lams``, as BoundCheck rows of Python values in (i, lam, bound) order."""
+    ``lams``, as rows of Python values in :data:`BOUND_COLUMNS` order,
+    sorted by (i, lam, bound)."""
     i = np.array(levels).reshape(-1, 1)
     lam = np.array(lams).reshape(1, -1)
     q = state_quantities(n, np.repeat(i, lam.size), np.tile(lam[0], i.size))
@@ -578,36 +596,16 @@ def _bound_pass(n: int, levels: range, lams: tuple) -> list:
     exact, bound, margin = (np.stack(a, axis=-1)[checked] for a in (exact, bound, margin))
     columns = (i[li, 0], lam[0, mi], quantities[bi], names[bi], sides[bi], exact, bound, margin,
                margin >= -1e-10)
-    return list(map(tuple.__new__, repeat(BoundCheck),
-                    zip(repeat(n), *(col.tolist() for col in columns))))
+    return list(zip(repeat(n), *(col.tolist() for col in columns)))
 
 
-@dataclass
-class TransitionBoundReport:
-    """Outcome of :func:`check_transition_bounds`: its BoundCheck rows, in
-    (i, lam, bound) order, and the rows whose check failed."""
-
-    states_checked: int
-    rows: list
-    checks_performed: int = field(init=False)
-    violations: list = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.checks_performed = len(self.rows)
-        self.violations = [c for c in self.rows if not c.ok]
-
-    @property
-    def ok(self) -> bool:
-        # an empty grid proves nothing and is not a pass
-        return self.states_checked > 0 and not self.violations
-
-
-def check_transition_bounds(n: int, lambdas) -> TransitionBoundReport:
+def check_transition_bounds(n: int, lambdas) -> CheckReport:
     """Check every applicable sandwich bound at every state (i, lam), i < n,
     lam in ``lambdas``.
 
     A bound is checked only where its precondition holds and the exact
-    quantity is defined; each check is one BoundCheck row with both sides.
+    quantity is defined; each check is one row of :data:`BOUND_COLUMNS`
+    with both sides, a plain tuple.
     Each bound is one array expression, with an array precondition mask,
     over one law block of levels (_LAW_BLOCK of them) x lams read from one
     :func:`state_quantities` call; the rows come out in (i, lam, bound)
@@ -618,11 +616,11 @@ def check_transition_bounds(n: int, lambdas) -> TransitionBoundReport:
     """
     lams = tuple(int(lam) for lam in lambdas)
     if n < 1 or not lams:
-        return TransitionBoundReport(0, [])
+        return CheckReport(0, [])
     rows = []
     for lo in range(0, n, _LAW_BLOCK):
         rows += _bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
-    return TransitionBoundReport(n * len(lams), rows)
+    return CheckReport(n * len(lams), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -712,26 +710,8 @@ def _drift(p_plus, gain, loss, terms, cap_gain_at_one):
     return fitness_part + p_plus * h_succ + (1.0 - p_plus) * h_fail - h_now
 
 
-@dataclass
-class DriftReport:
-    """Outcome of a drift sign/threshold check over a state grid."""
-
-    states_checked: int
-    extreme: float | None
-    extreme_state: tuple | None
-    violations: list
-    # one tuple per state:
-    # (n, i, lambda_real, lambda_int, drift, threshold, margin, passed)
-    rows: list
-
-    @property
-    def empty(self) -> bool:
-        return self.states_checked == 0
-
-    @property
-    def ok(self) -> bool:
-        # an empty grid proves nothing and is not a pass
-        return not self.empty and not self.violations
+# The drift-check CSV's columns, one row per state; pass is margin >= 0.
+DRIFT_COLUMNS = ("n", "i", "lambda_real", "lambda_int", "drift", "threshold", "margin", "pass")
 
 
 def drift_grid_check(
@@ -742,7 +722,7 @@ def drift_grid_check(
     threshold: float,
     direction: str,
     cap_gain_at_one: bool = False,
-) -> DriftReport:
+) -> CheckReport:
     """Evaluate the exact drift E[g(X_next) - g(X_now)] on every
     (i, lambda_real) state, lambda_real >= 1.  round(lambda_real) children
     are drawn while the lambda term reads the real value, through the
@@ -755,7 +735,10 @@ def drift_grid_check(
     state's margin is its distance from the threshold on the passing
     side; a state passes when its margin is >= 0, so a NaN drift is
     flagged.  The threshold must be finite.  Violations are data (the
-    claims are asymptotic), so they are returned, not raised.
+    claims are asymptotic), so they are returned, not raised: the report
+    holds one :data:`DRIFT_COLUMNS` row per state, in order, and the
+    extreme drift (the least for "min_at_least", else the greatest) with
+    its state.
 
     The level quantities come from one :func:`state_quantities` call over
     the distinct (i, round(lambda_real)) pairs, the controller's scalar
@@ -768,7 +751,7 @@ def drift_grid_check(
         raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     if not len(grid):
-        return DriftReport(0, None, None, [], [])
+        return CheckReport(0, [])
     i, lam_real = grid[:, 0].astype(int), grid[:, 1]
     lam_values, lam_of = np.unique(lam_real, return_inverse=True)
     if lam_values[0] < 1.0:
@@ -787,13 +770,9 @@ def drift_grid_check(
         k, margin = np.argmin(drift), drift - threshold
     else:
         k, margin = np.argmax(drift), threshold - drift
-    passed = margin >= 0
-    bad = ~passed
-    violations = list(zip(i[bad].tolist(), lam_real[bad].tolist(), drift[bad].tolist()))
     rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam.tolist(), drift.tolist(),
-                    repeat(threshold), margin.tolist(), passed.tolist()))
-    return DriftReport(len(grid), float(drift[k]), (int(i[k]), float(lam_real[k])), violations,
-                       rows)
+                    repeat(threshold), margin.tolist(), (margin >= 0).tolist()))
+    return CheckReport(len(grid), rows, float(drift[k]), (int(i[k]), float(lam_real[k])))
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

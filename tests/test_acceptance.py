@@ -23,6 +23,8 @@ from onelambda.ea import (
 from onelambda.experiments import BatchConfig, run_batch, run_figure
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
+    BOUND_COLUMNS,
+    DRIFT_COLUMNS,
     _child_masses,
     check_transition_bounds,
     drift_claim,
@@ -63,7 +65,7 @@ def test_c02_drift_oracle_vs_joint_enumeration():
             report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least")
             for (i, lam_real), row in zip(states, report.rows):
                 want = brute_force_drift(n, i, lam_real, pot, params)
-                worst = max(worst, abs(row[4] - want))
+                worst = max(worst, abs(dict(zip(DRIFT_COLUMNS, row))["drift"] - want))
     ok = worst <= 1e-9
     record_criterion("C2", "exact drift vs joint mask enumeration (n<=6, lam<=3)",
                      ok, f"worst |diff| = {worst:.2e}")
@@ -74,11 +76,12 @@ def test_c03_sandwich_bounds_zero_violations():
     total_checks = 0
     violations = []
     checked = set()  # the names of the bounds checked somewhere on the grid
+    name = BOUND_COLUMNS.index("bound")
     for n in GRID_N:
         report = check_transition_bounds(n, lambdas=range(1, 65))
         total_checks += report.checks_performed
         violations.extend(report.violations)
-        checked.update(c.name for c in report.rows)
+        checked.update(row[name] for row in report.rows)
     ok = not violations and {"p_plus_upper_hard_band", "delta_plus_upper_log"} <= checked
     record_criterion("C3", "transition-quantity sandwich bounds on the full grid",
                      ok, f"{total_checks} checks, {len(violations)} violations")

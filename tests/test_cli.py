@@ -18,15 +18,16 @@ def read_data_lines(path):
 
 
 def assert_overflow_is_config_error(argv, tmp_path, capsys):
-    """F^(1/s) or a value built from it overflows: a configuration error
-    naming F and s, with no output written."""
-    out = tmp_path / "out.csv"
-    if argv[0] != "bound":  # bound prints its value and writes no file
-        argv = argv + ["--out", str(out)]
+    """F^(2/s) or a value built from F^(1/s) overflows: a configuration
+    error naming F and s, with no output written."""
+    if argv[0] == "batch":
+        argv = argv + ["--out-dir", str(tmp_path)]
+    elif argv[0] != "bound":  # bound prints its value and writes no file
+        argv = argv + ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "F=" in err and "s=" in err, err
-    assert not out.exists()
+    assert not any(tmp_path.iterdir())
 
 
 class TestRunCommand:
@@ -91,6 +92,15 @@ class TestRunCommand:
     def test_overflowing_growth_factor_is_config_error(self, flags, tmp_path, capsys):
         assert_overflow_is_config_error(["run", "--n", "20", *flags], tmp_path, capsys)
 
+    @pytest.mark.parametrize("argv", [
+        "run --n 10 --s 1 --F 1e308 --eval-cap 100",
+        "batch --n 10 --s 1 --F 1e308 --runs 2 --workers 1",
+        "sweep --n 10 --s 1 --F 1e200 --runs 2 --workers 1",
+    ])
+    def test_overflowing_guard_is_config_error(self, argv, tmp_path, capsys):
+        # F^(1/s) is finite, but the default lambda guard squares it
+        assert_overflow_is_config_error(argv.split(), tmp_path, capsys)
+
     @pytest.mark.parametrize("argv, setting", [
         ("run --n 20 --s 1 --lambda0 inf", "lambda0"),
         ("run --n 20 --s 1 --lambda0 nan", "lambda0"),
@@ -104,6 +114,10 @@ class TestRunCommand:
         ("run --n 20 --s 1 --fn ridge --lambda0 1e19 --eval-cap 10", "lambda0"),
         ("batch --n 20 --runs 2 --workers 1 --gen-cap-mult inf", "gen_cap_multiplier"),
         ("batch --n 20 --runs 2 --workers 1 --gen-cap-mult 1e308", "gen_cap_multiplier"),
+        # a static lambda only a static run reads
+        ("run --n 10 --s 1 --algo plus --static-lambda 5", "static_lambda"),
+        ("run --n 10 --s 1 --algo comma --static-lambda 5", "static_lambda"),
+        ("batch --n 10 --runs 2 --workers 1 --algo plus --static-lambda 5", "static_lambda"),
     ])
     def test_invalid_setting_is_config_error(self, argv, setting, tmp_path, capsys):
         out = ["--out", str(tmp_path / "out.csv")] if argv.startswith("run") else [
@@ -111,6 +125,16 @@ class TestRunCommand:
         assert main([*argv.split(), *out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and setting in err, err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["run --n 10", "batch --n 10 --runs 2 --workers 1"])
+    def test_static_lambda_below_one_names_the_flag(self, command, tmp_path, capsys):
+        out = ["--out", str(tmp_path / "out.csv")] if command.startswith("run") else [
+            "--out-dir", str(tmp_path)]
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--algo", "static", "--static-lambda", "0", *out])
+        assert exc.value.code == 2
+        assert "argument --static-lambda: must be >= 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_golden_output_reproducible(self, tmp_path):
@@ -252,8 +276,8 @@ class TestAnalysisCommands:
 
     @pytest.mark.parametrize("flags", [
         ["--potential", "g2", "--n", "600", "--s", "1e-9"],
-        ["--potential", "g1", "--n", "20", "--F", "1e308", "--s", "1"],  # e*n*F^(1/s) = inf
-        ["--potential", "g2", "--n", "600", "--F", "1e308", "--s", "1"],  # lambda*F^(1/s) = inf
+        ["--potential", "g1", "--n", "20", "--F", "1e154", "--s", "1"],  # lambda*F^(1/s) = inf
+        ["--potential", "g2", "--n", "600", "--F", "1e308", "--s", "1"],  # F^(2/s) = inf
     ])
     def test_drift_check_overflow_is_config_error(self, flags, tmp_path, capsys):
         assert_overflow_is_config_error(["drift-check", *flags], tmp_path, capsys)

@@ -3,6 +3,7 @@ a public name cannot leave a dangling export behind."""
 
 import ast
 import importlib
+import json
 import pkgutil
 from pathlib import Path
 
@@ -33,11 +34,15 @@ def test_package_imports_resolve():
             assert alias.name in module.__all__, (node.module, alias.name)
 
 
+def benchmark_tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    return importlib.import_module("tracing").Tracer()
+
+
 def test_benchmark_tracer_names_resolve(monkeypatch):
     # the benchmark's tracer wraps program names by attribute; entering it
     # fails if one is gone, and leaving it must restore every original
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    tracer = importlib.import_module("tracing").Tracer()
+    tracer = benchmark_tracer(monkeypatch)
     cli = importlib.import_module("onelambda.cli")
     with tracer.installed():
         patched = list(tracer._patched)
@@ -45,3 +50,21 @@ def test_benchmark_tracer_names_resolve(monkeypatch):
     assert {attr for owner, attr, _ in patched if owner is cli} >= {
         "main", "run", "drift_grid_check", "check_transition_bounds"}
     assert all(getattr(owner, attr) is original for owner, attr, original in patched)
+
+
+def test_benchmark_tracer_reads_the_check_reports(monkeypatch, tmp_path, capsys):
+    # the tracer reads each check report's attributes; renaming one fails
+    # here, not first in the benchmark
+    tracer = benchmark_tracer(monkeypatch)
+    cli = importlib.import_module("onelambda.cli")
+    summaries = {}
+    with tracer.installed():
+        for span, argv in (("oracle.bounds", ["bounds-check", "--n", "20", "--lambdas", "1,5"]),
+                           ("oracle.drift", ["drift-check", "--n", "30"])):
+            assert cli.main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+            summaries[span] = json.loads(capsys.readouterr().out)
+    attrs = {s.name: s.attrs for s in tracer.spans if s.name in summaries}
+    assert attrs == {
+        "oracle.bounds": {k: summaries["oracle.bounds"][k] for k in ("states", "checks")},
+        "oracle.drift": {"states": summaries["oracle.drift"]["states"]},
+    }

@@ -1,6 +1,7 @@
 """Exact transition distributions, sandwich bounds, potentials and drifts."""
 
 import decimal
+import gc
 import itertools
 import math
 import tracemalloc
@@ -15,7 +16,9 @@ from onelambda import oracle
 from onelambda.ea import ControllerParams, round_lambda, update_lambda
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
+    BOUND_COLUMNS,
     CHILD_WINDOW,
+    DRIFT_COLUMNS,
     LAMBDA_MAX,
     UNDEFINED_BELOW,
     _child_masses,
@@ -35,6 +38,11 @@ from onelambda.oracle import (
 )
 
 E = math.e
+
+
+def named(report, columns):
+    """A check report's rows as dicts keyed by its CSV's columns."""
+    return [dict(zip(columns, row)) for row in report.rows]
 
 
 def onemax_pmf(n, i, lam):
@@ -323,7 +331,7 @@ class TestLevelQuantities:
         # at i = 0 nothing falls: the backward drift is undefined and unchecked
         assert state_quantities(10, [0], [4]).p_minus[0] == 0.0
         report = check_transition_bounds(10, lambdas=(4,))
-        at_zero = {c.quantity for c in report.rows if c.i == 0}
+        at_zero = {c["quantity"] for c in named(report, BOUND_COLUMNS) if c["i"] == 0}
         assert "delta_plus" in at_zero and "delta_minus" not in at_zero
 
     def test_p_plus_monotone_in_i_and_lambda(self):
@@ -498,24 +506,24 @@ class TestTransitionBounds:
     def test_hard_band_cap_checked_at_163(self):
         report = check_transition_bounds(163, lambdas=(1,))
         assert report.ok
-        rows = [c for c in report.rows if c.name == "p_plus_upper_hard_band"]
-        assert sorted({c.i for c in rows}) == [137, 138]  # the 0.84n..0.85n levels
-        assert all(c.exact <= 0.069 for c in rows)
+        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_hard_band"]
+        assert sorted({c["i"] for c in rows}) == [137, 138]  # the 0.84n..0.85n levels
+        assert all(c["exact"] <= 0.069 for c in rows)
 
     def test_log_cap_applies_from_lambda_five(self):
         report = check_transition_bounds(20, lambdas=(4, 5, 8))
         assert report.ok
-        rows = [c for c in report.rows if c.name == "delta_plus_upper_log"]
-        assert {c.lam for c in rows} == {5, 8}
-        five = next(c for c in rows if c.lam == 5)
-        assert abs(five.bound - (math.ceil(math.log2(5)) + 0.413)) < 1e-15  # 3.413
+        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "delta_plus_upper_log"]
+        assert {c["lambda"] for c in rows} == {5, 8}
+        five = next(c for c in rows if c["lambda"] == 5)
+        assert abs(five["bound_value"] - (math.ceil(math.log2(5)) + 0.413)) < 1e-15  # 3.413
 
     def test_refined_upper_restricted_to_hard_levels(self):
         n = 50
         report = check_transition_bounds(n, lambdas=(1, 2))
         assert report.ok
-        rows = [c for c in report.rows if c.name == "p_plus_upper_refined"]
-        assert rows and all(c.i >= 0.87 * n for c in rows)
+        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_refined"]
+        assert rows and all(c["i"] >= 0.87 * n for c in rows)
 
     @pytest.mark.parametrize("n, lams", [(60, (1, 2, 5, 64)), (163, (1, 3, 8))])
     def test_rows_are_the_scalar_loop_bitwise(self, n, lams):
@@ -525,9 +533,10 @@ class TestTransitionBounds:
         assert [c[:6] for c in report.rows] == [w[:6] for w in want]
         got = np.array([c[6:8] for c in report.rows])
         assert np.array_equal(got.view(np.int64), np.array([w[6:] for w in want]).view(np.int64))
-        for c in report.rows:
-            assert c.margin == (c.bound - c.exact if c.side == "upper" else c.exact - c.bound)
-            assert c.ok is (c.margin >= -1e-10)
+        for c in named(report, BOUND_COLUMNS):
+            exact, bound = c["exact"], c["bound_value"]
+            assert c["margin"] == (bound - exact if c["side"] == "upper" else exact - bound)
+            assert c["pass"] is (c["margin"] >= -1e-10)
         assert {tuple(map(type, c)) for c in report.rows} == {
             (int, int, int, str, str, str, float, float, float, bool)}
 
@@ -537,22 +546,24 @@ class TestTransitionBounds:
                   for b in oracle._BOUNDS]
         monkeypatch.setattr(oracle, "_BOUNDS", bounds)
         report = check_transition_bounds(60, lambdas=(1, 2, 5))
-        failing = [c for c in report.rows if not c.ok]
+        failing = [row for row in report.rows if not dict(zip(BOUND_COLUMNS, row))["pass"]]
         assert 0 < len(failing) < len(report.rows)
         assert report.violations == failing and not report.ok
-        assert {c.name for c in failing} == {"p_plus_upper_refined"}
+        assert {dict(zip(BOUND_COLUMNS, row))["bound"] for row in failing} == {
+            "p_plus_upper_refined"}
 
     def test_one_bit(self):
         # the only bit always flips: (1 - 1/n)^n = 0, not a log1p(-1) domain error
         report = check_transition_bounds(1, lambdas=(1, 2))
         assert report.ok and report.states_checked == 2
-        assert {c.exact for c in report.rows if c.quantity == "p_plus"} == {1.0}
+        rows = named(report, BOUND_COLUMNS)
+        assert {c["exact"] for c in rows if c["quantity"] == "p_plus"} == {1.0}
 
     def test_negative_base_lower_bound_skipped(self):
         # (i/n - 1/e)^lam is only meaningful once i/n >= 1/e
         report = check_transition_bounds(20, lambdas=(2,))
-        rows = [c for c in report.rows if c.name == "p_minus_lower"]
-        assert all(c.i / 20 >= 1 / E for c in rows)
+        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_minus_lower"]
+        assert all(c["i"] / 20 >= 1 / E for c in rows)
 
 
 def brute_force_drift(n, i, lam_real, potential, params, cap_gain_at_one=False):
@@ -596,7 +607,7 @@ def grid_drifts(pot, params, n, states, cap_gain_at_one=False):
     """The drift of each (i, lambda_real) state, from one drift_grid_check."""
     report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least",
                               cap_gain_at_one=cap_gain_at_one)
-    return [row[4] for row in report.rows]
+    return [c["drift"] for c in named(report, DRIFT_COLUMNS)]
 
 
 class TestExactPotentialDrift:
@@ -677,7 +688,7 @@ class TestDriftGridCheck:
         report = drift_grid_check(
             make_potential("g2", F=1.5), params, 100, states, -0.0008, "max_at_most"
         )
-        assert report.empty and not report.ok  # no states in band is not a pass
+        assert report.states_checked == 0 and not report.ok  # no states in band is not a pass
         assert report.rows == [] and report.extreme is None
 
     def test_band_states_at_n1000(self):
@@ -703,15 +714,16 @@ class TestDriftGridCheck:
         states = [(i, lam) for i in range(0, 30, 2) for lam in (1.0, 2.5, 7.0)]
         first = drift_grid_check(pot, params, 30, states, 0.0, direction)
         # an odd count, so one state sits exactly on the threshold and passes
-        threshold = float(np.median([row[4] for row in first.rows]))
+        threshold = float(np.median([c["drift"] for c in named(first, DRIFT_COLUMNS)]))
         report = drift_grid_check(pot, params, 30, states, threshold, direction)
         flagged = []
-        for n, i, lam, lam_int, d, thr, margin, passed in report.rows:
-            assert (n, thr, lam_int) == (30, threshold, round_lambda(lam))
+        for row, c in zip(report.rows, named(report, DRIFT_COLUMNS)):
+            d, thr, margin = c["drift"], c["threshold"], c["margin"]
+            assert (c["n"], thr, c["lambda_int"]) == (30, threshold, round_lambda(c["lambda_real"]))
             assert margin == (d - thr if direction == "min_at_least" else thr - d)
-            assert passed == (d >= thr if direction == "min_at_least" else d <= thr)
-            if not passed:
-                flagged.append((i, lam, d))
+            assert c["pass"] == (d >= thr if direction == "min_at_least" else d <= thr)
+            if not c["pass"]:
+                flagged.append(row)
         assert flagged == report.violations and len(flagged) == len(states) // 2
 
     @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
@@ -723,7 +735,7 @@ class TestDriftGridCheck:
         states = [(i, lam) for i in (3, 7, 12) for lam in (1.0, 2.5)]
         report = drift_grid_check(NanPotential(), ControllerParams(F=1.5, s=1.0), 20, states,
                                   0.0, direction)
-        assert [row[7] for row in report.rows] == [False] * len(states)
+        assert [c["pass"] for c in named(report, DRIFT_COLUMNS)] == [False] * len(states)
         assert len(report.violations) == len(states) and not report.ok
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
@@ -750,9 +762,10 @@ class TestDriftGridCheck:
         report = drift_grid_check(pot, params, n, states, threshold, direction,
                                   cap_gain_at_one=cap)
         states = [(int(i), lam) for i, lam in states.tolist()]
-        assert [row[1:4] for row in report.rows] == [
+        rows = named(report, DRIFT_COLUMNS)
+        assert [(c["i"], c["lambda_real"], c["lambda_int"]) for c in rows] == [
             (i, lam, round_lambda(lam)) for i, lam in states]
-        got = np.array([row[4] for row in report.rows])
+        got = np.array([c["drift"] for c in rows])
         want = np.array([reference_drift(pot, n, i, lam, params, cap) for i, lam in states])
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
         k = int(np.argmin(want) if direction == "min_at_least" else np.argmax(want))
@@ -760,6 +773,21 @@ class TestDriftGridCheck:
         assert [type(v) for v in (report.extreme, *report.extreme_state)] == [float, int, float]
         assert {tuple(map(type, row)) for row in report.rows} == {
             (int, int, float, int, float, float, float, bool)}
+
+
+@pytest.mark.parametrize("check", ["bounds", "drift"])
+def test_rows_are_plain_tuples_the_collector_untracks(check):
+    # a tuple subclass (a namedtuple) stays tracked, and every full
+    # collection would walk each row of a large grid
+    if check == "bounds":
+        report = check_transition_bounds(40, lambdas=(1, 5))
+    else:
+        pot, states, threshold, direction = drift_claim("g1", 40, 1.5, 0.5)
+        report = drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), 40, states, threshold,
+                                  direction)
+    gc.collect()
+    assert report.rows and all(type(row) is tuple for row in report.rows)
+    assert not any(gc.is_tracked(row) for row in report.rows)
 
 
 class TestDriftClaim:
@@ -829,6 +857,6 @@ class TestUndefinedThreshold:
         assert q["p_minus"] == 0.0
         assert math.isfinite(q["gain"]) and math.isfinite(q["loss"])
         report = check_transition_bounds(50, lambdas=(200,))
-        backward = {c.i for c in report.rows if c.quantity == "delta_minus"}
+        backward = {c["i"] for c in named(report, BOUND_COLUMNS) if c["quantity"] == "delta_minus"}
         assert 1 not in backward and 25 in backward
         assert report.ok
