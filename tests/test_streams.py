@@ -24,11 +24,13 @@ on the evaluations of 600 runs per selection agreed (BENCH_ridge_stream.json).
 
 The oracle commands' CSVs are pinned byte for byte as well, written
 without the timestamp line, so a change to the CSV writer or to the
-oracle's arithmetic cannot pass silently.  So is the ratchet figure's
-CSV, which pins the ratchet monitor's counts over seeded full-trace runs.
+oracle's arithmetic cannot pass silently, and so are their printed
+summaries.  So is the ratchet figure's CSV, which pins the ratchet
+monitor's counts over seeded full-trace runs.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -128,22 +130,38 @@ def test_full_trace_digest_pinned(kind, spec, n, F, s, stop, seed, lambda0, caus
     assert record_digest(rec) == digest
 
 
-# (argv, SHA-256 of the CSV the command writes with --no-timestamp)
+# (argv, SHA-256 of the CSV the command writes with --no-timestamp, its
+# stdout JSON without the "output" path)
 CSV_CASES = [
     ("drift-check --potential g1 --n 60",
-     "97d4a9014eace29178531bd67af46ec7cf05906be8b68d4193ad197e869b5a38"),
+     "97d4a9014eace29178531bd67af46ec7cf05906be8b68d4193ad197e869b5a38",
+     '{"potential": "g1", "states": 4020, "extreme_drift": 0.29910796346054525, '
+     '"extreme_state": [59, 366.96804684197105], "violations": 0, "band_empty": false}'),
     ("drift-check --potential g2 --n 1000 --s 18",
-     "0560baf1bb2bd7e8257160fa72a676ab4e7ff06281a0a4c0e4724ab50f06700b"),
+     "0560baf1bb2bd7e8257160fa72a676ab4e7ff06281a0a4c0e4724ab50f06700b",
+     '{"potential": "g2", "states": 109, "extreme_drift": -0.2262499553618309, '
+     '"extreme_state": [847, 1.5], "violations": 0, "band_empty": false}'),
     ("bounds-check --n 40 --lambdas 1,2,3,5,8",
-     "051ce51b418bdcd22ed16ebbf2e90f89aaeb1885f836ee72a989a943fb3d13ee"),
+     "051ce51b418bdcd22ed16ebbf2e90f89aaeb1885f836ee72a989a943fb3d13ee",
+     '{"n": 40, "states": 200, "checks": 2020, "violations": 0}'),
+    # the oracle-cli benchmark's sizes, each over many law blocks of levels
+    ("bounds-check --n 200 --lambdas " + ",".join(map(str, range(1, 25))),
+     "7030466f7750be16ede430ad188cb76109f2006f8015ec5e61e96d55d3a225e5",
+     '{"n": 200, "states": 4800, "checks": 50803, "violations": 0}'),
+    ("drift-check --n 400 --s 0.5",
+     "72cc805faf41ca8306932368d24d4ef892b6733c8aa8634b91ea7201b10ec48d",
+     '{"potential": "g1", "states": 26800, "extreme_drift": 0.29832078840008125, '
+     '"extreme_state": [399, 2446.4536456131405], "violations": 0, "band_empty": false}'),
 ]
 
 
-@pytest.mark.parametrize("argv, digest", CSV_CASES, ids=[case[0] for case in CSV_CASES])
-def test_oracle_csv_digest_pinned(argv, digest, tmp_path, capsys):
+@pytest.mark.parametrize("argv, digest, summary", CSV_CASES, ids=[case[0] for case in CSV_CASES])
+def test_oracle_csv_digest_pinned(argv, digest, summary, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main([*argv.split(), "--no-timestamp", "--out", str(out)]) == 0
-    capsys.readouterr()
+    printed = json.loads(capsys.readouterr().out)
+    assert printed.pop("output") == str(out)
+    assert json.dumps(printed) == summary  # values and key order
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
