@@ -62,13 +62,14 @@ def _write_output(args, name, rows, meta, summary, columns=None) -> None:
     ``meta`` as the config header to --out, else to --out-dir/``name``,
     else to $ONELAMBDA_OUTDIR/``name`` (default the working directory);
     the columns are the first dict row's keys unless given.  Then print
-    ``summary`` as JSON with the path added as "output"."""
+    ``summary()`` as JSON with the path added as "output": it is called
+    after the write, so it may read what a stream of rows tallied."""
     out = getattr(args, "out", None)
     out = Path(out) if out else Path(
         getattr(args, "out_dir", None) or os.environ.get("ONELAMBDA_OUTDIR", "."), name)
     xp.write_csv(out, columns or list(rows[0].keys()), rows, meta=meta,
                  timestamp=not args.no_timestamp)
-    print(json.dumps({**summary, "output": str(out)}))
+    print(json.dumps({**summary(), "output": str(out)}))
 
 
 def positive_int(text: str) -> int:
@@ -182,7 +183,7 @@ def cmd_run(args) -> int:
         "best_fitness": rec.best_fitness,
     }
     _write_output(args, "run_trace.csv", _trace_rows(rec, fn, run_id=0),
-                  {**_settings(args), "algorithm": kind.label}, summary, TRACE_COLUMNS)
+                  {**_settings(args), "algorithm": kind.label}, lambda: summary, TRACE_COLUMNS)
     return 0
 
 
@@ -218,14 +219,14 @@ def cmd_batch(args) -> int:
                 }
             )
     _write_output(args, "batch_runs.csv", rows, config.to_dict(),
-                  {"cells": len(batch.cells), "runs": len(rows)})
+                  lambda: {"cells": len(batch.cells), "runs": len(rows)})
     return 0
 
 
 def cmd_figure(args) -> int:
     rows, meta = xp.run_figure(args.name, args.seed, args.full_scale, _workers(args),
                                _progress)
-    _write_output(args, xp.FIGURES[args.name].csv, rows, meta, {"preset": args.name})
+    _write_output(args, xp.FIGURES[args.name].csv, rows, meta, lambda: {"preset": args.name})
     return 0
 
 
@@ -233,7 +234,7 @@ def cmd_sweep(args) -> int:
     config = _batch_config(args, args.n, args.s, args.runs)
     batch = xp.run_batch(config, workers=_workers(args), progress=_progress)
     rows = xp.sweep_table(batch)
-    _write_output(args, "fig3_sweep.csv", rows, _settings(args), {"cells": len(rows)})
+    _write_output(args, "fig3_sweep.csv", rows, _settings(args), lambda: {"cells": len(rows)})
     return 0
 
 
@@ -242,7 +243,8 @@ def cmd_fixed_target(args) -> int:
     xp.check_targets(args.targets, FitnessFunction.parse(config.fn_spec, args.n).optimum_raw + 1)
     batch = xp.run_batch(config, workers=_workers(args), progress=_progress)
     rows = [row for cell in batch.cells for row in xp.fixed_target_table(cell, args.targets)]
-    _write_output(args, "fig4_fixed_target.csv", rows, _settings(args), {"rows": len(rows)})
+    _write_output(args, "fig4_fixed_target.csv", rows, _settings(args),
+                  lambda: {"rows": len(rows)})
     return 0
 
 
@@ -257,14 +259,17 @@ def cmd_drift_check(args) -> int:
         pot, ControllerParams(F=F, s=args.s), n, states, threshold, direction,
         cap_gain_at_one=args.cap_gain,
     )
-    summary = {
-        "potential": kind,
-        "states": report.states_checked,
-        "extreme_drift": report.extreme,
-        "extreme_state": report.extreme_state,
-        "violations": len(report.violations),
-        "band_empty": report.states_checked == 0,
-    }
+
+    def summary():  # the tallies are final once the rows have passed
+        return {
+            "potential": kind,
+            "states": report.states_checked,
+            "extreme_drift": report.extreme,
+            "extreme_state": report.extreme_state,
+            "violations": report.violations,
+            "band_empty": report.states_checked == 0,
+        }
+
     _write_output(args, f"drift_{kind}.csv", report.rows, _settings(args), summary,
                   DRIFT_COLUMNS)
     return 0 if report.ok else 1
@@ -272,12 +277,15 @@ def cmd_drift_check(args) -> int:
 
 def cmd_bounds_check(args) -> int:
     report = check_transition_bounds(args.n, lambdas=args.lambdas)
-    summary = {
-        "n": args.n,
-        "states": report.states_checked,
-        "checks": report.checks_performed,
-        "violations": len(report.violations),
-    }
+
+    def summary():  # the tallies are final once the rows have passed
+        return {
+            "n": args.n,
+            "states": report.states_checked,
+            "checks": report.checks_performed,
+            "violations": report.violations,
+        }
+
     _write_output(args, "bounds_report.csv", report.rows, _settings(args), summary,
                   BOUND_COLUMNS)
     return 0 if report.ok else 1

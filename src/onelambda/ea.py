@@ -449,18 +449,27 @@ class _Trace:
 
     def attach(self, rec: "RunRecord") -> None:
         if self.want_levels:
-            rec.first_hit_evals = np.array(self.first_hit, dtype=np.int64)
-            rec.gens_at = np.array(self.gens_at, dtype=np.int64)
-            rec.lambda_sum_at = np.array(self.lambda_sum_at, dtype=np.int64)
+            rec.first_hit_evals = _ints(self.first_hit)
+            rec.gens_at = _ints(self.gens_at)
+            rec.lambda_sum_at = _ints(self.lambda_sum_at)
         if self.want_rows:
             rec.rows = {
                 "generation": np.arange(len(self.r_fit), dtype=np.int64),
                 "fitness_raw": np.array(self.r_fit, dtype=np.int64),
                 "lambda_real": np.array(self.r_lam, dtype=np.float64),
-                "lambda_int": np.array(self.r_lint, dtype=np.int64),
-                "evaluations": np.array(self.r_evals, dtype=np.int64),
+                "lambda_int": _ints(self.r_lint),
+                "evaluations": _ints(self.r_evals),
                 "best_raw": np.array(self.r_best, dtype=np.int64),
             }
+
+
+def _ints(values: list) -> np.ndarray:
+    """Trace counts as int64, or as exact Python ints (dtype object) past
+    int64: the lambda that aborts a run, or a huge static lambda's evaluations."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):

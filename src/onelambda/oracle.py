@@ -33,12 +33,14 @@ bits, and the onemax quantities above read onemax's rows.
 The onemax checks run over arrays.  :func:`state_quantities` gives the
 quantities of a list of states (i, lam) as arrays, from one numpy pass
 per group of at most 256 states that share a block of levels and a
-window shape.  :func:`drift_grid_check` calls it once on its distinct
-(i, round(lambda)) pairs and gathers each state's into one drift
-expression, and :func:`check_transition_bounds` calls it once per law
-block of levels x lams and evaluates each bound over that block.  Each
-check returns one :class:`CheckReport`: the rows its CLI command writes,
-as plain tuples, with the verdicts read from their ``pass`` column.
+window shape.  :func:`drift_grid_check` calls it once per run of states
+in one law block of levels, on the run's distinct (i, round(lambda))
+pairs, and gathers each state's into one drift expression, and
+:func:`check_transition_bounds` calls it once per law block of levels x
+lams and evaluates each bound over that block.  Each check returns one
+:class:`CheckReport`: a stream of the rows its CLI command writes, as
+plain tuples, one block at a time, so memory does not grow with the
+grid; the verdicts are tallied from their ``pass`` column as they pass.
 Entries that pass through exp, log1p, expm1, log2 or a power (p_plus,
 p_minus and eight of the bounds) stay ``math`` scalars, one call per (i,
 lam) or per lam: numpy's SIMD versions differ from ``math`` in the last
@@ -76,9 +78,9 @@ them from the top (which puts any deficit on the lowest fitness), sum to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -404,28 +406,34 @@ def max_flip_gain_series(lam: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class CheckReport:
-    """Outcome of a check over a grid of states: the rows its CLI command
-    writes, plain tuples in the order of the command's columns
-    (:data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS`), whose last field is
-    the verdict ``pass``.  The drift check also gives its extreme drift and
-    the state (i, lambda_real) where it lies; both are None on an empty
-    grid, and on the bound check."""
+    """Outcome of a check over a grid of states.  ``rows`` streams the rows
+    its CLI command writes, a block of states at a time: plain tuples in
+    :data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS` order, ending in the
+    verdict ``pass``.  ``states_checked`` is the grid's size; the rest is
+    tallied as the rows pass: ``checks_performed`` (the rows),
+    ``violations`` (the rows that fail) and, on the drift check, the
+    extreme drift and its state (i, lambda_real), else None.  ``ok`` raises
+    until ``rows`` is exhausted."""
 
-    states_checked: int
-    rows: list
-    extreme: float | None = None
-    extreme_state: tuple | None = None
-    checks_performed: int = field(init=False)
-    violations: list = field(init=False)
+    def __init__(self, states_checked: int, blocks=()):
+        self.states_checked = states_checked
+        self.checks_performed = self.violations = 0
+        self.extreme = self.extreme_state = None
+        self._done = False
+        self.rows = chain.from_iterable(self._tally(blocks))
 
-    def __post_init__(self) -> None:
-        self.checks_performed = len(self.rows)
-        self.violations = [row for row in self.rows if not row[-1]]
+    def _tally(self, blocks):
+        for block in blocks:
+            self.checks_performed += len(block)
+            self.violations += len(block) - sum(map(itemgetter(-1), block))
+            yield block
+        self._done = True
 
     @property
     def ok(self) -> bool:
+        if not self._done:
+            raise RuntimeError("the check's verdict is known once its rows are exhausted")
         # an empty grid proves nothing and is not a pass
         return self.states_checked > 0 and not self.violations
 
@@ -608,19 +616,20 @@ def check_transition_bounds(n: int, lambdas) -> CheckReport:
     with both sides, a plain tuple.
     Each bound is one array expression, with an array precondition mask,
     over one law block of levels (_LAW_BLOCK of them) x lams read from one
-    :func:`state_quantities` call; the rows come out in (i, lam, bound)
-    order, one block at a time.  The (1 - base)^lam bounds and the plain
-    powers stay ``math`` scalars, one call per state, as p_plus and
-    p_minus do: numpy's SIMD exp, log1p, expm1 and power may differ from
-    ``math`` in the last place.
+    :func:`state_quantities` call; the rows stream out in (i, lam, bound)
+    order, one block at a time, so a block's rows are all that is held.
+    The lams are checked before any row.  The (1 - base)^lam bounds and
+    the plain powers stay ``math`` scalars, one call per state, as p_plus
+    and p_minus do: numpy's SIMD exp, log1p, expm1 and power may differ
+    from ``math`` in the last place.
     """
     lams = tuple(int(lam) for lam in lambdas)
     if n < 1 or not lams:
-        return CheckReport(0, [])
-    rows = []
-    for lo in range(0, n, _LAW_BLOCK):
-        rows += _bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
-    return CheckReport(n * len(lams), rows)
+        return CheckReport(0)
+    for lam in (min(lams), max(lams)):
+        _check_lam(lam)
+    return CheckReport(n * len(lams), (_bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
+                                       for lo in range(0, n, _LAW_BLOCK)))
 
 
 # ---------------------------------------------------------------------------
@@ -736,14 +745,17 @@ def drift_grid_check(
     side; a state passes when its margin is >= 0, so a NaN drift is
     flagged.  The threshold must be finite.  Violations are data (the
     claims are asymptotic), so they are returned, not raised: the report
-    holds one :data:`DRIFT_COLUMNS` row per state, in order, and the
-    extreme drift (the least for "min_at_least", else the greatest) with
-    its state.
+    streams one :data:`DRIFT_COLUMNS` row per state, in order, and keeps
+    the extreme drift (the least for "min_at_least", else the greatest)
+    with its state: the first one, and the first NaN if any, as numpy's
+    argmin and argmax pick over the whole grid.
 
-    The level quantities come from one :func:`state_quantities` call over
-    the distinct (i, round(lambda_real)) pairs, the controller's scalar
-    code runs once per distinct lambda_real, and one array expression
-    (:func:`_drift`) gives every drift.
+    The lambdas, and each distinct lambda_real's controller terms (the
+    scalar code runs once per distinct value), are checked before any
+    row.  Then each run of consecutive states whose levels share a law
+    block takes its level quantities from one :func:`state_quantities`
+    call over its distinct (i, round(lambda_real)) pairs, and one array
+    expression (:func:`_drift`) gives its drifts.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
@@ -751,28 +763,39 @@ def drift_grid_check(
         raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     if not len(grid):
-        return CheckReport(0, [])
+        return CheckReport(0)
     i, lam_real = grid[:, 0].astype(int), grid[:, 1]
     lam_values, lam_of = np.unique(lam_real, return_inverse=True)
     if lam_values[0] < 1.0:
         raise ValueError(f"lambda_real must be >= 1, got {lam_values[0]}")
     per_lam = [(round_lambda(x), *_lambda_terms(potential, x, params))
                for x in lam_values.tolist()]
-    lam, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
-    counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
-    lam, *terms = (col[lam_of] for col in (lam, *terms))
-    # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
-    pairs, pair_of = np.unique(i * counts.size + count_of[lam_of], return_inverse=True)
-    q = state_quantities(n, pairs // counts.size, counts[pairs % counts.size])
-    p_plus, _, _, gain, loss = (col[pair_of] for col in q)  # per state
-    drift = _drift(p_plus, gain, loss, terms, cap_gain_at_one)
-    if direction == "min_at_least":
-        k, margin = np.argmin(drift), drift - threshold
-    else:
-        k, margin = np.argmax(drift), threshold - drift
-    rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam.tolist(), drift.tolist(),
-                    repeat(threshold), margin.tolist(), (margin >= 0).tolist()))
-    return CheckReport(len(grid), rows, float(drift[k]), (int(i[k]), float(lam_real[k])))
+    lams, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
+    _check_lam(lams[-1])
+    counts, count_of = np.unique(lams, return_inverse=True)  # the distinct offspring counts
+    pick = np.argmin if direction == "min_at_least" else np.argmax
+
+    def blocks():
+        cuts = [0, *(np.flatnonzero(np.diff(i // _LAW_BLOCK)) + 1).tolist(), len(grid)]
+        for run in map(slice, cuts[:-1], cuts[1:]):
+            at, run_i, run_real = lam_of[run], i[run], lam_real[run]
+            # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
+            pairs, pair_of = np.unique(run_i * counts.size + count_of[at], return_inverse=True)
+            q = state_quantities(n, pairs // counts.size, counts[pairs % counts.size])
+            p_plus, _, _, gain, loss = (col[pair_of] for col in q)  # per state
+            drift = _drift(p_plus, gain, loss, [t[at] for t in terms], cap_gain_at_one)
+            margin = drift - threshold if direction == "min_at_least" else threshold - drift
+            k = pick(drift)
+            # numpy's rule across runs: a tie keeps the earlier state, a NaN wins
+            if report.extreme is None or pick([report.extreme, drift[k]]):
+                report.extreme = float(drift[k])
+                report.extreme_state = (int(run_i[k]), float(run_real[k]))
+            yield list(zip(repeat(n), run_i.tolist(), run_real.tolist(), lams[at].tolist(),
+                           drift.tolist(), repeat(threshold), margin.tolist(),
+                           (margin >= 0).tolist()))
+
+    report = CheckReport(len(grid), blocks())
+    return report
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

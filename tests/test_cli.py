@@ -1,13 +1,17 @@
 """CLI dispatch, config handling and output files."""
 
+import csv
 import json
 import shlex
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from onelambda import experiments as xp
+from onelambda import oracle
 from onelambda.cli import build_parser, main
 from onelambda.ea import LAMBDA_MAX
 from onelambda.oracle import elitist_evaluations_bound
@@ -15,6 +19,10 @@ from onelambda.oracle import elitist_evaluations_bound
 
 def read_data_lines(path):
     return [l for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+def read_csv_rows(path):
+    return list(csv.DictReader(read_data_lines(path)))
 
 
 def assert_overflow_is_config_error(argv, tmp_path, capsys):
@@ -137,6 +145,25 @@ class TestRunCommand:
         assert "argument --static-lambda: must be >= 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        # the step that aborts on lambda leaves lambda_int = 10^30
+        "run --n 10 --s 1 --F 1e30 --eval-cap 100",
+        # 18 generations of LAMBDA_MAX children: 1.64e19 evaluations
+        f"run --n 400 --s 1 --algo static --static-lambda {LAMBDA_MAX}",
+    ])
+    def test_full_trace_past_int64_ends_on_the_summary_values(self, argv, tmp_path, capsys):
+        runs = {}
+        for trace in ("summary", "full"):
+            out = tmp_path / f"{trace}.csv"
+            assert main([*argv.split(), "--trace", trace, "--out", str(out)]) == 0
+            printed = json.loads(capsys.readouterr().out)
+            runs[trace] = printed, read_csv_rows(out)[-1]
+        (summary, last), (full, row) = runs["summary"], runs["full"]
+        assert {**summary, "output": None} == {**full, "output": None}
+        assert row.pop("lambda_int") and last.pop("lambda_int") == ""
+        assert row == last
+        assert int(row["evaluations"]) == full["evaluations"]
+
     def test_golden_output_reproducible(self, tmp_path):
         out = tmp_path / "a.csv"
         args = ["run", "--algo", "comma", "--n", "40", "--s", "1", "--seed", "9",
@@ -238,6 +265,7 @@ class TestAnalysisCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and "lam" in err
+        assert not any(tmp_path.iterdir())  # checked before the rows stream out
 
     def test_bounds_check_rejects_lambda_past_the_window_bound(self, tmp_path, capsys):
         rc = main(["bounds-check", "--n", "10", f"--lambdas=1,{LAMBDA_MAX + 1}",
@@ -245,6 +273,58 @@ class TestAnalysisCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and str(LAMBDA_MAX) in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, code", [
+        ("bounds-check --n 40 --lambdas 1,2,5", 0),
+        ("drift-check --n 60 --s 0.5 --threshold 0.5", 1),  # 56 violations
+        ("drift-check --potential g2 --n 1000 --s 18 --threshold -0.3", 1),
+        ("drift-check --potential g2 --n 100", 1),  # an empty band
+    ])
+    def test_printed_summary_is_the_written_csv(self, argv, code, tmp_path, capsys):
+        # the tallies pass with the streamed rows; recount them from the file
+        out = tmp_path / "out.csv"
+        assert main([*argv.split(), "--out", str(out)]) == code
+        summary = json.loads(capsys.readouterr().out)
+        rows = read_csv_rows(out)
+        assert summary["violations"] == sum(row["pass"] == "False" for row in rows)
+        if argv.startswith("bounds-check"):
+            assert summary["checks"] == len(rows)
+            assert summary["states"] == len({(row["i"], row["lambda"]) for row in rows})
+            return
+        assert summary["states"] == len(rows)
+        if not rows:
+            assert summary["extreme_drift"] is summary["extreme_state"] is None
+            return
+        drift = np.array([float(row["drift"]) for row in rows])
+        k = int(np.argmin(drift) if "g2" not in argv else np.argmax(drift))
+        assert summary["extreme_drift"] == drift[k]
+        assert summary["extreme_state"] == [int(rows[k]["i"]), float(rows[k]["lambda_real"])]
+
+    @pytest.mark.parametrize("argv", [
+        ["bounds-check", "--lambdas", ",".join(map(str, range(1, 25)))],
+        ["drift-check", "--potential", "g1", "--s", "0.5"],
+    ], ids=["bounds-check", "drift-check"])
+    def test_check_memory_does_not_grow_with_n(self, argv, tmp_path, capsys):
+        # the rows stream into the CSV a law block of levels at a time; held
+        # whole until the write, they took the peak from 6.2 to 20.3 MB
+        # (bounds) and from 2.7 to 10.8 MB (drift) between these sizes
+        memos = [f for f in vars(oracle).values() if callable(getattr(f, "cache_clear", None))]
+
+        def peak(n):
+            for memo in memos:  # cold, as in a fresh process
+                memo.cache_clear()
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--n", str(n), "--out", str(tmp_path / "out.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(20)  # lazy imports and first-call set-up, outside the measure
+        small, large = peak(100), peak(400)
+        assert large <= 2 * small, (small, large)
 
     @pytest.mark.parametrize("argv, code", [
         (["bounds-check", "--n", "0"], 2),
