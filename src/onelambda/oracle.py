@@ -39,8 +39,8 @@ pairs, and gathers each state's into one drift expression, and
 :func:`check_transition_bounds` calls it once per law block of levels x
 lams and evaluates each bound over that block.  Each check returns one
 :class:`CheckReport`: a stream of the rows its CLI command writes, as
-plain tuples, one block at a time, so memory does not grow with the
-grid; the verdicts are tallied from their ``pass`` column as they pass.
+plain tuples, one block at a time, so the rows held do not grow with
+the grid; the verdicts are tallied from their ``pass`` column as they pass.
 Entries that pass through exp, log1p, expm1, log2 or a power (p_plus,
 p_minus and eight of the bounds) stay ``math`` scalars, one call per (i,
 lam) or per lam: numpy's SIMD versions differ from ``math`` in the last
