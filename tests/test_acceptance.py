@@ -86,7 +86,8 @@ def test_c03_sandwich_bounds_zero_violations():
                 violations.append(row)
         total_checks += report.checks_performed
         verdicts.append(report.ok)
-    ok = all(verdicts) and not violations and {"p_plus_upper_hard_band", "delta_plus_upper_log"} <= checked
+    ok = (all(verdicts) and not violations
+          and {"p_plus_upper_hard_band", "delta_plus_upper_log"} <= checked)
     record_criterion("C3", "transition-quantity sandwich bounds on the full grid",
                      ok, f"{total_checks} checks, {len(violations)} violations")
     assert ok, violations[:5]
