@@ -255,40 +255,33 @@ def cmd_drift_check(args) -> int:
     pot, states, threshold, direction = drift_claim(kind, n, F, args.s)
     if args.threshold is not None:
         threshold = args.threshold
-    report = drift_grid_check(
-        pot, ControllerParams(F=F, s=args.s), n, states, threshold, direction,
-        cap_gain_at_one=args.cap_gain,
-    )
-
-    def summary():  # the tallies are final once the rows have passed
-        return {
+    def write(report):  # inside the check's call, which returns with final tallies
+        _write_output(args, f"drift_{kind}.csv", report.rows, _settings(args), lambda: {
             "potential": kind,
             "states": report.states_checked,
             "extreme_drift": report.extreme,
             "extreme_state": report.extreme_state,
             "violations": report.violations,
             "band_empty": report.states_checked == 0,
-        }
+        }, DRIFT_COLUMNS)
 
-    _write_output(args, f"drift_{kind}.csv", report.rows, _settings(args), summary,
-                  DRIFT_COLUMNS)
+    report = drift_grid_check(
+        pot, ControllerParams(F=F, s=args.s), n, states, threshold, direction,
+        cap_gain_at_one=args.cap_gain, write=write,
+    )
     return 0 if report.ok else 1
 
 
 def cmd_bounds_check(args) -> int:
-    report = check_transition_bounds(args.n, lambdas=args.lambdas)
-
-    def summary():  # the tallies are final once the rows have passed
-        return {
+    def write(report):  # inside the check's call, which returns with final tallies
+        _write_output(args, "bounds_report.csv", report.rows, _settings(args), lambda: {
             "n": args.n,
             "states": report.states_checked,
             "checks": report.checks_performed,
             "violations": report.violations,
-        }
+        }, BOUND_COLUMNS)
 
-    _write_output(args, "bounds_report.csv", report.rows, _settings(args), summary,
-                  BOUND_COLUMNS)
-    return 0 if report.ok else 1
+    return 0 if check_transition_bounds(args.n, lambdas=args.lambdas, write=write).ok else 1
 
 
 def cmd_bound(args) -> int:

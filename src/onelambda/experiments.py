@@ -15,12 +15,13 @@ normalised by n, matching the 500n generation cap.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import json
 import math
 import os
 from collections.abc import Callable
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -198,10 +199,8 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(workers: int):
-    """This process's ProcessPoolExecutor of ``workers`` workers, created on
-    first use; ``concurrent.futures`` (and with it ``multiprocessing``) is
-    imported then, so a command that starts no pool never loads it.
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """This process's pool of ``workers`` workers, created on first use.
 
     Later calls with the same worker count return the same pool, so its
     workers keep their level blocks and law rows warm from batch to batch.
@@ -213,41 +212,16 @@ def _pool(workers: int):
     pool's first task, before the executor starts its manager thread, and
     run the program as it was then.  The old pool is shut down before a new
     one forks, so no fork happens beside a live manager thread.  At
-    interpreter exit :func:`_drop_pool` shuts the pool down while the
-    modules it needs are still loaded.
+    interpreter exit ``concurrent.futures`` joins the workers.
     """
-    from concurrent.futures import ProcessPoolExecutor
-
     global _POOL
-    if _POOL is not None and _POOL[0] == os.getpid() and _POOL[1] == workers:
-        return _POOL[2]
-    _drop_pool()
-    _POOL = (os.getpid(), workers, ProcessPoolExecutor(max_workers=workers))
-    return _POOL[2]
-
-
-@atexit.register
-def _drop_pool() -> None:
-    """Shut down the pool if this process owns it (not if it came through
-    fork), and forget it."""
-    global _POOL
-    if _POOL is not None and _POOL[0] == os.getpid():
+    pid = os.getpid()
+    if _POOL is not None and _POOL[0] == pid:
+        if _POOL[1] == workers:
+            return _POOL[2]
         _POOL[2].shutdown()
-    _POOL = None
-
-
-def _pool_map(workers: int, tasks: list):
-    """The records of ``tasks`` from the pool, in order, in chunks of
-    ceil(len(tasks) / (4 * workers)).  If a worker dies, the pool is
-    dropped and ``BrokenProcessPool`` propagates."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    chunksize = math.ceil(len(tasks) / (_CHUNKS_PER_WORKER * workers))
-    try:
-        yield from _pool(workers).map(_run_one, tasks, chunksize=chunksize)
-    except BrokenProcessPool:
-        _drop_pool()
-        raise
+    _POOL = (pid, workers, ProcessPoolExecutor(max_workers=workers))
+    return _POOL[2]
 
 
 def run_batch(config: BatchConfig, workers: int | None = None, progress=None) -> BatchResult:
@@ -281,14 +255,21 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
     order = sorted(range(len(tasks)), key=lambda k: (tasks[k][2], tasks[k][4]), reverse=True)
     ordered = [tasks[k] for k in order]
     records = [None] * len(tasks)
-    if workers > 1 and len(tasks) > 1:
-        results = _pool_map(workers, ordered)
-    else:
-        results = map(_run_one, ordered)
-    for done, (k, rec) in enumerate(zip(order, results), 1):
-        records[k] = rec
-        if progress is not None:
-            progress(done, len(tasks))
+    try:
+        if workers > 1 and len(tasks) > 1:
+            chunksize = math.ceil(len(tasks) / (_CHUNKS_PER_WORKER * workers))
+            results = _pool(workers).map(_run_one, ordered, chunksize=chunksize)
+        else:
+            results = map(_run_one, ordered)
+        for done, (k, rec) in enumerate(zip(order, results), 1):
+            records[k] = rec
+            if progress is not None:
+                progress(done, len(tasks))
+    except BrokenProcessPool:
+        global _POOL
+        _POOL[2].shutdown()
+        _POOL = None
+        raise
     cells = []
     per_cell = config.runs
     for j, (cell_index, n, F, s) in enumerate(config.cell_specs()):

@@ -33,14 +33,14 @@ bits, and the onemax quantities above read onemax's rows.
 The onemax checks run over arrays.  :func:`state_quantities` gives the
 quantities of a list of states (i, lam) as arrays, from one numpy pass
 per group of at most 256 states that share a block of levels and a
-window shape.  :func:`drift_grid_check` calls it once per run of states
-in one law block of levels, on the run's distinct (i, round(lambda))
-pairs, and gathers each state's into one drift expression, and
-:func:`check_transition_bounds` calls it once per law block of levels x
-lams and evaluates each bound over that block.  Each check returns one
-:class:`CheckReport`: a stream of the rows its CLI command writes, as
-plain tuples, one block at a time, so the rows held do not grow with
-the grid; the verdicts are tallied from their ``pass`` column as they pass.
+window shape.  :func:`drift_grid_check` calls it once on its distinct
+(i, round(lambda)) pairs and gathers each state's into one drift
+expression, and :func:`check_transition_bounds` calls it once per law
+block of levels x lams and evaluates each bound over that block.  Each
+check returns one :class:`CheckReport`.  The rows its CLI command
+writes, plain tuples, stream into the writer it is given a block at a
+time, so the rows held do not grow with the grid, and the verdicts are
+tallied from their ``pass`` column as they pass.
 Entries that pass through exp, log1p, expm1, log2 or a power (p_plus,
 p_minus and eight of the bounds) stay ``math`` scalars, one call per (i,
 lam) or per lam: numpy's SIMD versions differ from ``math`` in the last
@@ -407,33 +407,37 @@ def max_flip_gain_series(lam: int) -> float:
 
 
 class CheckReport:
-    """Outcome of a check over a grid of states.  ``rows`` streams the rows
-    its CLI command writes, a block of states at a time: plain tuples in
-    :data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS` order, ending in the
-    verdict ``pass``.  ``states_checked`` is the grid's size; the rest is
-    tallied as the rows pass: ``checks_performed`` (the rows),
-    ``violations`` (the rows that fail) and, on the drift check, the
-    extreme drift and its state (i, lambda_real), else None.  ``ok`` raises
-    until ``rows`` is exhausted."""
+    """Outcome of a check over a grid of states.  The rows its CLI command
+    writes (plain tuples in :data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS`
+    order, ending in the verdict ``pass``) stream a block of states at a
+    time into ``write(report)``, which must read ``report.rows`` to the
+    end; without ``write`` they are kept as a list in ``rows``.  As they
+    pass, ``checks_performed`` counts them and ``violations`` counts those
+    that fail, so every field is final once the check returns.
+    ``states_checked`` is the grid's size; the drift check also gives its
+    extreme drift and that state (i, lambda_real), else None."""
 
-    def __init__(self, states_checked: int, blocks=()):
+    def __init__(self, states_checked: int, blocks=(), write=None, extreme=None,
+                 extreme_state=None):
         self.states_checked = states_checked
+        self.extreme, self.extreme_state = extreme, extreme_state
         self.checks_performed = self.violations = 0
-        self.extreme = self.extreme_state = None
-        self._done = False
         self.rows = chain.from_iterable(self._tally(blocks))
+        if write is None:
+            self.rows = list(self.rows)
+        else:
+            write(self)
+            if next(self.rows, None) is not None:
+                raise ValueError("write must read the check's rows to the end")
 
     def _tally(self, blocks):
         for block in blocks:
             self.checks_performed += len(block)
             self.violations += len(block) - sum(map(itemgetter(-1), block))
             yield block
-        self._done = True
 
     @property
     def ok(self) -> bool:
-        if not self._done:
-            raise RuntimeError("the check's verdict is known once its rows are exhausted")
         # an empty grid proves nothing and is not a pass
         return self.states_checked > 0 and not self.violations
 
@@ -607,9 +611,10 @@ def _bound_pass(n: int, levels: range, lams: tuple) -> list:
     return list(zip(repeat(n), *(col.tolist() for col in columns)))
 
 
-def check_transition_bounds(n: int, lambdas) -> CheckReport:
+def check_transition_bounds(n: int, lambdas, write=None) -> CheckReport:
     """Check every applicable sandwich bound at every state (i, lam), i < n,
-    lam in ``lambdas``.
+    lam in ``lambdas``; the rows go to ``write`` as :class:`CheckReport`
+    says.
 
     A bound is checked only where its precondition holds and the exact
     quantity is defined; each check is one row of :data:`BOUND_COLUMNS`
@@ -625,11 +630,12 @@ def check_transition_bounds(n: int, lambdas) -> CheckReport:
     """
     lams = tuple(int(lam) for lam in lambdas)
     if n < 1 or not lams:
-        return CheckReport(0)
+        return CheckReport(0, write=write)
     for lam in (min(lams), max(lams)):
         _check_lam(lam)
-    return CheckReport(n * len(lams), (_bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
-                                       for lo in range(0, n, _LAW_BLOCK)))
+    blocks = (_bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
+              for lo in range(0, n, _LAW_BLOCK))
+    return CheckReport(n * len(lams), blocks, write)
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +737,7 @@ def drift_grid_check(
     threshold: float,
     direction: str,
     cap_gain_at_one: bool = False,
+    write=None,
 ) -> CheckReport:
     """Evaluate the exact drift E[g(X_next) - g(X_now)] on every
     (i, lambda_real) state, lambda_real >= 1.  round(lambda_real) children
@@ -745,17 +752,16 @@ def drift_grid_check(
     side; a state passes when its margin is >= 0, so a NaN drift is
     flagged.  The threshold must be finite.  Violations are data (the
     claims are asymptotic), so they are returned, not raised: the report
-    streams one :data:`DRIFT_COLUMNS` row per state, in order, and keeps
-    the extreme drift (the least for "min_at_least", else the greatest)
-    with its state: the first one, and the first NaN if any, as numpy's
-    argmin and argmax pick over the whole grid.
+    gives the extreme drift (the least for "min_at_least", else the
+    greatest) with its state, and one :data:`DRIFT_COLUMNS` row per
+    state, in order, to ``write`` as :class:`CheckReport` says.
 
-    The lambdas, and each distinct lambda_real's controller terms (the
-    scalar code runs once per distinct value), are checked before any
-    row.  Then each run of consecutive states whose levels share a law
-    block takes its level quantities from one :func:`state_quantities`
-    call over its distinct (i, round(lambda_real)) pairs, and one array
-    expression (:func:`_drift`) gives its drifts.
+    The level quantities come from one :func:`state_quantities` call per
+    law block of levels over the distinct (i, round(lambda_real)) pairs,
+    the controller's scalar code runs once per distinct lambda_real, and
+    one array expression (:func:`_drift`) gives the drifts, _STATE_PASS
+    states at a time, all before the first row; then the rows are built
+    as many states at a time.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
@@ -763,39 +769,48 @@ def drift_grid_check(
         raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     if not len(grid):
-        return CheckReport(0)
+        return CheckReport(0, write=write)
     i, lam_real = grid[:, 0].astype(int), grid[:, 1]
+    lam, drift = _grid_drift(potential, params, n, i, lam_real, cap_gain_at_one)
+    k = np.argmin(drift) if direction == "min_at_least" else np.argmax(drift)
+
+    def rows(at):
+        margin = drift[at] - threshold if direction == "min_at_least" else threshold - drift[at]
+        return list(zip(repeat(n), i[at].tolist(), lam_real[at].tolist(), lam[at].tolist(),
+                        drift[at].tolist(), repeat(threshold), margin.tolist(),
+                        (margin >= 0).tolist()))
+
+    runs = (slice(lo, lo + _STATE_PASS) for lo in range(0, len(grid), _STATE_PASS))
+    return CheckReport(len(grid), map(rows, runs), write, float(drift[k]),
+                       (int(i[k]), float(lam_real[k])))
+
+
+def _grid_drift(potential, params, n, i, lam_real, cap_gain_at_one):
+    """round(lambda_real) and the drift at each state (i, lambda_real) of
+    :func:`drift_grid_check`, as two arrays; the rest of what it computes
+    is freed on return, before the rows are built."""
     lam_values, lam_of = np.unique(lam_real, return_inverse=True)
     if lam_values[0] < 1.0:
         raise ValueError(f"lambda_real must be >= 1, got {lam_values[0]}")
     per_lam = [(round_lambda(x), *_lambda_terms(potential, x, params))
                for x in lam_values.tolist()]
-    lams, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
-    _check_lam(lams[-1])
-    counts, count_of = np.unique(lams, return_inverse=True)  # the distinct offspring counts
-    pick = np.argmin if direction == "min_at_least" else np.argmax
-
-    def blocks():
-        cuts = [0, *(np.flatnonzero(np.diff(i // _LAW_BLOCK)) + 1).tolist(), len(grid)]
-        for run in map(slice, cuts[:-1], cuts[1:]):
-            at, run_i, run_real = lam_of[run], i[run], lam_real[run]
-            # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
-            pairs, pair_of = np.unique(run_i * counts.size + count_of[at], return_inverse=True)
-            q = state_quantities(n, pairs // counts.size, counts[pairs % counts.size])
-            p_plus, _, _, gain, loss = (col[pair_of] for col in q)  # per state
-            drift = _drift(p_plus, gain, loss, [t[at] for t in terms], cap_gain_at_one)
-            margin = drift - threshold if direction == "min_at_least" else threshold - drift
-            k = pick(drift)
-            # numpy's rule across runs: a tie keeps the earlier state, a NaN wins
-            if report.extreme is None or pick([report.extreme, drift[k]]):
-                report.extreme = float(drift[k])
-                report.extreme_state = (int(run_i[k]), float(run_real[k]))
-            yield list(zip(repeat(n), run_i.tolist(), run_real.tolist(), lams[at].tolist(),
-                           drift.tolist(), repeat(threshold), margin.tolist(),
-                           (margin >= 0).tolist()))
-
-    report = CheckReport(len(grid), blocks())
-    return report
+    lam, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
+    counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
+    # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
+    pairs, pair_of = np.unique(i * counts.size + count_of[lam_of], return_inverse=True)
+    level, count = pairs // counts.size, counts[pairs % counts.size]  # sorted by level
+    p_plus, gain, loss = np.empty((3, pairs.size))
+    cuts = (np.flatnonzero(np.diff(level // _LAW_BLOCK)) + 1).tolist()
+    for at in map(slice, [0, *cuts], [*cuts, pairs.size]):  # one law block of levels
+        q = state_quantities(n, level[at], count[at])
+        p_plus[at], gain[at], loss[at] = q.p_plus, q.gain, q.loss
+    drift = np.empty(len(i))
+    for lo in range(0, len(i), _STATE_PASS):  # so no other array spans all the states
+        at = slice(lo, lo + _STATE_PASS)
+        pair, x = pair_of[at], lam_of[at]
+        drift[at] = _drift(p_plus[pair], gain[pair], loss[pair], [t[x] for t in terms],
+                           cap_gain_at_one)
+    return lam[lam_of], drift
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

@@ -306,7 +306,7 @@ class TestAnalysisCommands:
         ["drift-check", "--potential", "g1", "--s", "0.5"],
     ], ids=["bounds-check", "drift-check"])
     def test_check_memory_does_not_grow_with_n(self, argv, tmp_path, capsys):
-        # the rows stream into the CSV a law block of levels at a time; held
+        # the rows stream into the CSV a block of states at a time; held
         # whole until the write, they took the peak from 6.2 to 20.3 MB
         # (bounds) and from 2.7 to 10.8 MB (drift) between these sizes
         memos = [f for f in vars(oracle).values() if callable(getattr(f, "cache_clear", None))]

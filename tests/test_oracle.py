@@ -434,7 +434,7 @@ def test_every_oracle_memo_clears_and_refills():
     params = ControllerParams(F=1.5, s=0.5)
 
     def misses():
-        list(drift_grid_check(pot, params, 70, states, threshold, direction).rows)
+        drift_grid_check(pot, params, 70, states, threshold, direction)
         return _law_block.cache_info().misses
 
     for f in memos:
@@ -494,30 +494,27 @@ class TestTransitionBounds:
 
     def test_no_violations_small_grid(self):
         report = check_transition_bounds(10, lambdas=range(1, 65))
-        with pytest.raises(RuntimeError, match="once its rows are exhausted"):
-            report.ok  # no verdict before the rows have passed
-        rows = list(report.rows)
-        assert report.ok, [row for row in rows if not row[-1]][:5]
-        assert report.checks_performed == len(rows) > 0
+        assert report.ok, [row for row in report.rows if not row[-1]][:5]
+        assert report.checks_performed == len(report.rows) > 0
 
     def test_empty_grid_is_not_a_pass(self):
         for report in (check_transition_bounds(0, lambdas=range(1, 65)),
                        check_transition_bounds(10, lambdas=())):
-            assert list(report.rows) == []
+            assert report.rows == []
             assert report.states_checked == report.checks_performed == report.violations == 0
             assert not report.ok
 
     def test_hard_band_cap_checked_at_163(self):
         report = check_transition_bounds(163, lambdas=(1,))
-        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_hard_band"]
         assert report.ok
+        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_hard_band"]
         assert sorted({c["i"] for c in rows}) == [137, 138]  # the 0.84n..0.85n levels
         assert all(c["exact"] <= 0.069 for c in rows)
 
     def test_log_cap_applies_from_lambda_five(self):
         report = check_transition_bounds(20, lambdas=(4, 5, 8))
-        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "delta_plus_upper_log"]
         assert report.ok
+        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "delta_plus_upper_log"]
         assert {c["lambda"] for c in rows} == {5, 8}
         five = next(c for c in rows if c["lambda"] == 5)
         assert abs(five["bound_value"] - (math.ceil(math.log2(5)) + 0.413)) < 1e-15  # 3.413
@@ -525,24 +522,23 @@ class TestTransitionBounds:
     def test_refined_upper_restricted_to_hard_levels(self):
         n = 50
         report = check_transition_bounds(n, lambdas=(1, 2))
-        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_refined"]
         assert report.ok
+        rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_refined"]
         assert rows and all(c["i"] >= 0.87 * n for c in rows)
 
     @pytest.mark.parametrize("n, lams", [(60, (1, 2, 5, 64)), (163, (1, 3, 8))])
     def test_rows_are_the_scalar_loop_bitwise(self, n, lams):
         report = check_transition_bounds(n, lambdas=lams)
-        rows = list(report.rows)
         want = reference_bound_checks(n, lams)
-        assert len(rows) == report.checks_performed == len(want)
-        assert [c[:6] for c in rows] == [w[:6] for w in want]
-        got = np.array([c[6:8] for c in rows])
+        assert len(report.rows) == report.checks_performed == len(want)
+        assert [c[:6] for c in report.rows] == [w[:6] for w in want]
+        got = np.array([c[6:8] for c in report.rows])
         assert np.array_equal(got.view(np.int64), np.array([w[6:] for w in want]).view(np.int64))
-        for c in (dict(zip(BOUND_COLUMNS, row)) for row in rows):
+        for c in named(report, BOUND_COLUMNS):
             exact, bound = c["exact"], c["bound_value"]
             assert c["margin"] == (bound - exact if c["side"] == "upper" else exact - bound)
             assert c["pass"] is (c["margin"] >= -1e-10)
-        assert {tuple(map(type, c)) for c in rows} == {
+        assert {tuple(map(type, c)) for c in report.rows} == {
             (int, int, int, str, str, str, float, float, float, bool)}
 
     def test_violations_are_the_failing_rows(self, monkeypatch):
@@ -551,9 +547,8 @@ class TestTransitionBounds:
                   for b in oracle._BOUNDS]
         monkeypatch.setattr(oracle, "_BOUNDS", bounds)
         report = check_transition_bounds(60, lambdas=(1, 2, 5))
-        rows = list(report.rows)
-        failing = [row for row in rows if not dict(zip(BOUND_COLUMNS, row))["pass"]]
-        assert 0 < len(failing) < len(rows)
+        failing = [row for row in report.rows if not dict(zip(BOUND_COLUMNS, row))["pass"]]
+        assert 0 < len(failing) < len(report.rows)
         assert report.violations == len(failing) and not report.ok
         assert {dict(zip(BOUND_COLUMNS, row))["bound"] for row in failing} == {
             "p_plus_upper_refined"}
@@ -561,8 +556,8 @@ class TestTransitionBounds:
     def test_one_bit(self):
         # the only bit always flips: (1 - 1/n)^n = 0, not a log1p(-1) domain error
         report = check_transition_bounds(1, lambdas=(1, 2))
-        rows = named(report, BOUND_COLUMNS)
         assert report.ok and report.states_checked == 2
+        rows = named(report, BOUND_COLUMNS)
         assert {c["exact"] for c in rows if c["quantity"] == "p_plus"} == {1.0}
 
     def test_negative_base_lower_bound_skipped(self):
@@ -694,8 +689,8 @@ class TestDriftGridCheck:
         report = drift_grid_check(
             make_potential("g2", F=1.5), params, 100, states, -0.0008, "max_at_most"
         )
-        assert list(report.rows) == [] and report.extreme is None
         assert report.states_checked == 0 and not report.ok  # no states in band is not a pass
+        assert report.rows == [] and report.extreme is None
 
     def test_band_states_at_n1000(self):
         states = g2_band_states(1000, 1.5)
@@ -711,7 +706,6 @@ class TestDriftGridCheck:
         report = drift_grid_check(
             pot, params, 30, [(10, 1.0), (20, 2.0)], 10.0, "min_at_least"
         )
-        assert [row[-1] for row in report.rows] == [False, False]
         assert report.violations == 2 and not report.ok
 
     @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
@@ -724,13 +718,13 @@ class TestDriftGridCheck:
         threshold = float(np.median([c["drift"] for c in named(first, DRIFT_COLUMNS)]))
         report = drift_grid_check(pot, params, 30, states, threshold, direction)
         flagged = []
-        for c in named(report, DRIFT_COLUMNS):
+        for row, c in zip(report.rows, named(report, DRIFT_COLUMNS)):
             d, thr, margin = c["drift"], c["threshold"], c["margin"]
             assert (c["n"], thr, c["lambda_int"]) == (30, threshold, round_lambda(c["lambda_real"]))
             assert margin == (d - thr if direction == "min_at_least" else thr - d)
             assert c["pass"] == (d >= thr if direction == "min_at_least" else d <= thr)
             if not c["pass"]:
-                flagged.append(c)
+                flagged.append(row)
         assert len(flagged) == report.violations == len(states) // 2
 
     @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
@@ -744,27 +738,6 @@ class TestDriftGridCheck:
                                   0.0, direction)
         assert [c["pass"] for c in named(report, DRIFT_COLUMNS)] == [False] * len(states)
         assert report.violations == len(states) and not report.ok
-
-    @pytest.mark.parametrize("nan_at", [None, 1.2])
-    @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
-    def test_extreme_is_numpys_first_pick_across_runs(self, direction, nan_at):
-        # levels 40 and 3 lie in different law blocks, so each state is a
-        # run of its own.  With h = 0 the drift depends on (i, round(lam))
-        # alone: each extreme is tied with a state of a later run.  With
-        # h(1.2) = NaN the first NaN lies in the second run, and the third
-        # holds another
-        class Potential:
-            def h(self, lam):
-                return math.nan if lam == nan_at else 0.0
-
-        states = [(40, 1.0), (3, 1.2), (40, 1.2), (3, 1.0)]
-        report = drift_grid_check(Potential(), ControllerParams(F=1.5, s=1.0), 80, states, 0.0,
-                                  direction)
-        drift = np.array([c["drift"] for c in named(report, DRIFT_COLUMNS)])
-        k = int(np.argmin(drift) if direction == "min_at_least" else np.argmax(drift))
-        assert k == (1 if nan_at else 0 if direction == "min_at_least" else 1)
-        assert report.extreme_state == states[k]
-        assert np.array_equal(report.extreme, drift[k], equal_nan=True)
 
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
     def test_non_finite_threshold_rejected(self, threshold):
@@ -799,7 +772,7 @@ class TestDriftGridCheck:
         k = int(np.argmin(want) if direction == "min_at_least" else np.argmax(want))
         assert (report.extreme, report.extreme_state) == (want[k], states[k])
         assert [type(v) for v in (report.extreme, *report.extreme_state)] == [float, int, float]
-        assert {tuple(map(type, row.values())) for row in rows} == {
+        assert {tuple(map(type, row)) for row in report.rows} == {
             (int, int, float, int, float, float, float, bool)}
 
 
@@ -813,10 +786,50 @@ def test_rows_are_plain_tuples_the_collector_untracks(check):
         pot, states, threshold, direction = drift_claim("g1", 40, 1.5, 0.5)
         report = drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), 40, states, threshold,
                                   direction)
-    rows = list(report.rows)
     gc.collect()
-    assert rows and all(type(row) is tuple for row in rows)
-    assert not any(gc.is_tracked(row) for row in rows)
+    assert report.rows and all(type(row) is tuple for row in report.rows)
+    assert not any(gc.is_tracked(row) for row in report.rows)
+
+
+def g1_check(n, write=None, states=None):
+    pot, grid, threshold, direction = drift_claim("g1", n, 1.5, 0.5)
+    return drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), n,
+                            grid if states is None else states, threshold, direction,
+                            write=write)
+
+
+@pytest.mark.parametrize("check", [
+    lambda write=None: check_transition_bounds(100, lambdas=(1, 2, 7), write=write),
+    lambda write=None: g1_check(40, write),  # 2680 states, over many blocks
+], ids=["bounds", "drift"])
+def test_write_reads_the_listed_rows_and_the_check_returns_final(check):
+    seen = []
+
+    def write(report):
+        for row in report.rows:
+            seen.append((row, report.checks_performed))
+
+    streamed, listed = check(write), check()
+    assert [row for row, _ in seen] == listed.rows
+    assert [count for _, count in seen][-1] == len(seen)  # tallied as they passed
+    assert max(count for _, count in seen[:1]) < len(seen)
+    fields = ("states_checked", "checks_performed", "violations", "extreme", "extreme_state")
+    assert [getattr(streamed, f) for f in fields] == [getattr(listed, f) for f in fields]
+    assert streamed.ok and listed.ok
+
+
+def test_write_that_stops_early_is_refused():
+    with pytest.raises(ValueError, match="to the end"):
+        check_transition_bounds(40, lambdas=(1, 2), write=lambda report: next(report.rows))
+
+
+def test_drift_level_out_of_range_raises_before_any_row():
+    # the bad level sits in a later law block than the first states
+    states = [(3, 1.0), (5, 2.0), (40, 1.0)]
+    written = []
+    with pytest.raises(ValueError, match="0 <= i < n"):
+        g1_check(40, write=lambda report: written.extend(report.rows), states=states)
+    assert written == []
 
 
 class TestDriftClaim:
