@@ -255,6 +255,7 @@ def cmd_drift_check(args) -> int:
     pot, states, threshold, direction = drift_claim(kind, n, F, args.s)
     if args.threshold is not None:
         threshold = args.threshold
+
     def write(report):  # inside the check's call, which returns with final tallies
         _write_output(args, f"drift_{kind}.csv", report.rows, _settings(args), lambda: {
             "potential": kind,
