@@ -26,7 +26,8 @@ The oracle commands' CSVs are pinned byte for byte as well, written
 without the timestamp line, so a change to the CSV writer or to the
 oracle's arithmetic cannot pass silently, and so are their printed
 summaries.  So is the ratchet figure's CSV, which pins the ratchet
-monitor's counts over seeded full-trace runs.
+monitor's counts over seeded full-trace runs, and so are the trace CSVs
+of ``run`` and the config JSON a batch CSV records.
 """
 
 import hashlib
@@ -44,6 +45,7 @@ from onelambda.ea import (
     default_static_lambda,
     run,
 )
+from onelambda.experiments import BatchConfig
 from onelambda.fitness import FitnessFunction
 
 COMMA = AlgorithmKind.self_adjusting_comma()
@@ -173,3 +175,38 @@ def test_ratchet_csv_digest_pinned(tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256((tmp_path / "ratchet_report.csv").read_bytes()).hexdigest()
     assert digest == "2d6b3d5044911910b64495794d47b5adfbfd91dd80e8dba0e4faea6ec8947915"
+
+
+# (argv, SHA-256 of the trace CSV ``run`` writes with --no-timestamp):
+# half-integer cliff fitness, a lambda_int past int64 after a lambda abort,
+# a ridge run, and one summary trace
+RUN_CSV_CASES = [
+    ("run --fn cliff:7 --n 20 --s 1 --trace full",
+     "07ffc02620a21b0dd2153fc06c55e90c7cd5a98ae8193c1adcfe60319896e0b8"),
+    ("run --n 10 --s 1 --F 1e30 --eval-cap 100 --trace full",
+     "89a75e383b1532e85d0e91266f65e813d7095501eb0607345401e0e3387c1ed3"),
+    ("run --fn ridge --n 12 --s 1 --trace full",
+     "fcbc1d53dd7bcf876dcfb40b7345501a7ab4ce2977d9e48e2c7f658a2dc6b95f"),
+    ("run --fn cliff:7 --n 20 --s 1",
+     "62f90ca5841b49fc9cecfd9c21e63e9f857125f37626a4c56ac67f510ffcd2fd"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", RUN_CSV_CASES, ids=[case[0] for case in RUN_CSV_CASES])
+def test_run_csv_digest_pinned(argv, digest, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main([*argv.split(), "--no-timestamp", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_batch_config_json_pinned():
+    # every field away from its default, as write_csv's "# config:" line holds it
+    config = BatchConfig(
+        algorithm="static", fn_spec="cliff:3", n_values=(10, 20),
+        fs_values=((2.0, 0.5), (1.5, 3.4)), runs=3, master_seed=7, gen_cap_multiplier=250.0,
+        eval_cap=1000, stop_on_optimum=False, trace_level="full", lambda0=2.5, static_lambda=4,
+    )
+    text = json.dumps(config.to_dict(), sort_keys=True, default=str)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "34bf7e890adf36e3e768344950753f509cfa13834a05848673131b4574ee9c9d")
