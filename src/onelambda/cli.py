@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
 from pathlib import Path
 
 from . import experiments as xp
@@ -40,6 +41,10 @@ TRACE_COLUMNS = [
     "evaluations",
     "best_so_far",
 ]
+
+# The largest --n: memory and time grow with n (a run keeps a table over
+# the n + 1 levels, about 130 MB at 10**6; a check visits every level).
+N_MAX = 10**6
 
 # namespace entries that are not settings: neither config keys nor CSV metadata
 _NOT_SETTINGS = ("help", "func", "config", "command", "no_timestamp")
@@ -70,6 +75,14 @@ def _write_output(args, name, rows, meta, summary, columns=None) -> None:
     xp.write_csv(out, columns or list(rows[0].keys()), rows, meta=meta,
                  timestamp=not args.no_timestamp)
     print(json.dumps({**summary(), "output": str(out)}))
+
+
+def _check_n(args) -> None:
+    """Refuse an --n above N_MAX before any command computes with it."""
+    n = getattr(args, "n", None)
+    largest = max(n if isinstance(n, tuple) else (n or 0,), default=0)
+    if largest > N_MAX:
+        raise ConfigError(f"--n must be at most {N_MAX} (memory grows with n), got {largest}")
 
 
 def positive_int(text: str) -> int:
@@ -122,28 +135,16 @@ def _batch_config(args, n_values, s_values, runs, algo="comma", fn="onemax", **f
 
 
 def _trace_rows(rec, fn, run_id):
-    if rec.rows is None:
-        yield (
-            run_id,
-            rec.generations,
-            rec.final_fitness,
-            rec.final_lambda,
-            None,
-            rec.evaluations,
-            rec.best_fitness,
-        )
-        return
+    """The rows of TRACE_COLUMNS: one per generation from the record's
+    columns on a full trace, else the summary row."""
     r = rec.rows
-    for t in range(r["generation"].size):
-        yield (
-            run_id,
-            int(r["generation"][t]),
-            fn.display(int(r["fitness_raw"][t])),
-            float(r["lambda_real"][t]),
-            int(r["lambda_int"][t]),
-            int(r["evaluations"][t]),
-            fn.display(int(r["best_raw"][t])),
-        )
+    if r is None:
+        return [(run_id, rec.generations, rec.final_fitness, rec.final_lambda, None,
+                 rec.evaluations, rec.best_fitness)]
+    return zip(repeat(run_id), r["generation"].tolist(),
+               map(fn.display, r["fitness_raw"].tolist()), r["lambda_real"].tolist(),
+               r["lambda_int"].tolist(), r["evaluations"].tolist(),
+               map(fn.display, r["best_raw"].tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Success-based offspring population control laboratory",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    most = f"at most {N_MAX}: memory and time grow with n"
 
     def command(name, func, help, *shared):
         # no abbreviations: `figure fig3 --s 20` would otherwise set --seed
@@ -336,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("run", cmd_run, "single seeded run, trace CSV out", "algo", "fn", "F",
                 "lambda0", "static_lambda", "seed", "gen_cap_multiplier", "eval_cap", "out")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, help=f"problem size, {most}")
     p.add_argument("--s", type=float)
     p.add_argument("--trace", choices=["summary", "full"], default="summary",
                    help="summary: one row; full: one row per generation")
@@ -344,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("batch", cmd_batch, "grid of seeded runs", "algo", "fn", "F", "seed",
                 "gen_cap_multiplier", "eval_cap", "static_lambda", "workers", "out_dir")
-    p.add_argument("--n", type=int_list, default="100", help="comma-separated problem sizes")
+    p.add_argument("--n", type=int_list, default="100", help=f"problem sizes, each {most}")
     p.add_argument("--s", type=float_list, default="1", help="comma-separated success rates")
     p.add_argument("--runs", type=int, default=10)
 
@@ -355,13 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("sweep", cmd_sweep, "success-rate sweep (capped generations per n)", "F", "seed",
                 "gen_cap_multiplier", "workers", "out")
-    p.add_argument("--n", type=int_list, default="100")
+    p.add_argument("--n", type=int_list, default="100", help=f"problem sizes, each {most}")
     p.add_argument("--s", type=float_list, default="0.5,1,2,5,10,20")
     p.add_argument("--runs", type=int, default=100)
 
     p = command("fixed-target", cmd_fixed_target, "mean evaluations to reach fitness targets",
                 "F", "seed", "gen_cap_multiplier", "workers", "out")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=int, default=1000, help=f"problem size, {most}")
     p.add_argument("--s", type=float_list, default="1,2,3.4,5")
     p.add_argument("--runs", type=int, default=100)
     p.add_argument("--targets", type=target_list, default="all",
@@ -370,19 +372,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("drift-check", cmd_drift_check, "exact potential drift over a state grid",
                 "F", "out")
     p.add_argument("--potential", choices=["g1", "g2"], default="g1")
-    p.add_argument("--n", type=positive_int, default=1000)
+    p.add_argument("--n", type=positive_int, default=1000, help=f"problem size, {most}")
     p.add_argument("--s", type=float, help="default 0.5 for g1, 18 for g2")
     p.add_argument("--threshold", type=float)
     p.add_argument("--cap-gain", dest="cap_gain", action="store_true")
 
     p = command("bounds-check", cmd_bounds_check, "exact transition quantities vs sandwich bounds",
                 "out")
-    p.add_argument("--n", type=positive_int, default=163)
+    p.add_argument("--n", type=positive_int, default=163, help=f"problem size, {most}")
     p.add_argument("--lambdas", type=int_list, default="1,2,3,5,8,13,21,34,55,64",
                    help=f"comma-separated offspring counts, each from 1 to {LAMBDA_MAX:.2g}")
 
     p = command("bound", cmd_bound, "closed-form elitist evaluation bound", "F", "lambda0")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=int, help=f"problem size, {most}")
     p.add_argument("--a", type=int, default=0)
     p.add_argument("--b", type=int)
     p.add_argument("--s", type=float, default=1.0)
@@ -457,6 +459,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _parse_with_config(parser, args, argv)
+        _check_n(args)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

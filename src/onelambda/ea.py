@@ -425,7 +425,7 @@ class _Trace:
             self.gens_at = [0] * size
             self.lambda_sum_at = [0] * size
         if self.want_rows:
-            self.r_fit, self.r_lam, self.r_lint, self.r_evals, self.r_best = [], [], [], [], []
+            self.rows = []  # (fitness, lambda, lambda_int, evaluations, best) per generation
 
     # the run loop calls these only when the trace level wants them
 
@@ -440,30 +440,24 @@ class _Trace:
                 fh[v] = evals
         # lower targets were filled when first reached
 
-    def add_row(self, cur_f: int, lam: float, lam_int: int, evals: int, best_f: int) -> None:
-        self.r_fit.append(cur_f)
-        self.r_lam.append(lam)
-        self.r_lint.append(lam_int)
-        self.r_evals.append(evals)
-        self.r_best.append(best_f)
-
     def attach(self, rec: "RunRecord") -> None:
         if self.want_levels:
             rec.first_hit_evals = _ints(self.first_hit)
             rec.gens_at = _ints(self.gens_at)
             rec.lambda_sum_at = _ints(self.lambda_sum_at)
         if self.want_rows:
+            fit, lam, lam_int, evals, best = zip(*self.rows)
             rec.rows = {
-                "generation": np.arange(len(self.r_fit), dtype=np.int64),
-                "fitness_raw": np.array(self.r_fit, dtype=np.int64),
-                "lambda_real": np.array(self.r_lam, dtype=np.float64),
-                "lambda_int": _ints(self.r_lint),
-                "evaluations": _ints(self.r_evals),
-                "best_raw": np.array(self.r_best, dtype=np.int64),
+                "generation": np.arange(len(fit), dtype=np.int64),
+                "fitness_raw": np.array(fit, dtype=np.int64),
+                "lambda_real": np.array(lam, dtype=np.float64),
+                "lambda_int": _ints(lam_int),
+                "evaluations": _ints(evals),
+                "best_raw": np.array(best, dtype=np.int64),
             }
 
 
-def _ints(values: list) -> np.ndarray:
+def _ints(values) -> np.ndarray:
     """Trace counts as int64, or as exact Python ints (dtype object) past
     int64: the lambda that aborts a run, or a huge static lambda's evaluations."""
     try:
@@ -489,15 +483,16 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
     max_evals = stop.max_evaluations
     max_gens = stop.max_generations
     stop_opt = stop.stop_on_optimum
-    levels, rows = trace.want_levels, trace.want_rows
+    levels = trace.want_levels
+    add_row = trace.rows.append if trace.want_rows else None
     best_f = cur_f
     gens = 0
     evals = 0
     # round_lambda is floor(lam + 0.5); a static lambda runs as its exact
     # int, which the float lam may not hold above 2**53
     lam_int = int(lam + 0.5) if adapt else kind.static_lambda
-    if rows:
-        trace.add_row(cur_f, lam, lam_int, evals, best_f)
+    if add_row:
+        add_row((cur_f, lam, lam_int, evals, best_f))
 
     while True:
         # the stop causes in precedence order; a lambda abort needs a generation
@@ -543,8 +538,8 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
             if levels:
                 trace.new_best(best_f, bf, evals)
             best_f = bf
-        if rows:
-            trace.add_row(cur_f, lam, lam_int, evals, best_f)
+        if add_row:
+            add_row((cur_f, lam, lam_int, evals, best_f))
     return cause, gens, evals, cur_f, best_f, lam
 
 

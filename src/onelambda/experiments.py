@@ -22,7 +22,7 @@ import os
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -82,7 +82,7 @@ class BatchConfig:
     fs_values: tuple  # ((F, s), ...)
     runs: int
     master_seed: int
-    gen_cap_multiplier: float | None = 500.0  # cap = mult * n; None disables
+    gen_cap_multiplier: float | None = 500.0  # cap = mult * n; None or 0 disables
     eval_cap: int | None = None
     stop_on_optimum: bool = True
     trace_level: str = "summary"
@@ -97,8 +97,8 @@ class BatchConfig:
         if not self.n_values or not self.fs_values:
             raise ValueError("n_values and fs_values must be non-empty")
         mult = self.gen_cap_multiplier
-        if mult is not None and not all(math.isfinite(mult * n) for n in self.n_values):
-            raise ValueError(f"gen_cap_multiplier * n must be finite, got {mult}")
+        if mult is not None and not all(0 <= mult * n < math.inf for n in self.n_values):
+            raise ValueError(f"gen_cap_multiplier * n must be finite and >= 0, got {mult}")
         if self.eval_cap is not None and self.eval_cap < 0:
             raise ValueError(f"eval_cap must be >= 0, got {self.eval_cap}")
         if self.static_lambda is not None and self.algorithm != "static":
@@ -114,11 +114,9 @@ class BatchConfig:
         return out
 
     def stopping(self, n: int) -> StoppingCondition:
-        gen_cap = None
-        if self.gen_cap_multiplier is not None and self.gen_cap_multiplier > 0:
-            gen_cap = int(round(self.gen_cap_multiplier * n))
+        mult = self.gen_cap_multiplier
         return StoppingCondition(
-            max_generations=gen_cap,
+            max_generations=int(round(mult * n)) if mult else None,
             max_evaluations=self.eval_cap,
             stop_on_optimum=self.stop_on_optimum,
         )
@@ -127,25 +125,13 @@ class BatchConfig:
         if self.algorithm == "static":
             lam = default_static_lambda(n) if self.static_lambda is None else self.static_lambda
             return AlgorithmKind.static_comma(lam)
-        if self.algorithm == "plus":
-            return AlgorithmKind.self_adjusting_plus()
-        return AlgorithmKind.self_adjusting_comma()
+        return AlgorithmKind(self.algorithm)  # self-adjusting comma or plus
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "static_lambda": self.static_lambda,
-            "fn": self.fn_spec,
-            "n_values": list(self.n_values),
-            "fs_values": [list(p) for p in self.fs_values],
-            "runs": self.runs,
-            "master_seed": self.master_seed,
-            "gen_cap_multiplier": self.gen_cap_multiplier,
-            "eval_cap": self.eval_cap,
-            "stop_on_optimum": self.stop_on_optimum,
-            "trace_level": self.trace_level,
-            "lambda0": self.lambda0,
-        }
+        """The fields as a CSV's config metadata records them, fn_spec as "fn"."""
+        data = asdict(self)
+        data["fn"] = data.pop("fn_spec")
+        return data
 
 
 @dataclass

@@ -70,19 +70,14 @@ class FitnessFunction:
 
     @classmethod
     def parse(cls, spec: str, n: int) -> "FitnessFunction":
-        """Parse a selector like ``\"onemax\"``, ``\"jump:3\"`` or ``\"cliff:5\"``."""
+        """Parse a selector like ``\"onemax\"``, ``\"jump:3\"`` or ``\"cliff:5\"``;
+        the constructor checks the kind and its parameter."""
         name, _, arg = spec.strip().lower().partition(":")
-        if name in ("jump", "cliff"):
-            if not arg:
-                raise ValueError(f"{name} needs a parameter, e.g. {name}:3")
-            try:
-                param = int(arg)
-            except ValueError:
-                raise ValueError(f"invalid {name} parameter: {arg!r}") from None
-            return cls(name, n, param)
-        if arg:
-            raise ValueError(f"{name} takes no parameter (got {spec!r})")
-        return cls(name, n)
+        try:
+            param = int(arg) if arg else None
+        except ValueError:
+            raise ValueError(f"invalid {name} parameter: {arg!r}") from None
+        return cls(name, n, param)
 
     @property
     def spec_string(self) -> str:
@@ -154,15 +149,9 @@ class FitnessFunction:
 
     @property
     def optimum_raw(self) -> int:
-        n, k = self.n, self.kind
-        if k in ("onemax", "zeromax", "twomax"):
-            return n
-        if k == "jump":
-            return self.param + n
-        if k == "cliff":
-            # the top of the first slope beats the second slope's end for d > n/2
-            return max(2 * self.param, 2 * (n - self.param) + 1)
-        return 2 * n  # ridge optimum at the all-ones string
+        """The largest raw value: the level table's maximum, or ridge's 2n
+        at the all-ones string."""
+        return int(_level_table(self).max()) if self.level_based else 2 * self.n
 
 
 @lru_cache(maxsize=16)

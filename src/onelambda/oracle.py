@@ -411,24 +411,20 @@ class CheckReport:
     writes (plain tuples in :data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS`
     order, ending in the verdict ``pass``) stream a block of states at a
     time into ``write(report)``, which must read ``report.rows`` to the
-    end; without ``write`` they are kept as a list in ``rows``.  As they
-    pass, ``checks_performed`` counts them and ``violations`` counts those
-    that fail, so every field is final once the check returns.
+    end (the stream itself, whatever ``write`` leaves in ``rows``).  As
+    they pass, ``checks_performed`` counts them and ``violations`` counts
+    those that fail, so every field is final once the check returns.
     ``states_checked`` is the grid's size; the drift check also gives its
     extreme drift and that state (i, lambda_real), else None."""
 
-    def __init__(self, states_checked: int, blocks=(), write=None, extreme=None,
-                 extreme_state=None):
+    def __init__(self, states_checked: int, blocks, write, extreme=None, extreme_state=None):
         self.states_checked = states_checked
         self.extreme, self.extreme_state = extreme, extreme_state
         self.checks_performed = self.violations = 0
-        self.rows = chain.from_iterable(self._tally(blocks))
-        if write is None:
-            self.rows = list(self.rows)
-        else:
-            write(self)
-            if next(self.rows, None) is not None:
-                raise ValueError("write must read the check's rows to the end")
+        rows = self.rows = chain.from_iterable(self._tally(blocks))
+        write(self)
+        if next(rows, None) is not None:
+            raise ValueError("write must read the check's rows to the end")
 
     def _tally(self, blocks):
         for block in blocks:
@@ -611,7 +607,7 @@ def _bound_pass(n: int, levels: range, lams: tuple) -> list:
     return list(zip(repeat(n), *(col.tolist() for col in columns)))
 
 
-def check_transition_bounds(n: int, lambdas, write=None) -> CheckReport:
+def check_transition_bounds(n: int, lambdas, write) -> CheckReport:
     """Check every applicable sandwich bound at every state (i, lam), i < n,
     lam in ``lambdas``; the rows go to ``write`` as :class:`CheckReport`
     says.
@@ -630,7 +626,7 @@ def check_transition_bounds(n: int, lambdas, write=None) -> CheckReport:
     """
     lams = tuple(int(lam) for lam in lambdas)
     if n < 1 or not lams:
-        return CheckReport(0, write=write)
+        return CheckReport(0, (), write)
     for lam in (min(lams), max(lams)):
         _check_lam(lam)
     blocks = (_bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
@@ -736,8 +732,8 @@ def drift_grid_check(
     states,
     threshold: float,
     direction: str,
+    write,
     cap_gain_at_one: bool = False,
-    write=None,
 ) -> CheckReport:
     """Evaluate the exact drift E[g(X_next) - g(X_now)] on every
     (i, lambda_real) state, lambda_real >= 1.  round(lambda_real) children
@@ -769,7 +765,7 @@ def drift_grid_check(
         raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     if not len(grid):
-        return CheckReport(0, write=write)
+        return CheckReport(0, (), write)
     i, lam_real = grid[:, 0].astype(int), grid[:, 1]
     lam, drift = _grid_drift(potential, params, n, i, lam_real, cap_gain_at_one)
     k = np.argmin(drift) if direction == "min_at_least" else np.argmax(drift)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from conftest import record_criterion, workers
-from test_oracle import brute_force_drift
+from test_oracle import brute_force_drift, keep
 
 from onelambda.ea import (
     ControllerParams,
@@ -62,7 +62,7 @@ def test_c02_drift_oracle_vs_joint_enumeration():
         pots = (make_potential("g1", F=1.5, s=0.5, n=n), make_potential("g2", F=1.5))
         states = [(i, lam_real) for i in range(n) for lam_real in (1.0, 1.5, 2.0, 2.49, 2.5, 3.0)]
         for pot in pots:
-            report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least")
+            report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least", write=keep)
             for (i, lam_real), row in zip(states, report.rows):
                 want = brute_force_drift(n, i, lam_real, pot, params)
                 worst = max(worst, abs(dict(zip(DRIFT_COLUMNS, row))["drift"] - want))
@@ -113,8 +113,9 @@ def test_c05_positive_drift_floor_g1():
     n, F, s = 1000, 1.5, 0.5
     params = ControllerParams(F=F, s=s)
     pot, states, floor, direction = drift_claim("g1", n, F, s)  # floor 0.09197
-    plain = drift_grid_check(pot, params, n, states, floor, direction)
-    capped = drift_grid_check(pot, params, n, states, floor, direction, cap_gain_at_one=True)
+    plain = drift_grid_check(pot, params, n, states, floor, direction, write=keep)
+    capped = drift_grid_check(pot, params, n, states, floor, direction, keep,
+                              cap_gain_at_one=True)
     # capped-only violations are reported; the gate is the uncapped variant
     ok = plain.ok
     detail = (
@@ -129,7 +130,8 @@ def test_c05_positive_drift_floor_g1():
 def test_c06_negative_drift_band_g2():
     n, F, s = 1000, 1.5, 18.0
     pot, states, ceiling, direction = drift_claim("g2", n, F, s)
-    report = drift_grid_check(pot, ControllerParams(F=F, s=s), n, states, ceiling, direction)
+    report = drift_grid_check(pot, ControllerParams(F=F, s=s), n, states, ceiling, direction,
+                              write=keep)
     ok = report.ok  # empty band would not be a pass
     record_criterion(
         "C6", "negative drift across the stagnation band (n=1000, s=18)", ok,

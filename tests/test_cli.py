@@ -126,10 +126,23 @@ class TestRunCommand:
         ("run --n 10 --s 1 --algo plus --static-lambda 5", "static_lambda"),
         ("run --n 10 --s 1 --algo comma --static-lambda 5", "static_lambda"),
         ("batch --n 10 --runs 2 --workers 1 --algo plus --static-lambda 5", "static_lambda"),
+        # a negative multiplier is no generation cap in disguise
+        ("run --n 10 --s 1 --gen-cap-mult -3", "gen_cap_multiplier"),
+        ("run --n 0 --s 1", "n must be >= 1"),
+        ("batch --n 10 --runs 0 --workers 1", "runs"),
+        ("batch --n , --runs 2 --workers 1", "n_values"),
+        # an n past N_MAX, refused before any command computes with it
+        ("run --n 1" + "0" * 40 + " --s 1", "--n"),
+        ("batch --n 1" + "0" * 40 + " --runs 2 --workers 1", "--n"),
+        ("sweep --n 1" + "0" * 40 + " --runs 2 --workers 1", "--n"),
+        ("fixed-target --n 1" + "0" * 40 + " --runs 2 --workers 1", "--n"),
+        ("bounds-check --n 1" + "0" * 40, "--n"),
+        ("drift-check --n 1" + "0" * 400, "--n"),
+        ("bounds-check --n 1000001", "--n must be at most 1000000"),
     ])
     def test_invalid_setting_is_config_error(self, argv, setting, tmp_path, capsys):
-        out = ["--out", str(tmp_path / "out.csv")] if argv.startswith("run") else [
-            "--out-dir", str(tmp_path)]
+        out = ["--out-dir", str(tmp_path)] if argv.startswith("batch") else [
+            "--out", str(tmp_path / "out.csv")]
         assert main([*argv.split(), *out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and setting in err, err
@@ -197,6 +210,9 @@ class TestBoundCommand:
         (["--n=-2", "--b", "0"], "n must be >= 1"),
         (["--n", "10", "--lambda0", "inf"], "lambda0 must be finite"),
         (["--n", "10", "--lambda0", "nan"], "lambda0 must be finite"),
+        ([], "missing required key: n"),
+        (["--n", "1" + "0" * 40], "--n must be at most"),
+        (["--n", "10", "--F", "1e308", "--s", "1000"], "F^((s+1)/s) overflows"),
     ])
     def test_bad_n_or_lambda0_is_config_error(self, flags, message, capsys):
         assert main(["bound", *flags]) == 2
@@ -593,6 +609,20 @@ class TestConfigFile:
         assert out.parent == tmp_path
         config = json.loads(out.read_text().splitlines()[0].removeprefix("# config: "))
         assert not {"out", "out_dir", "workers"} & set(config)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config file"),  # no such file
+        ('{"n": 20,', "cannot read config file"),
+        ('[20, 1]', "flat JSON object"),
+    ])
+    def test_unreadable_config_is_config_error(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and message in err, err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_stop_on_optimum_is_config_only(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n": 20, "s": 1, "gen_cap_multiplier": 20,

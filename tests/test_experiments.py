@@ -289,6 +289,12 @@ class TestSweep:
         assert row["ci_low"] <= row["mean_generations_over_n"] <= row["ci_high"]
 
 
+def test_unknown_algorithm_rejected():
+    with pytest.raises(ValueError, match="algorithm"):
+        BatchConfig(algorithm="elitist", fn_spec="onemax", n_values=(10,),
+                    fs_values=((1.5, 1.0),), runs=1, master_seed=0)
+
+
 class TestFixedTarget:
     def test_monotone_and_initial_zero(self):
         batch = small_batch(runs=6)

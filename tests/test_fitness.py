@@ -173,12 +173,14 @@ class TestFitnessFunctionInterface:
         assert optimum("ridge", 10) == 20
 
     def test_optimum_is_the_level_table_maximum(self):
-        # cliff:d with d > n/2 peaks at the top of its first slope
+        # the closed forms; cliff:d with d > n/2 peaks at the top of its first slope
+        closed = {"onemax": lambda n, p: n, "zeromax": lambda n, p: n, "twomax": lambda n, p: n,
+                  "jump": lambda n, k: n + k, "cliff": lambda n, d: max(2 * d, 2 * (n - d) + 1)}
         for n in range(1, 31):
-            for kind in ("onemax", "zeromax", "twomax", "jump", "cliff"):
+            for kind in closed:
                 for param in range(1, n) if kind in ("jump", "cliff") else (None,):
                     fn = FitnessFunction(kind, n, param)
-                    assert fn.optimum_raw == max(fn.level_table()), fn
+                    assert fn.optimum_raw == max(fn.level_table()) == closed[kind](n, param), fn
 
     def test_is_optimum_by_value_not_pattern(self):
         # run() stops on raw fitness >= optimum_raw

@@ -21,6 +21,7 @@ from onelambda.oracle import (
     DRIFT_COLUMNS,
     LAMBDA_MAX,
     UNDEFINED_BELOW,
+    LambdaLogSquaredPotential,
     _child_masses,
     _law_block,
     _level_law,
@@ -40,8 +41,15 @@ from onelambda.oracle import (
 E = math.e
 
 
+def keep(report):
+    """A check's write that lists its rows in place of their stream, for a
+    test that reads them once the check returns."""
+    report.rows = list(report.rows)
+
+
 def named(report, columns):
-    """A check report's rows as dicts keyed by its CSV's columns."""
+    """A check report's rows, kept by :func:`keep`, as dicts keyed by its
+    CSV's columns."""
     return [dict(zip(columns, row)) for row in report.rows]
 
 
@@ -330,7 +338,7 @@ class TestLevelQuantities:
     def test_undefined_markers(self):
         # at i = 0 nothing falls: the backward drift is undefined and unchecked
         assert state_quantities(10, [0], [4]).p_minus[0] == 0.0
-        report = check_transition_bounds(10, lambdas=(4,))
+        report = check_transition_bounds(10, lambdas=(4,), write=keep)
         at_zero = {c["quantity"] for c in named(report, BOUND_COLUMNS) if c["i"] == 0}
         assert "delta_plus" in at_zero and "delta_minus" not in at_zero
 
@@ -381,6 +389,10 @@ class TestLevelRow:
     def test_lambda_below_one_rejected(self, lams):
         with pytest.raises(ValueError, match="lam"):
             state_quantities(10, [4] * len(lams), lams)
+
+    def test_unequal_shapes_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            state_quantities(10, [4, 5], [1])
 
     def test_levels_outside_zero_to_n_rejected(self):
         for i in (-1, 10, 11):
@@ -434,7 +446,7 @@ def test_every_oracle_memo_clears_and_refills():
     params = ControllerParams(F=1.5, s=0.5)
 
     def misses():
-        drift_grid_check(pot, params, 70, states, threshold, direction)
+        drift_grid_check(pot, params, 70, states, threshold, direction, write=keep)
         return _law_block.cache_info().misses
 
     for f in memos:
@@ -493,26 +505,26 @@ class TestTransitionBounds:
         assert abs(max_flip_gain_series(1) - (E - 1.0)) < 1e-12
 
     def test_no_violations_small_grid(self):
-        report = check_transition_bounds(10, lambdas=range(1, 65))
+        report = check_transition_bounds(10, lambdas=range(1, 65), write=keep)
         assert report.ok, [row for row in report.rows if not row[-1]][:5]
         assert report.checks_performed == len(report.rows) > 0
 
     def test_empty_grid_is_not_a_pass(self):
-        for report in (check_transition_bounds(0, lambdas=range(1, 65)),
-                       check_transition_bounds(10, lambdas=())):
+        for report in (check_transition_bounds(0, lambdas=range(1, 65), write=keep),
+                       check_transition_bounds(10, lambdas=(), write=keep)):
             assert report.rows == []
             assert report.states_checked == report.checks_performed == report.violations == 0
             assert not report.ok
 
     def test_hard_band_cap_checked_at_163(self):
-        report = check_transition_bounds(163, lambdas=(1,))
+        report = check_transition_bounds(163, lambdas=(1,), write=keep)
         assert report.ok
         rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_hard_band"]
         assert sorted({c["i"] for c in rows}) == [137, 138]  # the 0.84n..0.85n levels
         assert all(c["exact"] <= 0.069 for c in rows)
 
     def test_log_cap_applies_from_lambda_five(self):
-        report = check_transition_bounds(20, lambdas=(4, 5, 8))
+        report = check_transition_bounds(20, lambdas=(4, 5, 8), write=keep)
         assert report.ok
         rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "delta_plus_upper_log"]
         assert {c["lambda"] for c in rows} == {5, 8}
@@ -521,14 +533,14 @@ class TestTransitionBounds:
 
     def test_refined_upper_restricted_to_hard_levels(self):
         n = 50
-        report = check_transition_bounds(n, lambdas=(1, 2))
+        report = check_transition_bounds(n, lambdas=(1, 2), write=keep)
         assert report.ok
         rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_plus_upper_refined"]
         assert rows and all(c["i"] >= 0.87 * n for c in rows)
 
     @pytest.mark.parametrize("n, lams", [(60, (1, 2, 5, 64)), (163, (1, 3, 8))])
     def test_rows_are_the_scalar_loop_bitwise(self, n, lams):
-        report = check_transition_bounds(n, lambdas=lams)
+        report = check_transition_bounds(n, lambdas=lams, write=keep)
         want = reference_bound_checks(n, lams)
         assert len(report.rows) == report.checks_performed == len(want)
         assert [c[:6] for c in report.rows] == [w[:6] for w in want]
@@ -546,7 +558,7 @@ class TestTransitionBounds:
         bounds = [b[:4] + (None,) if b[0] == "p_plus_upper_refined" else b
                   for b in oracle._BOUNDS]
         monkeypatch.setattr(oracle, "_BOUNDS", bounds)
-        report = check_transition_bounds(60, lambdas=(1, 2, 5))
+        report = check_transition_bounds(60, lambdas=(1, 2, 5), write=keep)
         failing = [row for row in report.rows if not dict(zip(BOUND_COLUMNS, row))["pass"]]
         assert 0 < len(failing) < len(report.rows)
         assert report.violations == len(failing) and not report.ok
@@ -555,14 +567,14 @@ class TestTransitionBounds:
 
     def test_one_bit(self):
         # the only bit always flips: (1 - 1/n)^n = 0, not a log1p(-1) domain error
-        report = check_transition_bounds(1, lambdas=(1, 2))
+        report = check_transition_bounds(1, lambdas=(1, 2), write=keep)
         assert report.ok and report.states_checked == 2
         rows = named(report, BOUND_COLUMNS)
         assert {c["exact"] for c in rows if c["quantity"] == "p_plus"} == {1.0}
 
     def test_negative_base_lower_bound_skipped(self):
         # (i/n - 1/e)^lam is only meaningful once i/n >= 1/e
-        report = check_transition_bounds(20, lambdas=(2,))
+        report = check_transition_bounds(20, lambdas=(2,), write=keep)
         rows = [c for c in named(report, BOUND_COLUMNS) if c["bound"] == "p_minus_lower"]
         assert all(c["i"] / 20 >= 1 / E for c in rows)
 
@@ -607,7 +619,7 @@ def reference_drift(pot, n, i, lam_real, params, cap_gain_at_one):
 def grid_drifts(pot, params, n, states, cap_gain_at_one=False):
     """The drift of each (i, lambda_real) state, from one drift_grid_check."""
     report = drift_grid_check(pot, params, n, states, 0.0, "min_at_least",
-                              cap_gain_at_one=cap_gain_at_one)
+                              cap_gain_at_one=cap_gain_at_one, write=keep)
     return [c["drift"] for c in named(report, DRIFT_COLUMNS)]
 
 
@@ -679,6 +691,10 @@ class TestPotentials:
             make_potential("g3", F=1.5)
         with pytest.raises(ValueError):
             make_potential("g1", F=1.5)  # missing s, n
+        with pytest.raises(ValueError, match="F must be > 1"):
+            LambdaLogSquaredPotential(F=1)
+        with pytest.raises(ValueError, match="lambda cap"):
+            make_potential("g1", F=1.5, s=1.0, n=1e308)
 
 
 class TestDriftGridCheck:
@@ -687,8 +703,7 @@ class TestDriftGridCheck:
         assert states == []
         params = ControllerParams(F=1.5, s=18.0)
         report = drift_grid_check(
-            make_potential("g2", F=1.5), params, 100, states, -0.0008, "max_at_most"
-        )
+            make_potential("g2", F=1.5), params, 100, states, -0.0008, "max_at_most", write=keep)
         assert report.states_checked == 0 and not report.ok  # no states in band is not a pass
         assert report.rows == [] and report.extreme is None
 
@@ -704,8 +719,7 @@ class TestDriftGridCheck:
         params = ControllerParams(F=1.5, s=1.0)
         pot = make_potential("g1", F=1.5, s=1.0, n=30)
         report = drift_grid_check(
-            pot, params, 30, [(10, 1.0), (20, 2.0)], 10.0, "min_at_least"
-        )
+            pot, params, 30, [(10, 1.0), (20, 2.0)], 10.0, "min_at_least", write=keep)
         assert report.violations == 2 and not report.ok
 
     @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
@@ -713,10 +727,10 @@ class TestDriftGridCheck:
         params = ControllerParams(F=1.5, s=0.5)
         pot = make_potential("g1", F=1.5, s=0.5, n=30)
         states = [(i, lam) for i in range(0, 30, 2) for lam in (1.0, 2.5, 7.0)]
-        first = drift_grid_check(pot, params, 30, states, 0.0, direction)
+        first = drift_grid_check(pot, params, 30, states, 0.0, direction, write=keep)
         # an odd count, so one state sits exactly on the threshold and passes
         threshold = float(np.median([c["drift"] for c in named(first, DRIFT_COLUMNS)]))
-        report = drift_grid_check(pot, params, 30, states, threshold, direction)
+        report = drift_grid_check(pot, params, 30, states, threshold, direction, write=keep)
         flagged = []
         for row, c in zip(report.rows, named(report, DRIFT_COLUMNS)):
             d, thr, margin = c["drift"], c["threshold"], c["margin"]
@@ -735,7 +749,7 @@ class TestDriftGridCheck:
 
         states = [(i, lam) for i in (3, 7, 12) for lam in (1.0, 2.5)]
         report = drift_grid_check(NanPotential(), ControllerParams(F=1.5, s=1.0), 20, states,
-                                  0.0, direction)
+                                  0.0, direction, write=keep)
         assert [c["pass"] for c in named(report, DRIFT_COLUMNS)] == [False] * len(states)
         assert report.violations == len(states) and not report.ok
 
@@ -745,14 +759,20 @@ class TestDriftGridCheck:
         for states in ([(10, 2.0)], []):
             with pytest.raises(ValueError, match="threshold must be finite"):
                 drift_grid_check(pot, ControllerParams(F=1.5, s=1.0), 30, states, threshold,
-                                 "min_at_least")
+                                 "min_at_least", write=keep)
+
+    def test_unknown_direction_rejected(self):
+        pot = make_potential("g2", F=1.5)
+        with pytest.raises(ValueError, match="direction"):
+            drift_grid_check(pot, ControllerParams(F=1.5, s=1.0), 30, [(10, 2.0)], 0.0,
+                             "at_least", write=keep)
 
     @pytest.mark.parametrize("lam", [0.999, 0.0, -2.0])
     def test_lambda_below_one_rejected(self, lam):
         pot = make_potential("g2", F=1.5)
         with pytest.raises(ValueError, match="lambda_real must be >= 1"):
             drift_grid_check(pot, ControllerParams(F=1.5, s=1.0), 30,
-                             [(10, 2.0), (12, lam), (14, 1.0)], 0.0, "min_at_least")
+                             [(10, 2.0), (12, lam), (14, 1.0)], 0.0, "min_at_least", write=keep)
 
     @pytest.mark.parametrize("kind, n, cap", [("g1", 70, False), ("g1", 70, True),
                                               ("g2", 1000, False)])
@@ -761,7 +781,7 @@ class TestDriftGridCheck:
         params = ControllerParams(F=1.5, s=s)
         pot, states, threshold, direction = drift_claim(kind, n, 1.5, s)
         report = drift_grid_check(pot, params, n, states, threshold, direction,
-                                  cap_gain_at_one=cap)
+                                  cap_gain_at_one=cap, write=keep)
         states = [(int(i), lam) for i, lam in states.tolist()]
         rows = named(report, DRIFT_COLUMNS)
         assert [(c["i"], c["lambda_real"], c["lambda_int"]) for c in rows] == [
@@ -781,17 +801,17 @@ def test_rows_are_plain_tuples_the_collector_untracks(check):
     # a tuple subclass (a namedtuple) stays tracked, and every full
     # collection would walk each row of a large grid
     if check == "bounds":
-        report = check_transition_bounds(40, lambdas=(1, 5))
+        report = check_transition_bounds(40, lambdas=(1, 5), write=keep)
     else:
         pot, states, threshold, direction = drift_claim("g1", 40, 1.5, 0.5)
         report = drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), 40, states, threshold,
-                                  direction)
+                                  direction, write=keep)
     gc.collect()
     assert report.rows and all(type(row) is tuple for row in report.rows)
     assert not any(gc.is_tracked(row) for row in report.rows)
 
 
-def g1_check(n, write=None, states=None):
+def g1_check(n, write, states=None):
     pot, grid, threshold, direction = drift_claim("g1", n, 1.5, 0.5)
     return drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), n,
                             grid if states is None else states, threshold, direction,
@@ -799,8 +819,8 @@ def g1_check(n, write=None, states=None):
 
 
 @pytest.mark.parametrize("check", [
-    lambda write=None: check_transition_bounds(100, lambdas=(1, 2, 7), write=write),
-    lambda write=None: g1_check(40, write),  # 2680 states, over many blocks
+    lambda write: check_transition_bounds(100, lambdas=(1, 2, 7), write=write),
+    lambda write: g1_check(40, write),  # 2680 states, over many blocks
 ], ids=["bounds", "drift"])
 def test_write_reads_the_listed_rows_and_the_check_returns_final(check):
     seen = []
@@ -809,7 +829,7 @@ def test_write_reads_the_listed_rows_and_the_check_returns_final(check):
         for row in report.rows:
             seen.append((row, report.checks_performed))
 
-    streamed, listed = check(write), check()
+    streamed, listed = check(write), check(keep)
     assert [row for row, _ in seen] == listed.rows
     assert [count for _, count in seen][-1] == len(seen)  # tallied as they passed
     assert max(count for _, count in seen[:1]) < len(seen)
@@ -898,7 +918,7 @@ class TestUndefinedThreshold:
         q = one_lambda_row(50, 1, 200)
         assert q["p_minus"] == 0.0
         assert math.isfinite(q["gain"]) and math.isfinite(q["loss"])
-        report = check_transition_bounds(50, lambdas=(200,))
+        report = check_transition_bounds(50, lambdas=(200,), write=keep)
         backward = {c["i"] for c in named(report, BOUND_COLUMNS) if c["quantity"] == "delta_minus"}
         assert 1 not in backward and 25 in backward
         assert report.ok

@@ -90,6 +90,17 @@ class TestStopCauses:
         with pytest.raises(ValueError):
             StoppingCondition(stop_on_optimum=False)
 
+    @pytest.mark.parametrize("selection, static_lambda, message", [
+        ("elitist", None, "selection"), ("plus", 5, "comma selection"), ("comma", 0, ">= 1")])
+    def test_algorithm_kind_rejects_invalid(self, selection, static_lambda, message):
+        with pytest.raises(ValueError, match=message):
+            AlgorithmKind(selection, static_lambda)
+
+    def test_unknown_trace_level_rejected(self):
+        with pytest.raises(ValueError, match="trace_level"):
+            run(AlgorithmKind("comma"), onemax(10), P, StoppingCondition(max_generations=1), 0,
+                trace_level="rows")
+
     def test_default_abort_threshold_one_growth_step_past_guard(self):
         import math
 
