@@ -114,7 +114,7 @@ def test_c05_positive_drift_floor_g1():
     params = ControllerParams(F=F, s=s)
     pot, states, floor, direction = drift_claim("g1", n, F, s)  # floor 0.09197
     plain = drift_grid_check(pot, params, n, states, floor, direction, write=keep)
-    capped = drift_grid_check(pot, params, n, states, floor, direction, keep,
+    capped = drift_grid_check(pot, params, n, states, floor, direction, write=keep,
                               cap_gain_at_one=True)
     # capped-only violations are reported; the gate is the uncapped variant
     ok = plain.ok
