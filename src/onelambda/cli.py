@@ -62,16 +62,27 @@ def _settings(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS + _NOT_RECORDED}
 
 
+def _out_location(args) -> tuple:
+    """(setting, path, is_dir): where a CSV command writes, and the flag or
+    variable that says so: --out's file, else --out-dir's directory, else
+    $ONELAMBDA_OUTDIR's (default the working directory)."""
+    if getattr(args, "out", None):
+        return "--out", Path(args.out), False
+    if getattr(args, "out_dir", None):
+        return "--out-dir", Path(args.out_dir), True
+    return "ONELAMBDA_OUTDIR", Path(os.environ.get("ONELAMBDA_OUTDIR") or "."), True
+
+
 def _write_output(args, name, rows, meta, summary, columns=None) -> None:
     """The one output step of every CSV command.  Write ``rows`` with
-    ``meta`` as the config header to --out, else to --out-dir/``name``,
-    else to $ONELAMBDA_OUTDIR/``name`` (default the working directory);
-    the columns are the first dict row's keys unless given.  Then print
-    ``summary()`` as JSON with the path added as "output": it is called
-    after the write, so it may read what a stream of rows tallied."""
-    out = getattr(args, "out", None)
-    out = Path(out) if out else Path(
-        getattr(args, "out_dir", None) or os.environ.get("ONELAMBDA_OUTDIR", "."), name)
+    ``meta`` as the config header to :func:`_out_location`'s file, or
+    ``name`` in its directory; the columns are the first dict row's keys
+    unless given.  Then print ``summary()`` as JSON with the path added as
+    "output": it is called after the write, so it may read what a stream
+    of rows tallied."""
+    _, out, is_dir = _out_location(args)
+    if is_dir:
+        out = out / name
     xp.write_csv(out, columns or list(rows[0].keys()), rows, meta=meta,
                  timestamp=not args.no_timestamp)
     print(json.dumps({**summary(), "output": str(out)}))
@@ -83,6 +94,22 @@ def _check_n(args) -> None:
     largest = max(n if isinstance(n, tuple) else (n or 0,), default=0)
     if largest > N_MAX:
         raise ConfigError(f"--n must be at most {N_MAX} (memory grows with n), got {largest}")
+
+
+def _check_out(args) -> None:
+    """Refuse, before any command computes, an output location the command
+    could not write: an --out that is a directory, or a path whose nearest
+    existing ancestor is not a writable directory (missing directories are
+    made at the write).  ``bound`` writes no file."""
+    if not hasattr(args, "out") and not hasattr(args, "out_dir"):
+        return
+    setting, path, is_dir = _out_location(args)
+    if not is_dir and path.is_dir():
+        raise ConfigError(f"{setting} {path} is a directory, not a file")
+    start = path if is_dir else path.parent
+    ancestor = next(p for p in (start, *start.parents) if p.exists())
+    if not ancestor.is_dir() or not os.access(ancestor, os.W_OK | os.X_OK):
+        raise ConfigError(f"{setting} {path}: {ancestor} is not a writable directory")
 
 
 def positive_int(text: str) -> int:
@@ -460,6 +487,7 @@ def main(argv=None) -> int:
         if args.config:
             args = _parse_with_config(parser, args, argv)
         _check_n(args)
+        _check_out(args)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

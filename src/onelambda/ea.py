@@ -26,14 +26,20 @@ Two engines run the generations of one loop:
   lambda-free rows are built for blocks of levels at a time and shared
   with the oracle.  The initial one-count is drawn from Binomial(n, 1/2);
   no bit string exists.
-* Ridge, whose value depends on the bit layout, keeps a bit-list parent:
+* Ridge, whose value depends on the bit layout, keeps a bit-list parent
+  and chooses per generation by the parent's raw value.  A parent on the
+  ridge (raw >= n) is 1^j 0^(n-j), whose children's law depends on j
+  alone: the generation draws the selected child's value and one-count
+  as a level generation does, from ridge's law rows (the ridge string
+  and the other children of each one-count), then its layout, at a cost
+  that does not grow with lambda.  A parent off the ridge mutates bits:
   each child's flip count comes from Binomial(n, 1/n), then that many
   distinct positions from a stream of uniform positions (repeats
   skipped), which is distributionally identical to per-bit flips.  No
   child is built: its value comes from the parent's mismatch profile
   against the ridge strings 1^j 0^(n-j), read at the child's one-count
   after one count over the parent per generation, so a child costs
-  O(its flips) and a generation O(n + lambda).
+  O(its flips) and such a generation O(n + lambda).
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import chain, islice
+from functools import lru_cache
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -233,28 +240,27 @@ def _uniforms(rng: np.random.Generator, size: int):
         return u, np.log(u).tolist()
 
 
-def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
-    """The level-function engine: returns ``sample(lam_int, ones, cur_f)``,
-    which gives ``(f, child_ones, None)`` for the selected child, drawn
-    from its exact one-count law with one uniform u; ``f`` is
-    ``table[child_ones]``.
+def _law_sampler(fn: FitnessFunction, rng: np.random.Generator):
+    """The law engine: returns ``sample(lam_int, ones, cur_f)``, which
+    gives ``(f, child_ones, None)`` for the selected child of the parent at
+    level ``ones`` (on ridge, the ridge string 1^ones 0^(n-ones)), drawn
+    from its exact law with one uniform u; ``f`` is the child's raw value.
 
-    The best of lam children has a fitness at most the window's g-th
-    lowest value with probability C_g^lam, C_g = exp(logcdf[g]) from the
-    level's lam-free row (``oracle._LawBlock.row``), so u selects the first g
-    with log(u)/lam < logcdf[g].  A tie group picks a member by u's
-    position in (C_(g-1)^lam, C_g^lam] against the members' cumulative
-    shares.  Uniforms are drawn in blocks, from 64 doubling up to _BLOCK,
-    so a short run draws few; the rows live in the oracle's
-    bounded LRU of level blocks, and the sampler keeps the block of its
-    last level.
+    The best of lam children has a value at most the row's g-th lowest
+    with probability C_g^lam, C_g = exp(logcdf[g]) from the level's
+    lam-free row (``oracle._LawBlock.row``), so u selects the first g with
+    log(u)/lam < logcdf[g], and the row gives that group's value.  A tie
+    group picks a member by u's position in (C_(g-1)^lam, C_g^lam] against
+    the members' cumulative shares.  Uniforms are drawn in blocks, from 64
+    doubling up to _BLOCK, the first at the first call, so a short run
+    draws few; the rows live in the oracle's bounded LRU of law blocks,
+    and the sampler keeps the block of its last level.
     """
     from .oracle import _level_law  # oracle imports this module
 
     block, rows, first, width = None, None, 0, 0  # the block of the last level
-    usize = _FIRST_BLOCK
-    ublock, lblock = _uniforms(rng, usize)
-    uidx = 0
+    usize = uidx = _FIRST_BLOCK // 2  # used up: the first call draws _FIRST_BLOCK
+    ublock = lblock = None
 
     def sample(lam_int, ones, cur_f):
         nonlocal block, rows, first, width, ublock, lblock, uidx, usize
@@ -269,7 +275,7 @@ def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
             usize = min(2 * usize, _BLOCK)
             ublock, lblock = _uniforms(rng, usize)
             uidx = 0
-        logcdf, pick, ties = row
+        logcdf, pick, ties, values = row
         g = bisect_right(logcdf, lblock[uidx] / lam_int)
         child = pick[g]
         if child is None:
@@ -279,13 +285,88 @@ def _law_sampler(fn: FitnessFunction, table: list, rng: np.random.Generator):
             t = (float(ublock[uidx]) - low) / span if span > 0.0 else 0.0
             child = members[min(bisect_right(cum, t), len(members) - 1)]
         uidx += 1
-        return table[child], child, None
+        return values[g], child, None
 
     return sample
 
 
-def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
-    """The bit-mutation engine (ridge): best of lam_int standard-bit mutants.
+@lru_cache(maxsize=4096)
+def _layout_weights(n: int, j: int, co: int) -> tuple:
+    """(lo, cum): the cumulative weights of a = lo, lo+1, ... flipped
+    one-bits for a child of 1^j 0^(n-j) with one-count co, 0 < co < n, that
+    is not the ridge string (see :func:`_ridge_sampler`).  lo = max(0, j -
+    co) is the ridge string's count; its weight leaves that one flip set
+    out.  The weights stop where they fall below the float resolution of
+    their sum: they shrink by a factor of at most n^2/(4(n-1)^2) per step."""
+    lo = max(0, j - co)
+    r2 = 1.0 / (n - 1) ** 2  # (p/(1-p))^2, p = 1/n
+    weights = [1.0 - 1.0 / (math.comb(j, lo) * math.comb(n - j, lo + co - j))]
+    total, term = weights[0], 1.0
+    for a in range(lo, min(j, n - co)):
+        b = a + co - j
+        term *= (j - a) * (n - j - b) / ((a + 1) * (b + 1)) * r2
+        if total + term == total:
+            break
+        weights.append(term)
+        total += term
+    return lo, list(accumulate(weights))
+
+
+def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
+    """The ridge engine: an :func:`_offspring_sampler` whose ``sample``
+    chooses per generation by the parent's raw value.  A parent off the
+    ridge (raw < n) mutates bits.  A parent on it (raw >= n) is 1^j
+    0^(n-j), j = ``ones``, whose children's law depends on j alone, so
+    ``on_ridge`` draws the selected child's value and one-count co from
+    :func:`_law_sampler` (ridge's law rows hold the ridge string and the
+    other children of each one-count), at a cost that does not grow with
+    lam.  A child on the ridge (value >= n) flips the bits between co and j.  A child off it is uniform among
+    the children with one-count co that are not the ridge string, since
+    they all tie: its number a of flipped one-bits has weight C(j, a) *
+    C(n-j, a+co-j) * (p/(1-p))^(2a), p = 1/n, less the ridge string's flip
+    set at the smallest a (:func:`_layout_weights`, kept in a bounded
+    LRU), and its positions are uniform among the first j and the last n-j
+    bits, drawn again if they are that set, so a layout costs O(n) at
+    most.  Layout uniforms come from a ``_stream`` of their own.
+    """
+    n = fn.n
+    law = _law_sampler(fn, rng)
+    uniforms = _stream(rng.random)
+
+    def distinct(k, start, size):
+        """k distinct uniform positions of start..start+size-1."""
+        chosen = []
+        while len(chosen) < k:
+            p = start + int(next(uniforms) * size)
+            if p not in chosen:
+                chosen.append(p)
+        return chosen
+
+    def layout(j, co):
+        lo, cum = _layout_weights(n, j, co)
+        a = lo + bisect_right(cum, next(uniforms) * cum[-1])
+        while True:
+            flips = distinct(a, 0, j) + distinct(a + co - j, j, n - j)
+            # at a = lo the flips lie on one side of j: the ridge string's
+            # set is the bits between co and j
+            if a > lo or (min(flips) < co if co < j else max(flips) >= co):
+                return flips
+
+    def on_ridge(lam_int, ones, cur_f):
+        f, co, _ = law(lam_int, ones, cur_f)
+        if f < n:
+            return f, co, layout(ones, co)
+        return f, co, list(range(co, ones) if co < ones else range(ones, co)) or None
+
+    return _offspring_sampler(fn, bits, rng, on_ridge)
+
+
+def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator, ridge_law=None):
+    """The bit-mutation engine: best of lam_int standard-bit mutants.  It
+    runs ridge's generations whose parent is off the ridge, and hands
+    those whose parent is on it (raw >= n) to ``ridge_law`` when given
+    (:func:`_ridge_sampler`); without it, on any function, it is the
+    per-bit reference the exact-law engines are tested against.
 
     ``bits`` is the parent as a sequence of ints, which the caller updates
     in place between calls; the sampler only reads it.  Returns
@@ -327,9 +408,12 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     counts = _stream(lambda size: rng.binomial(n, inv_n, size=size))
     positions = _stream(lambda size: rng.integers(0, n, size=size))
     uniforms = _stream(rng.random)
+    ridge_from = n if ridge_law else math.inf
 
     def sample(lam_int, ones, cur_f):
         nonlocal d1
+        if cur_f >= ridge_from:
+            return ridge_law(lam_int, ones, cur_f)
         d1 = -1
         bf = -1
         best_ones = ones
@@ -576,14 +660,13 @@ def run(
     if fn.level_based:
         bits = None
         ones = int(rng.binomial(fn.n, 0.5))
-        table = fn.level_table().tolist()
-        init_raw = table[ones]
-        sample = _law_sampler(fn, table, rng)
+        init_raw = int(fn.level_table()[ones])
+        sample = _law_sampler(fn, rng)
     else:
         bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
         ones = sum(bits)
         init_raw = fn.raw_from_bits(bits, ones)
-        sample = _offspring_sampler(fn, bits, rng)
+        sample = _ridge_sampler(fn, bits, rng)
     trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw)
     cause, gens, evals, cur_f, best_f, lam = _evolve(
         sample, bits, ones, init_raw, lambda0, fn, kind, params, stop, trace,

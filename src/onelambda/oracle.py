@@ -28,7 +28,10 @@ is then a maximum over fitness values, with ties split uniformly.
 around the parent.  It reads lambda-free rows (one child's log CDF per
 fitness value of the window, and tie shares) built by one numpy pass per
 block of levels; ``ea.run`` samples the same rows instead of mutating
-bits, and the onemax quantities above read onemax's rows.
+bits, and the onemax quantities above read onemax's rows.  Ridge has
+such rows too, for a parent on the ridge 1^j 0^(n-j), with two entries
+per one-count (the ridge string and every other child): ``ea.run`` draws
+its generations there from them.
 
 The onemax checks run over arrays.  :func:`state_quantities` gives the
 quantities of a list of states (i, lam) as arrays, from one numpy pass
@@ -182,31 +185,54 @@ def _child_masses(n: int, levels: np.ndarray) -> np.ndarray:
     return np.einsum("rda,ra->rd", sliding_window_view(padded, w + 1, axis=1), lost)
 
 
+def _window_entries(fn, levels: np.ndarray):
+    """The entries of one child's law at each parent level of ``levels``:
+    one-count, raw value and mass, one row per level.  A level function
+    has one entry per one-count of the window i-w..i+w, w = CHILD_WINDOW.
+    Ridge's parent at level j is the ridge string 1^j 0^(n-j), and it has
+    two entries per one-count co: the ridge string 1^co 0^(n-co), value
+    n + co, which the child is exactly when it flips the |co - j| bits
+    between co and j, mass p^|co-j| (1-p)^(n-|co-j|), p = 1/n; and every
+    other child with co one-bits, value n - co, with onemax's one-child
+    mass less that term.  Only the ridge strings have the one-counts 0 and
+    n, so those two off-ridge entries are pads, as are one-counts outside
+    [0, n]: value -1 and no mass."""
+    n, w = fn.n, CHILD_WINDOW
+    q = _child_masses(n, levels)
+    ones = levels[:, None] + np.arange(-w, w + 1)
+    inside = (ones >= 0) & (ones <= n)
+    clipped = np.clip(ones, 0, n)
+    if fn.level_based:  # raw fitness is never negative, so the pads sort first
+        return ones, np.where(inside, fn.level_table()[clipped], -1), q
+    d = np.minimum(np.abs(ones - levels[:, None]), n)
+    p = 1.0 / n
+    on = np.where(inside, p**d * (1.0 - p) ** (n - d), 0.0)
+    off_ridge = inside & (ones > 0) & (ones < n)
+    return (np.concatenate([ones, ones], axis=1),
+            np.concatenate([np.where(off_ridge, n - clipped, -1),
+                            np.where(inside, n + clipped, -1)], axis=1),
+            np.concatenate([np.where(off_ridge, q - on, 0.0), on], axis=1))
+
+
 class _LawBlock:
     """The lam-free law of the selected child at levels first, first+1, ...
-    (up to _LAW_BLOCK of them) of one level function, from one numpy pass.
+    (up to _LAW_BLOCK of them) of one function, from one numpy pass over
+    its window entries (:func:`_window_entries`).
 
-    Row r holds level first+r's window one-counts i-w..i+w, w =
-    CHILD_WINDOW, sorted by (fitness, one-count); the ``skip[r]`` leading
-    entries are pads outside [0, n], with no mass.  Per entry: ``group``,
-    the index of its fitness among the row's distinct fitness values
-    (pads -1); ``share``, its part of one child's mass on that value (a
-    group with no mass puts its share on its first member); ``logcdf``,
-    one child's fitness log CDF at its value, accumulated from the top so
-    that the mass the window leaves out falls on the lowest fitness.
-    ``rows`` holds the engine's rows (:meth:`row`), built on first use.
+    Row r holds level first+r's entries sorted by (value, entry order);
+    the ``skip[r]`` leading entries are pads, with no mass.  Per entry:
+    ``ones``, its one-count; ``fit``, its raw value; ``group``, the index
+    of its value among the row's distinct values (pads -1); ``share``, its
+    part of one child's mass on that value (a group with no mass puts its
+    share on its first member); ``logcdf``, one child's value log CDF at
+    its value, accumulated from the top so that the mass the window leaves
+    out falls on the lowest value.  ``rows`` holds the engine's rows
+    (:meth:`row`), built on first use.
     """
 
-    __slots__ = ("first", "skip", "ones", "group", "share", "logcdf", "last", "rows")
+    __slots__ = ("first", "skip", "ones", "fit", "group", "share", "logcdf", "last", "rows")
 
-    def __init__(self, fn, first: int):
-        n, w = fn.n, CHILD_WINDOW
-        levels = np.arange(first, min(n + 1, first + _LAW_BLOCK))
-        q = _child_masses(n, levels)
-        ones = levels[:, None] + np.arange(-w, w + 1)
-        inside = (ones >= 0) & (ones <= n)
-        # raw fitness is never negative, so the pads sort first
-        fit = np.where(inside, fn.level_table()[np.clip(ones, 0, n)], -1)
+    def __init__(self, first: int, ones: np.ndarray, fit: np.ndarray, q: np.ndarray):
         order = np.argsort(fit, axis=1, kind="stable")
         fit, ones, q = (np.take_along_axis(a, order, axis=1) for a in (fit, ones, q))
         start = np.ones(fit.shape, dtype=bool)
@@ -219,14 +245,16 @@ class _LawBlock:
         with np.errstate(divide="ignore", invalid="ignore"):
             self.share = np.where(mass > 0, q / mass, start)
             self.logcdf = np.log1p(-np.minimum(tail, 1.0))
+        pads = fit < 0
         self.first = first
-        self.skip = (2 * w + 1 - inside.sum(axis=1)).tolist()
+        self.skip = pads.sum(axis=1).tolist()
         self.ones = ones
-        self.group = np.cumsum(start, axis=1) - 1 - (~inside).any(axis=1)[:, None]
+        self.fit = fit
+        self.group = np.cumsum(start, axis=1) - 1 - pads[:, :1]
         self.last = np.ones(fit.shape, dtype=bool)  # an entry ends its group
         self.last[:, :-1] = start[:, 1:]
-        self.rows = [None] * levels.size
-        for a in (self.share, self.logcdf, self.ones, self.group, self.last):
+        self.rows = [None] * fit.shape[0]
+        for a in (self.share, self.logcdf, self.ones, self.fit, self.group, self.last):
             a.setflags(write=False)
 
     def level(self, r: int):
@@ -237,16 +265,19 @@ class _LawBlock:
 
     def row(self, r: int):
         """The engine's row of level first+r, as Python lists: (logcdf,
-        pick, ties), built on first use and kept in ``rows``.
+        pick, ties, values), built on first use and kept in ``rows``.
 
-        ``logcdf[g]`` is one child's log CDF at the window's g-th lowest
-        fitness.  ``pick[g]`` is the one-count with that fitness, or None
-        for a tie: then ``ties[g]`` is (cum, members), the members with
-        positive share in one-count order and their cumulative shares.
+        ``logcdf[g]`` is one child's log CDF at the row's g-th lowest
+        value, ``values[g]``.  ``pick[g]`` is the one-count with that
+        value, or None for a tie: then ``ties[g]`` is (cum, members), the
+        members with positive share in one-count order and their
+        cumulative shares.
         """
         row = self.rows[r]
         if row is None:
             ones, group, share, logcdf = self.level(r)
+            k = self.skip[r]
+            values = self.fit[r, k:][self.last[r, k:]].tolist()
             pick = ones.tolist()
             ties = {}
             if len(pick) > logcdf.size:
@@ -257,17 +288,20 @@ class _LawBlock:
                 pick = [m[0][0] if len(m) == 1 else None for m in members]
                 ties = {g: (list(accumulate(s for _, s in m)), [j for j, _ in m])
                         for g, m in enumerate(members) if len(m) > 1}
-            row = self.rows[r] = (logcdf.tolist(), pick, ties)
+            row = self.rows[r] = (logcdf.tolist(), pick, ties, values)
         return row
 
 
 @lru_cache(maxsize=_LAW_BLOCKS)
 def _law_block(fn, b: int) -> _LawBlock:
-    return _LawBlock(fn, b * _LAW_BLOCK)
+    first = b * _LAW_BLOCK
+    levels = np.arange(first, min(fn.n + 1, first + _LAW_BLOCK))
+    return _LawBlock(first, *_window_entries(fn, levels))
 
 
 def _level_law(fn, i: int):
-    """The block holding level i (see :class:`_LawBlock`) and i's row in it."""
+    """The block holding level i (see :class:`_LawBlock`) and i's row in it;
+    on ridge, level i is the ridge string 1^i 0^(n-i)."""
     if not 0 <= i <= fn.n:
         raise ValueError(f"need 0 <= i <= n, got i={i}, n={fn.n}")
     return _law_block(fn, i // _LAW_BLOCK), i % _LAW_BLOCK
@@ -289,9 +323,11 @@ def selected_child_law(fn, i: int, lams, selection: str = "comma"):
     CDF per fitness value, tie shares) as the engine's sampler, built for
     a block of levels at a time: the best fitness is at most a value with
     probability exp(lam * logcdf), differenced by :func:`_power_pmf`.
-    Needs 1 <= lam <= LAMBDA_MAX; raises ValueError on ridge, which has no
-    level table.
+    Needs 1 <= lam <= LAMBDA_MAX; raises ValueError on ridge, whose value
+    depends on the bit layout.
     """
+    if not fn.level_based:
+        raise ValueError("selected_child_law needs a level function; ridge has no level table")
     for lam in lams if np.ndim(lams) else (lams,):
         _check_lam(lam)
     if selection not in ("comma", "plus"):

@@ -148,6 +148,36 @@ class TestRunCommand:
         assert err.startswith("configuration error:") and setting in err, err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv, place, setting", [
+        ("run --n 10 --s 1", "--out dir", "--out"),
+        ("run --n 10 --s 1", "--out file/x.csv", "--out"),
+        ("batch --n 10 --runs 2 --workers 1", "--out-dir file", "--out-dir"),
+        ("run --n 10 --s 1", "ONELAMBDA_OUTDIR=file", "ONELAMBDA_OUTDIR"),
+        ("figure fig2 --workers 1", "--out-dir file/sub", "--out-dir"),
+    ])
+    def test_unwritable_output_location_is_config_error(self, argv, place, setting, tmp_path,
+                                                         capsys, monkeypatch):
+        # refused before any command computes: the figure never runs its batch
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("")
+
+        def no_batch(*args, **kwargs):
+            raise AssertionError("run_batch was called")
+
+        monkeypatch.setattr(xp, "run_batch", no_batch)
+        name, sep, value = place.partition("=")
+        if sep:
+            monkeypatch.setenv(name, str(tmp_path / value))
+            place = []
+        else:
+            flag, path = place.split()
+            place = [flag, str(tmp_path / path)]
+        assert main([*argv.split(), *place]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and setting in err, err
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir", "file"]
+        assert (tmp_path / "file").read_text() == ""
+
     @pytest.mark.parametrize("command", ["run --n 10", "batch --n 10 --runs 2 --workers 1"])
     def test_static_lambda_below_one_names_the_flag(self, command, tmp_path, capsys):
         out = ["--out", str(tmp_path / "out.csv")] if command.startswith("run") else [

@@ -2,16 +2,18 @@
 
 Everything here drives the engines and the loop that ``run()`` executes:
 ``_law_sampler`` (the exact selected-child law, level functions) and
-``_offspring_sampler`` (bit mutation, ridge) for offspring, ``_evolve``
-capped at one generation for the comma/plus step from a chosen parent.
-Bit mutation draws a child's flip positions from a position stream and
-scores it from the parent's mismatch profile and ``fn.shape_tables()``
-without building it; ``TestScoring`` checks that score against
-``fn.raw_from_bits`` of the built child.  On a level function both tables
-are the level table, so the shipped ``_offspring_sampler`` also runs
-there: it is the independent reference that ``TestSelectionLaw`` checks
-against the enumerated law and ``test_exact_law.py`` compares whole runs
-with.
+``_ridge_sampler`` (the exact law from a parent on the ridge, else
+``_offspring_sampler``'s bit mutation) for offspring, ``_evolve`` capped
+at one generation for the comma/plus step from a chosen parent.
+``TestRidgeLaw`` checks ridge's law rows and its on-ridge draws against
+enumeration.  Bit mutation draws a child's flip positions from a
+position stream and scores it from the parent's mismatch profile and
+``fn.shape_tables()`` without building it; ``TestScoring`` checks that
+score against ``fn.raw_from_bits`` of the built child.  On a level
+function both tables are the level table, so the shipped
+``_offspring_sampler`` also runs there: it is the independent per-bit
+reference that ``TestSelectionLaw`` checks against the enumerated law
+and ``test_exact_law.py`` compares whole runs with.
 """
 
 import itertools
@@ -23,18 +25,22 @@ import numpy as np
 import pytest
 
 from onelambda.ea import (
+    LAMBDA_MAX,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
     _evolve,
     _law_sampler,
     _offspring_sampler,
+    _ridge_sampler,
     _stream,
     _Trace,
 )
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
+    _level_law,
+    _power_pmf,
     selected_child_law,
     state_quantities,
 )
@@ -73,18 +79,18 @@ Step = namedtuple("Step", "fitness lam evaluations generations best bits")
 class Generation:
     """Single generations of the run loop from chosen parents, all drawing
     from one engine as ``run()`` builds it: the exact law for level
-    functions (no bit string: ``bits`` is None in the result), bit mutation
-    for ridge.  ``seed`` may also be a generator."""
+    functions (no bit string: ``bits`` is None in the result), ridge's
+    sampler for ridge.  ``seed`` may also be a generator."""
 
     def __init__(self, fn, kind, seed, params=P):
         self.fn, self.kind, self.params = fn, kind, params
         rng = seed if hasattr(seed, "random") else np.random.default_rng(seed)
         if fn.level_based:
             self.parent = None
-            self.sample = _law_sampler(fn, fn.level_table().tolist(), rng)
+            self.sample = _law_sampler(fn, rng)
         else:
             self.parent = [0] * fn.n
-            self.sample = _offspring_sampler(fn, self.parent, rng)
+            self.sample = _ridge_sampler(fn, self.parent, rng)
         self.stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
 
     def step(self, bits, lam) -> Step:
@@ -105,7 +111,7 @@ def with_ones(n, ones):
 
 
 class TestMutate:
-    """Standard bit mutation as it ships: ridge's sampler."""
+    """Standard bit mutation as it ships: ridge's sampler off the ridge."""
 
     def test_n1_forced_flip(self):
         sample = _offspring_sampler(FitnessFunction("ridge", 1), [0], np.random.default_rng(0))
@@ -182,11 +188,15 @@ class TestMutate:
 
     def test_one_generation_draws_one_first_block_per_stream(self):
         # a short ridge run pays for no full block of flip counts,
-        # positions or tie-break uniforms
+        # positions or tie-break uniforms off the ridge, and on it for one
+        # first block of the law's uniforms
         rng = RecordingGenerator(3)
         gen = Generation(FitnessFunction("ridge", 100), COMMA, rng)
-        gen.step(with_ones(100, 40), 10.0)
+        gen.step([1, 0] * 50, 10.0)
         assert rng.drawn["binomial"] == 64 and max(rng.drawn.values()) == 64, rng.drawn
+        rng = RecordingGenerator(3)
+        Generation(FitnessFunction("ridge", 100), COMMA, rng).step(with_ones(100, 40), 10.0)
+        assert rng.drawn == {"random": 64}, rng.drawn
 
 
 class RecordingGenerator:
@@ -271,7 +281,7 @@ def selections(fn, i, lam, uniforms) -> list:
     """The child one-count the level engine selects from parent one-count
     i at lam for each of the uniforms."""
     uniforms = list(uniforms)
-    sample = _law_sampler(fn, fn.level_table().tolist(), StubGenerator(uniforms))
+    sample = _law_sampler(fn, StubGenerator(uniforms))
     return [sample(lam, i, None)[1] for _ in uniforms]
 
 
@@ -360,16 +370,21 @@ class TestSelectionLaw:
             ("ridge", [1, 1, 0, 0, 0]),
             ("ridge", [0, 1, 0, 0]),
             ("ridge", [1, 0, 1, 0, 0]),  # two flips off the ridge: k=2 rejection can land on it
+            ("ridge", [0, 0, 0, 0, 0]),  # on the ridge, as [1, 1, 0, 0, 0] is: the exact law
+            ("ridge", [1, 1, 1, 1, 0]),
         ],
     )
     def test_selected_genotype_matches_exact_law(self, spec, parent, lam):
+        # level functions through the per-bit reference, ridge through the
+        # sampler run() ships for it
         n = len(parent)
         fn = FitnessFunction.parse(spec, n)
         law = exact_selection_law(fn, parent, lam)
         assert abs(sum(law.values()) - 1.0) < 1e-12
         bits = list(parent)
         ones, f = sum(parent), raw(fn, parent)
-        sample = _offspring_sampler(fn, bits, np.random.default_rng((n, lam, sum(map(ord, spec)))))
+        sampler = _offspring_sampler if fn.level_based else _ridge_sampler
+        sample = sampler(fn, bits, np.random.default_rng((n, lam, sum(map(ord, spec)))))
         trials = 50_000
         counts = Counter()
         for _ in range(trials):
@@ -382,6 +397,110 @@ class TestSelectionLaw:
         for geno, p in law.items():
             se = math.sqrt(p * (1.0 - p) / trials)
             assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (geno, counts[geno], p)
+
+
+def one_child_law(fn, parent) -> dict:
+    """One standard-bit mutant's genotype law, every flip mask enumerated."""
+    n, law = len(parent), defaultdict(float)
+    for mask in itertools.product((0, 1), repeat=n):
+        law[tuple(b ^ m for b, m in zip(parent, mask))] += (
+            (1.0 / n) ** sum(mask) * (1.0 - 1.0 / n) ** (n - sum(mask)))
+    return law
+
+
+def value_level_law(fn, parent, lam) -> dict:
+    """The selected child's genotype law at any lam: the best value V of
+    lam children has P(V <= v) = C(v)^lam, C one child's value CDF, and
+    given V = v the child follows one child's genotype law given its
+    value.  C(v)^lam is exp(lam * log1p(-tail)), tail the mass above v."""
+    one = one_child_law(fn, parent)
+    mass = defaultdict(float)
+    for child, p in one.items():
+        mass[raw(fn, list(child))] += p
+    values = sorted(mass)
+    power = {v: math.exp(lam * math.log1p(-math.fsum(mass[w] for w in values[k + 1:])))
+             for k, v in enumerate(values)}
+    below = dict(zip(values, [0.0] + [power[v] for v in values[:-1]]))
+    return {child: (power[v] - below[v]) * p / mass[v]
+            for child, p in one.items() for v in [raw(fn, list(child))]}
+
+
+class CountingGenerator:
+    """A numpy generator that counts every value it hands out and refuses
+    to draw flip counts."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.drawn = 0
+
+    def binomial(self, n, p, size):
+        raise AssertionError("an on-ridge generation draws no flip count")
+
+    def integers(self, low, high, size):
+        self.drawn += size
+        return self.rng.integers(low, high, size=size)
+
+    def random(self, size):
+        self.drawn += size
+        return self.rng.random(size)
+
+
+class TestRidgeLaw:
+    """The on-ridge path of ridge's sampler: parents 1^j 0^(n-j) draw the
+    selected child from the exact law's rows."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_rows_match_enumeration(self, n):
+        # each entry's one-child mass (the row's lam = 1 law), keyed by
+        # (one-count, value); pads are left out, as mass 0
+        fn = FitnessFunction("ridge", n)
+        for j in range(n + 1):
+            want = defaultdict(float)
+            for child, p in one_child_law(fn, with_ones(n, j)).items():
+                want[sum(child), raw(fn, list(child))] += p
+            block, r = _level_law(fn, j)
+            ones, group, share, logcdf = block.level(r)
+            masses = _power_pmf(logcdf, 1.0)[group] * share
+            got = dict(zip(zip(ones.tolist(), block.fit[r, block.skip[r]:].tolist()),
+                           masses.tolist()))
+            assert len(got) == ones.size and abs(sum(got.values()) - 1.0) <= 1e-15, j
+            for key in set(want) | set(got):
+                assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-15, (j, key)
+                assert (got.get(key, 0.0) == 0.0) == (want.get(key, 0.0) == 0.0), (j, key)
+
+    @pytest.mark.parametrize("lam", [4, 50, 10**4, LAMBDA_MAX])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_selected_genotype_matches_value_level_law(self, n, lam):
+        fn = FitnessFunction("ridge", n)
+        trials = 10_000
+        for j in range(n + 1):
+            parent = with_ones(n, j)
+            law = value_level_law(fn, parent, lam)
+            assert abs(sum(law.values()) - 1.0) < 1e-12
+            sample = _ridge_sampler(fn, list(parent), np.random.default_rng((n, j, lam % 2**32)))
+            counts = Counter()
+            for _ in range(trials):
+                bf, child_ones, flips = sample(lam, j, n + j)
+                child = child_of(parent, flips)
+                assert child_ones == sum(child) and bf == raw(fn, child)
+                counts[tuple(child)] += 1
+            assert {c for c in counts if law[c] == 0.0} == set(), j
+            for geno, p in law.items():
+                se = math.sqrt(p * (1.0 - p) / trials)
+                assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (j, geno, counts[geno], p)
+
+    @pytest.mark.parametrize("lam", [1, LAMBDA_MAX])
+    def test_on_ridge_generation_does_not_grow_with_lambda(self, lam):
+        # one generation from each parent on the ridge returns, draws no
+        # flip count, and draws at most a bound set by n: the law's first
+        # block of uniforms and, for a child off the ridge, its layout's
+        n = 64
+        fn = FitnessFunction("ridge", n)
+        for j in range(n):
+            rng = CountingGenerator(j)
+            bf, child_ones, flips = _ridge_sampler(fn, with_ones(n, j), rng)(lam, j, n + j)
+            assert bf == raw(fn, child_of(with_ones(n, j), flips)), j
+            assert rng.drawn <= 8 * n, (j, rng.drawn)
 
 
 class ScriptedGenerator:

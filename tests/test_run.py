@@ -308,7 +308,7 @@ class TestEngines:
 
     def test_engines_refuse_mismatched_function(self):
         # the exact law works through the level table; ridge, whose value
-        # depends on the bit layout, has none and runs on bit mutation
+        # depends on the bit layout, has none and runs on its own sampler
         with pytest.raises(ValueError):
             FitnessFunction("ridge", 8).level_table()
         with pytest.raises(ValueError):

@@ -21,6 +21,11 @@ and every flip set of two or more took its positions from the position
 stream (no permutation prefix): the first k distinct of i.i.d. uniform
 positions are a uniform k-subset, so the law held, and a two-sample test
 on the evaluations of 600 runs per selection agreed (BENCH_ridge_stream.json).
+They moved a third time, with the ridge run CSV and nothing else, when a
+generation whose parent is on the ridge began to draw its selected child
+from the exact law with one uniform, as the level engine does:
+``test_exact_law.py`` compares ridge runs with per-bit mutation, and
+``TestRidgeLaw`` checks the on-ridge draws against enumeration.
 
 The oracle commands' CSVs are pinned byte for byte as well, written
 without the timestamp line, so a change to the CSV writer or to the
@@ -110,13 +115,13 @@ CASES = [
     ("onemax-gen-cap-plus", PLUS, "onemax", 200, 1.5, 1.0,
      StoppingCondition(max_generations=150), 23, 2.0, StopCause.GENERATION_CAP,
      "7959bccf924d85905433fbff5ea18df6cc07e268084b10a63c144d430f077f6c"),
-    # ridge runs on the bit-mutation sampler
+    # ridge runs on its own sampler: the exact law on the ridge, bit mutation off it
     ("ridge-comma", COMMA, "ridge", 30, 1.5, 1.0,
      StoppingCondition(max_generations=20_000), 29, 1.0, StopCause.OPTIMUM,
-     "630675e2b06ff41295051ddad463f85f0783ca9f2fa51c84ddcdba3d5802d89f"),
+     "a4141ad88c74e7cdf9ec11f9b7295f7cc2f04eef3672c7a7da14919fda2376e8"),
     ("ridge-plus", PLUS, "ridge", 30, 1.5, 1.0,
      StoppingCondition(max_generations=20_000), 31, 1.0, StopCause.OPTIMUM,
-     "7d4546ce04b023f9f3133b7dc36c05be9eea88cf6dce3f97af8aa5c6d0c445fe"),
+     "29897afe644a4a8262f1adb74ddec3822e18893c5945ffb5e20ea3506a466e59"),
 ]
 
 
@@ -186,7 +191,7 @@ RUN_CSV_CASES = [
     ("run --n 10 --s 1 --F 1e30 --eval-cap 100 --trace full",
      "89a75e383b1532e85d0e91266f65e813d7095501eb0607345401e0e3387c1ed3"),
     ("run --fn ridge --n 12 --s 1 --trace full",
-     "fcbc1d53dd7bcf876dcfb40b7345501a7ab4ce2977d9e48e2c7f658a2dc6b95f"),
+     "6715ebf7b2f849dcd1f2a21d5d76d41b4724847742f7cd15e1de9766c5c52722"),
     ("run --fn cliff:7 --n 20 --s 1",
      "62f90ca5841b49fc9cecfd9c21e63e9f857125f37626a4c56ac67f510ffcd2fd"),
 ]
