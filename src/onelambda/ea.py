@@ -320,14 +320,15 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     ``on_ridge`` draws the selected child's value and one-count co from
     :func:`_law_sampler` (ridge's law rows hold the ridge string and the
     other children of each one-count), at a cost that does not grow with
-    lam.  A child on the ridge (value >= n) flips the bits between co and j.  A child off it is uniform among
-    the children with one-count co that are not the ridge string, since
-    they all tie: its number a of flipped one-bits has weight C(j, a) *
-    C(n-j, a+co-j) * (p/(1-p))^(2a), p = 1/n, less the ridge string's flip
-    set at the smallest a (:func:`_layout_weights`, kept in a bounded
-    LRU), and its positions are uniform among the first j and the last n-j
-    bits, drawn again if they are that set, so a layout costs O(n) at
-    most.  Layout uniforms come from a ``_stream`` of their own.
+    lam.  A child on the ridge (value >= n) flips the bits between co and
+    j.  A child off it is uniform among the children with one-count co
+    that are not the ridge string, since they all tie: its number a of
+    flipped one-bits has weight C(j, a) * C(n-j, a+co-j) * (p/(1-p))^(2a),
+    p = 1/n, less the ridge string's flip set at the smallest a
+    (:func:`_layout_weights`, kept in a bounded LRU), and its positions
+    are uniform among the first j and the last n-j bits, drawn again if
+    they are that set, so a layout costs O(n) at most.  Layout uniforms
+    come from a ``_stream`` of their own.
     """
     n = fn.n
     law = _law_sampler(fn, rng)

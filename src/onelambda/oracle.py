@@ -276,11 +276,11 @@ class _LawBlock:
         row = self.rows[r]
         if row is None:
             ones, group, share, logcdf = self.level(r)
-            k = self.skip[r]
-            values = self.fit[r, k:][self.last[r, k:]].tolist()
+            values = self.fit[r, self.skip[r]:].tolist()
             pick = ones.tolist()
             ties = {}
             if len(pick) > logcdf.size:
+                values = list(dict.fromkeys(values))  # sorted: one per group
                 members = [[] for _ in range(logcdf.size)]
                 for j, g, s in zip(pick, group.tolist(), share.tolist()):
                     if s > 0.0:
