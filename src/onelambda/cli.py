@@ -77,14 +77,16 @@ def _write_output(args, name, rows, meta, summary, columns=None) -> None:
     """The one output step of every CSV command.  Write ``rows`` with
     ``meta`` as the config header to :func:`_out_location`'s file, or
     ``name`` in its directory; the columns are the first dict row's keys
-    unless given.  Then print ``summary()`` as JSON with the path added as
-    "output": it is called after the write, so it may read what a stream
-    of rows tallied."""
+    unless given.  A command with --workers writes with that many workers
+    (:func:`_workers`), any other with one per usable CPU.  Then print
+    ``summary()`` as JSON with the path added as "output": it is called
+    after the write, so it may read what a stream of rows tallied."""
     _, out, is_dir = _out_location(args)
     if is_dir:
         out = out / name
     xp.write_csv(out, columns or list(rows[0].keys()), rows, meta=meta,
-                 timestamp=not args.no_timestamp)
+                 timestamp=not args.no_timestamp,
+                 workers=_workers(args) if hasattr(args, "workers") else None)
     print(json.dumps({**summary(), "output": str(out)}))
 
 

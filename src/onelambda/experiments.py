@@ -15,14 +15,19 @@ normalised by n, matching the 500n generation cap.
 
 from __future__ import annotations
 
+import atexit
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import pickle
+from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, field, replace
+from itertools import chain, islice
 
 import numpy as np
 
@@ -174,7 +179,7 @@ def _run_one(args) -> RunRecord:
     )
 
 
-_POOL = None  # (owner pid, workers, executor) of the pool run_batch reuses
+_POOL = None  # (owner pid, workers, executor) of the pool batches and writes reuse
 _CHUNKS_PER_WORKER = 4  # chunks per worker that run_batch splits a batch into
 
 
@@ -185,21 +190,27 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool(workers: int) -> ProcessPoolExecutor:
+def _pool(workers: int):
     """This process's pool of ``workers`` workers, created on first use.
 
-    Later calls with the same worker count return the same pool, so its
-    workers keep their level blocks and law rows warm from batch to batch.
-    Another worker count shuts the old pool down first.  A pool inherited
-    through fork belongs to the parent process: it is neither used nor shut
-    down, and a new one takes its place.
+    Batches (:func:`run_batch`) and the pooled CSV write (:func:`write_csv`)
+    share it: later calls with the same worker count return the same pool,
+    so its workers keep their level blocks and law rows warm from call to
+    call.  Another worker count shuts the old pool down first.  A pool
+    inherited through fork belongs to the parent process: it is neither
+    used nor shut down, and a new one takes its place.  The executor module
+    is imported here, so a process that never pools never loads
+    ``multiprocessing``.
 
     Workers start by the platform's default method (fork on Linux) at the
     pool's first task, before the executor starts its manager thread, and
     run the program as it was then.  The old pool is shut down before a new
     one forks, so no fork happens beside a live manager thread.  At
-    interpreter exit ``concurrent.futures`` joins the workers.
+    interpreter exit ``concurrent.futures`` joins the workers, and
+    :func:`_drop_pool` shuts the pool down.
     """
+    from concurrent.futures import ProcessPoolExecutor
+
     global _POOL
     pid = os.getpid()
     if _POOL is not None and _POOL[0] == pid:
@@ -208,6 +219,30 @@ def _pool(workers: int) -> ProcessPoolExecutor:
         _POOL[2].shutdown()
     _POOL = (pid, workers, ProcessPoolExecutor(max_workers=workers))
     return _POOL[2]
+
+
+def _drop_pool() -> None:
+    """Shut this process's own pool down and forget it.  Also run at
+    interpreter exit, so the executor is collected before the modules it
+    uses are torn down."""
+    global _POOL
+    if _POOL is not None and _POOL[0] == os.getpid():
+        _POOL[2].shutdown()
+    _POOL = None
+
+
+atexit.register(_drop_pool)
+
+
+@contextlib.contextmanager
+def _drop_pool_if_broken():
+    """Run the block; if a pool worker dies in it, drop the pool and let the
+    error propagate.  The next pooled call starts a new pool."""
+    try:
+        yield
+    except BrokenExecutor:
+        _drop_pool()
+        raise
 
 
 def run_batch(config: BatchConfig, workers: int | None = None, progress=None) -> BatchResult:
@@ -230,7 +265,7 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
     ``progress(done, total)``, if given, is called as each record arrives,
     in dispatch order, not run order, with or without the pool.  If a
     worker dies, the pool is dropped and ``BrokenProcessPool`` propagates;
-    the next pooled batch starts a new pool.
+    the next pooled call starts a new pool.
     """
     if workers is None:
         workers = usable_cpus()
@@ -241,7 +276,7 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
     order = sorted(range(len(tasks)), key=lambda k: (tasks[k][2], tasks[k][4]), reverse=True)
     ordered = [tasks[k] for k in order]
     records = [None] * len(tasks)
-    try:
+    with _drop_pool_if_broken():
         if workers > 1 and len(tasks) > 1:
             chunksize = math.ceil(len(tasks) / (_CHUNKS_PER_WORKER * workers))
             results = _pool(workers).map(_run_one, ordered, chunksize=chunksize)
@@ -251,11 +286,6 @@ def run_batch(config: BatchConfig, workers: int | None = None, progress=None) ->
             records[k] = rec
             if progress is not None:
                 progress(done, len(tasks))
-    except BrokenProcessPool:
-        global _POOL
-        _POOL[2].shutdown()
-        _POOL = None
-        raise
     cells = []
     per_cell = config.runs
     for j, (cell_index, n, F, s) in enumerate(config.cell_specs()):
@@ -575,7 +605,8 @@ def config_digest(meta: dict) -> str:
     return hashlib.sha256(json.dumps(meta, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-_BLOCK_ROWS = 4096  # rows formatted per pass: bounds the text held at once
+_BLOCK_ROWS = 1024  # rows formatted per pass: bounds the text held at once
+_IN_FLIGHT = 6  # blocks a pooled write has submitted and not yet written, at most
 
 
 def _plain_block(text: str, rows: int, width: int) -> bool:
@@ -589,7 +620,47 @@ def _plain_block(text: str, rows: int, width: int) -> bool:
             and (width > 1 or not (text.startswith("\r") or "\n\r" in text)))
 
 
-def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
+def _format_block(block: list, width: int) -> str:
+    """csv.writer's text for ``block``, plain tuples meant to hold ``width``
+    fields each.  Each row goes through one %-template; if a row does not
+    have ``width`` fields, or the text fails :func:`_plain_block`, csv.writer
+    writes the block instead."""
+    template = ",".join(["%s"] * width) + "\r\n"
+    try:
+        text = "".join(map(template.__mod__, block))
+    except TypeError:  # a row without one field per column
+        text = None
+    if text is not None and _plain_block(text, len(block), width):
+        return text
+    import csv
+
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows(block)
+    return buf.getvalue()
+
+
+def _format_pickled(payload: bytes, width: int) -> str:
+    """A pool worker's task: :func:`_format_block` of a pickled block."""
+    return _format_block(pickle.loads(payload), width)
+
+
+def _pooled_texts(blocks, width: int, workers: int):
+    """The texts of ``blocks``, in order, formatted by the pool of
+    ``workers`` workers.  Each block is pickled here before it is
+    submitted, so what is in flight is bytes, and at most ``_IN_FLIGHT``
+    blocks are submitted and not yet written."""
+    pool = _pool(workers)
+    pending = deque()
+    for payload in map(pickle.dumps, blocks):
+        if len(pending) == _IN_FLIGHT:
+            yield pending.popleft().result()
+        pending.append(pool.submit(_format_pickled, payload, width))
+    while pending:
+        yield pending.popleft().result()
+
+
+def write_csv(path, columns, rows, meta: dict, timestamp: bool = True,
+              workers: int | None = None) -> None:
     """Write rows with '#' header comments carrying the effective config,
     its hash and the normalisation conventions.
 
@@ -600,16 +671,22 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
     quotes only around a field that holds a comma, quote or line break
     and around a row's lone empty field, and '\\r\\n' after each row.
 
-    Rows are formatted in blocks of ``_BLOCK_ROWS``, each row by one
-    %-template, so the file's text is never held whole.  A block whose
-    text fails :func:`_plain_block`, or whose rows do not have one field
-    per column, is written by csv.writer instead.
+    Rows are turned into plain tuples (a dict through ``columns``, any
+    other row by tuple()) and formatted in blocks of ``_BLOCK_ROWS`` by
+    :func:`_format_block`, so the file's text is never held whole.  When
+    the rows fill more than one block and ``workers`` is more than 1, the
+    blocks are formatted in the process's pool (:func:`_pool`, shared with
+    :func:`run_batch`) while this process pulls the rows, at most
+    ``_IN_FLIGHT`` blocks ahead of the file; otherwise here.  ``workers``
+    None means one per CPU this process may run on.  If a worker dies, the
+    pool is dropped and ``BrokenProcessPool`` propagates.
     """
     import csv
     import datetime
     import pathlib
-    from itertools import chain, islice
 
+    if workers is None:
+        workers = usable_cpus()
     path = pathlib.Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
@@ -618,26 +695,21 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True) -> None:
         fh.write("# note: log-normalisations use log base 2\n")
         if timestamp:
             fh.write(f"# generated_at: {datetime.datetime.now().isoformat()}\n")
-        writer = csv.writer(fh)
-        writer.writerow(columns)
+        csv.writer(fh).writerow(columns)
         rows = iter(rows)
-        first = next(rows, None)
-        if first is None:
+        head = list(islice(rows, _BLOCK_ROWS + 1))  # the first block and one row more, if any
+        if not head:
             return
-        as_dicts = isinstance(first, dict)
-        rows = chain((first,), rows)
+        if isinstance(head[0], dict):
+            def plain(row):
+                return tuple(map(row.get, columns))
+        else:
+            plain = tuple
+        pooled = workers > 1 and len(head) > _BLOCK_ROWS
+        rows = chain(iter(head), rows)  # an iterator, so head is freed once it is read
+        del head
+        blocks = iter(lambda: list(map(plain, islice(rows, _BLOCK_ROWS))), [])
         width = len(columns)
-        template = ",".join(["%s"] * width) + "\r\n"
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            if as_dicts:
-                block = [tuple(map(row.get, columns)) for row in block]
-            else:
-                block = [row if isinstance(row, tuple) else tuple(row) for row in block]
-            try:
-                text = "".join(map(template.__mod__, block))
-            except TypeError:  # a row without one field per column
-                text = None
-            if text is not None and _plain_block(text, len(block), width):
-                fh.write(text)
-            else:
-                writer.writerows(block)
+        with _drop_pool_if_broken():
+            fh.writelines(_pooled_texts(blocks, width, workers) if pooled
+                          else (_format_block(block, width) for block in blocks))

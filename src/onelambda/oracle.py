@@ -36,11 +36,11 @@ its generations there from them.
 The onemax checks run over arrays.  :func:`state_quantities` gives the
 quantities of a list of states (i, lam) as arrays, from one numpy pass
 per group of at most 256 states that share a block of levels and a
-window shape.  :func:`drift_grid_check` calls it once on its distinct
-(i, round(lambda)) pairs and gathers each state's into one drift
-expression, and :func:`check_transition_bounds` calls it once per law
-block of levels x lams and evaluates each bound over that block.  Each
-check returns one :class:`CheckReport`.  The rows its CLI command
+window shape.  :func:`drift_grid_check` calls it once per pass of 2048
+states, on their distinct (i, round(lambda)) pairs, and gathers each
+state's into one drift expression, and :func:`check_transition_bounds`
+calls it once per law block of levels x lams and evaluates each bound
+over that block.  Each check returns one :class:`CheckReport`.  The rows its CLI command
 writes, plain tuples, stream into the writer it is given a block at a
 time, so the rows held do not grow with the grid, and the verdicts are
 tallied from their ``pass`` column as they pass.
@@ -451,22 +451,25 @@ class CheckReport:
     they pass, ``checks_performed`` counts them and ``violations`` counts
     those that fail, so every field is final once the check returns.
     ``states_checked`` is the grid's size; the drift check also gives its
-    extreme drift and that state (i, lambda_real), else None."""
+    extreme drift and that state (i, lambda_real), else None: ``extreme()``,
+    called once the rows end, returns the pair."""
 
-    def __init__(self, states_checked: int, blocks, write, extreme=None, extreme_state=None):
+    def __init__(self, states_checked: int, blocks, write, extreme=None):
         self.states_checked = states_checked
-        self.extreme, self.extreme_state = extreme, extreme_state
+        self.extreme = self.extreme_state = None
         self.checks_performed = self.violations = 0
-        rows = self.rows = chain.from_iterable(self._tally(blocks))
+        rows = self.rows = chain.from_iterable(self._tally(blocks, extreme))
         write(self)
         if next(rows, None) is not None:
             raise ValueError("write must read the check's rows to the end")
 
-    def _tally(self, blocks):
+    def _tally(self, blocks, extreme):
         for block in blocks:
             self.checks_performed += len(block)
             self.violations += len(block) - sum(map(itemgetter(-1), block))
             yield block
+        if extreme is not None:
+            self.extreme, self.extreme_state = extreme()
 
     @property
     def ok(self) -> bool:
@@ -757,6 +760,10 @@ def _drift(p_plus, gain, loss, terms, cap_gain_at_one):
     return fitness_part + p_plus * h_succ + (1.0 - p_plus) * h_fail - h_now
 
 
+# States per pass of drift_grid_check: enough that a pass's pairs fill
+# state_quantities' passes, few enough that its rows are a small block.
+_DRIFT_PASS = 2048
+
 # The drift-check CSV's columns, one row per state; pass is margin >= 0.
 DRIFT_COLUMNS = ("n", "i", "lambda_real", "lambda_int", "drift", "threshold", "margin", "pass")
 
@@ -788,12 +795,14 @@ def drift_grid_check(
     greatest) with its state, and one :data:`DRIFT_COLUMNS` row per
     state, in order, to ``write`` as :class:`CheckReport` says.
 
-    The level quantities come from one :func:`state_quantities` call per
-    law block of levels over the distinct (i, round(lambda_real)) pairs,
-    the controller's scalar code runs once per distinct lambda_real, and
-    one array expression (:func:`_drift`) gives the drifts, _STATE_PASS
-    states at a time, all before the first row; then the rows are built
-    as many states at a time.
+    The controller's scalar code runs once per distinct lambda_real, before
+    any row.  Then the states go _DRIFT_PASS at a time: one
+    :func:`state_quantities` call over their distinct (i,
+    round(lambda_real)) pairs, one array expression (:func:`_drift`) for
+    their drifts, and their rows, so no array spans all the states.  Each
+    pass keeps its extreme state, and the report's extreme is the extreme
+    of those, taken once the rows end: np.argmin's (or np.argmax's) state
+    over the whole grid.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
@@ -802,47 +811,41 @@ def drift_grid_check(
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     if not len(grid):
         return CheckReport(0, (), write)
-    i, lam_real = grid[:, 0].astype(int), grid[:, 1]
-    lam, drift = _grid_drift(potential, params, n, i, lam_real, cap_gain_at_one)
-    k = np.argmin(drift) if direction == "min_at_least" else np.argmax(drift)
-
-    def rows(at):
-        margin = drift[at] - threshold if direction == "min_at_least" else threshold - drift[at]
-        return list(zip(repeat(n), i[at].tolist(), lam_real[at].tolist(), lam[at].tolist(),
-                        drift[at].tolist(), repeat(threshold), margin.tolist(),
-                        (margin >= 0).tolist()))
-
-    runs = (slice(lo, lo + _STATE_PASS) for lo in range(0, len(grid), _STATE_PASS))
-    return CheckReport(len(grid), map(rows, runs), write, float(drift[k]),
-                       (int(i[k]), float(lam_real[k])))
-
-
-def _grid_drift(potential, params, n, i, lam_real, cap_gain_at_one):
-    """round(lambda_real) and the drift at each state (i, lambda_real) of
-    :func:`drift_grid_check`, as two arrays; the rest of what it computes
-    is freed on return, before the rows are built."""
-    lam_values, lam_of = np.unique(lam_real, return_inverse=True)
+    outside = ~((grid[:, 0] >= 0) & (grid[:, 0] < n))  # a NaN level too
+    if outside.any():
+        raise ValueError(f"need 0 <= i < n, got i={grid[outside, 0][0]:g}, n={n}")
+    lam_values = np.unique(grid[:, 1])  # sorted
     if lam_values[0] < 1.0:
         raise ValueError(f"lambda_real must be >= 1, got {lam_values[0]}")
     per_lam = [(round_lambda(x), *_lambda_terms(potential, x, params))
                for x in lam_values.tolist()]
     lam, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
     counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
-    # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
-    pairs, pair_of = np.unique(i * counts.size + count_of[lam_of], return_inverse=True)
-    level, count = pairs // counts.size, counts[pairs % counts.size]  # sorted by level
-    p_plus, gain, loss = np.empty((3, pairs.size))
-    cuts = (np.flatnonzero(np.diff(level // _LAW_BLOCK)) + 1).tolist()
-    for at in map(slice, [0, *cuts], [*cuts, pairs.size]):  # one law block of levels
-        q = state_quantities(n, level[at], count[at])
-        p_plus[at], gain[at], loss[at] = q.p_plus, q.gain, q.loss
-    drift = np.empty(len(i))
-    for lo in range(0, len(i), _STATE_PASS):  # so no other array spans all the states
-        at = slice(lo, lo + _STATE_PASS)
-        pair, x = pair_of[at], lam_of[at]
-        drift[at] = _drift(p_plus[pair], gain[pair], loss[pair], [t[x] for t in terms],
-                           cap_gain_at_one)
-    return lam[lam_of], drift
+    _check_lam(counts[-1].item())
+    pick = np.argmin if direction == "min_at_least" else np.argmax
+    extremes = []  # (drift, i, lambda_real) at each pass's extreme
+
+    def rows(at):
+        i, lam_real = grid[at, 0].astype(int), grid[at, 1]
+        x = np.searchsorted(lam_values, lam_real)  # lambda_real's index in lam_values
+        # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
+        pairs, pair_of = np.unique(i * counts.size + count_of[x], return_inverse=True)
+        q = state_quantities(n, pairs // counts.size, counts[pairs % counts.size])
+        drift = _drift(q.p_plus[pair_of], q.gain[pair_of], q.loss[pair_of],
+                       [t[x] for t in terms], cap_gain_at_one)
+        k = pick(drift)
+        extremes.append((drift[k], i[k], lam_real[k]))
+        margin = drift - threshold if direction == "min_at_least" else threshold - drift
+        return list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam[x].tolist(),
+                        drift.tolist(), repeat(threshold), margin.tolist(),
+                        (margin >= 0).tolist()))
+
+    def extreme():
+        drift, i, lam_real = extremes[pick([e[0] for e in extremes])]
+        return float(drift), (int(i), float(lam_real))
+
+    runs = (slice(lo, lo + _DRIFT_PASS) for lo in range(0, len(grid), _DRIFT_PASS))
+    return CheckReport(len(grid), map(rows, runs), write, extreme)
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

@@ -730,6 +730,13 @@ class TestWorkers:
         assert "config key 'workers'" in capsys.readouterr().err
         assert pool_counts == []
 
+    def test_one_worker_writes_a_csv_of_many_blocks_without_a_pool(self, pool_counts,
+                                                                     monkeypatch, tmp_path):
+        monkeypatch.setattr(xp, "_BLOCK_ROWS", 2)  # the 4 runs' rows fill 2 blocks
+        assert main([*self.BATCH, "--workers", "1", "--out-dir", str(tmp_path)]) == 0
+        assert pool_counts == []
+        assert len(read_csv_rows(tmp_path / "batch_runs.csv")) == 4
+
     @pytest.mark.parametrize("workers, expected", [("1000000", 3), ("0", 3), ("2", 2)])
     def test_count_is_clamped_to_the_cpus(self, workers, expected, pool_counts, tmp_path,
                                           capsys):

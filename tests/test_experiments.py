@@ -13,6 +13,7 @@ import time
 from collections import namedtuple
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -105,14 +106,30 @@ class TestSeeding:
 
 class StubPool:
     """Stands in for the process pool: records each ``map`` call and runs
-    its tasks in this process."""
+    its tasks in this process.  ``submit`` runs its task at once, records
+    its first argument, and counts the tasks submitted and not yet
+    collected."""
 
     def __init__(self):
         self.calls = []
+        self.submitted = []
+        self.in_flight = self.most_in_flight = 0
 
     def map(self, fn, tasks, chunksize):
         self.calls.append((list(tasks), chunksize))
         return map(fn, tasks)
+
+    def submit(self, fn, *args):
+        self.submitted.append(args[0])
+        self.in_flight += 1
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        value = fn(*args)
+
+        def result():
+            self.in_flight -= 1
+            return value
+
+        return SimpleNamespace(result=result)
 
 
 class TestDispatch:
@@ -205,9 +222,10 @@ class TestSharedPool:
             "print(*xp._POOL[2]._processes)\n"
         )
         src = str(Path(xp.__file__).resolve().parents[1])
-        out = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
-                             text=True, timeout=120, check=True).stdout
-        pids = [int(p) for p in out.split()]
+        done = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stderr == ""  # the pool went down before the executor's module
+        pids = [int(p) for p in done.stdout.split()]
         assert len(pids) == 2
         for pid in pids:
             with pytest.raises(ProcessLookupError):
@@ -495,3 +513,78 @@ class TestCsvWriterEquivalence:
         target = tmp_path / "o.csv"
         write_csv(target, ["a", "b"], rows, meta={}, timestamp=False)
         assert target.read_bytes().split(b"\n", 3)[3] == csv_writer_body(["a", "b"], rows)
+
+
+class DiesInWorker:
+    """A CSV field whose str() ends any process but the one that made it,
+    so a pool worker that formats it dies."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+
+    def __str__(self):
+        if os.getpid() != self.pid:
+            os._exit(1)
+        return "here"
+
+
+@pytest.mark.usefixtures("no_pool")
+class TestPooledWrite:
+    @pytest.mark.parametrize("kind", ["dict", "namedtuple"])
+    def test_pooled_bytes_are_the_in_process_bytes(self, tmp_path, kind):
+        # 3 blocks and 1 row: a None and a quote in block 2 alone, and, for
+        # sequence rows, a row of another width in block 3
+        columns = ["k", "x", "tag"]
+        size = xp._BLOCK_ROWS
+        values = [[k, k / 7, f"r{k}"] for k in range(3 * size + 1)]
+        values[size + 5][1] = None
+        values[size + 9][2] = 'say "hi"'
+        if kind == "dict":  # the None is a missing key
+            rows = [{c: v for c, v in zip(columns, row) if v is not None} for row in values]
+        else:  # a class local to the test cannot be pickled: workers get plain tuples
+            Row, Short = namedtuple("Row", columns), namedtuple("Short", columns[:2])
+            rows = [Row(*row) for row in values]
+            rows[2 * size + 3] = Short(*values[2 * size + 3][:2])
+            values[2 * size + 3] = values[2 * size + 3][:2]
+        here, pooled = tmp_path / "here.csv", tmp_path / "pooled.csv"
+        write_csv(here, columns, rows, meta={}, timestamp=False, workers=1)
+        assert xp._POOL is None
+        write_csv(pooled, columns, rows, meta={}, timestamp=False, workers=2)
+        assert xp._POOL is not None
+        assert pooled.read_bytes() == here.read_bytes()
+        assert here.read_bytes().split(b"\n", 3)[3] == csv_writer_body(columns, values)
+
+    def test_at_most_the_cap_of_pickled_blocks_is_in_flight(self, monkeypatch, tmp_path):
+        stub = StubPool()
+        monkeypatch.setattr(xp, "_pool", lambda workers: stub)
+        rows = [(k, k / 3) for k in range(5 * xp._BLOCK_ROWS + 7)]
+        target = tmp_path / "o.csv"
+        write_csv(target, ["a", "b"], iter(rows), meta={}, timestamp=False, workers=2)
+        assert len(stub.submitted) == 6 and all(type(p) is bytes for p in stub.submitted)
+        assert stub.most_in_flight == xp._IN_FLIGHT and stub.in_flight == 0
+        assert target.read_bytes().split(b"\n", 3)[3] == csv_writer_body(["a", "b"], rows)
+
+    @pytest.mark.parametrize("rows, workers", [(xp._BLOCK_ROWS, 2), (xp._BLOCK_ROWS + 1, 1)],
+                             ids=["one-block", "one-worker"])
+    def test_one_block_or_one_worker_formats_here(self, monkeypatch, tmp_path, rows, workers):
+        def no_pool(workers):
+            raise AssertionError("a pool started")
+
+        monkeypatch.setattr(xp, "_pool", no_pool)
+        table = [(k,) for k in range(rows)]
+        target = tmp_path / "o.csv"
+        write_csv(target, ["a"], table, meta={}, timestamp=False, workers=workers)
+        assert target.read_bytes().split(b"\n", 3)[3] == csv_writer_body(["a"], table)
+
+    def test_dead_worker_fails_the_write_then_a_new_pool_writes(self, tmp_path):
+        rows = [(k,) for k in range(2 * xp._BLOCK_ROWS)]
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        write_csv(first, ["a"], rows, meta={}, workers=2, timestamp=False)
+        pool = xp._POOL[2]
+        with pytest.raises(BrokenProcessPool):
+            write_csv(tmp_path / "dead.csv", ["a"], rows + [(DiesInWorker(),)], meta={},
+                      workers=2)
+        assert xp._POOL is None
+        write_csv(last, ["a"], rows, meta={}, workers=2, timestamp=False)
+        assert xp._POOL[2] is not pool
+        assert last.read_bytes() == first.read_bytes()

@@ -5,6 +5,8 @@ import ast
 import importlib
 import json
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,16 @@ def test_package_imports_resolve():
         for alias in node.names:
             assert hasattr(onelambda, alias.asname or alias.name), alias.name
             assert alias.name in module.__all__, (node.module, alias.name)
+
+
+def test_cli_import_loads_no_process_pool():
+    # the executor module, and with it multiprocessing, loads when a pool starts
+    script = ("import sys; sys.path.insert(0, sys.argv[1]); import onelambda.cli; "
+              "print('multiprocessing' in sys.modules)")
+    src = str(Path(onelambda.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script, src], capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    assert out.split() == ["False"]
 
 
 def benchmark_tracer(monkeypatch):
