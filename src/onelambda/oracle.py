@@ -40,10 +40,10 @@ window shape.  :func:`drift_grid_check` calls it once per pass of 2048
 states, on their distinct (i, round(lambda)) pairs, and gathers each
 state's into one drift expression, and :func:`check_transition_bounds`
 calls it once per law block of levels x lams and evaluates each bound
-over that block.  Each check returns one :class:`CheckReport`.  The rows its CLI command
-writes, plain tuples, stream into the writer it is given a block at a
-time, so the rows held do not grow with the grid, and the verdicts are
-tallied from their ``pass`` column as they pass.
+over that block.  Each check returns one :class:`CheckReport`.  The rows
+its CLI command writes, plain tuples, stream into the writer it is given
+a block at a time, so the rows held do not grow with the grid, and the
+verdicts are tallied from their ``pass`` column as they pass.
 Entries that pass through exp, log1p, expm1, log2 or a power (p_plus,
 p_minus and eight of the bounds) stay ``math`` scalars, one call per (i,
 lam) or per lam: numpy's SIMD versions differ from ``math`` in the last
@@ -451,25 +451,25 @@ class CheckReport:
     they pass, ``checks_performed`` counts them and ``violations`` counts
     those that fail, so every field is final once the check returns.
     ``states_checked`` is the grid's size; the drift check also gives its
-    extreme drift and that state (i, lambda_real), else None: ``extreme()``,
-    called once the rows end, returns the pair."""
+    extreme drift and that state (i, lambda_real), else None:
+    ``find_extreme()``, called once the rows end, returns the pair."""
 
-    def __init__(self, states_checked: int, blocks, write, extreme=None):
+    def __init__(self, states_checked: int, blocks, write, find_extreme=None):
         self.states_checked = states_checked
         self.extreme = self.extreme_state = None
         self.checks_performed = self.violations = 0
-        rows = self.rows = chain.from_iterable(self._tally(blocks, extreme))
+        rows = self.rows = chain.from_iterable(self._tally(blocks, find_extreme))
         write(self)
         if next(rows, None) is not None:
             raise ValueError("write must read the check's rows to the end")
 
-    def _tally(self, blocks, extreme):
+    def _tally(self, blocks, find_extreme):
         for block in blocks:
             self.checks_performed += len(block)
             self.violations += len(block) - sum(map(itemgetter(-1), block))
             yield block
-        if extreme is not None:
-            self.extreme, self.extreme_state = extreme()
+        if find_extreme is not None:
+            self.extreme, self.extreme_state = find_extreme()
 
     @property
     def ok(self) -> bool:
@@ -799,7 +799,8 @@ def drift_grid_check(
     any row.  Then the states go _DRIFT_PASS at a time: one
     :func:`state_quantities` call over their distinct (i,
     round(lambda_real)) pairs, one array expression (:func:`_drift`) for
-    their drifts, and their rows, so no array spans all the states.  Each
+    their drifts, and their rows, so what the check holds while the rows
+    stream does not grow with the grid beyond ``states`` itself.  Each
     pass keeps its extreme state, and the report's extreme is the extreme
     of those, taken once the rows end: np.argmin's (or np.argmax's) state
     over the whole grid.
@@ -821,7 +822,7 @@ def drift_grid_check(
                for x in lam_values.tolist()]
     lam, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
     counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
-    _check_lam(counts[-1].item())
+    _check_lam(counts.tolist()[-1])
     pick = np.argmin if direction == "min_at_least" else np.argmax
     extremes = []  # (drift, i, lambda_real) at each pass's extreme
 
@@ -840,12 +841,12 @@ def drift_grid_check(
                         drift.tolist(), repeat(threshold), margin.tolist(),
                         (margin >= 0).tolist()))
 
-    def extreme():
+    def find_extreme():
         drift, i, lam_real = extremes[pick([e[0] for e in extremes])]
         return float(drift), (int(i), float(lam_real))
 
     runs = (slice(lo, lo + _DRIFT_PASS) for lo in range(0, len(grid), _DRIFT_PASS))
-    return CheckReport(len(grid), map(rows, runs), write, extreme)
+    return CheckReport(len(grid), map(rows, runs), write, find_extreme)
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

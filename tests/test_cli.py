@@ -139,6 +139,8 @@ class TestRunCommand:
         ("bounds-check --n 1" + "0" * 40, "--n"),
         ("drift-check --n 1" + "0" * 400, "--n"),
         ("bounds-check --n 1000001", "--n must be at most 1000000"),
+        # g1's grid reaches lambda e*n*F^(1/s), past LAMBDA_MAX and past int64
+        ("drift-check --n 10 --F 1e10 --s 0.5", "lam <="),
     ])
     def test_invalid_setting_is_config_error(self, argv, setting, tmp_path, capsys):
         out = ["--out-dir", str(tmp_path)] if argv.startswith("batch") else [

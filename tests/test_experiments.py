@@ -215,6 +215,7 @@ class TestSharedPool:
         script = (
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "from onelambda import experiments as xp\n"
+            "sys.held = xp  # as a test runner holds it, past the modules' teardown\n"
             "assert xp._POOL is None\n"
             "config = xp.BatchConfig(algorithm='comma', fn_spec='onemax', n_values=(20,),\n"
             "                        fs_values=((1.5, 1.0),), runs=4, master_seed=1)\n"
@@ -557,10 +558,11 @@ class TestPooledWrite:
     def test_at_most_the_cap_of_pickled_blocks_is_in_flight(self, monkeypatch, tmp_path):
         stub = StubPool()
         monkeypatch.setattr(xp, "_pool", lambda workers: stub)
-        rows = [(k, k / 3) for k in range(5 * xp._BLOCK_ROWS + 7)]
+        blocks = xp._IN_FLIGHT + 4
+        rows = [(k, k / 3) for k in range((blocks - 1) * xp._BLOCK_ROWS + 7)]
         target = tmp_path / "o.csv"
         write_csv(target, ["a", "b"], iter(rows), meta={}, timestamp=False, workers=2)
-        assert len(stub.submitted) == 6 and all(type(p) is bytes for p in stub.submitted)
+        assert len(stub.submitted) == blocks and all(type(p) is bytes for p in stub.submitted)
         assert stub.most_in_flight == xp._IN_FLIGHT and stub.in_flight == 0
         assert target.read_bytes().split(b"\n", 3)[3] == csv_writer_body(["a", "b"], rows)
 

@@ -723,6 +723,20 @@ class TestDriftGridCheck:
         assert report.violations == 2 and not report.ok
 
     @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["levels-up", "levels-down"])
+    def test_extreme_is_the_first_extreme_row_of_the_grid(self, direction, order):
+        # g1's grid at n = 40 twice: 5360 states in three passes, each drift
+        # twice (a tie); reversed, the least drift sits in the first pass
+        pot, states, _, _ = drift_claim("g1", 40, 1.5, 0.5)
+        states = np.concatenate([states, states])[::order]
+        report = drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), 40, states, 0.0,
+                                  direction, write=keep)
+        drift = np.array([c["drift"] for c in named(report, DRIFT_COLUMNS)])
+        k = int(np.argmin(drift) if direction == "min_at_least" else np.argmax(drift))
+        assert report.extreme == drift[k]
+        assert report.extreme_state == (int(states[k][0]), float(states[k][1]))
+
+    @pytest.mark.parametrize("direction", ["min_at_least", "max_at_most"])
     def test_rows_carry_margin_and_verdict(self, direction):
         params = ControllerParams(F=1.5, s=0.5)
         pot = make_potential("g1", F=1.5, s=0.5, n=30)
@@ -820,7 +834,7 @@ def g1_check(n, write, states=None):
 
 @pytest.mark.parametrize("check", [
     lambda write: check_transition_bounds(100, lambdas=(1, 2, 7), write=write),
-    lambda write: g1_check(40, write),  # 2680 states, over many blocks
+    lambda write: g1_check(40, write),  # 2680 states, over two passes
 ], ids=["bounds", "drift"])
 def test_write_reads_the_listed_rows_and_the_check_returns_final(check):
     seen = []
