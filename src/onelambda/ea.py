@@ -26,30 +26,35 @@ Two engines run the generations of one loop:
   lambda-free rows are built for blocks of levels at a time and shared
   with the oracle.  The initial one-count is drawn from Binomial(n, 1/2);
   no bit string exists.
-* Ridge, whose value depends on the bit layout, keeps a bit-list parent
-  and chooses per generation by the parent's raw value.  A parent on the
-  ridge (raw >= n) is 1^j 0^(n-j), whose children's law depends on j
-  alone: the generation draws the selected child's value and one-count
-  as a level generation does, from ridge's law rows (the ridge string
-  and the other children of each one-count), then its layout, at a cost
-  that does not grow with lambda.  A parent off the ridge mutates bits:
-  each child's flip count comes from Binomial(n, 1/n), then that many
-  distinct positions from a stream of uniform positions (repeats
-  skipped), which is distributionally identical to per-bit flips.  No
-  child is built: its value comes from the parent's mismatch profile
-  against the ridge strings 1^j 0^(n-j), read at the child's one-count
-  after one count over the parent per generation, so a child costs
-  O(its flips) and such a generation O(n + lambda).
+* Ridge, whose value depends on the bit layout, keeps a bit-list parent.
+  A generation of RIDGE_LAW_FROM = 16 children or more draws the selected
+  child's value and one-count as a level generation does, with one
+  uniform, then its layout, at a cost that does not grow with lambda.  A
+  parent on the ridge (raw >= n) is 1^j 0^(n-j), whose children's law
+  depends on j alone: it reads ridge's law rows (the ridge string and the
+  other children of each one-count).  A parent off the ridge has
+  zeromax's law but for the ridge strings within reach of it, which its
+  mismatch profile against the ridge strings 1^j 0^(n-j) finds near its
+  one-count: it reads zeromax's row and, near the ridge, moves those
+  strings' mass to the top.  Fewer children cost less by bit mutation,
+  which also runs the reference the law engines are tested against: each
+  child's flip count comes from Binomial(n, 1/n), then that many distinct
+  positions from a stream of uniform positions (repeats skipped), which
+  is distributionally identical to per-bit flips.  No child is built: its
+  value comes from the parent's mismatch profile, read at the child's
+  one-count after one count over the parent per generation, so a child
+  costs O(its flips).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import accumulate, chain, islice
+from functools import lru_cache, partial
+from itertools import accumulate, chain, compress, islice
+from operator import not_
 
 import numpy as np
 
@@ -58,6 +63,7 @@ from .fitness import FitnessFunction
 __all__ = [
     "CHILD_WINDOW",
     "LAMBDA_MAX",
+    "RIDGE_LAW_FROM",
     "ControllerParams",
     "AlgorithmKind",
     "StoppingCondition",
@@ -290,84 +296,269 @@ def _law_sampler(fn: FitnessFunction, rng: np.random.Generator):
     return sample
 
 
-@lru_cache(maxsize=4096)
-def _layout_weights(n: int, j: int, co: int) -> tuple:
-    """(lo, cum): the cumulative weights of a = lo, lo+1, ... flipped
-    one-bits for a child of 1^j 0^(n-j) with one-count co, 0 < co < n, that
-    is not the ridge string (see :func:`_ridge_sampler`).  lo = max(0, j -
-    co) is the ridge string's count; its weight leaves that one flip set
-    out.  The weights stop where they fall below the float resolution of
-    their sum: they shrink by a factor of at most n^2/(4(n-1)^2) per step."""
-    lo = max(0, j - co)
-    r2 = 1.0 / (n - 1) ** 2  # (p/(1-p))^2, p = 1/n
-    weights = [1.0 - 1.0 / (math.comb(j, lo) * math.comb(n - j, lo + co - j))]
-    total, term = weights[0], 1.0
-    for a in range(lo, min(j, n - co)):
-        b = a + co - j
-        term *= (j - a) * (n - j - b) / ((a + 1) * (b + 1)) * r2
-        if total + term == total:
+# The offspring count from which a ridge generation draws its selected
+# child from the exact law, on the ridge and off it; below it, it mutates
+# bits.  At n = 100 (BENCH_ridge_off_law.json, "crossover") bit mutation
+# costs about 0.45 us a child, a law generation at 16 children under 1 us
+# on the ridge and 2 to 7 us off it, the most a flip or two off a ridge
+# string, so 16 is the smallest power of two at which the law costs no
+# more than bit mutation from every kind of parent: far from the ridge,
+# near 0^n, a flip or two off a ridge string, or on it.
+RIDGE_LAW_FROM = 16
+
+
+@lru_cache(maxsize=16)
+def _ridge_reach(n: int) -> tuple:
+    """(limits, tails, mass) of ridge at n.  tails[D] bounds one child's
+    mass on the ridge strings more than D flips from a parent: at most
+    2m+1 of them lie m flips away, since d[j] >= |j - i| for a parent with
+    i one-bits, so tails[D] = (1-p)^n * sum_(m>D) (2m+1) t^m, t =
+    p/(1-p) (for n <= 2, t = 1 and the bound is 1).  lam children meet
+    one of those strings with probability at most lam * tails[D], so below
+    limits[D] = 2^-53 / tails[D] children they change the law of the best
+    by less than the resolution of one uniform draw.  The lists end at the
+    first limit above LAMBDA_MAX, or at D = n, with tail 0, since no ridge
+    string lies more than n flips away.  A D found by bisection is at most
+    30 = CHILD_WINDOW once n > 31, so those ridge strings lie in the
+    window.  mass[d] = p^d (1-p)^(n-d), one child's mass on a string d
+    flips away, for each D with a limit."""
+    p = 1.0 / n
+    t = 1.0 / (n - 1) if n > 2 else 1.0  # p/(1-p)
+    tails, limits = [], []
+    for k in range(1, n + 1):  # k = D + 1, the nearest distance left out
+        if t < 1.0:
+            tails.append((1.0 - p) ** n * t**k * ((2 * k + 1) / (1.0 - t) + 2 * t / (1.0 - t) ** 2))
+        else:
+            tails.append(1.0)
+        limits.append(2.0**-53 / tails[-1] if tails[-1] > 0.0 else math.inf)
+        if limits[-1] > LAMBDA_MAX:
             break
-        weights.append(term)
-        total += term
+    else:
+        tails.append(0.0)
+        limits.append(math.inf)
+    return limits, tails, [p**d * (1.0 - p) ** (n - d) for d in range(len(limits))]
+
+
+def _near_ridge(bits, i: int, lam_int: int) -> tuple:
+    """(js, above) for the ridge parent ``bits``, off the ridge with i
+    one-bits, at lam_int children: the j >= 1, in increasing order, whose
+    ridge string R_j lies within D flips of the parent
+    (:func:`_ridge_reach`), and above[k - 1], one child's mass on the top k
+    of those R_j.  Both are empty when more than D zeros lie among the
+    parent's first i bits, since every d[j] is at least that many;
+    otherwise d[j] is read for |j - i| <= D."""
+    n = len(bits)
+    limits, _, mass = _ridge_reach(n)
+    cut = bisect_right(limits, lam_int)
+    zb = bits[:i].count(0)  # d[i] = 2 zb, and every d[j] >= zb
+    if zb > cut:
+        return (), ()
+    first = max(1, i - cut)
+    d = 2 * zb - (i - first) + 2 * sum(bits[first:i])  # d[first]
+    js, masses = [], []
+    for j in range(first, min(n, i + cut) + 1):
+        if d <= cut:
+            js.append(j)
+            masses.append(mass[d])
+        if j < n:
+            d += 1 - 2 * bits[j]
+    masses.reverse()
+    return js, list(accumulate(masses))
+
+
+def _off_ridge_logcdf(row, js, above, g: int) -> float:
+    """One child's log CDF at entry g of the law of a ridge parent off the
+    ridge (see :func:`_ridge_sampler`): zeromax's ``row`` for the parent's
+    level (``oracle._LawBlock.row``), entries g < len(row[0]) with
+    one-count row[1][g] and value n - row[1][g], then the ridge strings of
+    :func:`_near_ridge` (js, above), entry len(row[0]) + m for js[m], value
+    n + js[m].  Each ridge string R_j leaves value n - j for n + j, so its
+    mass joins the tail of every one-count c <= j."""
+    logcdf, pick = row[0], row[1]
+    if g >= len(logcdf):  # the ridge strings above js[g - len(logcdf)]
+        k = len(logcdf) + len(js) - 1 - g
+        return math.log1p(-above[k - 1]) if k else 0.0
+    k = len(js) - bisect_left(js, pick[g])  # the ridge strings at or above its one-count
+    if not k:
+        return logcdf[g]
+    x = math.expm1(logcdf[g]) - above[k - 1]
+    return math.log1p(x) if x > -1.0 else -math.inf
+
+
+@lru_cache(maxsize=4096)
+def _layout_weights(n: int, i: int, co: int, ax: int) -> tuple:
+    """(lo, cum): the cumulative weights of a = lo, lo+1, ... flipped
+    one-bits for a child with one-count co, 0 < co < n, of a parent with i
+    one-bits: C(i, a) * C(n-i, a+co-i) * (p/(1-p))^(2a), p = 1/n, relative
+    to a = lo = max(0, i - co).  The child is not the ridge string
+    1^co 0^(n-co), whose flip set has ax flipped one-bits: the weight at
+    ax leaves that one set out (ax = -1 leaves none out).  The weights
+    stop where they fall below the float resolution of their sum: they
+    shrink by a factor of at most n^2/(4(n-1)^2) per step."""
+    lo, top = max(0, i - co), min(i, n - co)
+    r2 = 1.0 / (n - 1) ** 2  # (p/(1-p))^2
+    weights, total, term = [], 0.0, 1.0
+    for a in range(lo, top + 1):
+        if a > lo:
+            b = a - 1 + co - i
+            term *= (i - a + 1) * (n - i - b) / (a * (b + 1)) * r2
+            if total + term == total:
+                break
+        w = term - term / (math.comb(i, a) * math.comb(n - i, a + co - i)) if a == ax else term
+        weights.append(w)
+        total += w
     return lo, list(accumulate(weights))
 
 
 def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
-    """The ridge engine: an :func:`_offspring_sampler` whose ``sample``
-    chooses per generation by the parent's raw value.  A parent off the
-    ridge (raw < n) mutates bits.  A parent on it (raw >= n) is 1^j
-    0^(n-j), j = ``ones``, whose children's law depends on j alone, so
-    ``on_ridge`` draws the selected child's value and one-count co from
-    :func:`_law_sampler` (ridge's law rows hold the ridge string and the
-    other children of each one-count), at a cost that does not grow with
-    lam.  A child on the ridge (value >= n) flips the bits between co and
-    j.  A child off it is uniform among the children with one-count co
-    that are not the ridge string, since they all tie: its number a of
-    flipped one-bits has weight C(j, a) * C(n-j, a+co-j) * (p/(1-p))^(2a),
-    p = 1/n, less the ridge string's flip set at the smallest a
-    (:func:`_layout_weights`, kept in a bounded LRU), and its positions
-    are uniform among the first j and the last n-j bits, drawn again if
-    they are that set, so a layout costs O(n) at most.  Layout uniforms
+    """The ridge engine: ``sample(lam_int, ones, cur_f)`` for the parent
+    ``bits`` (one-count ``ones``, raw value ``cur_f``), which the caller
+    updates in place; it gives ``(f, child_ones, flips)`` as
+    :func:`_offspring_sampler` does.  Below RIDGE_LAW_FROM children it is
+    that sampler's bit mutation.  From there on it draws the selected
+    child's value and one-count co from their exact law with one uniform
+    u, then the child's layout, at a cost that does not grow with lam:
+
+    * a parent on the ridge (raw >= n) is 1^j 0^(n-j), j = ``ones``, whose
+      children's law depends on j alone: :func:`_law_sampler` draws from
+      ridge's own law rows, which hold the ridge string and the other
+      children of each one-count;
+    * a parent x off the ridge, with mismatch profile d[j] = H(x, 1^j
+      0^(n-j)), has a child that is the ridge string R_j with mass
+      p^d[j] (1-p)^(n-d[j]), value n + j, and every other child of
+      one-count c has zeromax's value n - c.  R_0 = 0^n has zeromax's
+      value n as well, so the law is zeromax's at level ``ones`` (its
+      cached row) but for the R_j, j >= 1, within reach of x
+      (:func:`_near_ridge`); the others change it by less than 2^-53.
+      ``off_ridge`` bisects zeromax's log CDF for log(u)/lam.  Every R_j
+      lies at least zb flips from x, zb the zeros among its first
+      ``ones`` bits, so their mass is at most tails[zb - 1]
+      (:func:`_ridge_reach`); unless that much could lower zeromax's CDF
+      at the entry found to u^(1/lam), the draw stands.  Else it bisects
+      :func:`_off_ridge_logcdf` from that entry on: O(n) to find the R_j
+      in reach and O(log n) to draw.
+
+    A child that is a ridge string flips the bits where the parent
+    differs from it.  A child off it is uniform among the children with
+    one-count co that are not the ridge string R_co, since they all tie:
+    its number a of flipped one-bits is drawn from
+    :func:`_layout_weights` (kept in a bounded LRU), which leaves R_co's
+    flip set out of its weight, and its positions are uniform among the
+    parent's one-bits and zero-bits, drawn again if they are that set, so
+    a layout costs O(n) at most.  Layout uniforms, and u off the ridge,
     come from a ``_stream`` of their own.
     """
+    from .oracle import _level_law  # oracle imports this module
+
     n = fn.n
+    per_bit = _offspring_sampler(fn, bits, rng)
     law = _law_sampler(fn, rng)
     uniforms = _stream(rng.random)
+    zeromax = FitnessFunction("zeromax", n)
+    tails = _ridge_reach(n)[1]
+    block, first, width = None, 0, 0  # zeromax's block of the last level off the ridge
 
-    def distinct(k, start, size):
-        """k distinct uniform positions of start..start+size-1."""
+    def distinct(k, seq):
+        """k distinct uniform members of the sequence seq."""
         chosen = []
+        size = len(seq)
         while len(chosen) < k:
-            p = start + int(next(uniforms) * size)
-            if p not in chosen:
-                chosen.append(p)
+            q = seq[int(next(uniforms) * size)]
+            if q not in chosen:
+                chosen.append(q)
         return chosen
 
-    def layout(j, co):
-        lo, cum = _layout_weights(n, j, co)
+    def positions(b, start, count):
+        """The first count positions of the parent's b-bits from start on."""
+        at, q = [], start - 1
+        for _ in range(count):
+            q = bits.index(b, q + 1)
+            at.append(q)
+        return at
+
+    def among(b, k, size):
+        """k distinct uniform positions of the parent's size b-bits: from
+        their list when they are few or many of them are wanted, else from
+        all positions, kept if a b-bit."""
+        if 8 * size < n or 4 * k > size:
+            return distinct(k, list(compress(range(n), bits if b else map(not_, bits))))
+        chosen = []
+        while len(chosen) < k:
+            q = int(next(uniforms) * n)
+            if bits[q] == b and q not in chosen:
+                chosen.append(q)
+        return chosen
+
+    def layout(i, co, ax, draw):
+        """The flips to a child with one-count co, not the ridge string,
+        of a parent with i one-bits; ``draw(b, k)`` gives k distinct
+        positions of its b-bits, and the ridge string's flip set has ax
+        flipped one-bits."""
+        lo, cum = _layout_weights(n, i, co, -1)
+        if ax < lo + len(cum):
+            lo, cum = _layout_weights(n, i, co, ax)
         a = lo + bisect_right(cum, next(uniforms) * cum[-1])
         while True:
-            flips = distinct(a, 0, j) + distinct(a + co - j, j, n - j)
-            # at a = lo the flips lie on one side of j: the ridge string's
-            # set is the bits between co and j
-            if a > lo or (min(flips) < co if co < j else max(flips) >= co):
-                return flips
+            lost, gained = draw(1, a), draw(0, a + co - i)
+            # the ridge string's set: every lost one-bit at or past co,
+            # every gained zero-bit before it
+            if a != ax or not all(q >= co for q in lost) or not all(q < co for q in gained):
+                return lost + gained or None
 
-    def on_ridge(lam_int, ones, cur_f):
-        f, co, _ = law(lam_int, ones, cur_f)
-        if f < n:
-            return f, co, layout(ones, co)
-        return f, co, list(range(co, ones) if co < ones else range(ones, co)) or None
+    def off_ridge(lam_int, ones):
+        """The value and one-count of the selected child of the parent
+        ``bits``, off the ridge, from one uniform u: the first entry g with
+        log(u)/lam_int < :func:`_off_ridge_logcdf`.  That log CDF is at
+        most zeromax's, so g is at or past zeromax's bisection, and the
+        second bisection starts there."""
+        nonlocal block, first, width
+        r = ones - first
+        if not 0 <= r < width:
+            block, r = _level_law(zeromax, ones)
+            first, width = block.first, len(block.rows)
+        row = block.row(r)
+        logcdf, pick, _, values = row
+        u = next(uniforms)
+        t = math.log(u) / lam_int if u else -math.inf
+        g = bisect_right(logcdf, t)
+        # every ridge string lies at least zb flips away: unless their mass
+        # could lower the log CDF at g to t, the draw stays at g
+        zb = bits[:ones].count(0)
+        x = math.expm1(logcdf[g]) - (tails[zb - 1] if zb <= len(tails) else 0.0)
+        if x > -1.0 and t < math.log1p(x):
+            return values[g], pick[g]
+        js, above = _near_ridge(bits, ones, lam_int)
+        if js:
+            size = len(logcdf)
+            g = bisect_right(range(size + len(js)), t, lo=g,
+                             key=partial(_off_ridge_logcdf, row, js, above))
+            if g >= size:
+                return n + js[g - size], js[g - size]
+        return values[g], pick[g]
 
-    return _offspring_sampler(fn, bits, rng, on_ridge)
+    def sample(lam_int, ones, cur_f):
+        if lam_int < RIDGE_LAW_FROM:
+            return per_bit(lam_int, ones, cur_f)
+        if cur_f >= n:  # on the ridge: the parent is 1^ones 0^(n-ones)
+            f, co, _ = law(lam_int, ones, cur_f)
+            if f >= n:
+                return f, co, list(range(co, ones) if co < ones else range(ones, co)) or None
+            return f, co, layout(ones, co, max(0, ones - co),
+                                 lambda b, k: distinct(k, range(ones) if b else range(ones, n)))
+        f, co = off_ridge(lam_int, ones)
+        if f >= n or co == n:  # the ridge string R_co (all n ones: only R_n)
+            return n + co, co, positions(0, 0, bits[:co].count(0)) + positions(1, co, sum(bits[co:]))
+        return f, co, layout(ones, co, bits[:co].count(0) + ones - co,
+                             lambda b, k: among(b, k, ones if b else n - ones) if k else [])
+
+    return sample
 
 
-def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator, ridge_law=None):
+def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     """The bit-mutation engine: best of lam_int standard-bit mutants.  It
-    runs ridge's generations whose parent is off the ridge, and hands
-    those whose parent is on it (raw >= n) to ``ridge_law`` when given
-    (:func:`_ridge_sampler`); without it, on any function, it is the
-    per-bit reference the exact-law engines are tested against.
+    runs ridge's generations below RIDGE_LAW_FROM children
+    (:func:`_ridge_sampler`), and on any function it is the per-bit
+    reference the exact-law engines are tested against.
 
     ``bits`` is the parent as a sequence of ints, which the caller updates
     in place between calls; the sampler only reads it.  Returns
@@ -409,12 +600,9 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator, ridg
     counts = _stream(lambda size: rng.binomial(n, inv_n, size=size))
     positions = _stream(lambda size: rng.integers(0, n, size=size))
     uniforms = _stream(rng.random)
-    ridge_from = n if ridge_law else math.inf
 
     def sample(lam_int, ones, cur_f):
         nonlocal d1
-        if cur_f >= ridge_from:
-            return ridge_law(lam_int, ones, cur_f)
         d1 = -1
         bf = -1
         best_ones = ones

@@ -31,7 +31,8 @@ block of levels; ``ea.run`` samples the same rows instead of mutating
 bits, and the onemax quantities above read onemax's rows.  Ridge has
 such rows too, for a parent on the ridge 1^j 0^(n-j), with two entries
 per one-count (the ridge string and every other child): ``ea.run`` draws
-its generations there from them.
+its generations of many children there from them, and off the ridge
+from zeromax's.
 
 The onemax checks run over arrays.  :func:`state_quantities` gives the
 quantities of a list of states (i, lam) as arrays, from one numpy pass

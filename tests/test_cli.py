@@ -209,6 +209,13 @@ class TestRunCommand:
         assert row == last
         assert int(row["evaluations"]) == full["evaluations"]
 
+    def test_static_ridge_run_at_the_lambda_ceiling_exits_0(self, tmp_path, capsys):
+        # one ridge generation of LAMBDA_MAX children costs what one of 16 does
+        argv = f"run --fn ridge --n 100 --algo static --static-lambda {LAMBDA_MAX} --eval-cap 10"
+        assert main([*argv.split(), "--out", str(tmp_path / "out.csv")]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        assert printed["evaluations"] == LAMBDA_MAX and printed["stop_cause"] == "evaluation_cap"
+
     def test_golden_output_reproducible(self, tmp_path):
         out = tmp_path / "a.csv"
         args = ["run", "--algo", "comma", "--n", "40", "--s", "1", "--seed", "9",

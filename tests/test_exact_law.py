@@ -1,27 +1,31 @@
 """Two-sample equivalence of the law engines and the bit-mutation reference.
 
 ``run()`` draws each generation on a level function, and each ridge
-generation whose parent is on the ridge, from the exact law of the
-selected child.  The reference runs the same loop (``_evolve``) on a
-uniform random bit string with the per-bit engine, ``_offspring_sampler``,
-which draws every child's flips and scores it as ``raw_from_bits`` would
-(from the level table, or on ridge from the ridge shape) at every parent.
-At n = 16 every ridge run below reaches the ridge, and 70-87% of its
-evaluations are spent there.  For each function, selection scheme and a
-small and a large lambda, RUNS runs per side from disjoint seeds must
-agree in distribution (two-sample Kolmogorov-Smirnov) on the evaluations
-at the stop and on two summaries of the level accumulators: the mean
-fitness weighted by the evaluations spent at each fitness
+generation of at least RIDGE_LAW_FROM children, on the ridge or off it,
+from the exact law of the selected child.  The reference runs the same
+loop (``_evolve``) on a uniform random bit string with the per-bit
+engine, ``_offspring_sampler``, which draws every child's flips and
+scores it as ``raw_from_bits`` would (from the level table, or on ridge
+from the ridge shape) at every parent.  At n = 16 the ridge runs below
+spend a median 75-89% of their evaluations on the ridge, depending on the
+case; one comma run from lambda0 = 100 of the 200 spends none there.  The
+self-adjusting ridge runs draw generations on both sides of
+RIDGE_LAW_FROM, on the ridge and off it; the static ones, at 7 and 100
+children, stay below and above it.  For each function, selection scheme
+and a small and a large lambda, RUNS runs per side from disjoint seeds
+must agree in distribution (two-sample Kolmogorov-Smirnov) on the
+evaluations at the stop and on two summaries of the level accumulators:
+the mean fitness weighted by the evaluations spent at each fitness
 (``lambda_sum_at``) and by the generations entered there (``gens_at``).
 The threshold ALPHA is Bonferroni's 1% over all the comparisons in this
-file.
-"""
+file."""
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
 from onelambda.ea import (
+    RIDGE_LAW_FROM,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
@@ -96,3 +100,27 @@ def test_engine_matches_bit_mutation_reference(spec, n, selection, size):
     for name in engine:
         p = ks_2samp(engine[name], reference[name]).pvalue
         assert p > ALPHA, (name, p, engine[name].mean(), reference[name].mean())
+
+
+RIDGE_CASES = [case for case in CASES if case[0] == "ridge"]
+
+
+@pytest.mark.parametrize("spec, n, selection, size", RIDGE_CASES,
+                         ids=[f"{sel}-{size}" for _, _, sel, size in RIDGE_CASES])
+def test_ridge_cases_draw_on_both_sides_of_the_law(spec, n, selection, size):
+    # the (on the ridge, at least RIDGE_LAW_FROM children) pairs of the
+    # generations of the first 20 engine runs of each ridge case above
+    fn = FitnessFunction.parse(spec, n)
+    lam0 = LAMBDAS[size]
+    kind = kind_for(selection, lam0, n)
+    root = np.random.SeedSequence((n, sum(map(ord, spec + selection + size))))
+    seen = set()
+    for seed in root.spawn(20):
+        rec = run(kind, fn, P, STOP, seed, trace_level="full", lambda0=lam0)
+        fitness, lam = rec.rows["fitness_raw"][:-1], rec.rows["lambda_int"][:-1]
+        seen |= set(zip((fitness >= n).tolist(), (lam >= RIDGE_LAW_FROM).tolist()))
+    if kind.adaptive:
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    else:
+        law = kind.static_lambda >= RIDGE_LAW_FROM
+        assert seen == {(True, law), (False, law)} and law == (size == "large")

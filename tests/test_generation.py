@@ -2,11 +2,12 @@
 
 Everything here drives the engines and the loop that ``run()`` executes:
 ``_law_sampler`` (the exact selected-child law, level functions) and
-``_ridge_sampler`` (the exact law from a parent on the ridge, else
+``_ridge_sampler`` (the exact law from RIDGE_LAW_FROM children on, else
 ``_offspring_sampler``'s bit mutation) for offspring, ``_evolve`` capped
 at one generation for the comma/plus step from a chosen parent.
 ``TestRidgeLaw`` checks ridge's law rows and its on-ridge draws against
-enumeration.  Bit mutation draws a child's flip positions from a
+enumeration, ``TestOffRidgeLaw`` the law and draws from parents off the
+ridge.  Bit mutation draws a child's flip positions from a
 position stream and scores it from the parent's mismatch profile and
 ``fn.shape_tables()`` without building it; ``TestScoring`` checks that
 score against ``fn.raw_from_bits`` of the built child.  On a level
@@ -19,6 +20,7 @@ and ``test_exact_law.py`` compares whole runs with.
 import itertools
 import math
 import tracemalloc
+from bisect import bisect_right
 from collections import Counter, defaultdict, namedtuple
 
 import numpy as np
@@ -26,11 +28,14 @@ import pytest
 
 from onelambda.ea import (
     LAMBDA_MAX,
+    RIDGE_LAW_FROM,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
     _evolve,
     _law_sampler,
+    _near_ridge,
+    _off_ridge_logcdf,
     _offspring_sampler,
     _ridge_sampler,
     _stream,
@@ -39,6 +44,8 @@ from onelambda.ea import (
 from onelambda.fitness import FitnessFunction
 from onelambda.oracle import (
     CHILD_WINDOW,
+    _child_masses,
+    _LawBlock,
     _level_law,
     _power_pmf,
     selected_child_law,
@@ -188,14 +195,18 @@ class TestMutate:
 
     def test_one_generation_draws_one_first_block_per_stream(self):
         # a short ridge run pays for no full block of flip counts,
-        # positions or tie-break uniforms off the ridge, and on it for one
-        # first block of the law's uniforms
+        # positions or tie-break uniforms below RIDGE_LAW_FROM children,
+        # and from there on for one first block of uniforms: the law's on
+        # the ridge, the layout stream's (which draws u too) off it
         rng = RecordingGenerator(3)
         gen = Generation(FitnessFunction("ridge", 100), COMMA, rng)
-        gen.step([1, 0] * 50, 10.0)
+        gen.step([1, 0] * 50, RIDGE_LAW_FROM - 1)
         assert rng.drawn["binomial"] == 64 and max(rng.drawn.values()) == 64, rng.drawn
         rng = RecordingGenerator(3)
-        Generation(FitnessFunction("ridge", 100), COMMA, rng).step(with_ones(100, 40), 10.0)
+        Generation(FitnessFunction("ridge", 100), COMMA, rng).step(with_ones(100, 40), 100.0)
+        assert rng.drawn == {"random": 64}, rng.drawn
+        rng = RecordingGenerator(3)
+        Generation(FitnessFunction("ridge", 100), COMMA, rng).step([1, 0] * 50, 100.0)
         assert rng.drawn == {"random": 64}, rng.drawn
 
 
@@ -426,15 +437,17 @@ def value_level_law(fn, parent, lam) -> dict:
 
 
 class CountingGenerator:
-    """A numpy generator that counts every value it hands out and refuses
-    to draw flip counts."""
+    """A numpy generator that counts every value it hands out, and the
+    flip counts among them."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
-        self.drawn = 0
+        self.drawn = self.flip_counts = 0
 
     def binomial(self, n, p, size):
-        raise AssertionError("an on-ridge generation draws no flip count")
+        self.drawn += size
+        self.flip_counts += size
+        return self.rng.binomial(n, p, size=size)
 
     def integers(self, low, high, size):
         self.drawn += size
@@ -447,7 +460,8 @@ class CountingGenerator:
 
 class TestRidgeLaw:
     """The on-ridge path of ridge's sampler: parents 1^j 0^(n-j) draw the
-    selected child from the exact law's rows."""
+    selected child from the exact law's rows from RIDGE_LAW_FROM children
+    on."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_match_enumeration(self, n):
@@ -489,18 +503,183 @@ class TestRidgeLaw:
                 se = math.sqrt(p * (1.0 - p) / trials)
                 assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (j, geno, counts[geno], p)
 
-    @pytest.mark.parametrize("lam", [1, LAMBDA_MAX])
+    @pytest.mark.parametrize("lam", [1, RIDGE_LAW_FROM, LAMBDA_MAX])
     def test_on_ridge_generation_does_not_grow_with_lambda(self, lam):
-        # one generation from each parent on the ridge returns, draws no
-        # flip count, and draws at most a bound set by n: the law's first
-        # block of uniforms and, for a child off the ridge, its layout's
+        # one generation from each parent on the ridge returns, draws flip
+        # counts only below RIDGE_LAW_FROM (bit mutation), and draws at
+        # most a bound set by n: one first block of each stream it uses
         n = 64
         fn = FitnessFunction("ridge", n)
         for j in range(n):
             rng = CountingGenerator(j)
             bf, child_ones, flips = _ridge_sampler(fn, with_ones(n, j), rng)(lam, j, n + j)
             assert bf == raw(fn, child_of(with_ones(n, j), flips)), j
+            assert (rng.flip_counts > 0) == (lam < RIDGE_LAW_FROM), (j, rng.flip_counts)
             assert rng.drawn <= 8 * n, (j, rng.drawn)
+
+
+def off_ridge_law(fn, parent, lam) -> dict:
+    """The engine's law of the selected child's (one-count, value) from
+    a parent off the ridge at lam: every entry's log CDF from
+    ``_off_ridge_logcdf``, differenced by ``_power_pmf``."""
+    n, i = fn.n, sum(parent)
+    block, r = _level_law(FitnessFunction("zeromax", n), i)
+    row = block.row(r)
+    js, above = _near_ridge(parent, i, lam)
+    logcdf = [_off_ridge_logcdf(row, js, above, g) for g in range(len(row[0]) + len(js))]
+    law = defaultdict(float)
+    for key, p in zip(zip(row[1] + list(js), row[3] + [n + j for j in js]),
+                      _power_pmf(np.array(logcdf), float(lam)).tolist()):
+        law[key] += p
+    return law
+
+
+def full_profile_law(fn, parent, lam) -> dict:
+    """The reference: the (one-count, value) law of the selected child
+    from a parent off the ridge with every ridge string of the window kept,
+    from one child's masses (onemax's, less each ridge string's, and the
+    ridge strings' own) through the oracle's ``_LawBlock``."""
+    n, i, p = fn.n, sum(parent), 1.0 / fn.n
+    ones = np.arange(i - CHILD_WINDOW, i + CHILD_WINDOW + 1)
+    inside = (ones >= 0) & (ones <= n)
+    q = _child_masses(n, np.array([i]))[0]
+    d = np.array([sum((k < j) != b for k, b in enumerate(parent)) for j in np.clip(ones, 0, n)])
+    on = np.where(inside, p**d * (1.0 - p) ** (n - d), 0.0)
+    off = inside & (ones > 0) & (ones < n)
+    block = _LawBlock(i, np.concatenate([ones, ones])[None],
+                      np.concatenate([np.where(off, n - ones, -1), np.where(inside, n + ones, -1)])[None],
+                      np.concatenate([np.where(off, q - on, 0.0), on])[None])
+    at, group, share, logcdf = block.level(0)
+    law = defaultdict(float)
+    for key, m in zip(zip(at.tolist(), block.fit[0, block.skip[0]:].tolist()),
+                      (_power_pmf(logcdf, float(lam))[group] * share).tolist()):
+        law[key] += m
+    return law
+
+
+class FirstUniform:
+    """A numpy generator whose first uniform is u and the rest random."""
+
+    def __init__(self, u):
+        self.u, self.rng = u, np.random.default_rng(0)
+
+    def random(self, size):
+        out = self.rng.random(size)
+        if self.u is not None:
+            out[0], self.u = self.u, None
+        return out
+
+
+def off_ridge_parents(n, rng) -> list:
+    """Parents off the ridge: a uniform string, a few one-bits (zeromax's
+    climb ends at 0^n, a ridge string), and ridge strings 1^j 0^(n-j), j
+    = 1 and n - 1, with one and two bits flipped."""
+    uniform = rng.integers(0, 2, size=n).tolist()
+    few = [0] * n
+    for k in rng.choice(n, size=3, replace=False).tolist():
+        few[k] = 1
+    parents = [uniform, few]
+    for j, flips in ((1, [n // 2]), (1, [n // 4, n - 2]), (n - 1, [n // 2]), (n - 1, [1, n - 1])):
+        parent = with_ones(n, j)
+        for k in flips:
+            parent[k] ^= 1
+        parents.append(parent)
+    return [x for x in parents if raw(FitnessFunction("ridge", n), x) < n]
+
+
+class TestOffRidgeLaw:
+    """The off-ridge path of ridge's sampler: from RIDGE_LAW_FROM children
+    on, a parent off the ridge draws the selected child from zeromax's row
+    and the ridge strings within reach."""
+
+    @pytest.mark.parametrize("lam", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_match_enumeration(self, n, lam):
+        # every parent off the ridge; at n <= 5 every ridge string is in reach
+        fn = FitnessFunction("ridge", n)
+        for parent in map(list, itertools.product((0, 1), repeat=n)):
+            if raw(fn, parent) >= n:
+                continue
+            want = defaultdict(float)
+            for child, p in value_level_law(fn, parent, lam).items():
+                want[sum(child), raw(fn, list(child))] += p
+            got = off_ridge_law(fn, parent, lam)
+            assert abs(sum(got.values()) - 1.0) <= 1e-15, parent
+            for key in set(want) | set(got):
+                assert abs(got[key] - want[key]) <= 1e-15, (parent, key, got[key], want[key])
+
+    @pytest.mark.parametrize("lam", [RIDGE_LAW_FROM, 10**4, LAMBDA_MAX])
+    def test_rows_match_the_full_window_law(self, lam):
+        # at n = 100 the ridge strings out of reach move the law by less
+        # than the resolution of one uniform: a uniform parent reads
+        # zeromax's row alone, parents near the ridge some ridge strings
+        fn = FitnessFunction("ridge", 100)
+        for parent in off_ridge_parents(100, np.random.default_rng(lam % 2**32)):
+            got, want = off_ridge_law(fn, parent, lam), full_profile_law(fn, parent, lam)
+            for key in set(want) | set(got):
+                assert abs(got[key] - want[key]) <= 1e-15, (parent, key, got[key], want[key])
+
+    @pytest.mark.parametrize("lam", [50, 10**4, LAMBDA_MAX])
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_selected_genotype_matches_value_level_law(self, n, lam):
+        fn = FitnessFunction("ridge", n)
+        trials = 10_000
+        if n == 3:
+            parents = [list(x) for x in itertools.product((0, 1), repeat=n) if raw(fn, list(x)) < n]
+        else:
+            parents = off_ridge_parents(n, np.random.default_rng(n))
+        for parent in parents:
+            law = value_level_law(fn, parent, lam)
+            ones, f = sum(parent), raw(fn, parent)
+            sample = _ridge_sampler(fn, list(parent), np.random.default_rng((n, f, lam % 2**32)))
+            counts = Counter()
+            for _ in range(trials):
+                bf, child_ones, flips = sample(lam, ones, f)
+                child = child_of(parent, flips)
+                assert child_ones == sum(child) and bf == raw(fn, child)
+                counts[tuple(child)] += 1
+            assert {c for c in counts if law[c] == 0.0} == set(), parent
+            for geno, p in law.items():
+                se = math.sqrt(p * (1.0 - p) / trials)
+                assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (parent, geno, counts[geno], p)
+
+    @pytest.mark.parametrize("lam", [RIDGE_LAW_FROM, 10**4, LAMBDA_MAX])
+    def test_draw_is_the_first_entry_above_log_u(self, lam):
+        # the sampler reads the ridge strings only when their mass may move
+        # the draw off zeromax's entry; it still selects the first entry of
+        # the full log CDF above log(u)/lam, at every entry's CDF^lam, next
+        # to it, and at random u
+        n = 100
+        fn = FitnessFunction("ridge", n)
+        rng = np.random.default_rng(lam % 2**32)
+        for parent in off_ridge_parents(n, rng):
+            i = sum(parent)
+            block, r = _level_law(FitnessFunction("zeromax", n), i)
+            row = block.row(r)
+            js, above = _near_ridge(parent, i, lam)
+            logcdf = [_off_ridge_logcdf(row, js, above, g) for g in range(len(row[0]) + len(js))]
+            keys = list(zip(row[3], row[1])) + [(n + j, j) for j in js]
+            edges = [math.exp(lam * x) for x in logcdf[:-1]]
+            us = {u for e in edges for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)) if u < 1.0}
+            for u in sorted(us | set(rng.random(200).tolist())):
+                f, co = keys[bisect_right(logcdf, math.log(u) / lam if u else -math.inf)]
+                got = _ridge_sampler(fn, list(parent), FirstUniform(u))(lam, i, raw(fn, parent))[:2]
+                # 1^n is the ridge string R_n even where R_n is out of reach
+                assert got == (f, co) or (got, f, co) == ((2 * n, n), 0, n), (parent, u, got, f, co)
+
+    def test_off_ridge_generation_does_not_grow_with_lambda(self):
+        # at LAMBDA_MAX one generation from a parent off the ridge returns,
+        # draws no flip count, and draws at most a bound set by n: one
+        # first block of the stream that gives u and the layout
+        n = 64
+        fn = FitnessFunction("ridge", n)
+        for seed in range(20):
+            for parent in off_ridge_parents(n, np.random.default_rng(seed)):
+                rng = CountingGenerator(seed)
+                bf, child_ones, flips = _ridge_sampler(fn, list(parent), rng)(
+                    LAMBDA_MAX, sum(parent), raw(fn, parent))
+                assert bf == raw(fn, child_of(parent, flips)), parent
+                assert rng.flip_counts == 0 and rng.drawn <= 8 * n, (parent, rng.drawn)
 
 
 class ScriptedGenerator:

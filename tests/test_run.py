@@ -1,5 +1,6 @@
 """End-to-end run semantics: stopping, determinism, traces, accounting."""
 
+import time
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,25 @@ class TestStopCauses:
         for lambda0 in (2.0 * LAMBDA_MAX, 1e19, 1e300):
             with pytest.raises(ValueError, match="lambda0"):
                 run(AlgorithmKind.self_adjusting_plus(), onemax(10), P, stop, 0, lambda0=lambda0)
+
+    def test_static_ridge_run_at_the_lambda_ceiling_stops_within_a_second(self):
+        # from RIDGE_LAW_FROM children on a ridge generation costs the same
+        # at any lambda, on the ridge and off it, so a run of LAMBDA_MAX
+        # children from a uniform start climbs zeromax, reaches the ridge
+        # and stops at its cap or optimum at once
+        stop = StoppingCondition(max_evaluations=30 * LAMBDA_MAX)
+        start = time.perf_counter()
+        rec = run(AlgorithmKind.static_comma(LAMBDA_MAX), FitnessFunction("ridge", 100), P,
+                  stop, 4, trace_level="full")
+        assert time.perf_counter() - start < 1.0
+        assert rec.stop_cause in (StopCause.OPTIMUM, StopCause.EVALUATION_CAP)
+        fitness = rec.rows["fitness_raw"].tolist()
+        assert min(fitness) < 100 <= max(fitness)  # off the ridge and on it
+
+    def test_static_ridge_run_at_the_lambda_ceiling_stops_at_its_cap(self):
+        rec = run(AlgorithmKind.static_comma(LAMBDA_MAX), FitnessFunction("ridge", 100), P,
+                  StoppingCondition(max_evaluations=10), 0)
+        assert rec.stop_cause == StopCause.EVALUATION_CAP and rec.evaluations == LAMBDA_MAX
 
 
 class TestDeterminism:

@@ -25,7 +25,14 @@ They moved a third time, with the ridge run CSV and nothing else, when a
 generation whose parent is on the ridge began to draw its selected child
 from the exact law with one uniform, as the level engine does:
 ``test_exact_law.py`` compares ridge runs with per-bit mutation, and
-``TestRidgeLaw`` checks the on-ridge draws against enumeration.
+``TestRidgeLaw`` checks the on-ridge draws against enumeration.  They
+moved a fourth time, ridge-comma, ridge-plus and the ``run --fn ridge
+--n 12`` CSV and nothing else, when ridge generations of fewer than
+RIDGE_LAW_FROM children went back to bit mutation on the ridge and
+those of more began to draw from the exact law off it too: a two-sample
+test on the evaluations of 600 runs per side agreed for each of the
+three configurations (BENCH_ridge_off_law.json), and ``TestOffRidgeLaw``
+checks the off-ridge law against enumeration.
 
 The oracle commands' CSVs are pinned byte for byte as well, written
 without the timestamp line, so a change to the CSV writer or to the
@@ -115,13 +122,14 @@ CASES = [
     ("onemax-gen-cap-plus", PLUS, "onemax", 200, 1.5, 1.0,
      StoppingCondition(max_generations=150), 23, 2.0, StopCause.GENERATION_CAP,
      "7959bccf924d85905433fbff5ea18df6cc07e268084b10a63c144d430f077f6c"),
-    # ridge runs on its own sampler: the exact law on the ridge, bit mutation off it
+    # ridge runs on its own sampler: bit mutation below RIDGE_LAW_FROM children, the
+    # exact law from there on
     ("ridge-comma", COMMA, "ridge", 30, 1.5, 1.0,
      StoppingCondition(max_generations=20_000), 29, 1.0, StopCause.OPTIMUM,
-     "a4141ad88c74e7cdf9ec11f9b7295f7cc2f04eef3672c7a7da14919fda2376e8"),
+     "ba6e83925597ea421bfb3d8bf0a5119be57a3b5c4c96a1cf879cec0d2b0959f3"),
     ("ridge-plus", PLUS, "ridge", 30, 1.5, 1.0,
      StoppingCondition(max_generations=20_000), 31, 1.0, StopCause.OPTIMUM,
-     "29897afe644a4a8262f1adb74ddec3822e18893c5945ffb5e20ea3506a466e59"),
+     "14c79b9bacaacf48d9162860d990f0b773560abd5678f191c6d260e2d9d5d00c"),
 ]
 
 
@@ -191,7 +199,7 @@ RUN_CSV_CASES = [
     ("run --n 10 --s 1 --F 1e30 --eval-cap 100 --trace full",
      "89a75e383b1532e85d0e91266f65e813d7095501eb0607345401e0e3387c1ed3"),
     ("run --fn ridge --n 12 --s 1 --trace full",
-     "6715ebf7b2f849dcd1f2a21d5d76d41b4724847742f7cd15e1de9766c5c52722"),
+     "de1e9a00a8ec6d410a9cb7d75e94645bc4717e4c8ec2b465325a7eda3931278d"),
     ("run --fn cliff:7 --n 20 --s 1",
      "62f90ca5841b49fc9cecfd9c21e63e9f857125f37626a4c56ac67f510ffcd2fd"),
 ]
