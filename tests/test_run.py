@@ -171,11 +171,6 @@ class TestStopCauses:
         fitness = rec.rows["fitness_raw"].tolist()
         assert min(fitness) < 100 <= max(fitness)  # off the ridge and on it
 
-    def test_static_ridge_run_at_the_lambda_ceiling_stops_at_its_cap(self):
-        rec = run(AlgorithmKind.static_comma(LAMBDA_MAX), FitnessFunction("ridge", 100), P,
-                  StoppingCondition(max_evaluations=10), 0)
-        assert rec.stop_cause == StopCause.EVALUATION_CAP and rec.evaluations == LAMBDA_MAX
-
 
 class TestDeterminism:
     def test_identical_seed_identical_record(self):
