@@ -27,14 +27,15 @@ Two engines run the generations of one loop:
   with the oracle.  The initial one-count is drawn from Binomial(n, 1/2);
   no bit string exists.
 * Ridge, whose value depends on the bit layout, keeps a bit-list parent.
-  A generation of RIDGE_LAW_FROM = 16 children or more draws the selected
-  child's value and one-count as a level generation does, with one
-  uniform, then its layout, at a cost that does not grow with lambda.  A
-  parent on the ridge (raw >= n) is 1^j 0^(n-j), whose children's law
-  depends on j alone: it reads ridge's law rows (the ridge string and the
-  other children of each one-count).  A parent off the ridge has
-  zeromax's law but for the ridge strings within reach of it, which its
-  mismatch profile against the ridge strings 1^j 0^(n-j) finds near its
+  A generation of RIDGE_LAW_FROM = 16 children or more off the ridge, or
+  RIDGE_ON_LAW_FROM = 3 on it, draws the selected child's value and
+  one-count as a level generation does, with one uniform, then its
+  layout, at a cost that does not grow with lambda.  A parent on the
+  ridge (raw >= n) is 1^j 0^(n-j), whose children's law depends on j
+  alone: it reads ridge's law rows (the ridge string and the other
+  children of each one-count).  A parent off the ridge has zeromax's law
+  but for the ridge strings within reach of it, which its mismatch
+  profile against the ridge strings 1^j 0^(n-j) finds near its
   one-count: it reads zeromax's row and, near the ridge, moves those
   strings' mass to the top.  Fewer children cost less by bit mutation,
   which also runs the reference the law engines are tested against: each
@@ -64,6 +65,7 @@ __all__ = [
     "CHILD_WINDOW",
     "LAMBDA_MAX",
     "RIDGE_LAW_FROM",
+    "RIDGE_ON_LAW_FROM",
     "ControllerParams",
     "AlgorithmKind",
     "StoppingCondition",
@@ -296,15 +298,17 @@ def _law_sampler(fn: FitnessFunction, rng: np.random.Generator):
     return sample
 
 
-# The offspring count from which a ridge generation draws its selected
-# child from the exact law, on the ridge and off it; below it, it mutates
+# The offspring counts from which a ridge generation draws its selected
+# child from the exact law, off the ridge and on it; below them, it mutates
 # bits.  At n = 100 (BENCH_ridge_off_law.json, "crossover") bit mutation
-# costs about 0.45 us a child, a law generation at 16 children under 1 us
-# on the ridge and 2 to 7 us off it, the most a flip or two off a ridge
-# string, so 16 is the smallest power of two at which the law costs no
-# more than bit mutation from every kind of parent: far from the ridge,
-# near 0^n, a flip or two off a ridge string, or on it.
+# costs about 0.45 us a child.  Off the ridge a law generation costs 2 to
+# 7 us at 16 children, the most a flip or two off a ridge string, so 16 is
+# the smallest power of two at which the law costs no more than bit
+# mutation from every kind of parent off the ridge: far from it, near 0^n
+# or a flip or two off a ridge string.  On the ridge the law first wins at
+# 3 children (1.2 us against 1.7).
 RIDGE_LAW_FROM = 16
+RIDGE_ON_LAW_FROM = 3
 
 
 @lru_cache(maxsize=16)
@@ -392,9 +396,9 @@ def _layout_weights(n: int, i: int, co: int, ax: int) -> tuple:
     one-bits: C(i, a) * C(n-i, a+co-i) * (p/(1-p))^(2a), p = 1/n, relative
     to a = lo = max(0, i - co).  The child is not the ridge string
     1^co 0^(n-co), whose flip set has ax flipped one-bits: the weight at
-    ax leaves that one set out (ax = -1 leaves none out).  The weights
-    stop where they fall below the float resolution of their sum: they
-    shrink by a factor of at most n^2/(4(n-1)^2) per step."""
+    ax leaves that one set out.  The weights stop where they fall below
+    the float resolution of their sum: they shrink by a factor of at most
+    n^2/(4(n-1)^2) per step."""
     lo, top = max(0, i - co), min(i, n - co)
     r2 = 1.0 / (n - 1) ** 2  # (p/(1-p))^2
     weights, total, term = [], 0.0, 1.0
@@ -414,10 +418,11 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     """The ridge engine: ``sample(lam_int, ones, cur_f)`` for the parent
     ``bits`` (one-count ``ones``, raw value ``cur_f``), which the caller
     updates in place; it gives ``(f, child_ones, flips)`` as
-    :func:`_offspring_sampler` does.  Below RIDGE_LAW_FROM children it is
-    that sampler's bit mutation.  From there on it draws the selected
-    child's value and one-count co from their exact law with one uniform
-    u, then the child's layout, at a cost that does not grow with lam:
+    :func:`_offspring_sampler` does.  Below RIDGE_LAW_FROM children off
+    the ridge, RIDGE_ON_LAW_FROM on it, it is that sampler's bit
+    mutation.  From there on it draws the selected child's value and
+    one-count co from their exact law with one uniform u, then the
+    child's layout, at a cost that does not grow with lam:
 
     * a parent on the ridge (raw >= n) is 1^j 0^(n-j), j = ``ones``, whose
       children's law depends on j alone: :func:`_law_sampler` draws from
@@ -468,6 +473,10 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
                 chosen.append(q)
         return chosen
 
+    def among(b, k):
+        """k distinct uniform positions of the parent's b-bits."""
+        return distinct(k, list(compress(range(n), bits if b else map(not_, bits)))) if k else []
+
     def positions(b, start, count):
         """The first count positions of the parent's b-bits from start on."""
         at, q = [], start - 1
@@ -476,27 +485,12 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
             at.append(q)
         return at
 
-    def among(b, k, size):
-        """k distinct uniform positions of the parent's size b-bits: from
-        their list when they are few or many of them are wanted, else from
-        all positions, kept if a b-bit."""
-        if 8 * size < n or 4 * k > size:
-            return distinct(k, list(compress(range(n), bits if b else map(not_, bits))))
-        chosen = []
-        while len(chosen) < k:
-            q = int(next(uniforms) * n)
-            if bits[q] == b and q not in chosen:
-                chosen.append(q)
-        return chosen
-
     def layout(i, co, ax, draw):
         """The flips to a child with one-count co, not the ridge string,
         of a parent with i one-bits; ``draw(b, k)`` gives k distinct
         positions of its b-bits, and the ridge string's flip set has ax
         flipped one-bits."""
-        lo, cum = _layout_weights(n, i, co, -1)
-        if ax < lo + len(cum):
-            lo, cum = _layout_weights(n, i, co, ax)
+        lo, cum = _layout_weights(n, i, co, ax)
         a = lo + bisect_right(cum, next(uniforms) * cum[-1])
         while True:
             lost, gained = draw(1, a), draw(0, a + co - i)
@@ -537,7 +531,7 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
         return values[g], pick[g]
 
     def sample(lam_int, ones, cur_f):
-        if lam_int < RIDGE_LAW_FROM:
+        if lam_int < (RIDGE_ON_LAW_FROM if cur_f >= n else RIDGE_LAW_FROM):
             return per_bit(lam_int, ones, cur_f)
         if cur_f >= n:  # on the ridge: the parent is 1^ones 0^(n-ones)
             f, co, _ = law(lam_int, ones, cur_f)
@@ -548,15 +542,14 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
         f, co = off_ridge(lam_int, ones)
         if f >= n or co == n:  # the ridge string R_co (all n ones: only R_n)
             return n + co, co, positions(0, 0, bits[:co].count(0)) + positions(1, co, sum(bits[co:]))
-        return f, co, layout(ones, co, bits[:co].count(0) + ones - co,
-                             lambda b, k: among(b, k, ones if b else n - ones) if k else [])
+        return f, co, layout(ones, co, bits[:co].count(0) + ones - co, among)
 
     return sample
 
 
 def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     """The bit-mutation engine: best of lam_int standard-bit mutants.  It
-    runs ridge's generations below RIDGE_LAW_FROM children
+    runs ridge's generations below the law's crossovers
     (:func:`_ridge_sampler`), and on any function it is the per-bit
     reference the exact-law engines are tested against.
 

@@ -1,17 +1,18 @@
 """Two-sample equivalence of the law engines and the bit-mutation reference.
 
 ``run()`` draws each generation on a level function, and each ridge
-generation of at least RIDGE_LAW_FROM children, on the ridge or off it,
-from the exact law of the selected child.  The reference runs the same
-loop (``_evolve``) on a uniform random bit string with the per-bit
-engine, ``_offspring_sampler``, which draws every child's flips and
-scores it as ``raw_from_bits`` would (from the level table, or on ridge
-from the ridge shape) at every parent.  At n = 16 the ridge runs below
-spend a median 75-89% of their evaluations on the ridge, depending on the
-case; one comma run from lambda0 = 100 of the 200 spends none there.  The
-self-adjusting ridge runs draw generations on both sides of
-RIDGE_LAW_FROM, on the ridge and off it; the static ones, at 7 and 100
-children, stay below and above it.  For each function, selection scheme
+generation of at least RIDGE_LAW_FROM children off the ridge or
+RIDGE_ON_LAW_FROM on it, from the exact law of the selected child.  The
+reference runs the same loop (``_evolve``) on a uniform random bit string
+with the per-bit engine, ``_offspring_sampler``, which draws every
+child's flips and scores it as ``raw_from_bits`` would (from the level
+table, or on ridge from the ridge shape) at every parent.  At n = 16 the
+ridge runs below spend a median 75-89% of their evaluations on the ridge,
+depending on the case; one comma run from lambda0 = 100 of the 200 spends
+none there.  The self-adjusting ridge runs draw generations on both sides
+of RIDGE_LAW_FROM off the ridge, and from lambda0 = 1 on both sides of
+RIDGE_ON_LAW_FROM on it; the static ones, at 7 and 100 children, draw
+from the law on the ridge and, at 100 only, off it.  For each function, selection scheme
 and a small and a large lambda, RUNS runs per side from disjoint seeds
 must agree in distribution (two-sample Kolmogorov-Smirnov) on the
 evaluations at the stop and on two summaries of the level accumulators:
@@ -26,6 +27,7 @@ from scipy.stats import ks_2samp
 
 from onelambda.ea import (
     RIDGE_LAW_FROM,
+    RIDGE_ON_LAW_FROM,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
@@ -108,8 +110,8 @@ RIDGE_CASES = [case for case in CASES if case[0] == "ridge"]
 @pytest.mark.parametrize("spec, n, selection, size", RIDGE_CASES,
                          ids=[f"{sel}-{size}" for _, _, sel, size in RIDGE_CASES])
 def test_ridge_cases_draw_on_both_sides_of_the_law(spec, n, selection, size):
-    # the (on the ridge, at least RIDGE_LAW_FROM children) pairs of the
-    # generations of the first 20 engine runs of each ridge case above
+    # the (on the ridge, drawn from the law) pairs of the generations of
+    # the first 20 engine runs of each ridge case above
     fn = FitnessFunction.parse(spec, n)
     lam0 = LAMBDAS[size]
     kind = kind_for(selection, lam0, n)
@@ -118,9 +120,14 @@ def test_ridge_cases_draw_on_both_sides_of_the_law(spec, n, selection, size):
     for seed in root.spawn(20):
         rec = run(kind, fn, P, STOP, seed, trace_level="full", lambda0=lam0)
         fitness, lam = rec.rows["fitness_raw"][:-1], rec.rows["lambda_int"][:-1]
-        seen |= set(zip((fitness >= n).tolist(), (lam >= RIDGE_LAW_FROM).tolist()))
+        on = fitness >= n
+        seen |= set(zip(on.tolist(), (lam >= np.where(on, RIDGE_ON_LAW_FROM, RIDGE_LAW_FROM)).tolist()))
     if kind.adaptive:
-        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        # bit mutation on the ridge (fewer than RIDGE_ON_LAW_FROM children)
+        # is rare: about 0.2% of the generations from lambda0 = 1, none
+        # in 200 runs from lambda0 = 100
+        on_ridge_bits = {(True, False)} if size == "small" else set()
+        assert seen == {(True, True), (False, True), (False, False)} | on_ridge_bits
     else:
         law = kind.static_lambda >= RIDGE_LAW_FROM
-        assert seen == {(True, law), (False, law)} and law == (size == "large")
+        assert seen == {(True, True), (False, law)} and law == (size == "large")

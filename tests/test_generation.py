@@ -2,8 +2,9 @@
 
 Everything here drives the engines and the loop that ``run()`` executes:
 ``_law_sampler`` (the exact selected-child law, level functions) and
-``_ridge_sampler`` (the exact law from RIDGE_LAW_FROM children on, else
-``_offspring_sampler``'s bit mutation) for offspring, ``_evolve`` capped
+``_ridge_sampler`` (the exact law from RIDGE_LAW_FROM children on off the
+ridge and RIDGE_ON_LAW_FROM on it, else ``_offspring_sampler``'s bit
+mutation) for offspring, ``_evolve`` capped
 at one generation for the comma/plus step from a chosen parent.
 ``TestRidgeLaw`` checks ridge's law rows and its on-ridge draws against
 enumeration, ``TestOffRidgeLaw`` the law and draws from parents off the
@@ -29,6 +30,7 @@ import pytest
 from onelambda.ea import (
     LAMBDA_MAX,
     RIDGE_LAW_FROM,
+    RIDGE_ON_LAW_FROM,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
@@ -460,8 +462,8 @@ class CountingGenerator:
 
 class TestRidgeLaw:
     """The on-ridge path of ridge's sampler: parents 1^j 0^(n-j) draw the
-    selected child from the exact law's rows from RIDGE_LAW_FROM children
-    on."""
+    selected child from the exact law's rows from RIDGE_ON_LAW_FROM
+    children on."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_match_enumeration(self, n):
@@ -482,7 +484,7 @@ class TestRidgeLaw:
                 assert abs(got.get(key, 0.0) - want.get(key, 0.0)) <= 1e-15, (j, key)
                 assert (got.get(key, 0.0) == 0.0) == (want.get(key, 0.0) == 0.0), (j, key)
 
-    @pytest.mark.parametrize("lam", [4, 50, 10**4, LAMBDA_MAX])
+    @pytest.mark.parametrize("lam", [2, 4, 50, 10**4, LAMBDA_MAX])
     @pytest.mark.parametrize("n", [3, 8])
     def test_selected_genotype_matches_value_level_law(self, n, lam):
         fn = FitnessFunction("ridge", n)
@@ -503,10 +505,10 @@ class TestRidgeLaw:
                 se = math.sqrt(p * (1.0 - p) / trials)
                 assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (j, geno, counts[geno], p)
 
-    @pytest.mark.parametrize("lam", [1, RIDGE_LAW_FROM, LAMBDA_MAX])
+    @pytest.mark.parametrize("lam", [1, RIDGE_ON_LAW_FROM - 1, RIDGE_ON_LAW_FROM, LAMBDA_MAX])
     def test_on_ridge_generation_does_not_grow_with_lambda(self, lam):
         # one generation from each parent on the ridge returns, draws flip
-        # counts only below RIDGE_LAW_FROM (bit mutation), and draws at
+        # counts only below RIDGE_ON_LAW_FROM (bit mutation), and draws at
         # most a bound set by n: one first block of each stream it uses
         n = 64
         fn = FitnessFunction("ridge", n)
@@ -514,7 +516,7 @@ class TestRidgeLaw:
             rng = CountingGenerator(j)
             bf, child_ones, flips = _ridge_sampler(fn, with_ones(n, j), rng)(lam, j, n + j)
             assert bf == raw(fn, child_of(with_ones(n, j), flips)), j
-            assert (rng.flip_counts > 0) == (lam < RIDGE_LAW_FROM), (j, rng.flip_counts)
+            assert (rng.flip_counts > 0) == (lam < RIDGE_ON_LAW_FROM), (j, rng.flip_counts)
             assert rng.drawn <= 8 * n, (j, rng.drawn)
 
 

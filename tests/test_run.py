@@ -158,7 +158,7 @@ class TestStopCauses:
                 run(AlgorithmKind.self_adjusting_plus(), onemax(10), P, stop, 0, lambda0=lambda0)
 
     def test_static_ridge_run_at_the_lambda_ceiling_stops_within_a_second(self):
-        # from RIDGE_LAW_FROM children on a ridge generation costs the same
+        # from RIDGE_LAW_FROM children on, a ridge generation costs the same
         # at any lambda, on the ridge and off it, so a run of LAMBDA_MAX
         # children from a uniform start climbs zeromax, reaches the ridge
         # and stops at its cap or optimum at once

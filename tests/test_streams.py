@@ -27,11 +27,13 @@ from the exact law with one uniform, as the level engine does:
 ``test_exact_law.py`` compares ridge runs with per-bit mutation, and
 ``TestRidgeLaw`` checks the on-ridge draws against enumeration.  They
 moved a fourth time, ridge-comma, ridge-plus and the ``run --fn ridge
---n 12`` CSV and nothing else, when ridge generations of fewer than
-RIDGE_LAW_FROM children went back to bit mutation on the ridge and
-those of more began to draw from the exact law off it too: a two-sample
-test on the evaluations of 600 runs per side agreed for each of the
-three configurations (BENCH_ridge_off_law.json), and ``TestOffRidgeLaw``
+--n 12`` CSV and nothing else, when ridge generations of RIDGE_LAW_FROM
+children or more began to draw from the exact law off the ridge too,
+those of fewer than RIDGE_ON_LAW_FROM went back to bit mutation on it,
+and an off-ridge child's flip positions came from the list of the
+parent's one-bits or zero-bits alone: a two-sample test on the
+evaluations of 600 runs per side agreed for each of the three
+configurations (BENCH_ridge_off_law.json), and ``TestOffRidgeLaw``
 checks the off-ridge law against enumeration.
 
 The oracle commands' CSVs are pinned byte for byte as well, written
@@ -122,8 +124,8 @@ CASES = [
     ("onemax-gen-cap-plus", PLUS, "onemax", 200, 1.5, 1.0,
      StoppingCondition(max_generations=150), 23, 2.0, StopCause.GENERATION_CAP,
      "7959bccf924d85905433fbff5ea18df6cc07e268084b10a63c144d430f077f6c"),
-    # ridge runs on its own sampler: bit mutation below RIDGE_LAW_FROM children, the
-    # exact law from there on
+    # ridge runs on its own sampler: bit mutation below RIDGE_LAW_FROM children off
+    # the ridge and RIDGE_ON_LAW_FROM on it, the exact law from there on
     ("ridge-comma", COMMA, "ridge", 30, 1.5, 1.0,
      StoppingCondition(max_generations=20_000), 29, 1.0, StopCause.OPTIMUM,
      "ba6e83925597ea421bfb3d8bf0a5119be57a3b5c4c96a1cf879cec0d2b0959f3"),
@@ -199,7 +201,7 @@ RUN_CSV_CASES = [
     ("run --n 10 --s 1 --F 1e30 --eval-cap 100 --trace full",
      "89a75e383b1532e85d0e91266f65e813d7095501eb0607345401e0e3387c1ed3"),
     ("run --fn ridge --n 12 --s 1 --trace full",
-     "de1e9a00a8ec6d410a9cb7d75e94645bc4717e4c8ec2b465325a7eda3931278d"),
+     "2df8a8e1098b7d4bc4f81d086e5d5d8715aa166cf41945ff2716859aca94f3ca"),
     ("run --fn cliff:7 --n 20 --s 1",
      "62f90ca5841b49fc9cecfd9c21e63e9f857125f37626a4c56ac67f510ffcd2fd"),
 ]
