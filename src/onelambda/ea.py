@@ -13,38 +13,40 @@ multiplied by F^(1/s), where s is the success rate.  One success every
 s+1 generations keeps lambda constant.  Only the rounded value is used to
 create offspring.
 
-Two engines run the generations of one loop:
+One loop (``_evolve``) runs the generations of both engines:
 
 * Level functions (fitness a function of the one-count: onemax, zeromax,
-  twomax, jump, cliff) run as a Markov chain on the one-count.  Each
-  generation draws the selected child's one-count with one uniform u from
-  its exact law (``oracle.selected_child_law`` under comma):
-  the best of lambda children has fitness CDF C^lambda, where C, one
-  child's CDF over the one-counts within 30 of the parent, does not
-  depend on lambda, so one bisection of log(u)/lambda into log C picks
-  the fitness.  A generation costs the same at any lambda.  The
-  lambda-free rows are built for blocks of levels at a time and shared
-  with the oracle.  The initial one-count is drawn from Binomial(n, 1/2);
-  no bit string exists.
-* Ridge, whose value depends on the bit layout, keeps a bit-list parent.
-  A generation of RIDGE_LAW_FROM = 16 children or more off the ridge, or
+  twomax, jump, cliff) run as a Markov chain on the one-count.  The loop
+  itself draws each generation's selected child's one-count with one
+  uniform u from its exact law (``oracle.selected_child_law`` under
+  comma), with no sampler call: the best of lambda children has fitness
+  CDF C^lambda, where C, one child's CDF over the one-counts within 30
+  of the parent, does not depend on lambda, so one bisection of
+  log(u)/lambda into log C picks the fitness.  A generation costs the
+  same at any lambda.  The lambda-free rows are built for blocks of
+  levels at a time and shared with the oracle.  The initial one-count is
+  drawn from Binomial(n, 1/2); no bit string exists.
+* Ridge, whose value depends on the bit layout, keeps a bit-list parent
+  and a sampler the loop calls each generation.  A generation of
+  RIDGE_LAW_FROM = 16 children or more off the ridge, or
   RIDGE_ON_LAW_FROM = 3 on it, draws the selected child's value and
   one-count as a level generation does, with one uniform, then its
   layout, at a cost that does not grow with lambda.  A parent on the
   ridge (raw >= n) is 1^j 0^(n-j), whose children's law depends on j
-  alone: it reads ridge's law rows (the ridge string and the other
-  children of each one-count).  A parent off the ridge has zeromax's law
-  but for the ridge strings within reach of it, which its mismatch
-  profile against the ridge strings 1^j 0^(n-j) finds near its
-  one-count: it reads zeromax's row and, near the ridge, moves those
-  strings' mass to the top.  Fewer children cost less by bit mutation,
-  which also runs the reference the law engines are tested against: each
-  child's flip count comes from Binomial(n, 1/n), then that many distinct
-  positions from a stream of uniform positions (repeats skipped), which
-  is distributionally identical to per-bit flips.  No child is built: its
-  value comes from the parent's mismatch profile, read at the child's
-  one-count after one count over the parent per generation, so a child
-  costs O(its flips).
+  alone: the sampler hands the draw back to the loop, which reads
+  ridge's law rows (the ridge string and the other children of each
+  one-count), and the sampler then lays the child out.  A parent off the
+  ridge has zeromax's law but for the ridge strings within reach of it,
+  which its mismatch profile against the ridge strings 1^j 0^(n-j) finds
+  near its one-count: it reads zeromax's row and, near the ridge, moves
+  those strings' mass to the top.  Fewer children cost less by bit
+  mutation, which also runs the reference the law engines are tested
+  against: each child's flip count comes from Binomial(n, 1/n), then
+  that many distinct positions from a stream of uniform positions
+  (repeats skipped), which is distributionally identical to per-bit
+  flips.  No child is built: its value comes from the parent's mismatch
+  profile, read at the child's one-count after one count over the parent
+  per generation, so a child costs O(its flips).
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
 from itertools import accumulate, chain, compress, islice
-from operator import not_
 
 import numpy as np
 
@@ -248,56 +249,6 @@ def _uniforms(rng: np.random.Generator, size: int):
         return u, np.log(u).tolist()
 
 
-def _law_sampler(fn: FitnessFunction, rng: np.random.Generator):
-    """The law engine: returns ``sample(lam_int, ones, cur_f)``, which
-    gives ``(f, child_ones, None)`` for the selected child of the parent at
-    level ``ones`` (on ridge, the ridge string 1^ones 0^(n-ones)), drawn
-    from its exact law with one uniform u; ``f`` is the child's raw value.
-
-    The best of lam children has a value at most the row's g-th lowest
-    with probability C_g^lam, C_g = exp(logcdf[g]) from the level's
-    lam-free row (``oracle._LawBlock.row``), so u selects the first g with
-    log(u)/lam < logcdf[g], and the row gives that group's value.  A tie
-    group picks a member by u's position in (C_(g-1)^lam, C_g^lam] against
-    the members' cumulative shares.  Uniforms are drawn in blocks, from 64
-    doubling up to _BLOCK, the first at the first call, so a short run
-    draws few; the rows live in the oracle's bounded LRU of law blocks,
-    and the sampler keeps the block of its last level.
-    """
-    from .oracle import _level_law  # oracle imports this module
-
-    block, rows, first, width = None, None, 0, 0  # the block of the last level
-    usize = uidx = _FIRST_BLOCK // 2  # used up: the first call draws _FIRST_BLOCK
-    ublock = lblock = None
-
-    def sample(lam_int, ones, cur_f):
-        nonlocal block, rows, first, width, ublock, lblock, uidx, usize
-        r = ones - first
-        if not 0 <= r < width:
-            block, r = _level_law(fn, ones)
-            rows, first, width = block.rows, block.first, len(block.rows)
-        row = rows[r]
-        if row is None:
-            row = block.row(r)
-        if uidx == usize:
-            usize = min(2 * usize, _BLOCK)
-            ublock, lblock = _uniforms(rng, usize)
-            uidx = 0
-        logcdf, pick, ties, values = row
-        g = bisect_right(logcdf, lblock[uidx] / lam_int)
-        child = pick[g]
-        if child is None:
-            cum, members = ties[g]
-            low = math.exp(lam_int * logcdf[g - 1]) if g else 0.0
-            span = math.exp(lam_int * logcdf[g]) - low
-            t = (float(ublock[uidx]) - low) / span if span > 0.0 else 0.0
-            child = members[min(bisect_right(cum, t), len(members) - 1)]
-        uidx += 1
-        return values[g], child, None
-
-    return sample
-
-
 # The offspring counts from which a ridge generation draws its selected
 # child from the exact law, off the ridge and on it; below them, it mutates
 # bits.  At n = 100 (BENCH_ridge_off_law.json, "crossover") bit mutation
@@ -415,19 +366,22 @@ def _layout_weights(n: int, i: int, co: int, ax: int) -> tuple:
 
 
 def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
-    """The ridge engine: ``sample(lam_int, ones, cur_f)`` for the parent
-    ``bits`` (one-count ``ones``, raw value ``cur_f``), which the caller
-    updates in place; it gives ``(f, child_ones, flips)`` as
-    :func:`_offspring_sampler` does.  Below RIDGE_LAW_FROM children off
-    the ridge, RIDGE_ON_LAW_FROM on it, it is that sampler's bit
-    mutation.  From there on it draws the selected child's value and
-    one-count co from their exact law with one uniform u, then the
-    child's layout, at a cost that does not grow with lam:
+    """The ridge engine: ``(sample, place)`` for the parent ``bits``,
+    which the caller updates in place.  ``sample(lam_int, ones, cur_f)``
+    (one-count ``ones``, raw value ``cur_f``) gives ``(f, child_ones,
+    flips)`` as :func:`_offspring_sampler` does, or None where the run
+    loop draws the child itself.  Below RIDGE_LAW_FROM children off the
+    ridge, RIDGE_ON_LAW_FROM on it, it is that sampler's bit mutation.
+    From there on the selected child's value and one-count co come from
+    their exact law with one uniform u, then the child's layout, at a
+    cost that does not grow with lam:
 
     * a parent on the ridge (raw >= n) is 1^j 0^(n-j), j = ``ones``, whose
-      children's law depends on j alone: :func:`_law_sampler` draws from
-      ridge's own law rows, which hold the ridge string and the other
-      children of each one-count;
+      children's law depends on j alone: ``sample`` gives None, the run
+      loop (:func:`_evolve`) draws (f, co) from ridge's own law rows, which
+      hold the ridge string and the other children of each one-count, as
+      it draws a level generation, and ``place(ones, f, co)`` gives the
+      flips;
     * a parent x off the ridge, with mismatch profile d[j] = H(x, 1^j
       0^(n-j)), has a child that is the ridge string R_j with mass
       p^d[j] (1-p)^(n-d[j]), value n + j, and every other child of
@@ -457,7 +411,6 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
 
     n = fn.n
     per_bit = _offspring_sampler(fn, bits, rng)
-    law = _law_sampler(fn, rng)
     uniforms = _stream(rng.random)
     zeromax = FitnessFunction("zeromax", n)
     tails = _ridge_reach(n)[1]
@@ -475,7 +428,9 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
 
     def among(b, k):
         """k distinct uniform positions of the parent's b-bits."""
-        return distinct(k, list(compress(range(n), bits if b else map(not_, bits)))) if k else []
+        if not k:
+            return []
+        return distinct(k, list(compress(range(n), bits)) if b else [q for q in range(n) if not bits[q]])
 
     def positions(b, start, count):
         """The first count positions of the parent's b-bits from start on."""
@@ -531,20 +486,24 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
         return values[g], pick[g]
 
     def sample(lam_int, ones, cur_f):
-        if lam_int < (RIDGE_ON_LAW_FROM if cur_f >= n else RIDGE_LAW_FROM):
-            return per_bit(lam_int, ones, cur_f)
         if cur_f >= n:  # on the ridge: the parent is 1^ones 0^(n-ones)
-            f, co, _ = law(lam_int, ones, cur_f)
-            if f >= n:
-                return f, co, list(range(co, ones) if co < ones else range(ones, co)) or None
-            return f, co, layout(ones, co, max(0, ones - co),
-                                 lambda b, k: distinct(k, range(ones) if b else range(ones, n)))
+            return per_bit(lam_int, ones, cur_f) if lam_int < RIDGE_ON_LAW_FROM else None
+        if lam_int < RIDGE_LAW_FROM:
+            return per_bit(lam_int, ones, cur_f)
         f, co = off_ridge(lam_int, ones)
         if f >= n or co == n:  # the ridge string R_co (all n ones: only R_n)
             return n + co, co, positions(0, 0, bits[:co].count(0)) + positions(1, co, sum(bits[co:]))
         return f, co, layout(ones, co, bits[:co].count(0) + ones - co, among)
 
-    return sample
+    def place(ones, f, co):
+        """The flips from the ridge string 1^ones 0^(n-ones) to its
+        law-drawn child of value f and one-count co."""
+        if f >= n:
+            return list(range(co, ones) if co < ones else range(ones, co)) or None
+        return layout(ones, co, max(0, ones - co),
+                      lambda b, k: distinct(k, range(ones) if b else range(ones, n)))
+
+    return sample, place
 
 
 def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
@@ -693,11 +652,7 @@ class _Trace:
         if self.want_rows:
             self.rows = []  # (fitness, lambda, lambda_int, evaluations, best) per generation
 
-    # the run loop calls these only when the trace level wants them
-
-    def before_generation(self, cur_f: int, lam_int: int) -> None:
-        self.gens_at[cur_f] += 1
-        self.lambda_sum_at[cur_f] += lam_int
+    # the run loop calls this only when the trace level wants it
 
     def new_best(self, prev_best: int, best_f: int, evals: int) -> None:
         fh = self.first_hit
@@ -732,25 +687,70 @@ def _ints(values) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
+# The evaluation and generation cap of a run without one: 2**256
+# evaluations take over 2**196 generations of LAMBDA_MAX children.
+_NO_CAP = 2**256
+
+
+def _stop_cause(cur_f, lam, gens, evals, f_stop, abort_at, e_stop, g_stop):
+    """The stop cause that holds, in precedence order, or None; a lambda
+    abort needs a generation."""
+    if cur_f >= f_stop:
+        return StopCause.OPTIMUM
+    if lam > abort_at and gens:
+        return StopCause.LAMBDA_ABORT
+    if evals >= e_stop:
+        return StopCause.EVALUATION_CAP
+    if gens >= g_stop:
+        return StopCause.GENERATION_CAP
+    return None
+
+
+def _evolve(rng, sample, place, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
     """The run loop: generations from the parent (one-count ``ones``, raw
-    fitness ``cur_f``; bit list ``bits``, updated in place, or None on the
-    level engine) with real-valued lambda ``lam`` until a stop cause
-    holds, one ``sample`` call per generation.  Returns (cause, generations, evaluations, final raw
-    fitness, best raw fitness, final lambda)."""
-    opt_raw = fn.optimum_raw
+    fitness ``cur_f``; bit list ``bits``, updated in place, or None on a
+    level function) with real-valued lambda ``lam`` until a stop cause
+    holds.  Returns (cause, generations, evaluations, final one-count,
+    final raw fitness, best raw fitness, final lambda).
+
+    With ``sample`` None, each generation draws the selected child's
+    value and one-count from ``fn``'s law rows (``oracle._LawBlock.row``)
+    with one uniform u: the best of lam children has a value at most the
+    row's g-th lowest with probability C_g^lam, C_g = exp(logcdf[g]), so u
+    selects the first g with log(u)/lam < logcdf[g], and the row gives
+    that group's value.  A tie group picks a member by u's position in
+    (C_(g-1)^lam, C_g^lam] against the members' cumulative shares.  The
+    uniforms come from ``rng`` in blocks, from _FIRST_BLOCK doubling up
+    to _BLOCK, the first at the first draw, so a short run draws few; the
+    rows live in the oracle's bounded LRU of law blocks, and the loop
+    keeps the block of its last level.  Otherwise ``sample(lam_int, ones,
+    cur_f)`` gives the generation's ``(f, child_ones, flips)``, or None to
+    leave the draw from ``fn``'s rows to the loop, which then takes the
+    child's flips from ``place(ones, f, child_ones)`` (ridge on the ridge,
+    :func:`_ridge_sampler`).
+    """
+    from .oracle import _level_law  # oracle imports this module
+
     elitist = kind.selection == "plus"
     adapt = kind.adaptive
     abort_at = stop.lambda_abort_threshold
     if abort_at is None:  # a static lambda never grows
         abort_at = default_lambda_abort_threshold(fn.n, params) if adapt else math.inf
+    # each stop cause as one threshold of its counter's type (an int
+    # compares faster with an int than with a float), unreachable when
+    # the cause is off: no value exceeds the optimum
+    f_stop = fn.optimum_raw if stop.stop_on_optimum else fn.optimum_raw + 1
+    e_stop = _NO_CAP if stop.max_evaluations is None else stop.max_evaluations
+    g_stop = _NO_CAP if stop.max_generations is None else stop.max_generations
     F = params.F
     growth = params.growth_factor
-    max_evals = stop.max_evaluations
-    max_gens = stop.max_generations
-    stop_opt = stop.stop_on_optimum
     levels = trace.want_levels
+    if levels:
+        gens_at, lambda_sum_at = trace.gens_at, trace.lambda_sum_at
     add_row = trace.rows.append if trace.want_rows else None
+    block, rows, first, width = None, None, 0, 0  # the law block of the last level
+    usize = uidx = _FIRST_BLOCK // 2  # used up: the first draw takes _FIRST_BLOCK
+    ublock = lblock = None
     best_f = cur_f
     gens = 0
     evals = 0
@@ -761,23 +761,40 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
         add_row((cur_f, lam, lam_int, evals, best_f))
 
     while True:
-        # the stop causes in precedence order; a lambda abort needs a generation
-        if stop_opt and cur_f >= opt_raw:
-            cause = StopCause.OPTIMUM
-            break
-        if lam > abort_at and gens:
-            cause = StopCause.LAMBDA_ABORT
-            break
-        if max_evals is not None and evals >= max_evals:
-            cause = StopCause.EVALUATION_CAP
-            break
-        if max_gens is not None and gens >= max_gens:
-            cause = StopCause.GENERATION_CAP
-            break
+        if cur_f >= f_stop or lam > abort_at or evals >= e_stop or gens >= g_stop:
+            cause = _stop_cause(cur_f, lam, gens, evals, f_stop, abort_at, e_stop, g_stop)
+            if cause is not None:
+                break
 
         if levels:
-            trace.before_generation(cur_f, lam_int)
-        bf, best_ones, best_flips = sample(lam_int, ones, cur_f)
+            gens_at[cur_f] += 1
+            lambda_sum_at[cur_f] += lam_int
+        if sample is None or (drawn := sample(lam_int, ones, cur_f)) is None:
+            r = ones - first
+            if not 0 <= r < width:
+                block, r = _level_law(fn, ones)
+                rows, first, width = block.rows, block.first, len(block.rows)
+            row = rows[r]
+            if row is None:
+                row = block.row(r)
+            if uidx == usize:
+                usize = min(2 * usize, _BLOCK)
+                ublock, lblock = _uniforms(rng, usize)
+                uidx = 0
+            logcdf, pick, ties, values = row
+            g = bisect_right(logcdf, lblock[uidx] / lam_int)
+            best_ones = pick[g]
+            if best_ones is None:
+                cum, members = ties[g]
+                low = math.exp(lam_int * logcdf[g - 1]) if g else 0.0
+                span = math.exp(lam_int * logcdf[g]) - low
+                t = (float(ublock[uidx]) - low) / span if span > 0.0 else 0.0
+                best_ones = members[min(bisect_right(cum, t), len(members) - 1)]
+            uidx += 1
+            bf = values[g]
+            best_flips = None if place is None else place(ones, bf, best_ones)
+        else:
+            bf, best_ones, best_flips = drawn
         if not elitist or bf >= cur_f:
             if best_flips is not None:
                 if type(best_flips) is int:
@@ -806,7 +823,7 @@ def _evolve(sample, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
             best_f = bf
         if add_row:
             add_row((cur_f, lam, lam_int, evals, best_f))
-    return cause, gens, evals, cur_f, best_f, lam
+    return cause, gens, evals, ones, cur_f, best_f, lam
 
 
 def run(
@@ -843,15 +860,15 @@ def run(
         bits = None
         ones = int(rng.binomial(fn.n, 0.5))
         init_raw = int(fn.level_table()[ones])
-        sample = _law_sampler(fn, rng)
+        sample = place = None
     else:
         bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
         ones = sum(bits)
         init_raw = fn.raw_from_bits(bits, ones)
-        sample = _ridge_sampler(fn, bits, rng)
+        sample, place = _ridge_sampler(fn, bits, rng)
     trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw)
-    cause, gens, evals, cur_f, best_f, lam = _evolve(
-        sample, bits, ones, init_raw, lambda0, fn, kind, params, stop, trace,
+    cause, gens, evals, _, cur_f, best_f, lam = _evolve(
+        rng, sample, place, bits, ones, init_raw, lambda0, fn, kind, params, stop, trace,
     )
 
     rec = RunRecord(

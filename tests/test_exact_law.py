@@ -71,7 +71,7 @@ def reference_run(kind, fn, stop, seed, lambda0):
         lambda0 = float(kind.static_lambda)
     trace = _Trace("levels", fn.optimum_raw + 1, f)
     sample = _offspring_sampler(fn, bits, rng)
-    _, _, evals, _, _, _ = _evolve(sample, bits, ones, f, lambda0, fn, kind, P, stop, trace)
+    evals = _evolve(rng, sample, None, bits, ones, f, lambda0, fn, kind, P, stop, trace)[2]
     return evals, np.array(trace.gens_at), np.array(trace.lambda_sum_at)
 
 

@@ -1,11 +1,14 @@
 """The offspring samplers and single generations of the run loop.
 
 Everything here drives the engines and the loop that ``run()`` executes:
-``_law_sampler`` (the exact selected-child law, level functions) and
+``_evolve``, capped at one generation for the comma/plus step from a
+chosen parent, which draws level generations and ridge's on-ridge law
+generations from the exact selected-child law itself, and
 ``_ridge_sampler`` (the exact law from RIDGE_LAW_FROM children on off the
-ridge and RIDGE_ON_LAW_FROM on it, else ``_offspring_sampler``'s bit
-mutation) for offspring, ``_evolve`` capped
-at one generation for the comma/plus step from a chosen parent.
+ridge, else ``_offspring_sampler``'s bit mutation, and the layout of the
+loop's law draws on the ridge from RIDGE_ON_LAW_FROM children on).
+The law draws the loop makes are asserted through it, one generation
+per call.
 ``TestRidgeLaw`` checks ridge's law rows and its on-ridge draws against
 enumeration, ``TestOffRidgeLaw`` the law and draws from parents off the
 ridge.  Bit mutation draws a child's flip positions from a
@@ -35,7 +38,6 @@ from onelambda.ea import (
     ControllerParams,
     StoppingCondition,
     _evolve,
-    _law_sampler,
     _near_ridge,
     _off_ridge_logcdf,
     _offspring_sampler,
@@ -82,36 +84,52 @@ def mutant(sample, bits) -> list:
     return child_of(bits, flips)
 
 
-Step = namedtuple("Step", "fitness lam evaluations generations best bits")
+Step = namedtuple("Step", "fitness ones lam evaluations generations best bits")
+
+
+class CarriedUniforms:
+    """The generator the run loop draws from in ``Generation``'s steps:
+    each block ``random(size)`` is the next uniform of one stream of
+    ``rng``'s, blocks of 64 doubling up to 4096 drawn as needed, carried
+    over from step to step.  A one-generation step uses the first uniform
+    of its block alone, so consecutive steps draw the uniforms a run's
+    consecutive generations would."""
+
+    def __init__(self, rng):
+        self.uniforms = _stream(rng.random)
+
+    def random(self, size):
+        return np.array([next(self.uniforms)])
 
 
 class Generation:
     """Single generations of the run loop from chosen parents, all drawing
-    from one engine as ``run()`` builds it: the exact law for level
-    functions (no bit string: ``bits`` is None in the result), ridge's
-    sampler for ridge.  ``seed`` may also be a generator."""
+    from one engine as ``run()`` builds it: the loop's own law draw for
+    level functions (no bit string: ``bits`` is None in the result),
+    ridge's sampler for ridge.  Each step is one ``_evolve`` call; the
+    loop's uniforms and ridge's sampler carry over from step to step.
+    ``seed`` may also be a generator."""
 
     def __init__(self, fn, kind, seed, params=P):
         self.fn, self.kind, self.params = fn, kind, params
         rng = seed if hasattr(seed, "random") else np.random.default_rng(seed)
+        self.uniforms = CarriedUniforms(rng)
         if fn.level_based:
-            self.parent = None
-            self.sample = _law_sampler(fn, rng)
+            self.parent, self.sample, self.place = None, None, None
         else:
             self.parent = [0] * fn.n
-            self.sample = _ridge_sampler(fn, self.parent, rng)
+            self.sample, self.place = _ridge_sampler(fn, self.parent, rng)
         self.stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
 
     def step(self, bits, lam) -> Step:
         if self.parent is not None:
             self.parent[:] = bits
         f = raw(self.fn, bits)
-        trace = _Trace("summary", 0, f)
-        _, gens, evals, cur_f, best_f, lam = _evolve(
-            self.sample, self.parent, sum(bits), f, float(lam),
-            self.fn, self.kind, self.params, self.stop, trace,
+        _, gens, evals, ones, cur_f, best_f, lam = _evolve(
+            self.uniforms, self.sample, self.place, self.parent, sum(bits), f, float(lam),
+            self.fn, self.kind, self.params, self.stop, _Trace("summary", 0, f),
         )
-        return Step(cur_f, lam, evals, gens, best_f,
+        return Step(cur_f, ones, lam, evals, gens, best_f,
                     None if self.parent is None else list(self.parent))
 
 
@@ -291,11 +309,11 @@ class StubGenerator:
 
 
 def selections(fn, i, lam, uniforms) -> list:
-    """The child one-count the level engine selects from parent one-count
-    i at lam for each of the uniforms."""
+    """The child one-count one comma generation of the run loop selects
+    from parent one-count i at lam, for each of the uniforms."""
     uniforms = list(uniforms)
-    sample = _law_sampler(fn, StubGenerator(uniforms))
-    return [sample(lam, i, None)[1] for _ in uniforms]
+    gen = Generation(fn, COMMA, StubGenerator(uniforms))
+    return [gen.step(with_ones(fn.n, i), lam).ones for _ in uniforms]
 
 
 def plus_fitnesses(fn, i, lam, uniforms) -> list:
@@ -389,21 +407,27 @@ class TestSelectionLaw:
     )
     def test_selected_genotype_matches_exact_law(self, spec, parent, lam):
         # level functions through the per-bit reference, ridge through the
-        # sampler run() ships for it
+        # run loop with the sampler run() ships for it
         n = len(parent)
         fn = FitnessFunction.parse(spec, n)
         law = exact_selection_law(fn, parent, lam)
         assert abs(sum(law.values()) - 1.0) < 1e-12
         bits = list(parent)
         ones, f = sum(parent), raw(fn, parent)
-        sampler = _offspring_sampler if fn.level_based else _ridge_sampler
-        sample = sampler(fn, bits, np.random.default_rng((n, lam, sum(map(ord, spec)))))
+        rng = np.random.default_rng((n, lam, sum(map(ord, spec))))
+        if fn.level_based:
+            sample = _offspring_sampler(fn, bits, rng)
+        else:
+            gen = Generation(fn, COMMA, rng)
         trials = 50_000
         counts = Counter()
         for _ in range(trials):
-            bf, child_ones, flips = sample(lam, ones, f)
-            child = child_of(parent, flips)
-            assert bits == parent
+            if fn.level_based:
+                bf, child_ones, flips = sample(lam, ones, f)
+                child = child_of(parent, flips)
+                assert bits == parent
+            else:
+                bf, child_ones, *_, child = gen.step(parent, lam)
             assert child_ones == sum(child) and bf == raw(fn, child)
             counts[tuple(child)] += 1
         assert set(counts) <= set(law)
@@ -493,11 +517,10 @@ class TestRidgeLaw:
             parent = with_ones(n, j)
             law = value_level_law(fn, parent, lam)
             assert abs(sum(law.values()) - 1.0) < 1e-12
-            sample = _ridge_sampler(fn, list(parent), np.random.default_rng((n, j, lam % 2**32)))
+            gen = Generation(fn, COMMA, np.random.default_rng((n, j, lam % 2**32)))
             counts = Counter()
             for _ in range(trials):
-                bf, child_ones, flips = sample(lam, j, n + j)
-                child = child_of(parent, flips)
+                bf, child_ones, *_, child = gen.step(parent, lam)
                 assert child_ones == sum(child) and bf == raw(fn, child)
                 counts[tuple(child)] += 1
             assert {c for c in counts if law[c] == 0.0} == set(), j
@@ -514,8 +537,8 @@ class TestRidgeLaw:
         fn = FitnessFunction("ridge", n)
         for j in range(n):
             rng = CountingGenerator(j)
-            bf, child_ones, flips = _ridge_sampler(fn, with_ones(n, j), rng)(lam, j, n + j)
-            assert bf == raw(fn, child_of(with_ones(n, j), flips)), j
+            step = Generation(fn, COMMA, rng).step(with_ones(n, j), lam)
+            assert step.fitness == raw(fn, step.bits), j
             assert (rng.flip_counts > 0) == (lam < RIDGE_ON_LAW_FROM), (j, rng.flip_counts)
             assert rng.drawn <= 8 * n, (j, rng.drawn)
 
@@ -633,7 +656,7 @@ class TestOffRidgeLaw:
         for parent in parents:
             law = value_level_law(fn, parent, lam)
             ones, f = sum(parent), raw(fn, parent)
-            sample = _ridge_sampler(fn, list(parent), np.random.default_rng((n, f, lam % 2**32)))
+            sample, _ = _ridge_sampler(fn, list(parent), np.random.default_rng((n, f, lam % 2**32)))
             counts = Counter()
             for _ in range(trials):
                 bf, child_ones, flips = sample(lam, ones, f)
@@ -665,7 +688,7 @@ class TestOffRidgeLaw:
             us = {u for e in edges for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)) if u < 1.0}
             for u in sorted(us | set(rng.random(200).tolist())):
                 f, co = keys[bisect_right(logcdf, math.log(u) / lam if u else -math.inf)]
-                got = _ridge_sampler(fn, list(parent), FirstUniform(u))(lam, i, raw(fn, parent))[:2]
+                got = _ridge_sampler(fn, list(parent), FirstUniform(u))[0](lam, i, raw(fn, parent))[:2]
                 # 1^n is the ridge string R_n even where R_n is out of reach
                 assert got == (f, co) or (got, f, co) == ((2 * n, n), 0, n), (parent, u, got, f, co)
 
@@ -678,7 +701,7 @@ class TestOffRidgeLaw:
         for seed in range(20):
             for parent in off_ridge_parents(n, np.random.default_rng(seed)):
                 rng = CountingGenerator(seed)
-                bf, child_ones, flips = _ridge_sampler(fn, list(parent), rng)(
+                bf, child_ones, flips = _ridge_sampler(fn, list(parent), rng)[0](
                     LAMBDA_MAX, sum(parent), raw(fn, parent))
                 assert bf == raw(fn, child_of(parent, flips)), parent
                 assert rng.flip_counts == 0 and rng.drawn <= 8 * n, (parent, rng.drawn)
@@ -725,6 +748,19 @@ class TestScoring:
 
 
 class TestGenerationComma:
+    def test_level_generation_draws_one_first_block(self):
+        # the run loop draws a level run's uniforms in blocks from 64 on,
+        # each only when the last is used up: none before the first
+        # generation, 64 for one, 64 + 128 for 65.  The digests cannot see
+        # an eager _BLOCK: PCG64's stream does not depend on the block sizes
+        fn = FitnessFunction("onemax", 100)
+        for generations, drawn in ((0, {}), (1, {"random": 64}), (65, {"random": 64 + 128})):
+            rng = RecordingGenerator(3)
+            stop = StoppingCondition(max_generations=generations, stop_on_optimum=False)
+            gens = _evolve(rng, None, None, None, 50, 50, 1.0, fn, COMMA, P, stop,
+                           _Trace("summary", 0, 50))[1]
+            assert gens == generations and rng.drawn == drawn, (generations, rng.drawn)
+
     def test_n1_forced_success(self):
         gen = Generation(FitnessFunction("onemax", 1), COMMA, 0)
         nxt = gen.step([0], 1.0)

@@ -34,7 +34,10 @@ and an off-ridge child's flip positions came from the list of the
 parent's one-bits or zero-bits alone: a two-sample test on the
 evaluations of 600 runs per side agreed for each of the three
 configurations (BENCH_ridge_off_law.json), and ``TestOffRidgeLaw``
-checks the off-ridge law against enumeration.
+checks the off-ridge law against enumeration.  No digest moved when the
+run loop (``ea._evolve``) took over the law draw of level generations
+and of ridge's on-ridge law generations from a sampler call, since it
+reads the same rows with the same uniforms, drawn in the same blocks.
 
 The oracle commands' CSVs are pinned byte for byte as well, written
 without the timestamp line, so a change to the CSV writer or to the
