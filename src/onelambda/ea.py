@@ -788,7 +788,7 @@ def _evolve(rng, sample, place, bits, ones, cur_f, lam, fn, kind, params, stop, 
                 cum, members = ties[g]
                 low = math.exp(lam_int * logcdf[g - 1]) if g else 0.0
                 span = math.exp(lam_int * logcdf[g]) - low
-                t = (float(ublock[uidx]) - low) / span if span > 0.0 else 0.0
+                t = (ublock.item(uidx) - low) / span if span > 0.0 else 0.0
                 best_ones = members[min(bisect_right(cum, t), len(members) - 1)]
             uidx += 1
             bf = values[g]

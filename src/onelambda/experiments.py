@@ -61,6 +61,7 @@ __all__ = [
     "FIGURES",
     "run_figure",
     "write_csv",
+    "Passes",
 ]
 
 
@@ -194,13 +195,14 @@ def _pool(workers: int):
     """This process's pool of ``workers`` workers, created on first use.
 
     Batches (:func:`run_batch`) and the pooled CSV write (:func:`write_csv`)
-    share it: later calls with the same worker count return the same pool,
-    so its workers keep their level blocks and law rows warm from call to
-    call.  Another worker count shuts the old pool down first.  A pool
-    inherited through fork belongs to the parent process: it is neither
-    used nor shut down, and a new one takes its place.  The executor module
-    is imported here, so a process that never pools never loads
-    ``multiprocessing``.
+    share it; in a pooled write a worker runs a whole pass of rows, such
+    as one pass of an oracle check, with its verdict tally.  Later calls
+    with the same worker count return the same pool, so its workers keep
+    their level blocks and law rows warm from call to call.  Another worker
+    count shuts the old pool down first.  A pool inherited through fork
+    belongs to the parent process: it is neither used nor shut down, and a
+    new one takes its place.  The executor module is imported here, so a
+    process that never pools never loads ``multiprocessing``.
 
     Workers start by the platform's default method (fork on Linux) at the
     pool's first task, before the executor starts its manager thread, and
@@ -605,8 +607,8 @@ def config_digest(meta: dict) -> str:
     return hashlib.sha256(json.dumps(meta, sort_keys=True, default=str).encode()).hexdigest()[:16]
 
 
-_BLOCK_ROWS = 1024  # rows formatted per pass: bounds the text held at once
-_IN_FLIGHT = 6  # blocks a pooled write has submitted and not yet written, at most
+_BLOCK_ROWS = 1024  # rows formatted per block: bounds the text held at once
+_IN_FLIGHT = 6  # passes a pooled write has submitted and not yet written, at most
 
 
 def _plain_block(text: str, rows: int, width: int) -> bool:
@@ -639,24 +641,75 @@ def _format_block(block: list, width: int) -> str:
     return buf.getvalue()
 
 
-def _format_pickled(payload: bytes, width: int) -> str:
-    """A pool worker's task: :func:`_format_block` of a pickled block."""
-    return _format_block(pickle.loads(payload), width)
+class Passes:
+    """Rows made a pass at a time, as :func:`write_csv` takes them.
+
+    Each pass is a tuple (function, *args) of a module-level function, so
+    that a pool worker can run it, that returns (rows, tally): the pass's
+    rows, plain tuples, and a small summary of them that ``take`` records.
+    Iterated, the object gives the rows, each pass run in this process
+    (:meth:`blocks`); :func:`write_csv` may instead run the passes in the
+    pool.  Either way every pass runs once, in order, and its tally is
+    taken before its rows are read or its text is written."""
+
+    def __init__(self, passes: list, take):
+        self.count = len(passes)
+        self.passes = iter(passes)  # shared: a pass taken by one reader is gone for all
+        self.take = take
+        self._rows = chain.from_iterable(self.blocks())
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        return next(self._rows)
+
+    def blocks(self):
+        """The rows of each pass left, run here, one list per pass."""
+        for task in self.passes:
+            rows, tally = _run_pass(task)
+            self.take(tally)
+            yield rows
 
 
-def _pooled_texts(blocks, width: int, workers: int):
-    """The texts of ``blocks``, in order, formatted by the pool of
-    ``workers`` workers.  Each block is pickled here before it is
-    submitted, so what is in flight is bytes, and at most ``_IN_FLIGHT``
-    blocks are submitted and not yet written."""
+def _run_pass(task):
+    fn, *args = task
+    return fn(*args)
+
+
+def _given(rows):
+    """The pass of rows already made: they are its result, with no tally."""
+    return rows, None
+
+
+def _pass_text(payload: bytes, width: int):
+    """A pool worker's task: run the pickled pass (function, *args) and
+    return its rows' text (:func:`_format_block`) and its tally."""
+    rows, tally = _run_pass(pickle.loads(payload))
+    return _format_block(rows, width), tally
+
+
+def _pooled_texts(passes, width: int, workers: int, take=None):
+    """The texts of ``passes``, in order, each pass run as one task of the
+    pool of ``workers`` workers; ``take``, if given, gets each pass's
+    tally, in order, before its text is written.  Each pass is pickled here
+    before it is submitted, so what is in flight is bytes, and at most
+    ``_IN_FLIGHT`` passes are submitted and not yet written."""
     pool = _pool(workers)
     pending = deque()
-    for payload in map(pickle.dumps, blocks):
+
+    def written():
+        text, tally = pending.popleft().result()
+        if take is not None:
+            take(tally)
+        return text
+
+    for payload in map(pickle.dumps, passes):
         if len(pending) == _IN_FLIGHT:
-            yield pending.popleft().result()
-        pending.append(pool.submit(_format_pickled, payload, width))
+            yield written()
+        pending.append(pool.submit(_pass_text, payload, width))
     while pending:
-        yield pending.popleft().result()
+        yield written()
 
 
 def write_csv(path, columns, rows, meta: dict, timestamp: bool = True,
@@ -673,13 +726,17 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True,
 
     Rows are turned into plain tuples (a dict through ``columns``, any
     other row by tuple()) and formatted in blocks of ``_BLOCK_ROWS`` by
-    :func:`_format_block`, so the file's text is never held whole.  When
-    the rows fill more than one block and ``workers`` is more than 1, the
-    blocks are formatted in the process's pool (:func:`_pool`, shared with
-    :func:`run_batch`) while this process pulls the rows, at most
-    ``_IN_FLIGHT`` blocks ahead of the file; otherwise here.  ``workers``
-    None means one per CPU this process may run on.  If a worker dies, the
-    pool is dropped and ``BrokenProcessPool`` propagates.
+    :func:`_format_block`, so the file's text is never held whole; rows
+    given as :class:`Passes` are formatted a pass at a time.  When there
+    is more than one block or pass and ``workers`` is more than 1, each is
+    one task of the process's pool (:func:`_pool`, shared with
+    :func:`run_batch`): a block is pulled from ``rows`` and pickled here,
+    while a pass is run by the worker, which also tallies it.  This
+    process takes the tallies and writes the texts in order, at most
+    ``_IN_FLIGHT`` tasks ahead of the file.  Otherwise all of it runs
+    here.  ``workers`` None means one per CPU this process may run on.
+    If a worker dies, the pool is dropped and ``BrokenProcessPool``
+    propagates.
     """
     import csv
     import datetime
@@ -696,20 +753,25 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True,
         if timestamp:
             fh.write(f"# generated_at: {datetime.datetime.now().isoformat()}\n")
         csv.writer(fh).writerow(columns)
-        rows = iter(rows)
-        head = list(islice(rows, _BLOCK_ROWS + 1))  # the first block and one row more, if any
-        if not head:
-            return
-        if isinstance(head[0], dict):
-            def plain(row):
-                return tuple(map(row.get, columns))
+        if isinstance(rows, Passes):
+            pooled = workers > 1 and rows.count > 1
+            blocks, tasks, take = rows.blocks(), rows.passes, rows.take
         else:
-            plain = tuple
-        pooled = workers > 1 and len(head) > _BLOCK_ROWS
-        rows = chain(iter(head), rows)  # an iterator, so head is freed once it is read
-        del head
-        blocks = iter(lambda: list(map(plain, islice(rows, _BLOCK_ROWS))), [])
+            rows = iter(rows)
+            head = list(islice(rows, _BLOCK_ROWS + 1))  # the first block and one row more, if any
+            if not head:
+                return
+            if isinstance(head[0], dict):
+                def plain(row):
+                    return tuple(map(row.get, columns))
+            else:
+                plain = tuple
+            pooled = workers > 1 and len(head) > _BLOCK_ROWS
+            rows = chain(iter(head), rows)  # an iterator, so head is freed once it is read
+            del head
+            blocks = iter(lambda: list(map(plain, islice(rows, _BLOCK_ROWS))), [])
+            tasks, take = ((_given, block) for block in blocks), None
         width = len(columns)
         with _drop_pool_if_broken():
-            fh.writelines(_pooled_texts(blocks, width, workers) if pooled
+            fh.writelines(_pooled_texts(tasks, width, workers, take) if pooled
                           else (_format_block(block, width) for block in blocks))

@@ -27,7 +27,7 @@ multi-optimum functions like twomax behave correctly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -147,10 +147,10 @@ class FitnessFunction:
 
     # -- optimum ---------------------------------------------------------
 
-    @property
+    @cached_property
     def optimum_raw(self) -> int:
         """The largest raw value: the level table's maximum, or ridge's 2n
-        at the all-ones string."""
+        at the all-ones string; computed on the first read and kept."""
         return int(_level_table(self).max()) if self.level_based else 2 * self.n
 
 

@@ -40,11 +40,17 @@ per group of at most 256 states that share a block of levels and a
 window shape.  :func:`drift_grid_check` calls it once per pass of 2048
 states, on their distinct (i, round(lambda)) pairs, and gathers each
 state's into one drift expression, and :func:`check_transition_bounds`
-calls it once per law block of levels x lams and evaluates each bound
-over that block.  Each check returns one :class:`CheckReport`.  The rows
-its CLI command writes, plain tuples, stream into the writer it is given
-a block at a time, so the rows held do not grow with the grid, and the
-verdicts are tallied from their ``pass`` column as they pass.
+calls it once per pass of 16 levels x lams and evaluates each bound over
+that pass.  Each check returns one :class:`CheckReport`.  A pass is one
+call of a module-level function that gives the pass's rows, plain tuples
+for the CLI command's CSV, and its tally: the rows, the violations in
+their ``pass`` column and, for drift, the pass's extreme state.  The
+writer the check is given reads the rows a pass at a time, so the rows
+held do not grow with the grid; the CLI's writer
+(:func:`~onelambda.experiments.write_csv`) runs each pass as one task of
+the process pool when there are several passes and CPUs, so a worker
+computes the pass, tallies it and formats its CSV text, and this process
+only adds up the tallies and writes the texts in order.
 Entries that pass through exp, log1p, expm1, log2 or a power (p_plus,
 p_minus and eight of the bounds) stay ``math`` scalars, one call per (i,
 lam) or per lam: numpy's SIMD versions differ from ``math`` in the last
@@ -83,14 +89,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
-from operator import itemgetter
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ea import CHILD_WINDOW, LAMBDA_MAX, ControllerParams, round_lambda, update_lambda
+from .experiments import Passes
 from .fitness import FitnessFunction
 
 __all__ = [
@@ -446,36 +452,59 @@ def max_flip_gain_series(lam: int) -> float:
 class CheckReport:
     """Outcome of a check over a grid of states.  The rows its CLI command
     writes (plain tuples in :data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS`
-    order, ending in the verdict ``pass``) stream a block of states at a
-    time into ``write(report)``, which must read ``report.rows`` to the
-    end (the stream itself, whatever ``write`` leaves in ``rows``).  As
-    they pass, ``checks_performed`` counts them and ``violations`` counts
-    those that fail, so every field is final once the check returns.
-    ``states_checked`` is the grid's size; the drift check also gives its
-    extreme drift and that state (i, lambda_real), else None:
-    ``find_extreme()``, called once the rows end, returns the pair."""
+    order, ending in the verdict ``pass``) come a pass of states at a time
+    as ``report.rows``, a :class:`~onelambda.experiments.Passes` handed to
+    ``write(report)``, which must read them to the end: iterated, each
+    pass runs in this process; :func:`~onelambda.experiments.write_csv`
+    may run each pass in its pool instead, with that pass's verdicts
+    tallied in the worker.  Either way each pass's tally is taken before
+    its rows are read or written: ``checks_performed`` counts the rows and
+    ``violations`` those that fail, so every field is final once the
+    check returns.  ``states_checked`` is the grid's size; the drift check
+    also gives its extreme drift and that state (i, lambda_real), else
+    None: ``pick`` (np.argmin or np.argmax) chooses it among the passes'
+    extremes, taken in pass order."""
 
-    def __init__(self, states_checked: int, blocks, write, find_extreme=None):
+    def __init__(self, states_checked: int, passes: list, write, pick=None):
         self.states_checked = states_checked
-        self.extreme = self.extreme_state = None
         self.checks_performed = self.violations = 0
-        rows = self.rows = chain.from_iterable(self._tally(blocks, find_extreme))
+        self._pick = pick
+        self._extremes = []  # (drift, i, lambda_real) at each pass's extreme
+        rows = self.rows = Passes(passes, self._take)
         write(self)
         if next(rows, None) is not None:
             raise ValueError("write must read the check's rows to the end")
 
-    def _tally(self, blocks, find_extreme):
-        for block in blocks:
-            self.checks_performed += len(block)
-            self.violations += len(block) - sum(map(itemgetter(-1), block))
-            yield block
-        if find_extreme is not None:
-            self.extreme, self.extreme_state = find_extreme()
+    def _take(self, tally) -> None:
+        checks, violations, extreme = tally
+        self.checks_performed += checks
+        self.violations += violations
+        if extreme is not None:
+            self._extremes.append(extreme)
+
+    @property
+    def extreme(self) -> float | None:
+        return self._extreme()[0]
+
+    @property
+    def extreme_state(self) -> tuple | None:
+        return self._extreme()[1]
+
+    def _extreme(self) -> tuple:
+        if not self._extremes:
+            return None, None
+        drift, i, lam_real = self._extremes[self._pick([e[0] for e in self._extremes])]
+        return drift, (i, lam_real)
 
     @property
     def ok(self) -> bool:
         # an empty grid proves nothing and is not a pass
         return self.states_checked > 0 and not self.violations
+
+
+def _tally(passed: np.ndarray, extreme=None) -> tuple:
+    """A pass's tally from its pass column: (checks, violations, extreme)."""
+    return passed.size, passed.size - int(np.count_nonzero(passed)), extreme
 
 
 # The bounds-check CSV's columns: "bound" names the bound and "bound_value"
@@ -612,10 +641,15 @@ def _floats(a) -> np.ndarray:
     return np.asarray(a, dtype=float).astype(object)
 
 
-def _bound_pass(n: int, levels: range, lams: tuple) -> list:
+# Levels per pass of check_transition_bounds: half a law block, so that
+# the passes of a few hundred levels keep two pool workers busy to the end.
+_BOUND_PASS = 16
+
+
+def _bound_pass(n: int, levels: range, lams: tuple) -> tuple:
     """Every applicable check at the states (i, lam) of ``levels`` x
     ``lams``, as rows of Python values in :data:`BOUND_COLUMNS` order,
-    sorted by (i, lam, bound)."""
+    sorted by (i, lam, bound), and their :func:`_tally`."""
     i = np.array(levels).reshape(-1, 1)
     lam = np.array(lams).reshape(1, -1)
     q = state_quantities(n, np.repeat(i, lam.size), np.tile(lam[0], i.size))
@@ -642,9 +676,10 @@ def _bound_pass(n: int, levels: range, lams: tuple) -> list:
     li, mi, bi = np.nonzero(checked)
     names, quantities, sides = (np.array(col, dtype=object) for col in list(zip(*_BOUNDS))[:3])
     exact, bound, margin = (np.stack(a, axis=-1)[checked] for a in (exact, bound, margin))
+    passed = margin >= -1e-10
     columns = (i[li, 0], lam[0, mi], quantities[bi], names[bi], sides[bi], exact, bound, margin,
-               margin >= -1e-10)
-    return list(zip(repeat(n), *(col.tolist() for col in columns)))
+               passed)
+    return list(zip(repeat(n), *(col.tolist() for col in columns))), _tally(passed)
 
 
 def check_transition_bounds(n: int, lambdas, write) -> CheckReport:
@@ -656,9 +691,9 @@ def check_transition_bounds(n: int, lambdas, write) -> CheckReport:
     quantity is defined; each check is one row of :data:`BOUND_COLUMNS`
     with both sides, a plain tuple.
     Each bound is one array expression, with an array precondition mask,
-    over one law block of levels (_LAW_BLOCK of them) x lams read from one
-    :func:`state_quantities` call; the rows stream out in (i, lam, bound)
-    order, one block at a time, so a block's rows are all that is held.
+    over one pass of _BOUND_PASS levels x lams read from one
+    :func:`state_quantities` call; the rows come in (i, lam, bound)
+    order, one pass at a time, so a pass's rows are all that is held.
     The lams are checked before any row.  The (1 - base)^lam bounds and
     the plain powers stay ``math`` scalars, one call per state, as p_plus
     and p_minus do: numpy's SIMD exp, log1p, expm1 and power may differ
@@ -666,12 +701,12 @@ def check_transition_bounds(n: int, lambdas, write) -> CheckReport:
     """
     lams = tuple(int(lam) for lam in lambdas)
     if n < 1 or not lams:
-        return CheckReport(0, (), write)
+        return CheckReport(0, [], write)
     for lam in (min(lams), max(lams)):
         _check_lam(lam)
-    blocks = (_bound_pass(n, range(lo, min(n, lo + _LAW_BLOCK)), lams)
-              for lo in range(0, n, _LAW_BLOCK))
-    return CheckReport(n * len(lams), blocks, write)
+    passes = [(_bound_pass, n, range(lo, min(n, lo + _BOUND_PASS)), lams)
+              for lo in range(0, n, _BOUND_PASS)]
+    return CheckReport(n * len(lams), passes, write)
 
 
 # ---------------------------------------------------------------------------
@@ -797,14 +832,11 @@ def drift_grid_check(
     state, in order, to ``write`` as :class:`CheckReport` says.
 
     The controller's scalar code runs once per distinct lambda_real, before
-    any row.  Then the states go _DRIFT_PASS at a time: one
-    :func:`state_quantities` call over their distinct (i,
-    round(lambda_real)) pairs, one array expression (:func:`_drift`) for
-    their drifts, and their rows, so what the check holds while the rows
-    stream does not grow with the grid beyond ``states`` itself.  Each
-    pass keeps its extreme state, and the report's extreme is the extreme
-    of those, taken once the rows end: np.argmin's (or np.argmax's) state
-    over the whole grid.
+    any row.  Then the states go _DRIFT_PASS at a time through
+    :func:`_drift_pass`, so what the check holds while the rows stream
+    does not grow with the grid beyond ``states`` itself.  Each pass
+    gives its extreme state, and the report's extreme is the extreme of
+    those: np.argmin's (or np.argmax's) state over the whole grid.
     """
     if direction not in ("min_at_least", "max_at_most"):
         raise ValueError("direction must be 'min_at_least' or 'max_at_most'")
@@ -812,7 +844,7 @@ def drift_grid_check(
         raise ValueError(f"threshold must be finite, got {threshold}")
     grid = np.asarray(states, dtype=float).reshape(-1, 2)
     if not len(grid):
-        return CheckReport(0, (), write)
+        return CheckReport(0, [], write)
     outside = ~((grid[:, 0] >= 0) & (grid[:, 0] < n))  # a NaN level too
     if outside.any():
         raise ValueError(f"need 0 <= i < n, got i={grid[outside, 0][0]:g}, n={n}")
@@ -821,33 +853,38 @@ def drift_grid_check(
         raise ValueError(f"lambda_real must be >= 1, got {lam_values[0]}")
     per_lam = [(round_lambda(x), *_lambda_terms(potential, x, params))
                for x in lam_values.tolist()]
+    _check_lam(per_lam[-1][0])  # round_lambda does not decrease
     lam, *terms = (np.array(col) for col in zip(*per_lam))  # per distinct lambda_real
-    counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
-    _check_lam(counts.tolist()[-1])
+    passes = [(_drift_pass, n, grid[lo : lo + _DRIFT_PASS], lam_values, lam, terms, threshold,
+               direction, cap_gain_at_one) for lo in range(0, len(grid), _DRIFT_PASS)]
     pick = np.argmin if direction == "min_at_least" else np.argmax
-    extremes = []  # (drift, i, lambda_real) at each pass's extreme
+    return CheckReport(len(grid), passes, write, pick)
 
-    def rows(at):
-        i, lam_real = grid[at, 0].astype(int), grid[at, 1]
-        x = np.searchsorted(lam_values, lam_real)  # lambda_real's index in lam_values
-        # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
-        pairs, pair_of = np.unique(i * counts.size + count_of[x], return_inverse=True)
-        q = state_quantities(n, pairs // counts.size, counts[pairs % counts.size])
-        drift = _drift(q.p_plus[pair_of], q.gain[pair_of], q.loss[pair_of],
-                       [t[x] for t in terms], cap_gain_at_one)
-        k = pick(drift)
-        extremes.append((drift[k], i[k], lam_real[k]))
-        margin = drift - threshold if direction == "min_at_least" else threshold - drift
-        return list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam[x].tolist(),
-                        drift.tolist(), repeat(threshold), margin.tolist(),
-                        (margin >= 0).tolist()))
 
-    def find_extreme():
-        drift, i, lam_real = extremes[pick([e[0] for e in extremes])]
-        return float(drift), (int(i), float(lam_real))
-
-    runs = (slice(lo, lo + _DRIFT_PASS) for lo in range(0, len(grid), _DRIFT_PASS))
-    return CheckReport(len(grid), map(rows, runs), write, find_extreme)
+def _drift_pass(n, states, lam_values, lam, terms, threshold, direction, cap_gain_at_one):
+    """The :data:`DRIFT_COLUMNS` rows of the (i, lambda_real) rows of
+    ``states`` and their :func:`_tally` with the pass's extreme (drift, i,
+    lambda_real), from ``lam`` (the offspring count) and ``terms`` (of
+    :func:`_lambda_terms`) per distinct lambda_real of the grid,
+    ``lam_values``: one :func:`state_quantities` call over the states'
+    distinct (i, round(lambda_real)) pairs and one array expression
+    (:func:`_drift`) for their drifts."""
+    i, lam_real = states[:, 0].astype(int), states[:, 1]
+    x = np.searchsorted(lam_values, lam_real)  # lambda_real's index in lam_values
+    counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
+    # one entry per distinct (i, lam) pair, keyed by i and lam's index in counts
+    pairs, pair_of = np.unique(i * counts.size + count_of[x], return_inverse=True)
+    q = state_quantities(n, pairs // counts.size, counts[pairs % counts.size])
+    drift = _drift(q.p_plus[pair_of], q.gain[pair_of], q.loss[pair_of],
+                   [t[x] for t in terms], cap_gain_at_one)
+    if direction == "min_at_least":
+        k, margin = np.argmin(drift), drift - threshold
+    else:
+        k, margin = np.argmax(drift), threshold - drift
+    passed = margin >= 0
+    rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam[x].tolist(), drift.tolist(),
+                    repeat(threshold), margin.tolist(), passed.tolist()))
+    return rows, _tally(passed, (float(drift[k]), int(i[k]), float(lam_real[k])))
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

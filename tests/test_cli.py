@@ -6,6 +6,7 @@ import shlex
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from onelambda import oracle
 from onelambda.cli import build_parser, main
 from onelambda.ea import LAMBDA_MAX
 from onelambda.oracle import elitist_evaluations_bound
+from test_experiments import no_pool  # noqa: F401  (a fixture)
 
 
 def read_data_lines(path):
@@ -355,6 +357,42 @@ class TestAnalysisCommands:
         k = int(np.argmin(drift) if "g2" not in argv else np.argmax(drift))
         assert summary["extreme_drift"] == drift[k]
         assert summary["extreme_state"] == [int(rows[k]["i"]), float(rows[k]["lambda_real"])]
+
+    @pytest.mark.usefixtures("no_pool")
+    @pytest.mark.parametrize("argv, code, passes", [
+        ("drift-check --n 100 --s 0.5", 0, 4),  # 6700 states
+        ("drift-check --n 100 --s 0.5 --threshold 0.5", 1, 4),  # violations in passes
+        ("drift-check --potential g2 --n 1000 --s 18", 0, 1),
+        ("bounds-check --n 48 --lambdas 1,2,5", 0, 3),
+    ])
+    def test_pooled_check_writes_the_in_process_bytes(self, argv, code, passes, monkeypatch,
+                                                        tmp_path, capsys):
+        # one usable CPU runs every pass here; with two, each pass of a check
+        # of several is one pool task, and the worker tallies its verdicts
+        def no_pool(workers):
+            raise AssertionError("a pool started on one usable CPU")
+
+        submitted = []
+
+        def counted_pool(workers):
+            pool = real_pool(workers)
+            return SimpleNamespace(submit=lambda *task: submitted.append(task) or pool.submit(*task))
+
+        real_pool = xp._pool
+        outputs = []
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                m.setattr(xp, "usable_cpus", lambda: cpus)
+                m.setattr(xp, "_pool", no_pool if cpus == 1 else counted_pool)
+                out = tmp_path / f"{cpus}.csv"
+                assert main([*argv.split(), "--out", str(out), "--no-timestamp"]) == code
+            summary = json.loads(capsys.readouterr().out)
+            assert summary.pop("output") == str(out)
+            outputs.append((out.read_bytes(), summary))
+        assert len(submitted) == (passes if passes > 1 else 0)
+        assert outputs[0] == outputs[1]
+        if code:
+            assert 0 < outputs[0][1]["violations"] < outputs[0][1]["states"]
 
     @pytest.mark.parametrize("argv", [
         ["bounds-check", "--lambdas", ",".join(map(str, range(1, 25)))],

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from onelambda import experiments as xp
+from onelambda import oracle
 from onelambda.experiments import (
     BatchConfig,
     bootstrap_mean_ci,
@@ -34,6 +35,7 @@ from onelambda.experiments import (
     sweep_table,
     write_csv,
 )
+from onelambda.oracle import BOUND_COLUMNS, check_transition_bounds
 
 
 def small_batch(trace="levels", runs=3, algo="comma", n=(30,), fs=((1.5, 1.0),), **kw):
@@ -590,3 +592,50 @@ class TestPooledWrite:
         write_csv(last, ["a"], rows, meta={}, workers=2, timestamp=False)
         assert xp._POOL[2] is not pool
         assert last.read_bytes() == first.read_bytes()
+
+
+def bounds_to(path, n=48, lambdas=(1, 2, 5)):
+    """bounds-check over ceil(n / 16) passes, its rows written to ``path``
+    with two workers."""
+    def write(report):
+        write_csv(path, BOUND_COLUMNS, report.rows, meta={}, timestamp=False, workers=2)
+
+    return check_transition_bounds(n, lambdas, write=write)
+
+
+@pytest.mark.usefixtures("no_pool")
+class TestPooledCheck:
+    def test_killed_worker_fails_one_check_then_a_new_pool_runs(self, tmp_path):
+        first, last = tmp_path / "first.csv", tmp_path / "last.csv"
+        expected = bounds_to(first)
+        pool = xp._POOL[2]
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken:  # the executor marks itself broken once it sees the death
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with pytest.raises(BrokenProcessPool):
+            bounds_to(tmp_path / "dead.csv")
+        assert xp._POOL is None
+        report = bounds_to(last)
+        assert xp._POOL[2] is not pool
+        assert last.read_bytes() == first.read_bytes()
+        assert (report.checks_performed, report.violations) == (
+            expected.checks_performed, expected.violations)
+
+    def test_at_most_the_cap_of_pickled_passes_is_in_flight(self, monkeypatch, tmp_path):
+        # each pass runs in the stub's submit; the tallies are taken as the
+        # texts are written, so they match a check that writes here
+        here = check_transition_bounds(150, (1, 3), write=lambda report: write_csv(
+            tmp_path / "here.csv", BOUND_COLUMNS, report.rows, meta={}, timestamp=False,
+            workers=1))
+        stub = StubPool()
+        monkeypatch.setattr(xp, "_pool", lambda workers: stub)
+        pooled = bounds_to(tmp_path / "pooled.csv", n=150, lambdas=(1, 3))
+        passes = -(-150 // oracle._BOUND_PASS)
+        assert passes > xp._IN_FLIGHT + 2
+        assert len(stub.submitted) == passes and all(type(p) is bytes for p in stub.submitted)
+        assert stub.most_in_flight == xp._IN_FLIGHT and stub.in_flight == 0
+        assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "here.csv").read_bytes()
+        assert (pooled.checks_performed, pooled.violations) == (
+            here.checks_performed, here.violations)

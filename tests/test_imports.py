@@ -2,6 +2,7 @@
 a public name cannot leave a dangling export behind."""
 
 import ast
+import contextlib
 import importlib
 import json
 import pkgutil
@@ -80,3 +81,22 @@ def test_benchmark_tracer_reads_the_check_reports(monkeypatch, tmp_path, capsys)
         "oracle.bounds": {k: summaries["oracle.bounds"][k] for k in ("states", "checks")},
         "oracle.drift": {"states": summaries["oracle.drift"]["states"]},
     }
+
+
+def test_traced_checks_write_the_untraced_bytes(monkeypatch, tmp_path, capsys):
+    # the tracer hands write_csv a counting generator in place of a check's
+    # passes, so a traced run computes them in this process
+    tracer = benchmark_tracer(monkeypatch)
+    cli = importlib.import_module("onelambda.cli")
+    for argv in (["bounds-check", "--n", "48", "--lambdas", "1,5"], ["drift-check", "--n", "100"]):
+        written = []
+        for traced in (False, True):
+            path = tmp_path / f"{traced}.csv"
+            with tracer.installed() if traced else contextlib.nullcontext():
+                assert cli.main([*argv, "--out", str(path), "--no-timestamp"]) == 0
+            summary = json.loads(capsys.readouterr().out)
+            summary.pop("output")
+            written.append((path.read_bytes(), summary))
+        assert written[0] == written[1]
+        span = [s for s in tracer.spans if s.name == "experiments.write_csv"][-1]
+        assert span.attrs["rows"] == written[0][1].get("checks", written[0][1]["states"])
