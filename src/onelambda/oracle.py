@@ -463,13 +463,13 @@ class CheckReport:
     check returns.  ``states_checked`` is the grid's size; the drift check
     also gives its extreme drift and that state (i, lambda_real), else
     None: ``pick`` (np.argmin or np.argmax) chooses it among the passes'
-    extremes, taken in pass order."""
+    extremes, in pass order."""
 
     def __init__(self, states_checked: int, passes: list, write, pick=None):
         self.states_checked = states_checked
+        self.extreme = self.extreme_state = None
         self.checks_performed = self.violations = 0
         self._pick = pick
-        self._extremes = []  # (drift, i, lambda_real) at each pass's extreme
         rows = self.rows = Passes(passes, self._take)
         write(self)
         if next(rows, None) is not None:
@@ -479,22 +479,10 @@ class CheckReport:
         checks, violations, extreme = tally
         self.checks_performed += checks
         self.violations += violations
-        if extreme is not None:
-            self._extremes.append(extreme)
-
-    @property
-    def extreme(self) -> float | None:
-        return self._extreme()[0]
-
-    @property
-    def extreme_state(self) -> tuple | None:
-        return self._extreme()[1]
-
-    def _extreme(self) -> tuple:
-        if not self._extremes:
-            return None, None
-        drift, i, lam_real = self._extremes[self._pick([e[0] for e in self._extremes])]
-        return drift, (i, lam_real)
+        # pick of the two is pick over every pass so far: its first extreme, a NaN first
+        if extreme is not None and (self.extreme is None
+                                    or self._pick([self.extreme, extreme[0]])):
+            self.extreme, self.extreme_state = extreme[0], extreme[1:]
 
     @property
     def ok(self) -> bool:

@@ -361,7 +361,7 @@ class TestAnalysisCommands:
     @pytest.mark.usefixtures("no_pool")
     @pytest.mark.parametrize("argv, code, passes", [
         ("drift-check --n 100 --s 0.5", 0, 4),  # 6700 states
-        ("drift-check --n 100 --s 0.5 --threshold 0.5", 1, 4),  # violations in passes
+        ("drift-check --n 100 --s 0.5 --threshold 0.5", 1, 4),  # 91 fail, in 2 passes
         ("drift-check --potential g2 --n 1000 --s 18", 0, 1),
         ("bounds-check --n 48 --lambdas 1,2,5", 0, 3),
     ])
@@ -369,21 +369,25 @@ class TestAnalysisCommands:
                                                         tmp_path, capsys):
         # one usable CPU runs every pass here; with two, each pass of a check
         # of several is one pool task, and the worker tallies its verdicts
-        def no_pool(workers):
+        def refuse_pool(workers):
             raise AssertionError("a pool started on one usable CPU")
 
-        submitted = []
+        real_pool, submitted = xp._pool, []
 
         def counted_pool(workers):
             pool = real_pool(workers)
-            return SimpleNamespace(submit=lambda *task: submitted.append(task) or pool.submit(*task))
 
-        real_pool = xp._pool
+            def submit(*task):
+                submitted.append(task)
+                return pool.submit(*task)
+
+            return SimpleNamespace(submit=submit)
+
         outputs = []
         for cpus in (1, 2):
             with monkeypatch.context() as m:
                 m.setattr(xp, "usable_cpus", lambda: cpus)
-                m.setattr(xp, "_pool", no_pool if cpus == 1 else counted_pool)
+                m.setattr(xp, "_pool", refuse_pool if cpus == 1 else counted_pool)
                 out = tmp_path / f"{cpus}.csv"
                 assert main([*argv.split(), "--out", str(out), "--no-timestamp"]) == code
             summary = json.loads(capsys.readouterr().out)

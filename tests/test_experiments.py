@@ -595,8 +595,8 @@ class TestPooledWrite:
 
 
 def bounds_to(path, n=48, lambdas=(1, 2, 5)):
-    """bounds-check over ceil(n / 16) passes, its rows written to ``path``
-    with two workers."""
+    """bounds-check at n levels, passes of ``oracle._BOUND_PASS`` of them,
+    its rows written to ``path`` with two workers."""
     def write(report):
         write_csv(path, BOUND_COLUMNS, report.rows, meta={}, timestamp=False, workers=2)
 
