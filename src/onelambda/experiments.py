@@ -27,7 +27,7 @@ from collections import deque
 from collections.abc import Callable
 from concurrent.futures import BrokenExecutor
 from dataclasses import asdict, dataclass, field, replace
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -611,33 +611,81 @@ _BLOCK_ROWS = 1024  # rows formatted per block: bounds the text held at once
 _IN_FLIGHT = 6  # passes a pooled write has submitted and not yet written, at most
 
 
-def _plain_block(text: str, rows: int, width: int) -> bool:
-    """Whether ``text``, ``rows`` rows of ``width`` fields formatted by
-    str() with ',' between fields and '\\r\\n' after each row, is what
-    csv.writer would write for them: no field was None or held a comma,
-    quote or line break, and no row is one empty field."""
-    return ("None" not in text and '"' not in text
-            and text.count(",") == rows * (width - 1)
-            and text.count("\r") == rows and text.count("\n") == rows
-            and (width > 1 or not (text.startswith("\r") or "\n\r" in text)))
+_SEQUENCES = (np.ndarray, list, tuple)  # the column kinds that are not one scalar
+_BOOL_TEXT = np.array(["False", "True"], dtype=object)
+# what a field's text may hold only if csv.writer would quote it or it was None
+_QUOTED = (",", '"', "\r", "\n", "None")
 
 
-def _format_block(block: list, width: int) -> str:
-    """csv.writer's text for ``block``, plain tuples meant to hold ``width``
-    fields each.  Each row goes through one %-template; if a row does not
-    have ``width`` fields, or the text fails :func:`_plain_block`, csv.writer
-    writes the block instead."""
-    template = ",".join(["%s"] * width) + "\r\n"
-    try:
-        text = "".join(map(template.__mod__, block))
-    except TypeError:  # a row without one field per column
-        text = None
-    if text is not None and _plain_block(text, len(block), width):
-        return text
+def _size(columns) -> int:
+    """The number of rows of ``columns``: the length of the shortest column
+    that is an array, list or tuple; 0 if every column is a scalar."""
+    return min((len(c) for c in columns if isinstance(c, _SEQUENCES)), default=0)
+
+
+def _rows(columns) -> list:
+    """The rows of ``columns`` as plain tuples of Python scalars: an array
+    column by tolist(), a list or tuple as it is, and any other value, a
+    scalar, repeated down the column."""
+    size = _size(columns)
+    return list(zip(*(c.tolist() if isinstance(c, np.ndarray)
+                      else c if isinstance(c, _SEQUENCES) else repeat(c, size)
+                      for c in columns)))
+
+
+def _column_text(column, size: int):
+    """The ``size`` fields of one column as str() writes them for its
+    :func:`_rows`, or None if one of them might need csv.writer: it holds
+    a comma, quote, line break or "None".  A scalar takes one str(); a
+    bool array True/False; an int or float array one str() per distinct
+    value, a float keyed by its bits so that -0.0 and 0.0 stay apart; any
+    other column, such as an array of names or a row block's column,
+    str() on each entry."""
+    if not isinstance(column, _SEQUENCES):
+        text = _column_text([column], 1)
+        return None if text is None else text * size
+    if isinstance(column, np.ndarray):
+        kind = column.dtype.kind
+        if kind == "b":
+            return _BOOL_TEXT.take(column.view(np.uint8)).tolist()
+        if kind in "iuf":
+            keys = column.view(f"i{column.itemsize}") if kind == "f" else column
+            distinct, at = np.unique(keys, return_inverse=True)
+            text = np.array(list(map(str, distinct.view(column.dtype).tolist())), dtype=object)
+            return text.take(at).tolist()
+        column = column.tolist()
+    text = list(map(str, column))
+    joined = "".join(text)
+    return None if any(hazard in joined for hazard in _QUOTED) else text
+
+
+def _text(block) -> str:
+    """csv.writer's text for ``block``: a pass's columns, a tuple that
+    :func:`_rows` reads, or a list of rows, plain tuples, which is
+    transposed into its columns when every row holds the same number of
+    fields, at least one.
+
+    The fields are made a column at a time (:func:`_column_text`) and
+    joined a row at a time.  csv.writer writes the block instead when its
+    rows differ in length or are empty, a field might be None or need
+    quoting, or the block is one column holding an empty field, which
+    csv.writer quotes."""
+    if isinstance(block, list):
+        if len(set(map(len, block))) != 1 or not block[0]:
+            return _writer_text(block)
+        block = tuple(zip(*block))
+    size = _size(block)
+    texts = [_column_text(column, size) for column in block]
+    if None in texts or (len(texts) == 1 and "" in texts[0]):
+        return _writer_text(_rows(block))
+    return "\r\n".join(map(",".join, zip(*texts))) + "\r\n" if size else ""
+
+
+def _writer_text(rows) -> str:
     import csv
 
     buf = io.StringIO(newline="")
-    csv.writer(buf).writerows(block)
+    csv.writer(buf).writerows(rows)
     return buf.getvalue()
 
 
@@ -645,18 +693,20 @@ class Passes:
     """Rows made a pass at a time, as :func:`write_csv` takes them.
 
     Each pass is a tuple (function, *args) of a module-level function, so
-    that a pool worker can run it, that returns (rows, tally): the pass's
-    rows, plain tuples, and a small summary of them that ``take`` records.
-    Iterated, the object gives the rows, each pass run in this process
-    (:meth:`blocks`); :func:`write_csv` may instead run the passes in the
-    pool.  Either way every pass runs once, in order, and its tally is
-    taken before its rows are read or its text is written."""
+    that a pool worker can run it, that returns (columns, tally): the
+    pass's columns, a tuple of arrays and scalars that :func:`_text`
+    formats, and a small summary of them that ``take`` records.  Iterated,
+    the object gives the rows, plain tuples of Python scalars
+    (:func:`_rows`), each pass run in this process; :func:`write_csv`
+    formats the columns (:meth:`columns`) or runs the passes in the pool.
+    Either way every pass runs once, in order, and its tally is taken
+    before its rows are read or its text is written."""
 
     def __init__(self, passes: list, take):
         self.count = len(passes)
         self.passes = iter(passes)  # shared: a pass taken by one reader is gone for all
         self.take = take
-        self._rows = chain.from_iterable(self.blocks())
+        self._rows = chain.from_iterable(map(_rows, self.columns()))
 
     def __iter__(self):
         return self
@@ -664,12 +714,12 @@ class Passes:
     def __next__(self):
         return next(self._rows)
 
-    def blocks(self):
-        """The rows of each pass left, run here, one list per pass."""
+    def columns(self):
+        """The columns of each pass left, run here."""
         for task in self.passes:
-            rows, tally = _run_pass(task)
+            columns, tally = _run_pass(task)
             self.take(tally)
-            yield rows
+            yield columns
 
 
 def _run_pass(task):
@@ -677,19 +727,19 @@ def _run_pass(task):
     return fn(*args)
 
 
-def _given(rows):
-    """The pass of rows already made: they are its result, with no tally."""
-    return rows, None
+def _given(block):
+    """The pass of a block already made: it is its result, with no tally."""
+    return block, None
 
 
-def _pass_text(payload: bytes, width: int):
+def _pass_text(payload: bytes):
     """A pool worker's task: run the pickled pass (function, *args) and
-    return its rows' text (:func:`_format_block`) and its tally."""
-    rows, tally = _run_pass(pickle.loads(payload))
-    return _format_block(rows, width), tally
+    return its text (:func:`_text`) and its tally."""
+    block, tally = _run_pass(pickle.loads(payload))
+    return _text(block), tally
 
 
-def _pooled_texts(passes, width: int, workers: int, take=None):
+def _pooled_texts(passes, workers: int, take=None):
     """The texts of ``passes``, in order, each pass run as one task of the
     pool of ``workers`` workers; ``take``, if given, gets each pass's
     tally, in order, before its text is written.  Each pass is pickled here
@@ -707,7 +757,7 @@ def _pooled_texts(passes, width: int, workers: int, take=None):
     for payload in map(pickle.dumps, passes):
         if len(pending) == _IN_FLIGHT:
             yield written()
-        pending.append(pool.submit(_pass_text, payload, width))
+        pending.append(pool.submit(_pass_text, payload))
     while pending:
         yield written()
 
@@ -725,9 +775,12 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True,
     and around a row's lone empty field, and '\\r\\n' after each row.
 
     Rows are turned into plain tuples (a dict through ``columns``, any
-    other row by tuple()) and formatted in blocks of ``_BLOCK_ROWS`` by
-    :func:`_format_block`, so the file's text is never held whole; rows
-    given as :class:`Passes` are formatted a pass at a time.  When there
+    other row by tuple()) and formatted in blocks of ``_BLOCK_ROWS``, so
+    the file's text is never held whole; rows given as :class:`Passes`
+    are formatted a pass at a time, from the pass's columns.  Either kind
+    of block goes to the one formatter, :func:`_text`, which makes the
+    text a column at a time and leaves a block that needs quoting or holds
+    a None to csv.writer.  When there
     is more than one block or pass and ``workers`` is more than 1, each is
     one task of the process's pool (:func:`_pool`, shared with
     :func:`run_batch`): a block is pulled from ``rows`` and pickled here,
@@ -755,7 +808,7 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True,
         csv.writer(fh).writerow(columns)
         if isinstance(rows, Passes):
             pooled = workers > 1 and rows.count > 1
-            blocks, tasks, take = rows.blocks(), rows.passes, rows.take
+            blocks, tasks, take = rows.columns(), rows.passes, rows.take
         else:
             rows = iter(rows)
             head = list(islice(rows, _BLOCK_ROWS + 1))  # the first block and one row more, if any
@@ -771,7 +824,5 @@ def write_csv(path, columns, rows, meta: dict, timestamp: bool = True,
             del head
             blocks = iter(lambda: list(map(plain, islice(rows, _BLOCK_ROWS))), [])
             tasks, take = ((_given, block) for block in blocks), None
-        width = len(columns)
         with _drop_pool_if_broken():
-            fh.writelines(_pooled_texts(tasks, width, workers, take) if pooled
-                          else (_format_block(block, width) for block in blocks))
+            fh.writelines(_pooled_texts(tasks, workers, take) if pooled else map(_text, blocks))

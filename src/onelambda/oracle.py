@@ -42,15 +42,17 @@ states, on their distinct (i, round(lambda)) pairs, and gathers each
 state's into one drift expression, and :func:`check_transition_bounds`
 calls it once per pass of 16 levels x lams and evaluates each bound over
 that pass.  Each check returns one :class:`CheckReport`.  A pass is one
-call of a module-level function that gives the pass's rows, plain tuples
-for the CLI command's CSV, and its tally: the rows, the violations in
-their ``pass`` column and, for drift, the pass's extreme state.  The
-writer the check is given reads the rows a pass at a time, so the rows
-held do not grow with the grid; the CLI's writer
-(:func:`~onelambda.experiments.write_csv`) runs each pass as one task of
-the process pool when there are several passes and CPUs, so a worker
-computes the pass, tallies it and formats its CSV text, and this process
-only adds up the tallies and writes the texts in order.
+call of a module-level function that gives the columns of the pass's
+rows in the CLI command's CSV, numpy arrays and scalars, and its tally:
+the rows, the violations in their ``pass`` column and, for drift, the
+pass's extreme state.  The writer the check is given reads the rows a
+pass at a time, so the rows held do not grow with the grid; a reader
+that iterates them gets plain tuples of Python scalars.  The CLI's
+writer (:func:`~onelambda.experiments.write_csv`) formats the columns
+themselves, and runs each pass as one task of the process pool when
+there are several passes and CPUs, so a worker computes the pass,
+tallies it and formats its CSV text, and this process only adds up the
+tallies and writes the texts in order.
 Entries that pass through exp, log1p, expm1, log2 or a power (p_plus,
 p_minus and eight of the bounds) stay ``math`` scalars, one call per (i,
 lam) or per lam: numpy's SIMD versions differ from ``math`` in the last
@@ -89,7 +91,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -451,13 +453,15 @@ def max_flip_gain_series(lam: int) -> float:
 
 class CheckReport:
     """Outcome of a check over a grid of states.  The rows its CLI command
-    writes (plain tuples in :data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS`
-    order, ending in the verdict ``pass``) come a pass of states at a time
-    as ``report.rows``, a :class:`~onelambda.experiments.Passes` handed to
-    ``write(report)``, which must read them to the end: iterated, each
-    pass runs in this process; :func:`~onelambda.experiments.write_csv`
-    may run each pass in its pool instead, with that pass's verdicts
-    tallied in the worker.  Either way each pass's tally is taken before
+    writes (in :data:`BOUND_COLUMNS` or :data:`DRIFT_COLUMNS` order,
+    ending in the verdict ``pass``) come a pass of states at a time as
+    ``report.rows``, a :class:`~onelambda.experiments.Passes` handed to
+    ``write(report)``, which must read them to the end.  Each pass gives
+    its rows as columns; iterated, ``report.rows`` runs each pass in this
+    process and gives the rows as plain tuples of Python scalars, while
+    :func:`~onelambda.experiments.write_csv` formats the columns, and may
+    run each pass in its pool, with that pass's verdicts tallied in the
+    worker.  Either way each pass's tally is taken before
     its rows are read or written: ``checks_performed`` counts the rows and
     ``violations`` those that fail, so every field is final once the
     check returns.  ``states_checked`` is the grid's size; the drift check
@@ -624,11 +628,6 @@ def _bound_definitions():
 _BOUNDS = _bound_definitions()
 
 
-def _floats(a) -> np.ndarray:
-    """a as an array of Python float objects (dtype object)."""
-    return np.asarray(a, dtype=float).astype(object)
-
-
 # Levels per pass of check_transition_bounds: half a law block, so that
 # the passes of a few hundred levels keep two pool workers busy to the end.
 _BOUND_PASS = 16
@@ -636,8 +635,11 @@ _BOUND_PASS = 16
 
 def _bound_pass(n: int, levels: range, lams: tuple) -> tuple:
     """Every applicable check at the states (i, lam) of ``levels`` x
-    ``lams``, as rows of Python values in :data:`BOUND_COLUMNS` order,
-    sorted by (i, lam, bound), and their :func:`_tally`."""
+    ``lams``, sorted by (i, lam, bound), as the columns of their
+    :data:`BOUND_COLUMNS` rows, and their :func:`_tally`: ``n`` as one
+    scalar, i and lam int64 arrays, the quantity, bound and side names
+    object arrays, exact, bound_value and margin float64 arrays and pass
+    a bool array."""
     i = np.array(levels).reshape(-1, 1)
     lam = np.array(lams).reshape(1, -1)
     q = state_quantities(n, np.repeat(i, lam.size), np.tile(lam[0], i.size))
@@ -649,15 +651,12 @@ def _bound_pass(n: int, levels: range, lams: tuple) -> tuple:
             "delta_plus": (gain / p_plus, p_plus > UNDEFINED_BELOW),
             "delta_minus": (loss / p_minus, p_minus > UNDEFINED_BELOW),
         }
-    # exact and bound values as Python floats, one object per entry before
-    # broadcasting: the checks of one state share them, which keeps the rows small
-    objects = {quantity: _floats(q) for quantity, (q, _) in values.items()}
     exact, bound, margin, checked = [], [], [], []
     for _, quantity, side, value, applies in _BOUNDS:
         q, defined = values[quantity]
         b = value(n, i, lam)
-        exact.append(objects[quantity])
-        bound.append(np.broadcast_to(_floats(b), q.shape))
+        exact.append(q)
+        bound.append(np.broadcast_to(np.asarray(b, dtype=float), q.shape))
         margin.append(b - q if side == "upper" else q - b)
         checked.append(defined if applies is None else applies(n, i, lam) & defined)
     checked = np.stack(np.broadcast_arrays(*checked), axis=-1)
@@ -665,9 +664,9 @@ def _bound_pass(n: int, levels: range, lams: tuple) -> tuple:
     names, quantities, sides = (np.array(col, dtype=object) for col in list(zip(*_BOUNDS))[:3])
     exact, bound, margin = (np.stack(a, axis=-1)[checked] for a in (exact, bound, margin))
     passed = margin >= -1e-10
-    columns = (i[li, 0], lam[0, mi], quantities[bi], names[bi], sides[bi], exact, bound, margin,
-               passed)
-    return list(zip(repeat(n), *(col.tolist() for col in columns))), _tally(passed)
+    columns = (n, i[li, 0], lam[0, mi], quantities[bi], names[bi], sides[bi], exact, bound,
+               margin, passed)
+    return columns, _tally(passed)
 
 
 def check_transition_bounds(n: int, lambdas, write) -> CheckReport:
@@ -677,7 +676,7 @@ def check_transition_bounds(n: int, lambdas, write) -> CheckReport:
 
     A bound is checked only where its precondition holds and the exact
     quantity is defined; each check is one row of :data:`BOUND_COLUMNS`
-    with both sides, a plain tuple.
+    with both sides.
     Each bound is one array expression, with an array precondition mask,
     over one pass of _BOUND_PASS levels x lams read from one
     :func:`state_quantities` call; the rows come in (i, lam, bound)
@@ -850,13 +849,15 @@ def drift_grid_check(
 
 
 def _drift_pass(n, states, lam_values, lam, terms, threshold, direction, cap_gain_at_one):
-    """The :data:`DRIFT_COLUMNS` rows of the (i, lambda_real) rows of
-    ``states`` and their :func:`_tally` with the pass's extreme (drift, i,
-    lambda_real), from ``lam`` (the offspring count) and ``terms`` (of
-    :func:`_lambda_terms`) per distinct lambda_real of the grid,
-    ``lam_values``: one :func:`state_quantities` call over the states'
-    distinct (i, round(lambda_real)) pairs and one array expression
-    (:func:`_drift`) for their drifts."""
+    """The columns of the :data:`DRIFT_COLUMNS` rows of the (i,
+    lambda_real) rows of ``states`` and their :func:`_tally` with the
+    pass's extreme (drift, i, lambda_real), from ``lam`` (the offspring
+    count) and ``terms`` (of :func:`_lambda_terms`) per distinct
+    lambda_real of the grid, ``lam_values``: one :func:`state_quantities`
+    call over the states' distinct (i, round(lambda_real)) pairs and one
+    array expression (:func:`_drift`) for their drifts.  ``n`` and
+    ``threshold`` are scalar columns; i and lambda_int are int64 arrays,
+    lambda_real, drift and margin float64 and pass bool."""
     i, lam_real = states[:, 0].astype(int), states[:, 1]
     x = np.searchsorted(lam_values, lam_real)  # lambda_real's index in lam_values
     counts, count_of = np.unique(lam, return_inverse=True)  # the distinct offspring counts
@@ -870,9 +871,8 @@ def _drift_pass(n, states, lam_values, lam, terms, threshold, direction, cap_gai
     else:
         k, margin = np.argmax(drift), threshold - drift
     passed = margin >= 0
-    rows = list(zip(repeat(n), i.tolist(), lam_real.tolist(), lam[x].tolist(), drift.tolist(),
-                    repeat(threshold), margin.tolist(), passed.tolist()))
-    return rows, _tally(passed, (float(drift[k]), int(i[k]), float(lam_real[k])))
+    columns = (n, i, lam_real, lam[x], drift, threshold, margin, passed)
+    return columns, _tally(passed, (float(drift[k]), int(i[k]), float(lam_real[k])))
 
 
 def g1_grid_lambdas(n: int, params: ControllerParams) -> np.ndarray:

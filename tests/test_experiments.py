@@ -518,6 +518,58 @@ class TestCsvWriterEquivalence:
         assert target.read_bytes().split(b"\n", 3)[3] == csv_writer_body(["a", "b"], rows)
 
 
+def array_of(values, dtype):
+    return values.map(lambda v: np.array(v, dtype=dtype))
+
+
+# one column of a pass as its pass function gives it: an array, or one
+# scalar that repeats down the column; a size is drawn per block
+COLUMN_OF = {
+    "float64": lambda size: array_of(st.lists(
+        st.one_of(FLOATS, st.sampled_from([0.0, -0.0, 0.1, math.nan])), min_size=size,
+        max_size=size), np.float64),
+    "int64": lambda size: array_of(st.lists(
+        st.one_of(st.integers(-2**63, 2**63 - 1), st.sampled_from([0, 7])), min_size=size,
+        max_size=size), np.int64),
+    "bool": lambda size: array_of(st.lists(st.booleans(), min_size=size, max_size=size), bool),
+    "str": lambda size: array_of(st.lists(
+        st.one_of(st.none(), st.text(st.sampled_from(list('aN e,"\r\n')), max_size=4)),
+        min_size=size, max_size=size), object),
+    "scalar": lambda size: st.one_of(st.integers(), FLOATS, st.booleans(),
+                                     st.text(st.sampled_from(list("a ,")), max_size=3)),
+}
+COLUMN_BLOCKS = st.tuples(
+    st.integers(0, 12),
+    st.lists(st.sampled_from(sorted(COLUMN_OF)), min_size=1, max_size=5).filter(
+        lambda kinds: set(kinds) != {"scalar"}),
+).flatmap(lambda drawn: st.tuples(*(COLUMN_OF[kind](drawn[0]) for kind in drawn[1])))
+
+
+class TestColumnFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=COLUMN_BLOCKS)
+    @example(columns=(np.array([-0.0, 0.0, -0.0, 0.0]),))
+    @example(columns=(np.array([math.nan, -math.nan, math.inf, -math.inf, 5e-324]),))
+    @example(columns=(np.array([-2**63, 2**63 - 1, -2**63], dtype=np.int64),))
+    @example(columns=(np.full(3, 0.1), np.full(3, 7, dtype=np.int64), 0.5))
+    @example(columns=(np.array(["a,b", 'say "hi"', "x\r\ny"], dtype=object), np.arange(3)))
+    @example(columns=(np.array(["", "a"], dtype=object),))
+    @example(columns=(np.array(["a"], dtype=object), np.array([""], dtype=object)))
+    @example(columns=(7, np.array([], dtype=np.int64), np.array([]), np.array([], dtype=bool),
+                      0.5))
+    def test_pass_columns_are_written_as_csv_writer_writes_their_rows(self, tmp_path_factory,
+                                                                        columns):
+        size = min(len(c) for c in columns if isinstance(c, np.ndarray))
+        rows = list(zip(*(c.tolist() if isinstance(c, np.ndarray) else [c] * size
+                          for c in columns)))
+        names = [f"c{k}" for k in range(len(columns))]
+        target = tmp_path_factory.mktemp("csv") / "o.csv"
+        write_csv(target, names, xp.Passes([(xp._given, columns)], lambda tally: None), meta={},
+                  timestamp=False)
+        body = target.read_bytes().split(b"\n", 3)[3]
+        assert body == csv_writer_body(names, rows)
+
+
 class DiesInWorker:
     """A CSV field whose str() ends any process but the one that made it,
     so a pool worker that formats it dies."""

@@ -810,19 +810,33 @@ class TestDriftGridCheck:
             (int, int, float, int, float, float, float, bool)}
 
 
+def kept_check(check):
+    """A small bounds or g1 drift check, its rows kept by :func:`keep`."""
+    if check == "bounds":
+        return check_transition_bounds(40, lambdas=(1, 5), write=keep)
+    pot, states, threshold, direction = drift_claim("g1", 40, 1.5, 0.5)
+    return drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), 40, states, threshold,
+                            direction, write=keep)
+
+
 @pytest.mark.parametrize("check", ["bounds", "drift"])
 def test_rows_are_plain_tuples_the_collector_untracks(check):
     # a tuple subclass (a namedtuple) stays tracked, and every full
     # collection would walk each row of a large grid
-    if check == "bounds":
-        report = check_transition_bounds(40, lambdas=(1, 5), write=keep)
-    else:
-        pot, states, threshold, direction = drift_claim("g1", 40, 1.5, 0.5)
-        report = drift_grid_check(pot, ControllerParams(F=1.5, s=0.5), 40, states, threshold,
-                                  direction, write=keep)
+    report = kept_check(check)
     gc.collect()
     assert report.rows and all(type(row) is tuple for row in report.rows)
     assert not any(gc.is_tracked(row) for row in report.rows)
+
+
+@pytest.mark.parametrize("check", ["bounds", "drift"])
+def test_rows_hold_python_scalars(check):
+    # the passes make numpy columns; the rows read in-process (C2, C5 and C6
+    # among them) hold Python scalars, as repr(np.float64(0.5)) is
+    # "np.float64(0.5)" under numpy 2
+    report = kept_check(check)
+    assert report.rows
+    assert {type(field) for row in report.rows for field in row} <= {int, float, bool, str}
 
 
 def g1_check(n, write, states=None):
