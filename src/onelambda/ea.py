@@ -26,27 +26,27 @@ One loop (``_evolve``) runs the generations of both engines:
   same at any lambda.  The lambda-free rows are built for blocks of
   levels at a time and shared with the oracle.  The initial one-count is
   drawn from Binomial(n, 1/2); no bit string exists.
-* Ridge, whose value depends on the bit layout, keeps a bit-list parent
-  and a sampler the loop calls each generation.  A generation of
-  RIDGE_LAW_FROM = 16 children or more off the ridge, or
-  RIDGE_ON_LAW_FROM = 3 on it, draws the selected child's value and
-  one-count as a level generation does, with one uniform, then its
-  layout, at a cost that does not grow with lambda.  A parent on the
-  ridge (raw >= n) is 1^j 0^(n-j), whose children's law depends on j
-  alone: the sampler hands the draw back to the loop, which reads
-  ridge's law rows (the ridge string and the other children of each
-  one-count), and the sampler then lays the child out.  A parent off the
-  ridge has zeromax's law but for the ridge strings within reach of it,
-  which its mismatch profile against the ridge strings 1^j 0^(n-j) finds
-  near its one-count: it reads zeromax's row and, near the ridge, moves
-  those strings' mass to the top.  Fewer children cost less by bit
-  mutation, which also runs the reference the law engines are tested
-  against: each child's flip count comes from Binomial(n, 1/n), then
-  that many distinct positions from a stream of uniform positions
-  (repeats skipped), which is distributionally identical to per-bit
-  flips.  No child is built: its value comes from the parent's mismatch
-  profile, read at the child's one-count after one count over the parent
-  per generation, so a child costs O(its flips).
+* Ridge, whose value depends on the bit layout, keeps its parent as a
+  bytearray of bits and a sampler the loop calls each generation.  A
+  generation of RIDGE_LAW_FROM = 3 children or more, on the ridge or off
+  it, draws the selected child's value and one-count as a level
+  generation does, with one uniform, then its layout, at a cost that does
+  not grow with lambda.  A parent on the ridge (raw >= n) is 1^j 0^(n-j),
+  whose children's law depends on j alone: the sampler hands the draw
+  back to the loop, which reads ridge's law rows (the ridge string and
+  the other children of each one-count), and the sampler then lays the
+  child out.  A parent off the ridge has zeromax's law but for the ridge
+  strings within reach of it, which its mismatch profile against the
+  ridge strings 1^j 0^(n-j) finds near its one-count: it reads zeromax's
+  row and, near the ridge, moves those strings' mass to the top.  A
+  layout of k flips costs O(k) draws, plus one count over the parent.
+  Fewer children cost less by bit mutation, which also runs the reference
+  the law engines are tested against: each child's flip count comes from
+  Binomial(n, 1/n), then that many distinct positions from a stream of
+  uniform positions (repeats skipped), which is distributionally
+  identical to per-bit flips.  No child is built: its value comes from
+  the parent's mismatch profile, read at the child's one-count after one
+  count over the parent per generation, so a child costs O(its flips).
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ __all__ = [
     "CHILD_WINDOW",
     "LAMBDA_MAX",
     "RIDGE_LAW_FROM",
-    "RIDGE_ON_LAW_FROM",
     "ControllerParams",
     "AlgorithmKind",
     "StoppingCondition",
@@ -101,10 +100,11 @@ def round_lambda(lambda_real: float) -> int:
 class ControllerParams:
     """Success-based controller hyperparameters.
 
-    F is the update strength (> 1), s the success rate (> 0).  A success
-    divides lambda by F and a failure multiplies it by growth_factor, and
-    growth_factor**s == F, so one success per s+1 generations leaves lambda
-    unchanged.  F^(2/s), the square the runaway guard reads, must be finite.
+    F is the update strength (> 1), s the success rate (finite, > 0).  A
+    success divides lambda by F and a failure multiplies it by
+    growth_factor, and growth_factor**s == F, so one success per s+1
+    generations leaves lambda unchanged.  F^(2/s), the square the runaway
+    guard reads, must be finite.
     """
 
     F: float = 1.5
@@ -113,8 +113,8 @@ class ControllerParams:
     def __post_init__(self) -> None:
         if not self.F > 1.0:
             raise ValueError(f"update strength F must be > 1, got {self.F}")
-        if not self.s > 0.0:
-            raise ValueError(f"success rate s must be > 0, got {self.s}")
+        if not 0.0 < self.s < math.inf:
+            raise ValueError(f"success rate s must be finite and > 0, got {self.s}")
         try:  # float ** raises OverflowError rather than return inf
             finite = math.isfinite(self.growth_factor ** 2)
         except OverflowError:
@@ -249,17 +249,15 @@ def _uniforms(rng: np.random.Generator, size: int):
         return u, np.log(u).tolist()
 
 
-# The offspring counts from which a ridge generation draws its selected
-# child from the exact law, off the ridge and on it; below them, it mutates
-# bits.  At n = 100 (BENCH_ridge_off_law.json, "crossover") bit mutation
-# costs about 0.45 us a child.  Off the ridge a law generation costs 2 to
-# 7 us at 16 children, the most a flip or two off a ridge string, so 16 is
-# the smallest power of two at which the law costs no more than bit
-# mutation from every kind of parent off the ridge: far from it, near 0^n
-# or a flip or two off a ridge string.  On the ridge the law first wins at
-# 3 children (1.2 us against 1.7).
-RIDGE_LAW_FROM = 16
-RIDGE_ON_LAW_FROM = 3
+# The offspring count from which a ridge generation draws its selected
+# child from the exact law, on the ridge and off it; below it, it mutates
+# bits.  At n = 100 (BENCH_ridge_law_from3.json, "crossover") the law costs
+# no more than bit mutation from 3 children on the ridge and from parents
+# far from it (uniform, or near 0^n).  Two flips or one off a ridge string
+# it wins only from 4 or 6 children, but such parents are rare there (1 of
+# 6252 off-ridge generations of 3 to 5 children in 200 large-lambda ridge
+# runs), so one constant serves both sides.
+RIDGE_LAW_FROM = 3
 
 
 @lru_cache(maxsize=16)
@@ -294,22 +292,20 @@ def _ridge_reach(n: int) -> tuple:
     return limits, tails, [p**d * (1.0 - p) ** (n - d) for d in range(len(limits))]
 
 
-def _near_ridge(bits, i: int, lam_int: int) -> tuple:
+def _near_ridge(bits: bytearray, i: int, zb: int, lam_int: int) -> tuple:
     """(js, above) for the ridge parent ``bits``, off the ridge with i
-    one-bits, at lam_int children: the j >= 1, in increasing order, whose
-    ridge string R_j lies within D flips of the parent
-    (:func:`_ridge_reach`), and above[k - 1], one child's mass on the top k
-    of those R_j.  Both are empty when more than D zeros lie among the
-    parent's first i bits, since every d[j] is at least that many;
-    otherwise d[j] is read for |j - i| <= D."""
+    one-bits, zb of its first i bits zeros, at lam_int children: the j >=
+    1, in increasing order, whose ridge string R_j lies within D flips of
+    the parent (:func:`_ridge_reach`), and above[k - 1], one child's mass on
+    the top k of those R_j.  Both are empty when zb > D, since every d[j]
+    is at least zb; otherwise d[j] is read for |j - i| <= D."""
     n = len(bits)
     limits, _, mass = _ridge_reach(n)
     cut = bisect_right(limits, lam_int)
-    zb = bits[:i].count(0)  # d[i] = 2 zb, and every d[j] >= zb
     if zb > cut:
         return (), ()
     first = max(1, i - cut)
-    d = 2 * zb - (i - first) + 2 * sum(bits[first:i])  # d[first]
+    d = 2 * zb - (i - first) + 2 * bits.count(1, first, i)  # d[first]; d[i] = 2 zb
     js, masses = [], []
     for j in range(first, min(n, i + cut) + 1):
         if d <= cut:
@@ -340,6 +336,73 @@ def _off_ridge_logcdf(row, js, above, g: int) -> float:
     return math.log1p(x) if x > -1.0 else -math.inf
 
 
+_NOT = bytes.maketrans(b"\0\1", b"\1\0")  # bytearray.translate: a bit string's complement
+
+
+def _pick(seq: list, k: int, uniforms) -> list:
+    """k distinct uniform members of the list seq, which it reorders: a
+    partial Fisher-Yates shuffle of its first s = min(k, len - k) places.
+    Those s are a uniform s-subset, and the rest, when s = len - k, a
+    uniform k-subset."""
+    size = len(seq)
+    s = min(k, size - k)
+    for t in range(s):
+        j = t + int(next(uniforms) * (size - t))
+        seq[t], seq[j] = seq[j], seq[t]
+    return seq[:k] if s == k else seq[s:]
+
+
+def _positions(bits: bytearray, b: int, start: int, count: int) -> list:
+    """The first count positions of the b-bits of ``bits`` from start on."""
+    at, q = [], start - 1
+    for _ in range(count):
+        q = bits.index(b, q + 1)
+        at.append(q)
+    return at
+
+
+def _among(bits: bytearray, spots, uniforms, b: int, k: int, m: int) -> list:
+    """k distinct uniform positions among the m b-bits of ``bits``.  While
+    few tries are expected (about n k / (m - k) of them), by rejection:
+    the first k distinct b-bits of ``spots``, a stream of uniform
+    positions, O(k) in all.  Else :func:`_pick` from the list of the
+    b-bits, found one at a time when they are few."""
+    n = len(bits)
+    if k * n <= 40 * (m - k):
+        chosen = []
+        while len(chosen) < k:
+            q = next(spots)
+            if bits[q] == b and q not in chosen:
+                chosen.append(q)
+        return chosen
+    if 8 * m <= n:
+        return _pick(_positions(bits, b, 0, m), k, uniforms)
+    return _pick(list(compress(range(n), bits if b else bits.translate(_NOT))), k, uniforms)
+
+
+def _near_draw(bits: bytearray, i: int, zb: int, lam_int: int, row, g: int, t: float) -> tuple:
+    """(value, one-count) of the selected child of the ridge parent
+    ``bits``, off the ridge with i one-bits, zb of its first i bits zeros,
+    when the ridge strings in reach (:func:`_near_ridge`) may move the
+    draw off entry g of zeromax's ``row``: the first entry of
+    :func:`_off_ridge_logcdf` whose log CDF exceeds t = log(u)/lam_int.
+    That is g if its log CDF still exceeds t there; else, if it does not
+    exceed t at zeromax's top entry either, the ridge string R_j found by
+    bisecting their tail masses, log1p(-above[k - 1]) being the log CDF
+    below the top k of them; else an entry between, by bisection."""
+    logcdf, pick, _, values = row
+    js, above = _near_ridge(bits, i, zb, lam_int)
+    if js:
+        key = partial(_off_ridge_logcdf, row, js, above)
+        size = len(logcdf)
+        if t >= key(size - 1):
+            k = bisect_left(above, -t, 0, len(js) - 1, key=lambda a: -math.log1p(-a))
+            return len(bits) + js[~k], js[~k]
+        if t >= key(g):
+            g = bisect_right(range(size - 1), t, lo=g + 1, key=key)
+    return values[g], pick[g]
+
+
 @lru_cache(maxsize=4096)
 def _layout_weights(n: int, i: int, co: int, ax: int) -> tuple:
     """(lo, cum): the cumulative weights of a = lo, lo+1, ... flipped
@@ -365,16 +428,16 @@ def _layout_weights(n: int, i: int, co: int, ax: int) -> tuple:
     return lo, list(accumulate(weights))
 
 
-def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
-    """The ridge engine: ``(sample, place)`` for the parent ``bits``,
-    which the caller updates in place.  ``sample(lam_int, ones, cur_f)``
-    (one-count ``ones``, raw value ``cur_f``) gives ``(f, child_ones,
-    flips)`` as :func:`_offspring_sampler` does, or None where the run
-    loop draws the child itself.  Below RIDGE_LAW_FROM children off the
-    ridge, RIDGE_ON_LAW_FROM on it, it is that sampler's bit mutation.
-    From there on the selected child's value and one-count co come from
-    their exact law with one uniform u, then the child's layout, at a
-    cost that does not grow with lam:
+def _ridge_sampler(fn: FitnessFunction, bits: bytearray, rng: np.random.Generator):
+    """The ridge engine: ``(sample, place)`` for the parent ``bits``, a
+    bytearray of 0s and 1s, which the caller updates in place.
+    ``sample(lam_int, ones, cur_f)`` (one-count ``ones``, raw value
+    ``cur_f``) gives ``(f, child_ones, flips)`` as :func:`_offspring_sampler`
+    does, or None where the run loop draws the child itself.  Below
+    RIDGE_LAW_FROM children it is that sampler's bit mutation.  From there
+    on the selected child's value and one-count co come from their exact
+    law with one uniform u, then the child's layout, at a cost that does
+    not grow with lam:
 
     * a parent on the ridge (raw >= n) is 1^j 0^(n-j), j = ``ones``, whose
       children's law depends on j alone: ``sample`` gives None, the run
@@ -389,13 +452,16 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
       value n as well, so the law is zeromax's at level ``ones`` (its
       cached row) but for the R_j, j >= 1, within reach of x
       (:func:`_near_ridge`); the others change it by less than 2^-53.
-      ``off_ridge`` bisects zeromax's log CDF for log(u)/lam.  Every R_j
+      ``sample`` bisects zeromax's log CDF for log(u)/lam.  Every R_j
       lies at least zb flips from x, zb the zeros among its first
-      ``ones`` bits, so their mass is at most tails[zb - 1]
-      (:func:`_ridge_reach`); unless that much could lower zeromax's CDF
-      at the entry found to u^(1/lam), the draw stands.  Else it bisects
-      :func:`_off_ridge_logcdf` from that entry on: O(n) to find the R_j
-      in reach and O(log n) to draw.
+      ``ones`` bits (one count over the parent per generation), so their
+      mass is at most tails[zb - 1] (:func:`_ridge_reach`), or, tighter
+      (two more counts), mass[zb] for each of R_(ones - zb) and
+      R_(ones + zb) that lies zb flips away, the only ones that can, plus
+      tails[zb]; unless that much could lower zeromax's CDF at the entry
+      found to u^(1/lam), the draw stands.  Else :func:`_near_draw` reads
+      the R_j in reach and their masses (O(D) steps, D <= 30) and draws
+      from :func:`_off_ridge_logcdf` in O(log D) steps at most.
 
     A child that is a ridge string flips the bits where the parent
     differs from it.  A child off it is uniform among the children with
@@ -403,112 +469,100 @@ def _ridge_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     its number a of flipped one-bits is drawn from
     :func:`_layout_weights` (kept in a bounded LRU), which leaves R_co's
     flip set out of its weight, and its positions are uniform among the
-    parent's one-bits and zero-bits, drawn again if they are that set, so
-    a layout costs O(n) at most.  Layout uniforms, and u off the ridge,
-    come from a ``_stream`` of their own.
+    parent's one-bits and zero-bits (:func:`_among`, O(k) draws for k
+    flips; on the ridge they are two ranges), drawn again if they are that
+    set.  Layout uniforms, and u off the ridge, come from one ``_stream``,
+    and :func:`_among`'s uniform positions from another; bit mutation
+    draws its flip positions and tie-break uniforms from the same two.
     """
     from .oracle import _level_law  # oracle imports this module
 
     n = fn.n
-    per_bit = _offspring_sampler(fn, bits, rng)
-    uniforms = _stream(rng.random)
-    zeromax = FitnessFunction("zeromax", n)
-    tails = _ridge_reach(n)[1]
-    block, first, width = None, 0, 0  # zeromax's block of the last level off the ridge
-
-    def distinct(k, seq):
-        """k distinct uniform members of the sequence seq."""
-        chosen = []
-        size = len(seq)
-        while len(chosen) < k:
-            q = seq[int(next(uniforms) * size)]
-            if q not in chosen:
-                chosen.append(q)
-        return chosen
-
-    def among(b, k):
-        """k distinct uniform positions of the parent's b-bits."""
-        if not k:
-            return []
-        return distinct(k, list(compress(range(n), bits)) if b else [q for q in range(n) if not bits[q]])
-
-    def positions(b, start, count):
-        """The first count positions of the parent's b-bits from start on."""
-        at, q = [], start - 1
-        for _ in range(count):
-            q = bits.index(b, q + 1)
-            at.append(q)
-        return at
+    spots, uniforms = _stream(lambda size: rng.integers(0, n, size=size)), _stream(rng.random)
+    per_bit = _offspring_sampler(fn, bits, rng, spots, uniforms)
+    zeromax = FitnessFunction.parse("zeromax", n)
+    _, tails, mass = _ridge_reach(n)
+    reach = len(tails)
+    log, log1p, expm1 = math.log, math.log1p, math.expm1
+    among = partial(_among, bits, spots, uniforms)
+    block, rows, first, width = None, None, 0, 0  # zeromax's block of the last level off the ridge
 
     def layout(i, co, ax, draw):
         """The flips to a child with one-count co, not the ridge string,
-        of a parent with i one-bits; ``draw(b, k)`` gives k distinct
-        positions of its b-bits, and the ridge string's flip set has ax
+        of a parent with i one-bits; ``draw(b, k, m)`` gives k distinct
+        positions of its m b-bits, and the ridge string's flip set has ax
         flipped one-bits."""
         lo, cum = _layout_weights(n, i, co, ax)
         a = lo + bisect_right(cum, next(uniforms) * cum[-1])
         while True:
-            lost, gained = draw(1, a), draw(0, a + co - i)
+            lost = draw(1, a, i) if a else []
+            gained = draw(0, a + co - i, n - i) if a + co > i else []
             # the ridge string's set: every lost one-bit at or past co,
             # every gained zero-bit before it
             if a != ax or not all(q >= co for q in lost) or not all(q < co for q in gained):
                 return lost + gained or None
 
-    def off_ridge(lam_int, ones):
-        """The value and one-count of the selected child of the parent
-        ``bits``, off the ridge, from one uniform u: the first entry g with
-        log(u)/lam_int < :func:`_off_ridge_logcdf`.  That log CDF is at
-        most zeromax's, so g is at or past zeromax's bisection, and the
-        second bisection starts there."""
-        nonlocal block, first, width
+    def sample(lam_int, ones, cur_f):
+        nonlocal block, rows, first, width
+        if lam_int < RIDGE_LAW_FROM:
+            return per_bit(lam_int, ones, cur_f)
+        if cur_f >= n:  # on the ridge: the parent is 1^ones 0^(n-ones)
+            return None
         r = ones - first
         if not 0 <= r < width:
             block, r = _level_law(zeromax, ones)
-            first, width = block.first, len(block.rows)
-        row = block.row(r)
+            rows, first, width = block.rows, block.first, len(block.rows)
+        row = rows[r] or block.row(r)
         logcdf, pick, _, values = row
         u = next(uniforms)
-        t = math.log(u) / lam_int if u else -math.inf
+        t = log(u) / lam_int if u else -math.inf
         g = bisect_right(logcdf, t)
-        # every ridge string lies at least zb flips away: unless their mass
-        # could lower the log CDF at g to t, the draw stays at g
-        zb = bits[:ones].count(0)
-        x = math.expm1(logcdf[g]) - (tails[zb - 1] if zb <= len(tails) else 0.0)
-        if x > -1.0 and t < math.log1p(x):
-            return values[g], pick[g]
-        js, above = _near_ridge(bits, ones, lam_int)
-        if js:
-            size = len(logcdf)
-            g = bisect_right(range(size + len(js)), t, lo=g,
-                             key=partial(_off_ridge_logcdf, row, js, above))
-            if g >= size:
-                return n + js[g - size], js[g - size]
-        return values[g], pick[g]
-
-    def sample(lam_int, ones, cur_f):
-        if cur_f >= n:  # on the ridge: the parent is 1^ones 0^(n-ones)
-            return per_bit(lam_int, ones, cur_f) if lam_int < RIDGE_ON_LAW_FROM else None
-        if lam_int < RIDGE_LAW_FROM:
-            return per_bit(lam_int, ones, cur_f)
-        f, co = off_ridge(lam_int, ones)
+        f, co = values[g], pick[g]
+        zb = bits.count(0, 0, ones)  # d[ones] = 2 zb, and every d[j] >= zb
+        # unless the ridge strings' mass could lower the log CDF at g to t,
+        # the draw stays at g
+        if zb <= reach:
+            x = expm1(logcdf[g]) - tails[zb - 1]
+            if (x <= -1.0 or t >= log1p(x)) and zb < reach:
+                # a tighter bound: only R_(ones - zb) and R_(ones + zb) can lie
+                # zb flips away, when the zb bits between are all misplaced,
+                # and the rest lie farther
+                at_zb = ((ones > zb and bits.count(0, ones - zb, ones) == zb)
+                         + (ones + zb <= n and bits.count(1, ones, ones + zb) == zb))
+                x = expm1(logcdf[g]) - (at_zb * mass[zb] + tails[zb])
+            if x <= -1.0 or t >= log1p(x):
+                f, co = _near_draw(bits, ones, zb, lam_int, row, g, t)
+        # the zeros among the first co bits, from those among the first ones
+        zc = zb + bits.count(0, ones, co) if co >= ones else zb - bits.count(0, co, ones)
         if f >= n or co == n:  # the ridge string R_co (all n ones: only R_n)
-            return n + co, co, positions(0, 0, bits[:co].count(0)) + positions(1, co, sum(bits[co:]))
-        return f, co, layout(ones, co, bits[:co].count(0) + ones - co, among)
+            return n + co, co, _positions(bits, 0, 0, zc) + _positions(bits, 1, co, ones - co + zc)
+        return f, co, layout(ones, co, zc + ones - co, among)
+
+    def on_ridge(b, k, m):
+        """k distinct uniform positions of the m b-bits of a ridge string,
+        the first m positions for b = 1 and the last m for b = 0: the first
+        k distinct of a stream of uniform positions among them."""
+        base, chosen = 0 if b else n - m, []
+        while len(chosen) < k:
+            q = base + int(next(uniforms) * m)
+            if q not in chosen:
+                chosen.append(q)
+        return chosen
 
     def place(ones, f, co):
         """The flips from the ridge string 1^ones 0^(n-ones) to its
         law-drawn child of value f and one-count co."""
         if f >= n:
             return list(range(co, ones) if co < ones else range(ones, co)) or None
-        return layout(ones, co, max(0, ones - co),
-                      lambda b, k: distinct(k, range(ones) if b else range(ones, n)))
+        return layout(ones, co, max(0, ones - co), on_ridge)
 
     return sample, place
 
 
-def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
+def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator,
+                       positions=None, uniforms=None):
     """The bit-mutation engine: best of lam_int standard-bit mutants.  It
-    runs ridge's generations below the law's crossovers
+    runs ridge's generations below RIDGE_LAW_FROM children
     (:func:`_ridge_sampler`), and on any function it is the per-bit
     reference the exact-law engines are tested against.
 
@@ -522,7 +576,8 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
     positions are the first k distinct values of the uniform position
     stream, a uniform k-subset.  Flip counts, positions and tie-break
     uniforms come from three ``_stream``s, so memory stays bounded at any
-    lam_int and a short run draws little.
+    lam_int and a short run draws little; the caller may hand in the
+    streams of uniform positions and of uniforms, to share them.
 
     A child is scored in O(k) without being built, from the parent's
     mismatch profile d[j] = H(parent, 1^j 0^(n-j)).  A child with flips P
@@ -550,8 +605,10 @@ def _offspring_sampler(fn: FitnessFunction, bits, rng: np.random.Generator):
         return d1 + co - ones - 2 * between == k
 
     counts = _stream(lambda size: rng.binomial(n, inv_n, size=size))
-    positions = _stream(lambda size: rng.integers(0, n, size=size))
-    uniforms = _stream(rng.random)
+    if positions is None:
+        positions = _stream(lambda size: rng.integers(0, n, size=size))
+    if uniforms is None:
+        uniforms = _stream(rng.random)
 
     def sample(lam_int, ones, cur_f):
         nonlocal d1
@@ -708,7 +765,7 @@ def _stop_cause(cur_f, lam, gens, evals, f_stop, abort_at, e_stop, g_stop):
 
 def _evolve(rng, sample, place, bits, ones, cur_f, lam, fn, kind, params, stop, trace):
     """The run loop: generations from the parent (one-count ``ones``, raw
-    fitness ``cur_f``; bit list ``bits``, updated in place, or None on a
+    fitness ``cur_f``; bits ``bits``, updated in place, or None on a
     level function) with real-valued lambda ``lam`` until a stop cause
     holds.  Returns (cause, generations, evaluations, final one-count,
     final raw fitness, best raw fitness, final lambda).
@@ -862,8 +919,8 @@ def run(
         init_raw = int(fn.level_table()[ones])
         sample = place = None
     else:
-        bits = rng.integers(0, 2, size=fn.n, dtype=np.uint8).tolist()
-        ones = sum(bits)
+        bits = bytearray(rng.random(fn.n) < 0.5)
+        ones = bits.count(1)
         init_raw = fn.raw_from_bits(bits, ones)
         sample, place = _ridge_sampler(fn, bits, rng)
     trace = _Trace(trace_level, fn.optimum_raw + 1, init_raw)

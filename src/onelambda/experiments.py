@@ -107,6 +107,8 @@ class BatchConfig:
             raise ValueError(f"gen_cap_multiplier * n must be finite and >= 0, got {mult}")
         if self.eval_cap is not None and self.eval_cap < 0:
             raise ValueError(f"eval_cap must be >= 0, got {self.eval_cap}")
+        if not math.isfinite(self.lambda0):  # recorded in the config line even when static
+            raise ValueError(f"lambda0 must be finite, got {self.lambda0}")
         if self.static_lambda is not None and self.algorithm != "static":
             raise ValueError(f"static_lambda needs algorithm 'static', got {self.algorithm!r}")
 

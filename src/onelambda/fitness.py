@@ -71,13 +71,10 @@ class FitnessFunction:
     @classmethod
     def parse(cls, spec: str, n: int) -> "FitnessFunction":
         """Parse a selector like ``\"onemax\"``, ``\"jump:3\"`` or ``\"cliff:5\"``;
-        the constructor checks the kind and its parameter."""
-        name, _, arg = spec.strip().lower().partition(":")
-        try:
-            param = int(arg) if arg else None
-        except ValueError:
-            raise ValueError(f"invalid {name} parameter: {arg!r}") from None
-        return cls(name, n, param)
+        the constructor checks the kind and its parameter.  The same
+        (spec, n) gives the same instance, so what it computes once and
+        keeps, such as ``optimum_raw``, is computed once per function."""
+        return _parse(cls, spec, n)
 
     @property
     def spec_string(self) -> str:
@@ -152,6 +149,16 @@ class FitnessFunction:
         """The largest raw value: the level table's maximum, or ridge's 2n
         at the all-ones string; computed on the first read and kept."""
         return int(_level_table(self).max()) if self.level_based else 2 * self.n
+
+
+@lru_cache(maxsize=64, typed=True)
+def _parse(cls, spec: str, n: int) -> FitnessFunction:
+    name, _, arg = spec.strip().lower().partition(":")
+    try:
+        param = int(arg) if arg else None
+    except ValueError:
+        raise ValueError(f"invalid {name} parameter: {arg!r}") from None
+    return cls(name, n, param)
 
 
 @lru_cache(maxsize=16)

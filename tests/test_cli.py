@@ -1,8 +1,11 @@
 """CLI dispatch, config handling and output files."""
 
+import contextlib
 import csv
+import io
 import json
 import shlex
+import tempfile
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -10,6 +13,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from onelambda import experiments as xp
 from onelambda import oracle
@@ -796,3 +801,87 @@ class TestWorkers:
         assert main([*self.BATCH, "--workers", workers, "--out-dir", str(tmp_path)]) == 3
         assert "no pool in this test" in capsys.readouterr().err
         assert pool_counts == [expected]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which strict JSON has not."""
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+# values for the options of ``run`` and ``batch``: the edges (0, -1,
+# 1e-300, 1e308, inf, nan, ints past int64 and past LAMBDA_MAX) beside
+# ordinary ones; n, runs and the evaluation cap stay tiny, so every
+# configuration that runs ends within a few milliseconds
+_FLOATS = ["0", "-1", "1e-300", "1e308", "inf", "-inf", "nan", "1", "1.5", "2.5", "100"]
+_INTS = ["0", "-1", "1", "3", str(2**70), str(LAMBDA_MAX), str(LAMBDA_MAX + 1)]
+_OPTIONS = {
+    "--algo": ["comma", "plus", "static"],
+    "--fn": ["onemax", "zeromax", "twomax", "ridge", "jump:2", "cliff:3", "jump:0", "jump:x", "nope"],
+    "--F": _FLOATS,
+    "--seed": _INTS,
+    "--gen-cap-mult": _FLOATS,
+    "--static-lambda": _INTS,
+}
+_RUN_OPTIONS = {**_OPTIONS, "--n": ["-1", "0", "1", "2", "12"], "--s": _FLOATS,
+                "--lambda0": _FLOATS + [str(float(LAMBDA_MAX))], "--trace": ["summary", "full"],
+                "--eval-cap": ["-1", "1", "10", "200"]}
+_BATCH_OPTIONS = {**_OPTIONS, "--n": ["-1", "0", "1", "5", "5,12"],
+                  "--s": _FLOATS + ["1,2", "0.5,nan"], "--runs": ["-1", "0", "1", "2"],
+                  "--eval-cap": ["-1", "1", "10", "200"]}
+
+
+@st.composite
+def cli_argvs(draw, command, options, required):
+    """``command`` with a subset of its options, each at a drawn value;
+    the options in ``required`` are always set, so a run stays bounded."""
+    argv = [command]
+    for flag, values in options.items():
+        if flag in required or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+class TestEveryArgv:
+    """ROADMAP item 6 for the commands that reach the engines: any argv
+    exits 0, 1 or 2 with strict JSON, and exit 2 writes no file.  The
+    draws are derandomized, so every run of the suite tries the same
+    argvs."""
+
+    def check(self, argv, out_flag, out_name):
+        with tempfile.TemporaryDirectory() as tmp:
+            where = Path(tmp) / "out"
+            argv = argv + [out_flag, str(where / out_name if out_name else where), "--no-timestamp"]
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refuses a value
+                    code = exc.code
+            files = [p for p in Path(tmp).rglob("*") if p.is_file()]
+            assert code in (0, 1, 2), (argv, code)
+            if code == 2:
+                assert files == [], (argv, files)
+                return
+            strict_json(stdout.getvalue())
+            for path in files:
+                for line in path.read_text().splitlines():
+                    if line.startswith("# config: "):
+                        strict_json(line[len("# config: "):])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cli_argvs("run", _RUN_OPTIONS, {"--n", "--eval-cap"}))
+    # each wrote Infinity into the config line and exited 0
+    @example(["run", "--n", "1", "--s", "inf", "--eval-cap", "1"])
+    @example(["run", "--algo", "static", "--n", "1", "--lambda0", "inf", "--eval-cap", "1"])
+    def test_run(self, argv):
+        self.check(argv, "--out", "run.csv")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(cli_argvs("batch", _BATCH_OPTIONS, {"--n", "--runs", "--eval-cap"}))
+    @example(["batch", "--n", "5", "--runs", "1", "--s", "inf", "--eval-cap", "1"])
+    def test_batch(self, argv):
+        self.check(argv + ["--workers", "1"], "--out-dir", None)

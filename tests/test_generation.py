@@ -4,15 +4,15 @@ Everything here drives the engines and the loop that ``run()`` executes:
 ``_evolve``, capped at one generation for the comma/plus step from a
 chosen parent, which draws level generations and ridge's on-ridge law
 generations from the exact selected-child law itself, and
-``_ridge_sampler`` (the exact law from RIDGE_LAW_FROM children on off the
-ridge, else ``_offspring_sampler``'s bit mutation, and the layout of the
-loop's law draws on the ridge from RIDGE_ON_LAW_FROM children on).
-The law draws the loop makes are asserted through it, one generation
-per call.
-``TestRidgeLaw`` checks ridge's law rows and its on-ridge draws against
-enumeration, ``TestOffRidgeLaw`` the law and draws from parents off the
-ridge.  Bit mutation draws a child's flip positions from a
-position stream and scores it from the parent's mismatch profile and
+``_ridge_sampler`` (from RIDGE_LAW_FROM children on, the exact law off
+the ridge and the layout of the loop's law draws on it; below, bit
+mutation by ``_offspring_sampler``).  The law draws the loop makes are
+asserted through it, one generation per call.  ``TestRidgeLaw`` checks
+ridge's law rows and its on-ridge draws against enumeration,
+``TestOffRidgeLaw`` the law and draws from parents off the ridge, and
+``TestAmong`` the law-drawn layouts' uniform position sets.  Bit
+mutation draws a child's flip positions from a position stream and
+scores it from the parent's mismatch profile and
 ``fn.shape_tables()`` without building it; ``TestScoring`` checks that
 score against ``fn.raw_from_bits`` of the built child.  On a level
 function both tables are the level table, so the shipped
@@ -33,10 +33,10 @@ import pytest
 from onelambda.ea import (
     LAMBDA_MAX,
     RIDGE_LAW_FROM,
-    RIDGE_ON_LAW_FROM,
     AlgorithmKind,
     ControllerParams,
     StoppingCondition,
+    _among,
     _evolve,
     _near_ridge,
     _off_ridge_logcdf,
@@ -117,7 +117,7 @@ class Generation:
         if fn.level_based:
             self.parent, self.sample, self.place = None, None, None
         else:
-            self.parent = [0] * fn.n
+            self.parent = bytearray(fn.n)
             self.sample, self.place = _ridge_sampler(fn, self.parent, rng)
         self.stop = StoppingCondition(max_generations=1, stop_on_optimum=False)
 
@@ -217,7 +217,8 @@ class TestMutate:
         # a short ridge run pays for no full block of flip counts,
         # positions or tie-break uniforms below RIDGE_LAW_FROM children,
         # and from there on for one first block of uniforms: the law's on
-        # the ridge, the layout stream's (which draws u too) off it
+        # the ridge, the layout stream's (which draws u too) off it, with
+        # one first block of the layout's uniform positions
         rng = RecordingGenerator(3)
         gen = Generation(FitnessFunction("ridge", 100), COMMA, rng)
         gen.step([1, 0] * 50, RIDGE_LAW_FROM - 1)
@@ -227,7 +228,7 @@ class TestMutate:
         assert rng.drawn == {"random": 64}, rng.drawn
         rng = RecordingGenerator(3)
         Generation(FitnessFunction("ridge", 100), COMMA, rng).step([1, 0] * 50, 100.0)
-        assert rng.drawn == {"random": 64}, rng.drawn
+        assert rng.drawn == {"random": 64, "integers": 64}, rng.drawn
 
 
 class RecordingGenerator:
@@ -486,8 +487,8 @@ class CountingGenerator:
 
 class TestRidgeLaw:
     """The on-ridge path of ridge's sampler: parents 1^j 0^(n-j) draw the
-    selected child from the exact law's rows from RIDGE_ON_LAW_FROM
-    children on."""
+    selected child from the exact law's rows from RIDGE_LAW_FROM children
+    on."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_rows_match_enumeration(self, n):
@@ -528,10 +529,10 @@ class TestRidgeLaw:
                 se = math.sqrt(p * (1.0 - p) / trials)
                 assert abs(counts[geno] / trials - p) <= 5 * se + 1e-4, (j, geno, counts[geno], p)
 
-    @pytest.mark.parametrize("lam", [1, RIDGE_ON_LAW_FROM - 1, RIDGE_ON_LAW_FROM, LAMBDA_MAX])
+    @pytest.mark.parametrize("lam", [1, RIDGE_LAW_FROM - 1, RIDGE_LAW_FROM, LAMBDA_MAX])
     def test_on_ridge_generation_does_not_grow_with_lambda(self, lam):
         # one generation from each parent on the ridge returns, draws flip
-        # counts only below RIDGE_ON_LAW_FROM (bit mutation), and draws at
+        # counts only below RIDGE_LAW_FROM (bit mutation), and draws at
         # most a bound set by n: one first block of each stream it uses
         n = 64
         fn = FitnessFunction("ridge", n)
@@ -539,7 +540,7 @@ class TestRidgeLaw:
             rng = CountingGenerator(j)
             step = Generation(fn, COMMA, rng).step(with_ones(n, j), lam)
             assert step.fitness == raw(fn, step.bits), j
-            assert (rng.flip_counts > 0) == (lam < RIDGE_ON_LAW_FROM), (j, rng.flip_counts)
+            assert (rng.flip_counts > 0) == (lam < RIDGE_LAW_FROM), (j, rng.flip_counts)
             assert rng.drawn <= 8 * n, (j, rng.drawn)
 
 
@@ -550,7 +551,7 @@ def off_ridge_law(fn, parent, lam) -> dict:
     n, i = fn.n, sum(parent)
     block, r = _level_law(FitnessFunction("zeromax", n), i)
     row = block.row(r)
-    js, above = _near_ridge(parent, i, lam)
+    js, above = _near_ridge(bytearray(parent), i, parent[:i].count(0), lam)
     logcdf = [_off_ridge_logcdf(row, js, above, g) for g in range(len(row[0]) + len(js))]
     law = defaultdict(float)
     for key, p in zip(zip(row[1] + list(js), row[3] + [n + j for j in js]),
@@ -593,6 +594,9 @@ class FirstUniform:
         if self.u is not None:
             out[0], self.u = self.u, None
         return out
+
+    def integers(self, low, high, size):
+        return self.rng.integers(low, high, size=size)
 
 
 def off_ridge_parents(n, rng) -> list:
@@ -644,7 +648,7 @@ class TestOffRidgeLaw:
             for key in set(want) | set(got):
                 assert abs(got[key] - want[key]) <= 1e-15, (parent, key, got[key], want[key])
 
-    @pytest.mark.parametrize("lam", [50, 10**4, LAMBDA_MAX])
+    @pytest.mark.parametrize("lam", [RIDGE_LAW_FROM, 15, 50, 10**4, LAMBDA_MAX])
     @pytest.mark.parametrize("n", [3, 8])
     def test_selected_genotype_matches_value_level_law(self, n, lam):
         fn = FitnessFunction("ridge", n)
@@ -656,7 +660,7 @@ class TestOffRidgeLaw:
         for parent in parents:
             law = value_level_law(fn, parent, lam)
             ones, f = sum(parent), raw(fn, parent)
-            sample, _ = _ridge_sampler(fn, list(parent), np.random.default_rng((n, f, lam % 2**32)))
+            sample, _ = _ridge_sampler(fn, bytearray(parent), np.random.default_rng((n, f, lam % 2**32)))
             counts = Counter()
             for _ in range(trials):
                 bf, child_ones, flips = sample(lam, ones, f)
@@ -681,14 +685,14 @@ class TestOffRidgeLaw:
             i = sum(parent)
             block, r = _level_law(FitnessFunction("zeromax", n), i)
             row = block.row(r)
-            js, above = _near_ridge(parent, i, lam)
+            js, above = _near_ridge(bytearray(parent), i, parent[:i].count(0), lam)
             logcdf = [_off_ridge_logcdf(row, js, above, g) for g in range(len(row[0]) + len(js))]
             keys = list(zip(row[3], row[1])) + [(n + j, j) for j in js]
             edges = [math.exp(lam * x) for x in logcdf[:-1]]
             us = {u for e in edges for u in (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0)) if u < 1.0}
             for u in sorted(us | set(rng.random(200).tolist())):
                 f, co = keys[bisect_right(logcdf, math.log(u) / lam if u else -math.inf)]
-                got = _ridge_sampler(fn, list(parent), FirstUniform(u))[0](lam, i, raw(fn, parent))[:2]
+                got = _ridge_sampler(fn, bytearray(parent), FirstUniform(u))[0](lam, i, raw(fn, parent))[:2]
                 # 1^n is the ridge string R_n even where R_n is out of reach
                 assert got == (f, co) or (got, f, co) == ((2 * n, n), 0, n), (parent, u, got, f, co)
 
@@ -701,10 +705,52 @@ class TestOffRidgeLaw:
         for seed in range(20):
             for parent in off_ridge_parents(n, np.random.default_rng(seed)):
                 rng = CountingGenerator(seed)
-                bf, child_ones, flips = _ridge_sampler(fn, list(parent), rng)[0](
+                bf, child_ones, flips = _ridge_sampler(fn, bytearray(parent), rng)[0](
                     LAMBDA_MAX, sum(parent), raw(fn, parent))
                 assert bf == raw(fn, child_of(parent, flips)), parent
                 assert rng.flip_counts == 0 and rng.drawn <= 8 * n, (parent, rng.drawn)
+
+
+class TestAmong:
+    """The positions of a law-drawn layout: ``_among`` gives k distinct
+    uniform positions of a parent's m b-bits by rejection from uniform
+    positions while few tries are expected, else from the list of the
+    b-bits (found one at a time when they are few), through a partial
+    Fisher-Yates shuffle of its first k places, or of its first m - k
+    places, the rest then being the draw."""
+
+    @pytest.mark.parametrize("n, b, m, k", [
+        (64, 1, 48, 2),  # many one-bits: rejection
+        (64, 0, 16, 1),  # zero-bits: rejection
+        (64, 0, 5, 2),  # few zero-bits, found one at a time; shuffle k places
+        (64, 1, 4, 3),  # few one-bits; shuffle m - k places
+        (64, 1, 30, 14),  # many one-bits, listed; shuffle k places
+        (64, 0, 40, 30),  # many zero-bits, listed; shuffle m - k places
+    ])
+    def test_position_sets_are_uniform_k_subsets(self, n, b, m, k):
+        # each b-bit lies in the set with probability k/m, and each pair of
+        # them with k(k-1)/(m(m-1)); no position repeats or is not a b-bit
+        rng = np.random.default_rng((n, b, m, k))
+        ones = rng.permutation(n)[:m if b else n - m].tolist()
+        bits = bytearray(n)
+        for q in ones:
+            bits[q] = 1
+        at = [q for q in range(n) if bits[q] == b]
+        assert len(at) == m
+        uniforms = _stream(rng.random)
+        spots = _stream(lambda size: rng.integers(0, n, size=size))
+        trials = 20_000
+        singles, pairs = Counter(), Counter()
+        for _ in range(trials):
+            got = _among(bits, spots, uniforms, b, k, m)
+            assert len(set(got)) == k and all(bits[q] == b for q in got), got
+            singles.update(got)
+            pairs.update(itertools.combinations(sorted(got), 2))
+        for counts, keys, p in ((singles, at, k / m),
+                                (pairs, itertools.combinations(at, 2), k * (k - 1) / (m * (m - 1)))):
+            se = math.sqrt(p * (1.0 - p) / trials)
+            for key in keys:
+                assert abs(counts[key] / trials - p) <= 5 * se + 1e-9, (key, counts[key], p)
 
 
 class ScriptedGenerator:

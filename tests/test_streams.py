@@ -34,7 +34,16 @@ and an off-ridge child's flip positions came from the list of the
 parent's one-bits or zero-bits alone: a two-sample test on the
 evaluations of 600 runs per side agreed for each of the three
 configurations (BENCH_ridge_off_law.json), and ``TestOffRidgeLaw``
-checks the off-ridge law against enumeration.  No digest moved when the
+checks the off-ridge law against enumeration.  They moved a fifth time,
+ridge-comma, ridge-plus and the ``run --fn ridge --n 12`` CSV and nothing
+else, when RIDGE_LAW_FROM fell to 3 children on both sides of the ridge,
+the initial string's bits came from uniforms (u < 1/2), and a law-drawn
+layout's positions came by rejection from a stream of uniform positions
+(shared with bit mutation) or from a partial shuffle of the parent's
+one-bits or zero-bits: a two-sample test on the evaluations of 600 runs
+per side agreed for each of the three configurations
+(BENCH_ridge_law_from3.json), ``TestAmong`` checks the position sets,
+and ``TestOffRidgeLaw`` now draws at 3 and 15 children too.  No digest moved when the
 run loop (``ea._evolve``) took over the law draw of level generations
 and of ridge's on-ridge law generations from a sampler call, since it
 reads the same rows with the same uniforms, drawn in the same blocks.
@@ -127,14 +136,14 @@ CASES = [
     ("onemax-gen-cap-plus", PLUS, "onemax", 200, 1.5, 1.0,
      StoppingCondition(max_generations=150), 23, 2.0, StopCause.GENERATION_CAP,
      "7959bccf924d85905433fbff5ea18df6cc07e268084b10a63c144d430f077f6c"),
-    # ridge runs on its own sampler: bit mutation below RIDGE_LAW_FROM children off
-    # the ridge and RIDGE_ON_LAW_FROM on it, the exact law from there on
+    # ridge runs on its own sampler: bit mutation below RIDGE_LAW_FROM children,
+    # the exact law from there on
     ("ridge-comma", COMMA, "ridge", 30, 1.5, 1.0,
      StoppingCondition(max_generations=20_000), 29, 1.0, StopCause.OPTIMUM,
-     "ba6e83925597ea421bfb3d8bf0a5119be57a3b5c4c96a1cf879cec0d2b0959f3"),
+     "dfc981645ff576773e72f19605e79c0a57f8c1be9a35b492c1dba6cda0d6ab29"),
     ("ridge-plus", PLUS, "ridge", 30, 1.5, 1.0,
      StoppingCondition(max_generations=20_000), 31, 1.0, StopCause.OPTIMUM,
-     "14c79b9bacaacf48d9162860d990f0b773560abd5678f191c6d260e2d9d5d00c"),
+     "318a0767d46a28a45cad44bdad90c4e6fce14995051951a2198afc487eb1dc6f"),
 ]
 
 
@@ -204,7 +213,7 @@ RUN_CSV_CASES = [
     ("run --n 10 --s 1 --F 1e30 --eval-cap 100 --trace full",
      "89a75e383b1532e85d0e91266f65e813d7095501eb0607345401e0e3387c1ed3"),
     ("run --fn ridge --n 12 --s 1 --trace full",
-     "2df8a8e1098b7d4bc4f81d086e5d5d8715aa166cf41945ff2716859aca94f3ca"),
+     "937df8c2a10385158fd715b751ab4e5899159b687638a23781d3702544bf260b"),
     ("run --fn cliff:7 --n 20 --s 1",
      "62f90ca5841b49fc9cecfd9c21e63e9f857125f37626a4c56ac67f510ffcd2fd"),
 ]
